@@ -59,3 +59,4 @@ let iter_overlay f t = Smap.iter f t.over
 let has_base t = not (Smap.is_empty t.base)
 let base_eq a b = a.base == b.base
 let iter_base f t = Smap.iter f t.base
+let mem_base x t = Smap.mem x t.base

@@ -1,13 +1,16 @@
 (** Environments: finite maps from identifiers to store locations
     ([rho : Identifier -> Location], Figure 4).
 
-    Representation: a shared immutable {e base} (the initial global
-    environment, identical — physically — across every environment in a
-    configuration) plus an {e overlay} of bindings added since. The split
-    is invisible to lookup semantics; it exists so the garbage collector
-    and the [I_stack] occurs-check can trace the hundred-odd global
-    bindings once per collection instead of once per frame. The flat
-    space model's [|Dom rho|] is cached for O(1) access. *)
+    Representation: a shared immutable {e base} plus an {e overlay} of
+    bindings added since. The machine builds two bases and shares each
+    physically: the primitives, which every prelude closure captures,
+    and the whole initial global environment, which every run-time
+    environment of the program starts from. The split is invisible to
+    lookup semantics; it exists so the garbage collector and the linked
+    space walk visit each global binding once per collection or walk
+    instead of once per environment, and so the [I_stack] occurs-check
+    can skip the globals. The flat space model's [|Dom rho|] is cached
+    for O(1) access. *)
 
 type loc = int
 
@@ -28,9 +31,11 @@ val add : string -> loc -> t -> t
 val add_list : (string * loc) list -> t -> t
 
 val rebase : t -> t
-(** Collapse every binding into the base. The machine calls this once,
-    after loading the prelude, so that all run-time environments share
-    one physical base. *)
+(** Collapse every binding into a fresh base. The machine calls this
+    after binding the primitives, so that the prelude closures share
+    one primitive base and keep only earlier prelude names in their
+    overlays, and again after loading the prelude, so that all run-time
+    environments share one global base. *)
 
 val restrict : t -> Tailspace_ast.Ast.Iset.t -> t
 (** [restrict rho xs] is [rho | (Dom rho ∩ xs)] — the operation the
@@ -48,16 +53,25 @@ val iter : (string -> loc -> unit) -> t -> unit
 
 val fold : (string -> loc -> 'a -> 'a) -> t -> 'a -> 'a
 
-(** {1 Collector support} *)
+(** {1 Tracing support}
+
+    The collector and the linked space walk visit an environment as its
+    overlay plus, once per walk, each distinct base. *)
 
 val iter_overlay : (string -> loc -> unit) -> t -> unit
 (** Only the overlay. May include bindings that shadow the base; the
     collector over-approximates by tracing both, which can pin a
-    shadowed global cell — a bounded, documented overcount. *)
+    shadowed global cell — a bounded, documented overcount. No prelude
+    definition shadows a primitive, so the machine's initial world has
+    none. *)
 
 val has_base : t -> bool
 val base_eq : t -> t -> bool
-(** Physical identity of the bases; the collector's once-per-base
-    dedup key. *)
+(** Physical identity of the bases; the once-per-base dedup key. *)
 
 val iter_base : (string -> loc -> unit) -> t -> unit
+(** Every base binding, shadowed or not. *)
+
+val mem_base : string -> t -> bool
+(** Whether the base binds the identifier, shadowed or not: an overlay
+    identifier for which this holds shadows a base binding. *)

@@ -1,26 +1,55 @@
 module Env = Types.Env
 
 (* Visitor-based tracing. Environments are traced as overlay-plus-base,
-   with each distinct base (physically) traced once per collection: every
-   run-time environment shares the single global base, so the hundred-odd
-   global bindings cost O(1) per frame instead of O(globals). A shadowed
-   base binding is still traced, which can pin a dead global cell — a
-   few words of documented overcount, never affecting fresh locations. *)
+   with each distinct base (physically) traced once per collection: the
+   machine's environments share at most two bases (the primitives and
+   the whole global environment), so each global binding is traced once
+   per collection instead of once per frame or closure. A shadowed base
+   binding is still traced, which can pin a dead global cell — a few
+   words of documented overcount, never affecting fresh locations; no
+   prelude definition shadows a primitive, so the initial world has
+   none.
+
+   Marks live in a byte table indexed by location: one table per
+   domain, reused by every collection on it and grown on demand, so a
+   mark allocates nothing and no collection sizes or clears a table for
+   every location ever allocated. Only locations present in the store
+   are marked, and the sweep reads every cell, so it zeroes each mark it
+   reads; if tracing raises, the table is cleared before the exception
+   escapes. One table per domain is sound because collections never
+   nest: tracing calls nothing that collects. *)
+let mark_table : Bytes.t ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref (Bytes.make 4096 '\000'))
+
+let is_marked marks l = l < Bytes.length marks && Bytes.get marks l <> '\000'
+
 type tracer = {
-  seen : (Types.loc, unit) Hashtbl.t;
+  marks : Bytes.t ref;
   mutable bases : Env.t list;
   store : Store.t;
 }
 
-let make_tracer store = { seen = Hashtbl.create 64; bases = []; store }
+let set_mark tr l =
+  let marks = !(tr.marks) in
+  let len = Bytes.length marks in
+  let marks =
+    if l < len then marks
+    else begin
+      let grown = Bytes.make (max (2 * len) (l + 1)) '\000' in
+      Bytes.blit marks 0 grown 0 len;
+      tr.marks := grown;
+      grown
+    end
+  in
+  Bytes.set marks l '\001'
 
 let rec visit tr l =
-  if not (Hashtbl.mem tr.seen l) then begin
-    Hashtbl.add tr.seen l ();
+  if not (is_marked !(tr.marks) l) then
     match Store.find_opt tr.store l with
     | None -> ()
-    | Some v -> trace_value tr v
-  end
+    | Some v ->
+        set_mark tr l;
+        trace_value tr v
 
 and trace_value tr (v : Types.value) =
   match v with
@@ -66,23 +95,27 @@ and trace_cont tr (k : Types.cont) =
       trace_env tr env;
       trace_cont tr next
 
-let reachable ~roots store =
-  let tr = make_tracer store in
-  List.iter (visit tr) roots;
-  tr.seen
-
-let live_set ~control_locs ~env ~cont store =
-  let tr = make_tracer store in
-  List.iter (visit tr) control_locs;
-  trace_env tr env;
-  trace_cont tr cont;
-  tr.seen
-
 let collect ~control_locs ~env ~cont store =
-  let live = live_set ~control_locs ~env ~cont store in
+  let marks = Domain.DLS.get mark_table in
+  let tr = { marks; bases = []; store } in
+  (match
+     List.iter (visit tr) control_locs;
+     trace_env tr env;
+     trace_cont tr cont
+   with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Bytes.fill !marks 0 (Bytes.length !marks) '\000';
+      Printexc.raise_with_backtrace e bt);
   let dead =
     Store.fold
-      (fun l _ acc -> if Hashtbl.mem live l then acc else l :: acc)
+      (fun l _ dead ->
+        if is_marked !marks l then begin
+          Bytes.set !marks l '\000';
+          dead
+        end
+        else l :: dead)
       store []
   in
   (Store.remove_all store dead, List.length dead)

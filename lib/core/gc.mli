@@ -8,14 +8,15 @@
     {!Machine}.
 
     Tracing is visitor-based, and each distinct environment base (see
-    {!Env}) is traced once per collection, so a collection costs
-    O(live + frames + overlay bindings), independent of how many
-    environments share the global bindings. *)
-
-val reachable :
-  roots:Types.loc list -> Store.t -> (Types.loc, unit) Hashtbl.t
-(** Transitive closure of the points-to relation through the store,
-    starting from explicit root locations. *)
+    {!Env}) is traced once per collection, so each global binding is
+    traced once and a collection costs O(marked cells + frames + overlay
+    bindings + distinct bases) plus the sweep over the store,
+    independent of how many environments share the global bindings.
+    That rests on two invariants: no prelude definition shadows a
+    primitive (so prelude closures keep only prelude names in their
+    overlays over the one primitive base), and collections never nest
+    within a domain (so one reusable mark table per domain suffices;
+    only pool worker domains run machines concurrently). *)
 
 val collect :
   control_locs:Types.loc list ->

@@ -782,7 +782,13 @@ let create_with (cfg : Config.t) =
       (Env.empty, Store.empty)
       (Prim.initial_bindings ())
   in
-  t.genv <- genv;
+  (* Rebase twice so that every trace visits each global binding once
+     (see Env, Gc). This first rebase gives the prelude closures one
+     shared primitive base, leaving only earlier prelude names in their
+     overlays; it relies on no prelude definition shadowing a
+     primitive, which would make the collector pin the dead primitive
+     cell. *)
+  t.genv <- Env.rebase genv;
   t.gstore <- gstore;
   List.iter
     (fun form ->
@@ -793,8 +799,8 @@ let create_with (cfg : Config.t) =
           | Error m -> failwith (Printf.sprintf "prelude: %s: %s" name m))
       | None -> failwith "prelude: expected only definitions")
     (Reader.parse_all_exn prelude_source);
-  (* Collapse the initial environment into a single shared base so the
-     collector traces the globals once per collection (see Env). *)
+  (* The final rebase gives every run-time environment one shared
+     global base. *)
   t.genv <- Env.rebase t.genv;
   t
 

@@ -21,7 +21,16 @@ val linked_config_space :
   int
 (** The linked space of a configuration. The store should be fully
     garbage collected first, since Definition 21 measures space-efficient
-    computations only. *)
+    computations only.
+
+    Each global binding is visited once per walk: overlays are added as
+    they are met, and each distinct environment base (see {!Env}) once
+    at the end, a base binding counting unless every environment over
+    that base shadows its name. The binding set is keyed by location,
+    with the names bound there. A walk costs O(cells + frames + overlay
+    bindings + bindings of distinct bases), independent of how many
+    environments share the globals; the figure equals the union of every
+    environment's shadow-aware graph. *)
 
 val ceil_log2 : int -> int
 (** [ceil_log2 n] is the least [b] with [2^b >= n] ([0] for [n <= 1]). *)

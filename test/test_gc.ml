@@ -1,14 +1,18 @@
 (* The garbage-collection rule: reachability through the store, the
-   once-per-base optimization's transparency, Return_stack pinning, and
-   the I_stack occurs-check. *)
+   once-per-base optimization's transparency and the shared prelude base
+   it relies on, the per-domain mark table, Return_stack pinning, and the
+   I_stack occurs-check. *)
 
 module T = Tailspace_core.Types
 module Env = Tailspace_core.Types.Env
 module Store = Tailspace_core.Store
 module Gc = Tailspace_core.Gc
 module M = Tailspace_core.Machine
+module Prim = Tailspace_core.Prim
+module Pool = Tailspace_parallel.Pool
 
 let check_int = Alcotest.(check int)
+let cells store = List.rev (Store.fold (fun l _ acc -> l :: acc) store [])
 
 let lam body = { Tailspace_ast.Ast.params = []; rest = None; body }
 let unit_body = Tailspace_ast.Ast.Quote Tailspace_ast.Ast.C_nil
@@ -92,6 +96,167 @@ let test_rebased_env_roots () =
   let s', n = Gc.collect ~control_locs:[] ~env:base ~cont:k s in
   check_int "none reclaimed" 0 n;
   Alcotest.(check bool) "b survives via shared base" true (Store.mem s' b)
+
+(* --- the shared prelude base --- *)
+
+let prelude_names () =
+  List.filter_map
+    (fun form -> Option.map fst (Tailspace_expander.Expand.top_level_define form))
+    (Tailspace_sexp.Reader.parse_all_exn M.prelude_source)
+
+let test_prelude_shadows_no_primitive () =
+  (* A prelude name that shadowed a primitive would sit in a prelude
+     closure's overlay over the primitive base, and the collector would
+     pin the dead primitive cell. *)
+  let prims = List.map fst (Prim.initial_bindings ()) in
+  let names = prelude_names () in
+  check_int "primitives" 69 (List.length prims);
+  check_int "distinct prelude names" 30
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (x ^ " is not a primitive") false (List.mem x prims))
+    names
+
+let test_prelude_closures_share_base () =
+  List.iter
+    (fun variant ->
+      let env, store = M.initial (M.create_with (M.Config.make ~variant ())) in
+      let closure_env x =
+        match Option.bind (Env.find_opt x env) (Store.find_opt store) with
+        | Some (T.Closure (_, _, cenv)) -> cenv
+        | _ ->
+            Alcotest.failf "%s: prelude %s is not a closure"
+              (M.variant_name variant) x
+      in
+      match List.map closure_env (prelude_names ()) with
+      | [] -> Alcotest.fail "empty prelude"
+      | first :: _ as envs ->
+          List.iter
+            (fun cenv ->
+              Alcotest.(check bool)
+                (M.variant_name variant ^ ": has a base")
+                true (Env.has_base cenv);
+              Alcotest.(check bool)
+                (M.variant_name variant ^ ": one shared base")
+                true (Env.base_eq first cenv))
+            envs)
+    [ M.Tail; M.Gc; M.Stack; M.Evlis ]
+
+let test_initial_world_unchanged () =
+  let env, store = M.initial (M.create_with M.Config.default) in
+  check_int "global bindings" 99 (Env.cardinal env);
+  check_int "store flat words" 2793 (Store.space store)
+
+(* --- the mark table --- *)
+
+let test_recollect_keeps_everything () =
+  (* The sweep zeroes every mark it reads: collecting a collected
+     configuration again frees nothing, and a cell that has since lost
+     its last root is freed rather than kept by a stale mark. *)
+  let env, store = M.initial (M.create_with M.Config.default) in
+  let store, _garbage = Store.alloc store (T.Sym "garbage") in
+  let store, extra = Store.alloc store (T.Sym "extra") in
+  let rooted = Env.add "extra" extra env in
+  let s1, n1 = Gc.collect ~control_locs:[] ~env:rooted ~cont:T.Halt store in
+  check_int "garbage reclaimed" 1 n1;
+  let s2, n2 = Gc.collect ~control_locs:[] ~env:rooted ~cont:T.Halt s1 in
+  check_int "nothing left to reclaim" 0 n2;
+  Alcotest.(check (list int)) "every cell kept" (cells s1) (cells s2);
+  let s3, n3 = Gc.collect ~control_locs:[] ~env ~cont:T.Halt s2 in
+  check_int "unrooted cell reclaimed" 1 n3;
+  Alcotest.(check bool) "extra gone" false (Store.mem s3 extra)
+
+let test_marks_cleared_after_raise () =
+  (* A negative location is one the allocator never hands out; the
+     tracer may reject it after marking [a]. Either way the next
+     collection must start from a clean table. *)
+  let s, a = Store.alloc Store.empty (T.Sym "a") in
+  (match Gc.collect ~control_locs:[ a; -1 ] ~env:Env.empty ~cont:T.Halt s with
+  | _ -> ()
+  | exception Invalid_argument _ -> ());
+  let s', n = Gc.collect ~control_locs:[] ~env:Env.empty ~cont:T.Halt s in
+  check_int "a reclaimed" 1 n;
+  check_int "store empty" 0 (Store.cardinal s')
+
+let test_table_grows () =
+  (* A fresh domain starts with a fresh table, smaller than these
+     stores: live cells beyond it grow it, garbage beyond it is swept. *)
+  Domain.join
+    (Domain.spawn (fun () ->
+         List.iter
+           (fun (n, live) ->
+             let s, locs = Store.alloc_many Store.empty (List.init n (fun _ -> T.Nil)) in
+             let kept = List.filter live locs in
+             let s, vec = Store.alloc s (T.Vector (Array.of_list kept)) in
+             let s', freed =
+               Gc.collect ~control_locs:[ vec ] ~env:Env.empty ~cont:T.Halt s
+             in
+             check_int "freed" (n - List.length kept) freed;
+             Alcotest.(check (list int)) "kept" (kept @ [ vec ]) (cells s'))
+           [
+             (10_000, fun l -> l < 100);
+             (10_000, fun l -> l mod 3 = 0);
+             (50_000, fun l -> l mod 7 = 0);
+             (20_000, fun l -> l mod 2 = 1);
+           ]))
+
+let test_return_stack_dangling_dels () =
+  (* A deletion set may name a location already removed from the store,
+     or one never allocated: neither raises or changes the result. *)
+  let s = Store.empty in
+  let s, kept = Store.alloc s (T.Sym "kept") in
+  let s, gone = Store.alloc s (T.Sym "gone") in
+  let s, _loose = Store.alloc s (T.Sym "loose") in
+  let s = Store.remove_all s [ gone ] in
+  let collect dels =
+    Gc.collect ~control_locs:[] ~env:Env.empty
+      ~cont:(T.return_stack ~dels ~env:Env.empty ~next:T.Halt ())
+      s
+  in
+  let s1, n1 = collect [ kept ] in
+  let s2, n2 = collect [ gone; kept; 1_000_000 ] in
+  check_int "only the loose cell" 1 n1;
+  check_int "same reclaimed" n1 n2;
+  Alcotest.(check (list int)) "same store" (cells s1) (cells s2)
+
+let test_two_domains_agree () =
+  (* One mark table per domain: runs collecting at the same time on two
+     pool domains give the same figures and final stores as serial runs. *)
+  let run (variant, src) =
+    let r = M.exec_string (M.create_with (M.Config.make ~variant ())) src in
+    match r.M.outcome with
+    | M.Done { answer; store; _ } ->
+        (answer, r.M.steps, M.peak_space r, r.M.gc_runs, cells store)
+    | _ -> Alcotest.fail "expected Done"
+  in
+  let jobs =
+    List.concat_map
+      (fun src -> [ (M.Tail, src); (M.Gc, src) ])
+      [
+        "(define (churn n) (if (zero? n) 'ok (churn (- n 1)))) (churn 1500)";
+        "(define (build n) (if (zero? n) '() (cons n (build (- n 1))))) \
+         (length (build 200))";
+        "(length (map (lambda (x) (cons x x)) (vector->list (make-vector 150 1))))";
+        "(define (loop i acc) (if (zero? i) acc (loop (- i 1) (list i acc)))) \
+         (car (loop 400 '()))";
+      ]
+  in
+  let serial = List.map run jobs in
+  let parallel =
+    let pool = Pool.create ~jobs:2 () in
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Pool.map ~pool run jobs)
+  in
+  List.iter2
+    (fun (a1, st1, p1, g1, c1) (a2, st2, p2, g2, c2) ->
+      Alcotest.(check string) "answer" a1 a2;
+      check_int "steps" st1 st2;
+      check_int "peak" p1 p2;
+      check_int "collections" g1 g2;
+      Alcotest.(check (list int)) "final store" c1 c2)
+    serial parallel
 
 let table_of locs =
   let h = Hashtbl.create 4 in
@@ -184,6 +349,25 @@ let () =
           Alcotest.test_case "escape" `Quick test_collect_through_escape;
           Alcotest.test_case "return_stack pins" `Quick test_return_stack_pins_deletions;
           Alcotest.test_case "rebased roots" `Quick test_rebased_env_roots;
+        ] );
+      ( "prelude-base",
+        [
+          Alcotest.test_case "no primitive shadowed" `Quick
+            test_prelude_shadows_no_primitive;
+          Alcotest.test_case "closures share one base" `Quick
+            test_prelude_closures_share_base;
+          Alcotest.test_case "initial world unchanged" `Quick
+            test_initial_world_unchanged;
+        ] );
+      ( "mark-table",
+        [
+          Alcotest.test_case "re-collect keeps everything" `Quick
+            test_recollect_keeps_everything;
+          Alcotest.test_case "cleared after a raise" `Quick
+            test_marks_cleared_after_raise;
+          Alcotest.test_case "grows past its size" `Quick test_table_grows;
+          Alcotest.test_case "dangling dels" `Quick test_return_stack_dangling_dels;
+          Alcotest.test_case "two domains agree" `Quick test_two_domains_agree;
         ] );
       ( "occurs-check",
         [

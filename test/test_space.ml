@@ -134,6 +134,151 @@ let test_linked_counts_shared_bindings_once () =
      4 cells + tags 2*1 + closures 2*(1+3) = 4 + 2 + 8 = 14 *)
   check_int "flat copies" 14 (Store.space store)
 
+(* The linked walk as it was before bases were deduplicated, kept as the
+   reference: every environment's shadow-aware graph, added pair by pair
+   into a (name, location) set. *)
+module Reference_linked = struct
+  type acc = {
+    bindings : (string * T.loc, unit) Hashtbl.t;
+    mutable words : int;
+  }
+
+  let add_env acc env =
+    Env.iter (fun x l -> Hashtbl.replace acc.bindings (x, l) ()) env
+
+  let rec add_value acc (v : T.value) =
+    match v with
+    | T.Closure (_, _, env) ->
+        add_env acc env;
+        acc.words <- acc.words + 1
+    | T.Escape (_, k) ->
+        acc.words <- acc.words + 1;
+        add_cont acc k
+    | v -> acc.words <- acc.words + T.value_space v
+
+  and add_cont acc (k : T.cont) =
+    match k with
+    | T.Halt -> acc.words <- acc.words + 1
+    | T.Select { env; next; _ } | T.Assign { env; next; _ } ->
+        add_env acc env;
+        acc.words <- acc.words + 1;
+        add_cont acc next
+    | T.Push { remaining; evaluated; env; next; _ } ->
+        add_env acc env;
+        acc.words <-
+          acc.words + 1 + List.length remaining + List.length evaluated;
+        add_cont acc next
+    | T.Call { vals; next; _ } ->
+        acc.words <- acc.words + 1 + List.length vals;
+        add_cont acc next
+    | T.Return { env; next; _ } | T.Return_stack { env; next; _ } ->
+        add_env acc env;
+        acc.words <- acc.words + 1;
+        add_cont acc next
+
+  let space ~control ~env ~cont ~store =
+    let acc = { bindings = Hashtbl.create 64; words = 0 } in
+    add_env acc env;
+    (match control with `Expr _ -> () | `Value v -> add_value acc v);
+    add_cont acc cont;
+    Store.iter
+      (fun _ v ->
+        acc.words <- acc.words + 1;
+        add_value acc v)
+      store;
+    acc.words + Hashtbl.length acc.bindings
+end
+
+type linked_case = {
+  control : [ `Expr of A.expr | `Value of T.value ];
+  env : Env.t;
+  cont : T.cont;
+  store : Store.t;
+}
+
+(* Random configurations over six names and twelve locations: several
+   environments over one or two physical bases, overlays that shadow
+   base names with the same or another location, base-less and
+   restricted environments, closures and escapes in store cells, the
+   register and frames. *)
+let gen_linked_case st =
+  let int n = Random.State.int st n in
+  let names = [| "a"; "b"; "c"; "d"; "e"; "f" |] in
+  let name () = names.(int (Array.length names)) in
+  let loc () = int 12 in
+  let some_bindings n = List.init n (fun _ -> (name (), loc ())) in
+  let new_base () = Env.rebase (Env.add_list (some_bindings (1 + int 6)) Env.empty) in
+  let bases = if int 2 = 0 then [| new_base () |] else [| new_base (); new_base () |] in
+  let over_base () =
+    let base = bases.(int (Array.length bases)) in
+    let overlay =
+      List.init (int 4) (fun _ ->
+          let x = name () in
+          match Env.find_opt x base with
+          | Some l when int 2 = 0 -> (x, l)
+          | _ -> (x, loc ()))
+    in
+    Env.add_list overlay base
+  in
+  let gen_env () =
+    match int 6 with
+    | 0 -> Env.add_list (some_bindings (int 4)) Env.empty
+    | 1 ->
+        Env.restrict (over_base ())
+          (A.Iset.of_list (List.filter (fun _ -> int 3 > 0) (Array.to_list names)))
+    | _ -> over_base ()
+  in
+  let lam = { A.params = []; rest = None; body = A.Var "a" } in
+  let e = A.Var "a" in
+  let rec gen_value depth =
+    match int 5 with
+    | 0 | 1 -> T.Closure (loc (), lam, gen_env ())
+    | 2 when depth > 0 -> T.Escape (loc (), gen_cont (depth - 1))
+    | 3 -> T.Pair (loc (), loc ())
+    | _ -> T.Int (B.of_int (int 1000))
+  and gen_cont depth =
+    if depth = 0 then T.Halt
+    else
+      let next = gen_cont (depth - 1) in
+      match int 6 with
+      | 0 -> T.select ~e1:e ~e2:e ~env:(gen_env ()) ~next ()
+      | 1 -> T.assign ~id:"a" ~env:(gen_env ()) ~next ()
+      | 2 ->
+          T.push ~pending:1 ~remaining:[ (2, e) ]
+            ~evaluated:[ (0, gen_value (depth - 1)) ]
+            ~env:(gen_env ()) ~next ()
+      | 3 -> T.call ~vals:[ gen_value (depth - 1) ] ~next ()
+      | 4 -> T.return_gc ~env:(gen_env ()) ~next ()
+      | _ -> T.return_stack ~dels:[ loc () ] ~env:(gen_env ()) ~next ()
+  in
+  let store, _ =
+    Store.alloc_many Store.empty (List.init (int 8) (fun _ -> gen_value 2))
+  in
+  {
+    control = (if int 2 = 0 then `Expr e else `Value (gen_value 2));
+    env = gen_env ();
+    cont = gen_cont (int 5);
+    store;
+  }
+
+let linked_of c =
+  Space.linked_config_space ~control:c.control ~env:c.env ~cont:c.cont
+    ~store:c.store
+
+let reference_of c =
+  Reference_linked.space ~control:c.control ~env:c.env ~cont:c.cont
+    ~store:c.store
+
+let prop_linked_matches_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"linked walk = per-environment reference on random configurations"
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "linked %d, reference %d, %d store cells" (linked_of c)
+           (reference_of c) (Store.cardinal c.store))
+       gen_linked_case)
+    (fun c -> linked_of c = reference_of c)
+
 let test_linked_leq_flat_on_runs () =
   (* U_X <= S_X pointwise (§13), checked on real measured runs *)
   List.iter
@@ -257,6 +402,7 @@ let () =
           Alcotest.test_case "shared bindings once" `Quick
             test_linked_counts_shared_bindings_once;
           Alcotest.test_case "U <= S" `Quick test_linked_leq_flat_on_runs;
+          QCheck_alcotest.to_alcotest prop_linked_matches_reference;
         ] );
       ( "hierarchy",
         [
