@@ -623,6 +623,44 @@ let step t config =
   | `Expr e -> step_expr t config e
   | `Value v -> step_value t config v
 
+(* Whether a value holds a store location, in constant time
+   ([value_locs v = []] would list a closure's whole environment). *)
+let holds_no_locs = function
+  | Bool _ | Int _ | Sym _ | Str _ | Char _ | Nil | Unspecified | Undefined
+  | Primop _ ->
+      true
+  | Pair _ | Vector _ | Closure _ | Escape _ -> false
+
+(* For [step t before = Next after]: true only when every location
+   [before] holds is still held by [after] and every cell [after]'s
+   store adds is held by [after], so a collection of [after] frees
+   nothing when one of [before] would have freed nothing.
+   - Every expression rule keeps the register, only grows the
+     continuation, and only appends to the store (a lambda's tag, held
+     by the closure it returns).
+   - A push-frame pop makes the frame's environment the register and
+     moves the value into the next frame: nothing is dropped when that
+     environment already is the register.
+   - A select pop with the same register drops only the test value.
+   - A call pop whose operator and operands hold no locations and which
+     leaves the store physically unchanged is a primitive return (or an
+     [apply] that reaches one; [call/cc] always allocates its escape
+     tag): it keeps the register and the rest of the continuation, and
+     its result can only hold cells already held.
+   Assignments, closure calls, escapes and I_gc/I_stack returns may drop
+   something, and so does a primitive that mutates or allocates. *)
+let drops_nothing before after =
+  match before.control with
+  | `Expr _ -> true
+  | `Value v -> (
+      match before.cont with
+      | Push { env; _ } -> env == before.env
+      | Select { env; _ } -> env == before.env && holds_no_locs v
+      | Call { vals; _ } ->
+          after.store == before.store && holds_no_locs v
+          && List.for_all holds_no_locs vals
+      | Halt | Assign _ | Return _ | Return_stack _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Space measurement (Definition 23 via Definition 21).                *)
 
@@ -979,10 +1017,27 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
       | None -> ()
     end
   in
+  (* The garbage-free bit: true when a collection of the configuration
+     at hand would free nothing. Every collection sets it, and a step
+     keeps it only when [drops_nothing] proves the step left no garbage.
+     Where the schedule calls for a collection on a garbage-free
+     configuration, the peaks are recorded from that configuration
+     unchanged — exactly what the collection would have left. Forced
+     collections always run: they are the oracle's hostile schedules. *)
+  let garbage_free = ref false in
+  let collect_as reason config =
+    let config, reclaimed = collect config in
+    record_gc reason config.store reclaimed;
+    garbage_free := true;
+    config
+  in
+  let collect_unless_clean reason config =
+    if !garbage_free then config else collect_as reason config
+  in
   (* Peak updates that additionally stash the peak configuration for the
-     census. Every call site is post-collection, so a stashed store is
-     fully reachable from the stashed roots — the retainer walk in
-     [Census] relies on this. *)
+     census. Every call site is after a collection or on a garbage-free
+     configuration, so a stashed store is fully reachable from the
+     stashed roots — the retainer walk in [Census] relies on this. *)
   let note_flat config =
     let s = flat_space config in
     if s > !peak then begin
@@ -1025,10 +1080,10 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
   in
   let measure config =
     if measure_heavy then begin
-      (* The linked and log models are not tracked incrementally, so the
-         store must be garbage collected before every observation. *)
-      let config, reclaimed = collect config in
-      record_gc Telemetry.Gc_linked config.store reclaimed;
+      (* The linked and log models are not tracked incrementally, so
+         every observation needs a garbage-free configuration: after a
+         collection or on a garbage-free configuration. *)
+      let config = collect_unless_clean Telemetry.Gc_linked config in
       note_flat config;
       note_heavy config;
       config
@@ -1048,8 +1103,7 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
       in
       if s <= threshold then config
       else begin
-        let config, reclaimed = collect config in
-        record_gc Telemetry.Gc_peak config.store reclaimed;
+        let config = collect_unless_clean Telemetry.Gc_peak config in
         note_flat config;
         config
       end
@@ -1104,11 +1158,8 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
        the sup of live space, which collections only reveal), which is
        exactly what the differential oracle checks. *)
     let config =
-      if Resilience.Fault.force_gc faults ~step:steps then begin
-        let config, reclaimed = collect config in
-        record_gc Telemetry.Gc_forced config.store reclaimed;
-        config
-      end
+      if Resilience.Fault.force_gc faults ~step:steps then
+        collect_as Telemetry.Gc_forced config
       else config
     in
     let config = measure config in
@@ -1119,8 +1170,7 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
           (* Over budget with garbage included: collect, then judge the
              live figure — the budget bounds the space the program needs,
              not the collector's laziness. *)
-          let config, reclaimed = collect config in
-          record_gc Telemetry.Gc_budget config.store reclaimed;
+          let config = collect_unless_clean Telemetry.Gc_budget config in
           let live = flat_space config in
           note_flat config;
           if live > b then
@@ -1140,7 +1190,9 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
       match step t config with
       | exception Resilience.Fault.Injected m ->
           aborted (Resilience.Injected_fault m) steps
-      | Next c -> loop c (steps + 1)
+      | Next c ->
+          garbage_free := !garbage_free && drops_nothing config c;
+          loop c (steps + 1)
       | Final (v, store) ->
           (* The final configuration (v, sigma): collect, then measure. *)
           let store, reclaimed =

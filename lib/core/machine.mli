@@ -8,7 +8,8 @@
     as required, and the reported peak is exactly
     [sup {space(C_i)}] over the computation — the lazy collection
     schedule never lets garbage inflate the peak (a collection runs
-    whenever the tracked space would exceed the running peak).
+    whenever the tracked space would exceed the running peak, unless the
+    transition rules prove the configuration holds no garbage).
 
     The space consumption of Definition 23 is [|P| + peak]; {!run}
     reports both parts. *)
@@ -229,8 +230,9 @@ module Run_opts : sig
     measure : Space_model.t list;
         (** the space-accounting models to measure (normalized: sorted,
             deduplicated, always containing [Flat]). [Linked] or [Log]
-            force a collection at every step (slower); [Flat] alone uses
-            the lazy schedule governed by [gc_policy] *)
+            force a collection at every step not proved garbage-free
+            (slower); [Flat] alone uses the lazy schedule governed by
+            [gc_policy] *)
     gc_policy : [ `Exact | `Approximate ];
         (** [`Exact] (default) reports the true [sup space(C_i)];
             [`Approximate] lets tracked space overshoot the running peak

@@ -23,11 +23,13 @@ type check = {
   variant : Machine.variant;
   plan : string;  (** the adversarial fault plan's label *)
   answer_agrees : bool;
-  peak_stable : bool;  (** [`Exact] peak identical to the baseline run *)
+  peak_stable : bool;
+      (** every model's [`Exact] peak (flat, linked and log) identical to
+          the baseline run's *)
   baseline_status : string;
   status : string;
-  baseline_peak : int;
-  peak : int;
+  baseline_peak : int;  (** the baseline run's flat peak *)
+  peak : int;  (** this run's flat peak *)
 }
 
 type report = {

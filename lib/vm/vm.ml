@@ -1464,10 +1464,12 @@ module Measured = struct
 
   (* A faithful transcription of [Machine.run]'s measured loop (minus
      the deprecated [on_step]/[trace] shims), driving the specialized
-     transitions above: the same lazy collection schedule, the same
-     governor and fault observation points, the same final-configuration
-     measurement — so steps, peaks, GC runs, telemetry events, and
-     abort points are bit-identical to the Tail stepper's. *)
+     transitions above: the same lazy collection schedule (the stepper
+     also skips the collections it proves would free nothing, which
+     changes no figure), the same governor and fault observation points,
+     the same final-configuration measurement — so steps, peaks, GC
+     runs, telemetry events, and abort points are bit-identical to the
+     Tail stepper's. *)
   let exec (cfg : Machine.Config.t) ~(opts : Machine.Run_opts.t) ~program ~input
       =
     let machine = Machine.create_with { cfg with Machine.Config.engine = Stepper } in

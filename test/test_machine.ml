@@ -1,10 +1,16 @@
 (* The reference machines: answers, variant-specific rules, stuck
-   states, call/cc, apply, nondeterminism policies, output, fuel. *)
+   states, call/cc, apply, nondeterminism policies, output, fuel, and
+   the collections the measured loop skips. *)
 
 module M = Tailspace_core.Machine
 module T = Tailspace_core.Types
 module E = Tailspace_expander.Expand
 module Res = Tailspace_resilience.Resilience
+module SM = Tailspace_core.Space_model
+module Tel = Tailspace_telemetry.Telemetry
+module Corpus = Tailspace_corpus.Corpus
+module Families = Tailspace_corpus.Families
+module Runner = Tailspace_harness.Runner
 
 let answer ?(variant = M.Tail) ?perm ?stack_policy ?fuel src =
   let t = M.create_with (M.Config.make ~variant ?perm ?stack_policy ()) in
@@ -326,6 +332,122 @@ let test_equivalence_predicates () =
   check "eq? procedures" "(let ((f (lambda (x) x))) (eq? f f))" "#t";
   check "eq? distinct closures" "(eq? (lambda (x) x) (lambda (x) x))" "#f"
 
+(* --- Skipped collections ---------------------------------------------
+
+   The measured loop skips a scheduled collection when the transition
+   rules prove the configuration garbage-free. A [gc_every:1] plan
+   collects before every step, so its run never depends on that proof:
+   each run below is compared with one under that plan. Answers, steps
+   and every model's peak must agree, and so must the flat space at every
+   step that raises the running maximum — a figure inflated by garbage
+   that a wrongly skipped collection left behind shows there first. *)
+
+let collect_every_step = Res.Fault.make ~label:"gc-every-1" ~gc_every:1 ()
+
+let run_rising ?fault ~variant ~measure expr =
+  let rising = ref [] and top = ref (-1) in
+  let sink = function
+    | Tel.Step { step; space; _ } when space > !top ->
+        top := space;
+        rising := (step, space) :: !rising
+    | _ -> ()
+  in
+  let opts =
+    M.Run_opts.make ~fuel:2_000_000 ?fault ~measure
+      ~telemetry:(Tel.create ~sink ()) ()
+  in
+  let r = M.exec ~opts (M.create_with (M.Config.make ~variant ())) expr in
+  (r, List.rev !rising)
+
+let outcome_text (r : M.result) =
+  match r.M.outcome with
+  | M.Done { answer; _ } -> "done:" ^ answer
+  | M.Stuck m -> "stuck:" ^ m
+  | M.Aborted { reason; _ } -> "aborted:" ^ Res.abort_reason_message reason
+
+let check_schedule_free name expr =
+  List.iter
+    (fun variant ->
+      List.iter
+        (fun measure ->
+          let what =
+            Printf.sprintf "%s %s %s" name (M.variant_name variant)
+              (String.concat "+" (List.map SM.name measure))
+          in
+          let r, rising = run_rising ~variant ~measure expr in
+          let forced, forced_rising =
+            run_rising ~fault:collect_every_step ~variant ~measure expr
+          in
+          Alcotest.(check string)
+            (what ^ " answer") (outcome_text forced) (outcome_text r);
+          Alcotest.(check int) (what ^ " steps") forced.M.steps r.M.steps;
+          List.iter
+            (fun m ->
+              Alcotest.(check (option int))
+                (what ^ " " ^ SM.name m ^ " peak")
+                (M.peak_of forced m) (M.peak_of r m))
+            measure;
+          Alcotest.(check (list (pair int int)))
+            (what ^ " spaces at rising steps") forced_rising rising)
+        [ [ SM.Flat ]; SM.all ])
+    M.all_variants
+
+(* [depth] nested primitive calls: every step that evaluates it leaves
+   no garbage, and the continuation it builds outgrows whatever came
+   before it on every variant — so garbage dropped just before it is
+   still in the store at the new peak unless a collection ran. *)
+let grow depth =
+  String.concat "" (List.init depth (fun _ -> "(+ 1 "))
+  ^ "0" ^ String.make depth ')'
+
+(* Each program drops cells just before [grow], in one of the ways a
+   condition of the rule table in DESIGN.md ("GC scheduling") guards
+   against. *)
+let drop_then_grow =
+  let g = grow 40 in
+  [
+    ("lambda as if test", Printf.sprintf "(if (lambda () 0) %s 0)" g);
+    ("fresh pair as if test", Printf.sprintf "(if (cons 1 2) %s 0)" g);
+    ( "if test leaves the callee's register",
+      Printf.sprintf "(define (f x) #t) (if (f (cons 1 2)) %s 0)" g );
+    ( "argument leaves the callee's register",
+      Printf.sprintf "(define (f x) 0) (list (f (cons 1 2)) %s)" g );
+    ("variadic call", Printf.sprintf "(list ((lambda args 0) 1 2 3) %s)" g);
+    ("nullary closure call", Printf.sprintf "(list ((lambda () 0)) %s)" g);
+    ( "set-car! cuts the only path to a cell",
+      Printf.sprintf "(let ((p (cons (cons 1 2) 3))) (list (set-car! p 0) %s))"
+        g );
+    ( "set! drops a pair",
+      Printf.sprintf "(let ((p (cons 1 2))) (list (set! p 0) %s))" g );
+    ( "primitive reads a fresh pair",
+      Printf.sprintf "(list (car (cons 1 2)) %s)" g );
+    ( "call/cc escape",
+      Printf.sprintf "(list (call/cc (lambda (k) (k 1))) %s)" g );
+    ( "call/cc with a primitive receiver",
+      Printf.sprintf "(list (call/cc procedure?) %s)" g );
+  ]
+
+let test_skips_drop_then_grow () =
+  List.iter
+    (fun (name, src) -> check_schedule_free name (E.program_of_string src))
+    drop_then_grow
+
+(* §12's convention: apply the program to [(quote n)]. *)
+let applied program n = Tailspace_ast.Ast.Call (program, [ Runner.input_expr n ])
+
+let test_skips_separators () =
+  List.iter
+    (fun (name, src) ->
+      check_schedule_free name (applied (E.program_of_string src) 6))
+    Families.separators
+
+let test_skips_corpus () =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      if not e.Corpus.slow then
+        check_schedule_free e.Corpus.name (applied (Corpus.program e) 1))
+    Corpus.all
+
 let () =
   Alcotest.run "machine"
     [
@@ -360,5 +482,11 @@ let () =
           Alcotest.test_case "promises" `Quick test_promises;
           Alcotest.test_case "profiling hooks (legacy shims)" `Quick
             Legacy_shims.test_hooks;
+        ] );
+      ( "skipped collections",
+        [
+          Alcotest.test_case "drop then grow" `Quick test_skips_drop_then_grow;
+          Alcotest.test_case "separators" `Quick test_skips_separators;
+          Alcotest.test_case "corpus" `Slow test_skips_corpus;
         ] );
     ]
