@@ -171,10 +171,9 @@ let annot_benches =
     [ ("sfs", M.Sfs); ("free", M.Free) ]
 
 (* The execution tiers head-to-head on the same (program, input): the
-   Tail stepper, the instrumented VM (same accounting, so it should sit
-   within noise of the stepper), the fast VM end-to-end (compile +
-   prelude + run), the fast VM with compilation hoisted out (the pure
-   dispatch-loop cost), and the SECD engine for reference. *)
+   Tail stepper, the fast VM end-to-end (compile + prelude + run), the
+   fast VM with compilation hoisted out (the pure dispatch-loop cost),
+   and the SECD engine for reference. *)
 let vm_benches =
   let module Vm = Tailspace_vm.Vm in
   let module Ast = Tailspace_ast.Ast in
@@ -183,11 +182,6 @@ let vm_benches =
     [
       Test.make ~name:(name ^ ".stepper")
         (stage_run ~variant:M.Tail program n);
-      Test.make
-        ~name:(name ^ ".vm-instrumented")
-        (let config = M.Config.make ~engine:M.Vm () in
-         Staged.stage (fun () ->
-             ignore (Vm.exec_program config ~program ~input:(R.input_expr n))));
       Test.make ~name:(name ^ ".vm-fast")
         (let config = M.Config.make ~engine:M.Vm_fast () in
          Staged.stage (fun () ->

@@ -196,54 +196,31 @@ let stack_policy_arg =
   in
   Arg.(value & opt cv M.Safe_deletion & info [ "stack-policy" ] ~docv:"POLICY" ~doc)
 
-let engine_arg =
-  let cv =
-    let parse s =
-      match M.engine_of_name s with
-      | Some e -> Ok e
-      | None ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown engine %S (expected %s)" s
-                 (String.concat "|" (List.map M.engine_name M.all_engines))))
-    in
-    Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (M.engine_name e))
-  in
-  let doc =
-    "Execution tier: stepper (the AST-walking reference machines, default), \
-     vm (the instrumented bytecode VM — bit-compatible measurements, Tail \
-     variant only), or vm-fast (the bytecode VM with accounting compiled \
-     out: answers only, much faster)."
-  in
-  Arg.(value & opt cv M.Stepper & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let vm_fast_arg =
-  let doc = "Shorthand for --engine vm-fast." in
+  let doc =
+    "Run on the bytecode VM with accounting compiled out instead of the \
+     reference machines: answers only, much faster (tail variant, \
+     left-to-right, flat model)."
+  in
   Arg.(value & flag & info [ "vm-fast" ] ~doc)
 
-(* The VM tiers refuse configurations whose accounting they cannot
-   honor; surface that as a usage error (exit 2) before running. *)
-let resolve_engine ~engine ~vm_fast ~variant ~perm ~measure =
-  let engine = if vm_fast then M.Vm_fast else engine in
+(* The fast VM refuses configurations whose accounting it cannot honor;
+   surface that as a usage error (exit 2) before running. *)
+let resolve_engine ~vm_fast ~variant ~perm ~measure =
   let usage m =
     Format.eprintf "schemesim: %s@." m;
     exit 2
   in
-  (match engine with
-  | M.Stepper -> ()
-  | M.Vm ->
-      if variant <> M.Tail then
-        usage "--engine vm supports only the tail variant (-v tail)"
-  | M.Vm_fast ->
-      if variant <> M.Tail then
-        usage "--engine vm-fast supports only the tail variant (-v tail)";
-      if perm <> M.Left_to_right then
-        usage "--engine vm-fast evaluates left-to-right only (--perm ltr)";
-      if SM.normalize measure <> [ SM.Flat ] then
-        usage
-          "--engine vm-fast measures only the flat model (drop \
-           --linked/--model)");
-  engine
+  if not vm_fast then M.Stepper
+  else begin
+    if variant <> M.Tail then
+      usage "--vm-fast supports only the tail variant (-v tail)";
+    if perm <> M.Left_to_right then
+      usage "--vm-fast evaluates left-to-right only (--perm ltr)";
+    if SM.normalize measure <> [ SM.Flat ] then
+      usage "--vm-fast measures only the flat model (drop --linked/--model)";
+    M.Vm_fast
+  end
 
 let fuel_arg =
   let doc = "Maximum number of machine steps." in
@@ -404,33 +381,29 @@ let run_cmd =
     in
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
-  let run file expr input variant perm stack_policy no_annot engine vm_fast
-      fuel timeout space_budget output_cap linked models trace_steps profile
-      json ring =
+  let run file expr input variant perm stack_policy no_annot vm_fast fuel
+      timeout space_budget output_cap linked models trace_steps profile json
+      ring =
     with_program file expr @@ fun program_name program ->
     let measure = measure_of ~linked ~models in
-    let engine = resolve_engine ~engine ~vm_fast ~variant ~perm ~measure in
+    let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
     let budget =
       make_budget ?timeout_s:timeout ?space_words:space_budget
         ?output_bytes:output_cap ()
     in
-    (match engine with
-    | M.Stepper -> ()
-    | _ ->
-        if trace_steps > 0 then begin
-          Format.eprintf
-            "schemesim: --trace requires the stepper engine (the VM does not \
-             describe per-step configurations)@.";
-          exit 2
-        end;
-        if input = None then begin
-          Format.eprintf
-            "schemesim: --engine %s requires --input N (the VM runs §12's \
-             procedure-of-one-argument convention)@."
-            (M.engine_name engine);
-          exit 2
-        end);
-    if engine <> M.Stepper then begin
+    if engine = M.Vm_fast then begin
+      if trace_steps > 0 then begin
+        Format.eprintf
+          "schemesim: --trace requires the stepper engine (the VM does not \
+           describe per-step configurations)@.";
+        exit 2
+      end;
+      if input = None then begin
+        Format.eprintf
+          "schemesim: --vm-fast requires --input N (the VM runs §12's \
+           procedure-of-one-argument convention)@.";
+        exit 2
+      end;
       let config =
         M.Config.make ~engine ~variant ~perm ~stack_policy
           ~annotate:(not no_annot) ()
@@ -565,9 +538,9 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ file_pos_arg $ expr_arg $ input_arg $ variant_arg $ perm_arg
-      $ stack_policy_arg $ no_annot_arg $ engine_arg $ vm_fast_arg $ fuel_arg
-      $ timeout_arg $ space_budget_arg $ output_cap_arg $ linked_arg
-      $ model_arg $ trace_arg $ profile_arg $ json_arg $ ring_arg)
+      $ stack_policy_arg $ no_annot_arg $ vm_fast_arg $ fuel_arg $ timeout_arg
+      $ space_budget_arg $ output_cap_arg $ linked_arg $ model_arg $ trace_arg
+      $ profile_arg $ json_arg $ ring_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -846,10 +819,9 @@ let bench_cmd =
           match Tel.summary_to_json s with Json.Obj fs -> fs | _ -> [])
       | None -> [])
   in
-  let bench file expr name_opt ns variant perm stack_policy no_annot engine
-      vm_fast fuel timeout space_budget output_cap linked models json
-      keep_going jobs cache_dir baseline_out compare new_pos wall_band
-      space_band =
+  let bench file expr name_opt ns variant perm stack_policy no_annot vm_fast
+      fuel timeout space_budget output_cap linked models json keep_going jobs
+      cache_dir baseline_out compare new_pos wall_band space_band =
     if compare then begin
       match (file, new_pos) with
       | Some old_path, Some new_path ->
@@ -861,7 +833,7 @@ let bench_cmd =
           exit 2
     end;
     let measure = measure_of ~linked ~models in
-    let engine = resolve_engine ~engine ~vm_fast ~variant ~perm ~measure in
+    let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
     (* [cache_source] is the program's identity in the cache key: the
        corpus tag, or the source text itself for files and inline
        expressions — editing the program invalidates its entries. *)
@@ -1082,10 +1054,10 @@ let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
       const bench $ file_pos_arg $ expr_arg $ corpus_name_arg $ ns_arg
-      $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ engine_arg
-      $ vm_fast_arg $ fuel_arg $ timeout_arg $ space_budget_arg
-      $ output_cap_arg $ linked_arg $ model_arg $ json_arg $ keep_going_arg
-      $ jobs_arg $ cache_dir_arg $ baseline_out_arg $ compare_arg $ new_pos_arg
+      $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ vm_fast_arg
+      $ fuel_arg $ timeout_arg $ space_budget_arg $ output_cap_arg
+      $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg
+      $ cache_dir_arg $ baseline_out_arg $ compare_arg $ new_pos_arg
       $ wall_band_arg $ space_band_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1095,7 +1067,7 @@ let bench_cmd =
    corpus families, emitting the committed BENCH_vm.json format and
    optionally gating on the fast tier's speedup over the stepper. Each
    timing is the best of [reps] runs of the full engine path (for the
-   VM tiers that includes compilation — the honest end-to-end cost). *)
+   fast VM that includes compilation — the honest end-to-end cost). *)
 let vmbench_cmd =
   let default_families =
     [
@@ -1184,7 +1156,6 @@ let vmbench_cmd =
                       ~program ~n ())
               in
               let stepper_s, sm = point M.Stepper in
-              let vm_s, im = point M.Vm in
               let fast_s, fm = point M.Vm_fast in
               let status (m : R.measurement) =
                 match m.R.status with
@@ -1192,12 +1163,9 @@ let vmbench_cmd =
                 | R.Stuck s -> "stuck:" ^ s
                 | R.Aborted r -> "aborted:" ^ Res.abort_reason_name r
               in
-              let answers_agree =
-                String.equal (status sm) (status im)
-                && String.equal (status sm) (status fm)
-              in
+              let answers_agree = String.equal (status sm) (status fm) in
               let speedup = stepper_s /. Float.max fast_s 1e-9 in
-              (name, n, stepper_s, vm_s, fast_s, speedup, sm, im, answers_agree))
+              (name, n, stepper_s, fast_s, speedup, sm, answers_agree))
         families
     in
     let json =
@@ -1208,36 +1176,32 @@ let vmbench_cmd =
           ( "families",
             Json.List
               (List.map
-                 (fun (name, n, ss, vs, fs, sp, sm, im, agree) ->
+                 (fun (name, n, ss, fs, sp, sm, agree) ->
                    Json.Obj
                      [
                        ("name", Json.Str name);
                        ("n", Json.Int n);
                        ("stepper_s", Json.Float ss);
-                       ("vm_s", Json.Float vs);
                        ("vm_fast_s", Json.Float fs);
                        ("speedup_fast", Json.Float sp);
                        ("steps", Json.Int sm.R.steps);
                        ("peak_space", Json.Int (R.peak_space sm));
-                       ("vm_steps", Json.Int im.R.steps);
-                       ("vm_peak_space", Json.Int (R.peak_space im));
                        ("answers_agree", Json.Bool agree);
                      ])
                  rows) );
         ]
     in
     write_file out (Json.to_string json);
-    Format.printf "%-15s %8s %12s %12s %12s %9s %s@." "family" "n" "stepper"
-      "vm" "vm-fast" "speedup" "agree";
+    Format.printf "%-15s %8s %12s %12s %9s %s@." "family" "n" "stepper"
+      "vm-fast" "speedup" "agree";
     List.iter
-      (fun (name, n, ss, vs, fs, sp, _, _, agree) ->
-        Format.printf "%-15s %8d %10.3f s %10.3f s %10.4f s %8.1fx %s@." name n
-          ss vs fs sp
+      (fun (name, n, ss, fs, sp, _, agree) ->
+        Format.printf "%-15s %8d %10.3f s %10.4f s %8.1fx %s@." name n ss fs sp
           (if agree then "yes" else "NO"))
       rows;
     Format.printf "; results -> %s@." out;
     let disagreements =
-      List.filter (fun (_, _, _, _, _, _, _, _, agree) -> not agree) rows
+      List.filter (fun (_, _, _, _, _, _, agree) -> not agree) rows
     in
     if disagreements <> [] then begin
       Format.printf "vmbench: FAILED (engine answers disagree)@.";
@@ -1248,7 +1212,7 @@ let vmbench_cmd =
     | Some target ->
         let at =
           List.length
-            (List.filter (fun (_, _, _, _, _, sp, _, _, _) -> sp >= target) rows)
+            (List.filter (fun (_, _, _, _, sp, _, _) -> sp >= target) rows)
         in
         if at >= min_families then
           Format.printf "vmbench: OK (%d/%d families at >=%.0fx)@." at
@@ -1260,9 +1224,9 @@ let vmbench_cmd =
         end
   in
   let doc =
-    "Time the execution tiers (stepper, instrumented VM, fast VM) on \
-     loop/arith-heavy corpus families, write BENCH_vm.json, and optionally \
-     gate on the fast tier's speedup."
+    "Time the execution tiers (stepper, fast VM) on loop/arith-heavy corpus \
+     families, write BENCH_vm.json, and optionally gate on the fast tier's \
+     speedup."
   in
   Cmd.v (Cmd.info "vmbench" ~doc)
     Term.(
@@ -1618,32 +1582,21 @@ let report_cmd =
     in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let report which jobs engine =
-    (* The instrumented VM's sweeps are bit-compatible with the
-       stepper's (oracle-checked), so [--engine vm] changes only the
-       wall-clock; the fast tier compiles the space columns out and is
-       refused. *)
-    (match engine with
-    | M.Stepper | M.Vm -> ()
-    | M.Vm_fast ->
-        Format.eprintf
-          "schemesim: report --engine vm-fast has no space columns (the fast \
-           tier compiles accounting out); use stepper or vm@.";
-        exit 2);
+  let report which jobs =
     let table =
       Pool.with_pool ?jobs (fun pool ->
           match which with
           | "fig2" -> Ok (X.Fig2.render (X.Fig2.run ()))
-          | "thm25" -> Ok (X.Thm25.render (X.Thm25.run ?pool ~engine ()))
-          | "thm24" -> Ok (X.Thm24.render (X.Thm24.run ?pool ~engine ()))
-          | "thm26" -> Ok (X.Thm26.render (X.Thm26.run ?pool ~engine ()))
-          | "sec4" -> Ok (X.Sec4.render (X.Sec4.run ?pool ~engine ()))
-          | "cor20" -> Ok (X.Cor20.render (X.Cor20.run ?pool ~engine ()))
-          | "cps" -> Ok (X.Cps.render (X.Cps.run ?pool ~engine ()))
-          | "ablation" -> Ok (X.Ablation.render (X.Ablation.run ?pool ~engine ()))
+          | "thm25" -> Ok (X.Thm25.render (X.Thm25.run ?pool ()))
+          | "thm24" -> Ok (X.Thm24.render (X.Thm24.run ?pool ()))
+          | "thm26" -> Ok (X.Thm26.render (X.Thm26.run ?pool ()))
+          | "sec4" -> Ok (X.Sec4.render (X.Sec4.run ?pool ()))
+          | "cor20" -> Ok (X.Cor20.render (X.Cor20.run ?pool ()))
+          | "cps" -> Ok (X.Cps.render (X.Cps.run ?pool ()))
+          | "ablation" -> Ok (X.Ablation.render (X.Ablation.run ?pool ()))
           | "sanity" -> Ok (X.Sanity.render (X.Sanity.run ?pool ()))
-          | "loghier" -> Ok (X.LogHier.render (X.LogHier.run ?pool ~engine ()))
-          | "all" -> Ok (X.render_all ?pool ~engine ())
+          | "loghier" -> Ok (X.LogHier.render (X.LogHier.run ?pool ()))
+          | "all" -> Ok (X.render_all ?pool ())
           | other -> Error other)
     in
     match table with
@@ -1654,7 +1607,7 @@ let report_cmd =
   in
   let doc = "Print the paper-reproduction tables (see DESIGN.md)." in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(const report $ which_arg $ jobs_arg $ engine_arg)
+    Term.(const report $ which_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                              *)
@@ -1817,8 +1770,8 @@ let spaceprof_cmd =
     let doc = "Show only the $(docv) largest rows per table (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"K" ~doc)
   in
-  let spaceprof file expr corpus_name input variant engine vm_fast fuel linked
-      models json flamegraph diff top =
+  let spaceprof file expr corpus_name input variant vm_fast fuel linked models
+      json flamegraph diff top =
     let measure = measure_of ~linked ~models in
     let name, program =
       match corpus_name with
@@ -1849,30 +1802,20 @@ let spaceprof_cmd =
              §12's procedure-of-one-argument convention)@.";
           exit 2
     in
-    let engine =
-      resolve_engine ~engine ~vm_fast ~variant ~perm:M.Left_to_right ~measure
-    in
-    if engine = M.Vm_fast then begin
+    if vm_fast then begin
       Format.eprintf
         "schemesim: the fast tier compiles accounting out and cannot carry a \
-         census; use --engine stepper or vm@.";
+         census; drop --vm-fast@.";
       exit 2
     end;
     (* One profiled run: census attached through Run_opts, raw per-model
        peaks recovered from the measurement's [peaks] list (no |P| term
        — the census decomposes the store peak, not the consumption). *)
     let census_run variant =
-      if engine = M.Vm && variant <> M.Tail then begin
-        Format.eprintf
-          "schemesim: --engine vm profiles only the tail variant; --diff \
-           with other variants needs the stepper@.";
-        exit 2
-      end;
       let census = Census.create () in
       let opts = M.Run_opts.make ~fuel ~measure ~provenance:census () in
       let m =
-        R.run_once ~opts ~config:(M.Config.make ~engine ~variant ()) ~program
-          ~n ()
+        R.run_once ~opts ~config:(M.Config.make ~variant ()) ~program ~n ()
       in
       let flat = Census.flat_census census ~peak:(R.peak_space m) in
       let linked_c =
@@ -1912,7 +1855,7 @@ let spaceprof_cmd =
     let status_line variant (m : R.measurement) =
       Format.printf "; %s(%d) under %s (%s): S=%d peak=%d steps=%d%s%s@." name
         n
-        (M.variant_name variant) (M.engine_name engine) m.R.space
+        (M.variant_name variant) (M.engine_name M.Stepper) m.R.space
         (R.peak_space m) m.R.steps
         (match R.consumption m SM.Linked with
         | Some u -> Printf.sprintf " U=%d" u
@@ -2029,7 +1972,7 @@ let spaceprof_cmd =
                     ("program", Json.Str name);
                     ("n", Json.Int n);
                     ("variant", Json.Str (M.variant_name variant));
-                    ("engine", Json.Str (M.engine_name engine));
+                    ("engine", Json.Str (M.engine_name M.Stepper));
                     ( "status",
                       Json.Str
                         (match m.R.status with
@@ -2079,7 +2022,7 @@ let spaceprof_cmd =
   Cmd.v (Cmd.info "spaceprof" ~doc)
     Term.(
       const spaceprof $ file_pos_arg $ expr_arg $ corpus_name_arg $ input_arg
-      $ variant_arg $ engine_arg $ vm_fast_arg $ fuel_arg $ linked_arg
+      $ variant_arg $ vm_fast_arg $ fuel_arg $ linked_arg
       $ model_arg $ json_arg $ flamegraph_arg $ diff_arg $ top_arg)
 
 (* ------------------------------------------------------------------ *)

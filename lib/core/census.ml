@@ -4,9 +4,8 @@ module P = Tailspace_provenance.Provenance
 module Env = Types.Env
 
 (* The census builder: the run-time half of the provenance layer. A
-   [Census.t] rides along one measured run (Machine.run or the
-   instrumented VM tier — both thread it identically, which is what the
-   oracle's census-equality check leans on). It is fed from three hooks:
+   [Census.t] rides along one measured run of [Machine.exec]. It is fed
+   from three hooks:
 
    - a store location observer tagging every allocation with the
      current (site, phase) — the advisory live table is bumped here;

@@ -1,7 +1,7 @@
 (** Run-time census builder for the space-provenance profiler.
 
-    A [Census.t] accompanies one measured run. The machine (either
-    engine) feeds it through three hooks:
+    A [Census.t] accompanies one measured run. The machine feeds it
+    through three hooks:
 
     - {!instrument} attaches a store location observer that tags every
       allocation with the current allocation site and phase
@@ -28,7 +28,7 @@
     {!Space.pointer_bits} (bit-units).
 
     Site ids come from the annotation pass ({!Annot.site_id}), so they
-    are stable across engines; [-1] rows are synthetic machine
+    are stable across variants; [-1] rows are synthetic machine
     components distinguished by phase. *)
 
 module Ast = Tailspace_ast.Ast

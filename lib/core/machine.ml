@@ -31,18 +31,12 @@ let variant_of_name = function
 type perm_policy = Left_to_right | Right_to_left | Seeded of int
 type stack_policy = Algol | Safe_deletion
 type return_env = Closure_env | Register_env
-type engine = Stepper | Vm | Vm_fast
+type engine = Stepper | Vm_fast
 
-let all_engines = [ Stepper; Vm; Vm_fast ]
-
-let engine_name = function
-  | Stepper -> "stepper"
-  | Vm -> "vm"
-  | Vm_fast -> "vm-fast"
+let engine_name = function Stepper -> "stepper" | Vm_fast -> "vm-fast"
 
 let engine_of_name = function
   | "stepper" -> Some Stepper
-  | "vm" -> Some Vm
   | "vm-fast" -> Some Vm_fast
   | _ -> None
 
@@ -177,7 +171,7 @@ type t = {
   engine : engine;
   annot : Annot.t option;
   mutable prov : Census.t option;
-      (* census of the run in progress; installed by [run] when the
+      (* census of the run in progress; installed by [exec] when the
          caller asks for provenance, cleared otherwise *)
   mutable track_sites : bool;
       (* thread annotation site ids into continuation frames. On when
@@ -842,14 +836,8 @@ let create_with (cfg : Config.t) =
   t.genv <- Env.rebase t.genv;
   t
 
-let create ?variant ?perm ?stack_policy ?return_env ?evlis_drop_at_creation
-    ?seed () =
-  create_with
-    (Config.make ?variant ?perm ?stack_policy ?return_env
-       ?evlis_drop_at_creation ?seed ())
-
 (* ------------------------------------------------------------------ *)
-(* Measured runs.                                                      *)
+(* The measured loop.                                                  *)
 
 type outcome =
   | Done of { value : Types.value; store : Store.t; answer : string }
@@ -968,9 +956,9 @@ module Run_opts = struct
     }
 end
 
-let run_measured ?(fuel = 20_000_000) ?budget ?fault
-    ?(measure = [ Space_model.Flat ])
-    ?(gc_policy = `Exact) ?telemetry ?provenance ?on_step ?trace t expr =
+let run_measured
+    { Run_opts.fuel; budget; fault; measure; gc_policy; telemetry; provenance }
+    t expr =
   let measure_models = Space_model.normalize measure in
   let measure_linked = Space_model.mem Space_model.Linked measure_models in
   let measure_log = Space_model.mem Space_model.Log measure_models in
@@ -987,7 +975,7 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
       (match t.annot with
       | None ->
           invalid_arg
-            "Machine.run: provenance requires a machine built with annotate"
+            "Machine.exec: provenance requires a machine built with annotate"
       | Some a -> Census.set_annot c a);
       t.prov <- Some c;
       t.track_sites <- true);
@@ -1109,11 +1097,7 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
       end
     end
   in
-  (* The legacy [on_step]/[trace] callbacks are shims over telemetry:
-     both feed from the single per-step observation point below. *)
   let want_config =
-    Option.is_some trace
-    ||
     match telemetry with
     | Some tl -> Telemetry.wants_config tl
     | None -> false
@@ -1122,28 +1106,17 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
      no census was requested: site threading is free bookkeeping. *)
   if want_config && Option.is_some t.annot then t.track_sites <- true;
   let observe config steps =
-    (match (telemetry, on_step) with
-    | None, None -> ()
-    | _ ->
-        let space = flat_space config in
-        (match telemetry with
-        | Some tl ->
-            Telemetry.record_step tl ~step:steps ~space
-              ~cont_depth:(cont_depth config.cont)
-              ~store_cells:(Store.cardinal config.store)
-        | None -> ());
-        (match on_step with Some f -> f ~steps ~space | None -> ()));
-    if want_config then begin
-      let description =
-        describe_config
-          ?annot:(if t.track_sites then t.annot else None)
-          config
-      in
-      (match telemetry with
-      | Some tl -> Telemetry.record_config tl ~step:steps description
-      | None -> ());
-      match trace with Some emit -> emit steps description | None -> ()
-    end
+    match telemetry with
+    | None -> ()
+    | Some tl ->
+        Telemetry.record_step tl ~step:steps ~space:(flat_space config)
+          ~cont_depth:(cont_depth config.cont)
+          ~store_cells:(Store.cardinal config.store);
+        if want_config then
+          Telemetry.record_config tl ~step:steps
+            (describe_config
+               ?annot:(if t.track_sites then t.annot else None)
+               config)
   in
   let aborted reason steps =
     (Aborted { reason; steps; peak_space = !peak }, steps)
@@ -1291,37 +1264,7 @@ let run_measured ?(fuel = 20_000_000) ?budget ?fault
     output = Buffer.contents t.ctx.output;
   }
 
-(* The labelled-argument entry points below are the deprecated shims;
-   [exec]/[exec_program]/[exec_string] with [Run_opts] are current. The
-   boolean [measure_linked] knob maps onto the [Space_model] list. *)
-
-let measure_of_linked measure_linked =
-  if Option.value measure_linked ~default:false then
-    [ Space_model.Flat; Space_model.Linked ]
-  else [ Space_model.Flat ]
-
-let run ?fuel ?budget ?fault ?measure_linked ?gc_policy ?telemetry ?provenance
-    ?on_step ?trace t expr =
-  run_measured ?fuel ?budget ?fault
-    ~measure:(measure_of_linked measure_linked)
-    ?gc_policy ?telemetry ?provenance ?on_step ?trace t expr
-
-let run_program ?fuel ?budget ?fault ?measure_linked ?gc_policy ?telemetry
-    ?on_step ?trace t ~program ~input =
-  run ?fuel ?budget ?fault ?measure_linked ?gc_policy ?telemetry ?on_step
-    ?trace t
-    (Ast.Call (program, [ input ]))
-
-let run_string ?fuel ?budget ?fault ?measure_linked ?gc_policy ?telemetry
-    ?on_step ?trace t source =
-  run ?fuel ?budget ?fault ?measure_linked ?gc_policy ?telemetry ?on_step
-    ?trace t
-    (Expand.program_of_string source)
-
-let exec ?(opts = Run_opts.default) t expr =
-  run_measured ~fuel:opts.fuel ?budget:opts.budget ?fault:opts.fault
-    ~measure:opts.measure ~gc_policy:opts.gc_policy ?telemetry:opts.telemetry
-    ?provenance:opts.provenance t expr
+let exec ?(opts = Run_opts.default) t expr = run_measured opts t expr
 
 let exec_program ?opts t ~program ~input =
   exec ?opts t (Ast.Call (program, [ input ]))

@@ -3,7 +3,7 @@
 
     A machine is a {!variant} plus policies resolving the semantics'
     nondeterminism (argument evaluation order [pi], the [I_stack]
-    deletion set [A], the [random] seed). [run] executes a space-efficient
+    deletion set [A], the [random] seed). {!exec} runs a space-efficient
     computation (Definition 21): the garbage-collection rule is applied
     as required, and the reported peak is exactly
     [sup {space(C_i)}] over the computation — the lazy collection
@@ -11,7 +11,7 @@
     whenever the tracked space would exceed the running peak, unless the
     transition rules prove the configuration holds no garbage).
 
-    The space consumption of Definition 23 is [|P| + peak]; {!run}
+    The space consumption of Definition 23 is [|P| + peak]; {!exec}
     reports both parts. *)
 
 type variant = Tail | Gc | Stack | Evlis | Free | Sfs
@@ -45,17 +45,15 @@ type stack_policy = Algol | Safe_deletion
 type return_env = Closure_env | Register_env
 
 (** Which execution tier runs the program. [Stepper] is the small-step
-    reference interpreter (this module's [run]); [Vm] is the bytecode
-    VM's instrumented mode (Tail variant only — bit-compatible peaks and
-    step counts); [Vm_fast] is the bytecode VM with accounting compiled
-    out (answers only). The tiers live in [Tailspace_vm.Vm]; the config
-    field just names the choice so the harness can key caches on it. *)
-type engine = Stepper | Vm | Vm_fast
-
-val all_engines : engine list
+    reference interpreter (this module's {!exec}), the only engine that
+    measures space; [Vm_fast] is the bytecode VM with accounting
+    compiled out (answers only), which lives in [Tailspace_vm.Vm]. The
+    config field just names the choice so the harness can key caches on
+    it. *)
+type engine = Stepper | Vm_fast
 
 val engine_name : engine -> string
-(** ["stepper"], ["vm"], ["vm-fast"]. *)
+(** ["stepper"], ["vm-fast"]. *)
 
 val engine_of_name : string -> engine option
 
@@ -83,8 +81,7 @@ module Config : sig
             oracle checks this), only per-step cost changes *)
     engine : engine;
         (** which execution tier the harness should run this config on;
-            [create_with] itself always builds the stepper state (the VM
-            reuses it for its globals and annotations) *)
+            [create_with] itself always builds the stepper state *)
   }
 
   val default : t
@@ -124,19 +121,6 @@ val create_with : Config.t -> t
 (** A machine with its initial environment and store ([rho_0]/[sigma_0],
     §12): primitives plus a Scheme-level prelude (list and vector
     utilities) evaluated under this machine's own variant. *)
-
-val create :
-  ?variant:variant ->
-  ?perm:perm_policy ->
-  ?stack_policy:stack_policy ->
-  ?return_env:return_env ->
-  ?evlis_drop_at_creation:bool ->
-  ?seed:int ->
-  unit ->
-  t
-[@@deprecated "use Machine.create_with (Machine.Config.make ... ())"]
-(** Thin wrapper over {!create_with}: each argument defaults to its
-    {!Config.default} field (annotations on). *)
 
 val variant : t -> variant
 
@@ -294,59 +278,6 @@ val exec_program :
 val exec_string : ?opts:Run_opts.t -> t -> string -> result
 (** Parse and expand a whole program (see
     {!Tailspace_expander.Expand.program}) and run it. *)
-
-val run :
-  ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
-  ?fault:Tailspace_resilience.Resilience.Fault.plan ->
-  ?measure_linked:bool ->
-  ?gc_policy:[ `Exact | `Approximate ] ->
-  ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?provenance:Census.t ->
-  ?on_step:(steps:int -> space:int -> unit) ->
-  ?trace:(int -> string -> unit) ->
-  t ->
-  Tailspace_ast.Ast.expr ->
-  result
-[@@deprecated "use Machine.exec with Machine.Run_opts"]
-(** Labelled-argument shim over {!exec}. [on_step] and [trace] are shims
-    over the telemetry observation point: [on_step] receives the step
-    index and the configuration's flat space after any collection
-    (exactly a telemetry [Step] event), and [trace] receives the same
-    one-line configuration description the telemetry ring buffer records
-    (exactly what a telemetry [config_sink] receives). New code should
-    pass [Run_opts.telemetry] instead; removal is noted in DESIGN.md. *)
-
-val run_program :
-  ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
-  ?fault:Tailspace_resilience.Resilience.Fault.plan ->
-  ?measure_linked:bool ->
-  ?gc_policy:[ `Exact | `Approximate ] ->
-  ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?on_step:(steps:int -> space:int -> unit) ->
-  ?trace:(int -> string -> unit) ->
-  t ->
-  program:Tailspace_ast.Ast.expr ->
-  input:Tailspace_ast.Ast.expr ->
-  result
-[@@deprecated "use Machine.exec_program with Machine.Run_opts"]
-(** Labelled-argument shim over {!exec_program}. *)
-
-val run_string :
-  ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
-  ?fault:Tailspace_resilience.Resilience.Fault.plan ->
-  ?measure_linked:bool ->
-  ?gc_policy:[ `Exact | `Approximate ] ->
-  ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?on_step:(steps:int -> space:int -> unit) ->
-  ?trace:(int -> string -> unit) ->
-  t ->
-  string ->
-  result
-[@@deprecated "use Machine.exec_string with Machine.Run_opts"]
-(** Labelled-argument shim over {!exec_string}. *)
 
 val eval_global : t -> Tailspace_ast.Ast.expr -> (Types.value * Store.t, string) Result.t
 (** Evaluate under the initial environment without measurement

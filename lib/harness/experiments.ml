@@ -18,18 +18,6 @@ let pct = Tail_calls.percent
 let fit_or_none points =
   if List.length points >= 3 then Some (Growth.fit points) else None
 
-(* The bytecode VM implements only I_tail, so an [engine] selection
-   applies to Tail-variant sweep points and leaves every other variant
-   on the stepper — exactly the points where the tiers are
-   bit-compatible (oracle-checked, [vm_invariant]), so tables are
-   byte-identical. With no explicit selection, Tail-variant points
-   default to the instrumented VM: same table, less wall-clock. *)
-let engine_for engine variant =
-  match (engine, variant) with
-  | Some _, Machine.Tail -> engine
-  | None, Machine.Tail -> Some Machine.Vm
-  | _ -> None
-
 let variant_column variants = List.map Machine.variant_name variants
 
 (* ------------------------------------------------------------------ *)
@@ -82,7 +70,7 @@ module Thm25 = struct
 
   let default_ns = [ 20; 40; 80; 160 ]
 
-  let run ?pool ?engine ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?budget () =
     let programs =
       List.map (fun (name, source) -> (name, expand source)) Families.separators
     in
@@ -99,7 +87,7 @@ module Thm25 = struct
         (fun (_, program, variant, n) ->
           Runner.run_once
             ~opts:(Machine.Run_opts.make ?budget ~gc_policy:`Approximate ())
-            ~config:(Machine.Config.make ?engine:(engine_for engine variant) ~variant ())
+            ~config:(Machine.Config.make ~variant ())
             ~program ~n ())
         leaves
     in
@@ -232,7 +220,7 @@ module Thm24 = struct
     && v Machine.Sfs <= v Machine.Free
     && v Machine.Free <= v Machine.Tail
 
-  let run ?pool ?engine ?(include_slow = false) () =
+  let run ?pool ?(include_slow = false) () =
     let entries =
       Corpus.all
       |> List.filter (fun (e : Corpus.entry) -> include_slow || not e.slow)
@@ -252,9 +240,7 @@ module Thm24 = struct
         (fun (_, n, program, variant) ->
           let m =
             Runner.run_once
-              ~config:
-                (Machine.Config.make ?engine:(engine_for engine variant)
-                   ~variant ())
+              ~config:(Machine.Config.make ~variant ())
               ~program ~n ()
           in
           m.Runner.space)
@@ -304,7 +290,7 @@ module Thm26 = struct
   let answered (m : Runner.measurement) =
     match m.Runner.status with Runner.Answer _ -> true | _ -> false
 
-  let run ?pool ?engine ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?budget () =
     let tasks = List.map (fun n -> (n, expand (Families.pk_program n))) ns in
     let measured =
       Pool.map ?pool
@@ -314,10 +300,7 @@ module Thm26 = struct
               ~opts:
                 (Machine.Run_opts.make ?budget
                    ~measure:[ Space_model.Flat; Space_model.Linked ] ())
-              ~config:
-                (Machine.Config.make
-                   ?engine:(engine_for engine Machine.Tail)
-                   ~variant:Machine.Tail ())
+              ~config:(Machine.Config.make ~variant:Machine.Tail ())
               ~program ~n ()
           in
           let sfs_m =
@@ -397,7 +380,7 @@ module Sec4 = struct
 
   let default_ns = [ 24; 48; 96; 192 ]
 
-  let run ?pool ?engine ?(ns = default_ns) () =
+  let run ?pool ?(ns = default_ns) () =
     let programs =
       [
         ( "right",
@@ -412,9 +395,7 @@ module Sec4 = struct
       (fun (spine, traverse, build) ->
         List.map
           (fun variant ->
-            let config =
-              Machine.Config.make ?engine:(engine_for engine variant) ~variant ()
-            in
+            let config = Machine.Config.make ~variant () in
             let tm = Runner.sweep ?pool ~config ~program:traverse ~ns () in
             let bm = Runner.sweep ?pool ~config ~program:build ~ns () in
             let deltas =
@@ -466,7 +447,7 @@ module Cor20 = struct
     agree : bool;
   }
 
-  let run ?pool ?engine ?(include_slow = false) () =
+  let run ?pool ?(include_slow = false) () =
     let entries =
       Corpus.all
       |> List.filter (fun (e : Corpus.entry) -> include_slow || not e.slow)
@@ -486,9 +467,7 @@ module Cor20 = struct
         (fun (_, n, program, variant) ->
           let m =
             Runner.run_once
-              ~config:
-                (Machine.Config.make ?engine:(engine_for engine variant)
-                   ~variant ())
+              ~config:(Machine.Config.make ~variant ())
               ~program ~n ()
           in
           match m.Runner.status with
@@ -550,16 +529,13 @@ module Cps = struct
 
   let default_ns = [ 32; 64; 128; 256 ]
 
-  let run ?pool ?engine ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?budget () =
     let program = expand Families.cps_loop in
     let opts = Machine.Run_opts.make ?budget () in
     let tail =
       Runner.spaces
         (Runner.sweep ?pool ~opts
-           ~config:
-             (Machine.Config.make
-                ?engine:(engine_for engine Machine.Tail)
-                ~variant:Machine.Tail ())
+           ~config:(Machine.Config.make ~variant:Machine.Tail ())
            ~program ~ns ())
     in
     let gc =
@@ -620,15 +596,15 @@ module Ablation = struct
     | Some lo, Some hi when lo > 0. -> hi /. lo
     | _ -> 0.
 
-  let run ?pool ?engine ?(ns = default_ns) () =
+  let run ?pool ?(ns = default_ns) () =
     let sweep ?return_env ?evlis_drop_at_creation ~variant label source =
       let program = expand source in
       let ms =
         Runner.sweep ?pool
           ~opts:(Machine.Run_opts.make ~gc_policy:`Approximate ())
           ~config:
-            (Machine.Config.make ?engine:(engine_for engine variant) ?return_env
-               ?evlis_drop_at_creation ~variant ())
+            (Machine.Config.make ?return_env ?evlis_drop_at_creation
+               ~variant ())
           ~program ~ns ()
       in
       { label; spaces = Runner.spaces ms }
@@ -917,7 +893,7 @@ module LogHier = struct
 
   let all_models = [ Space_model.Flat; Space_model.Linked; Space_model.Log ]
 
-  let run ?pool ?engine ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?budget () =
     let opts = Machine.Run_opts.make ?budget ~measure:all_models () in
     (* Only the two variants each inclusion compares are measured: the
        per-step linked walk the heavy models force makes a full
@@ -935,10 +911,7 @@ module LogHier = struct
       Pool.map ?pool
         (fun (_, program, variant, n) ->
           Runner.run_once ~opts
-            ~config:
-              (Machine.Config.make
-                 ?engine:(engine_for engine variant)
-                 ~variant ())
+            ~config:(Machine.Config.make ~variant ())
             ~program ~n ())
         leaves
     in
@@ -991,10 +964,7 @@ module LogHier = struct
         (fun (_, n, program, variant) ->
           let m =
             Runner.run_once ~opts
-              ~config:
-                (Machine.Config.make
-                   ?engine:(engine_for engine variant)
-                   ~variant ())
+              ~config:(Machine.Config.make ~variant ())
               ~program ~n ()
           in
           Option.value ~default:0 (Runner.consumption m Space_model.Log))
@@ -1022,10 +992,7 @@ module LogHier = struct
         (fun (n, program) ->
           let tail_m =
             Runner.run_once ~opts
-              ~config:
-                (Machine.Config.make
-                   ?engine:(engine_for engine Machine.Tail)
-                   ~variant:Machine.Tail ())
+              ~config:(Machine.Config.make ~variant:Machine.Tail ())
               ~program ~n ()
           in
           let sfs_m =
@@ -1092,22 +1059,17 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-(* [engine] selects the measuring engine where bit-compatibility
-   suffices — the instrumented bytecode VM's Tail-variant step counts
-   and peaks are identical to the stepper's (oracle-checked) — so the
-   tables are byte-identical and only the wall-clock changes. E1 is
-   static and E9 compares engines itself; both ignore the selection. *)
-let render_all ?pool ?engine () =
+let render_all ?pool () =
   String.concat ""
     [
       Fig2.render (Fig2.run ());
-      Thm25.render (Thm25.run ?pool ?engine ());
-      Thm24.render (Thm24.run ?pool ?engine ());
-      Thm26.render (Thm26.run ?pool ?engine ());
-      Sec4.render (Sec4.run ?pool ?engine ());
-      Cor20.render (Cor20.run ?pool ?engine ());
-      Cps.render (Cps.run ?pool ?engine ());
-      Ablation.render (Ablation.run ?pool ?engine ());
+      Thm25.render (Thm25.run ?pool ());
+      Thm24.render (Thm24.run ?pool ());
+      Thm26.render (Thm26.run ?pool ());
+      Sec4.render (Sec4.run ?pool ());
+      Cor20.render (Cor20.run ?pool ());
+      Cps.render (Cps.run ?pool ());
+      Ablation.render (Ablation.run ?pool ());
       Sanity.render (Sanity.run ?pool ());
-      LogHier.render (LogHier.run ?pool ?engine ());
+      LogHier.render (LogHier.run ?pool ());
     ]

@@ -40,7 +40,6 @@ module Thm25 : sig
 
   val run :
     ?pool:Pool.t ->
-    ?engine:Machine.engine ->
     ?ns:int list ->
     ?budget:Tailspace_resilience.Resilience.Budget.t ->
     unit ->
@@ -71,7 +70,7 @@ module Thm24 : sig
   }
 
   val run :
-    ?pool:Pool.t -> ?engine:Machine.engine -> ?include_slow:bool -> unit -> row list
+    ?pool:Pool.t -> ?include_slow:bool -> unit -> row list
 
   val render : row list -> string
 end
@@ -95,7 +94,6 @@ module Thm26 : sig
 
   val run :
     ?pool:Pool.t ->
-    ?engine:Machine.engine ->
     ?ns:int list ->
     ?budget:Tailspace_resilience.Resilience.Budget.t ->
     unit ->
@@ -115,7 +113,7 @@ module Sec4 : sig
     fit : Growth.fit option;
   }
 
-  val run : ?pool:Pool.t -> ?engine:Machine.engine -> ?ns:int list -> unit -> row list
+  val run : ?pool:Pool.t -> ?ns:int list -> unit -> row list
   val render : row list -> string
 end
 
@@ -129,7 +127,7 @@ module Cor20 : sig
   }
 
   val run :
-    ?pool:Pool.t -> ?engine:Machine.engine -> ?include_slow:bool -> unit -> row list
+    ?pool:Pool.t -> ?include_slow:bool -> unit -> row list
 
   val render : row list -> string
 end
@@ -147,7 +145,6 @@ module Cps : sig
 
   val run :
     ?pool:Pool.t ->
-    ?engine:Machine.engine ->
     ?ns:int list ->
     ?budget:Tailspace_resilience.Resilience.Budget.t ->
     unit ->
@@ -176,7 +173,7 @@ module Ablation : sig
     tail_evlis_divergence_literal : float;
   }
 
-  val run : ?pool:Pool.t -> ?engine:Machine.engine -> ?ns:int list -> unit -> result
+  val run : ?pool:Pool.t -> ?ns:int list -> unit -> result
   val render : result -> string
 end
 
@@ -253,7 +250,6 @@ module LogHier : sig
 
   val run :
     ?pool:Pool.t ->
-    ?engine:Machine.engine ->
     ?ns:int list ->
     ?budget:Tailspace_resilience.Resilience.Budget.t ->
     unit ->
@@ -262,14 +258,6 @@ module LogHier : sig
   val render : result -> string
 end
 
-val render_all : ?pool:Pool.t -> ?engine:Machine.engine -> unit -> string
+val render_all : ?pool:Pool.t -> unit -> string
 (** Every experiment's table, in order — the paper-reproduction report
-    that [bench/main.exe] prints. [engine] selects the measuring engine
-    where bit-compatibility suffices: the instrumented bytecode VM
-    implements only [I_tail], so the selection applies to Tail-variant
-    sweep points — where its step counts and peaks are identical to the
-    stepper's (oracle-checked) — and every other variant stays on the
-    stepper, keeping the tables byte-identical with only the wall-clock
-    changing. With no explicit selection, Tail-variant points default
-    to the instrumented VM. E1 (static analysis) and E9 (which compares
-    implementations itself) ignore the selection. *)
+    that [bench/main.exe] prints. *)

@@ -179,13 +179,10 @@ let annot_agreement ~fuel programs =
         Machine.all_variants)
     programs
 
-(* The bytecode VM is the seventh engine: on every corpus entry (at its
-   first checked input) both tiers must produce the stepper's answer,
-   and the instrumented tier must be bit-compatible with the Tail
-   stepper — identical step counts, peaks, and GC runs, not merely the
-   same answer. Entries not marked [slow] are additionally compared
-   against all six variants (whose answers Corollary 20 makes
-   interchangeable). *)
+(* The fast bytecode VM is the seventh engine: on every corpus entry (at
+   its first checked input) it must produce the Tail stepper's answer.
+   Entries not marked [slow] are additionally compared against all six
+   variants (whose answers Corollary 20 makes interchangeable). *)
 let vm_agreement ~fuel () =
   List.concat_map
     (fun (e : Corpus.entry) ->
@@ -200,7 +197,6 @@ let vm_agreement ~fuel () =
               ~program ~n ()
           in
           let tail = point Machine.Stepper Machine.Tail in
-          let inst = point Machine.Vm Machine.Tail in
           let fast = point Machine.Vm_fast Machine.Tail in
           let fails = ref [] in
           let add fmt =
@@ -208,18 +204,6 @@ let vm_agreement ~fuel () =
               (fun s -> fails := Printf.sprintf "%s n=%d: %s" e.Corpus.name n s :: !fails)
               fmt
           in
-          if not (String.equal (status_text inst) (status_text tail)) then
-            add "instrumented VM %s vs stepper %s" (status_text inst)
-              (status_text tail);
-          if inst.Runner.steps <> tail.Runner.steps then
-            add "instrumented VM steps %d vs stepper %d" inst.Runner.steps
-              tail.Runner.steps;
-          if Runner.peak_space inst <> Runner.peak_space tail then
-            add "instrumented VM peak %d vs stepper %d" (Runner.peak_space inst)
-              (Runner.peak_space tail);
-          if inst.Runner.gc_runs <> tail.Runner.gc_runs then
-            add "instrumented VM gc_runs %d vs stepper %d" inst.Runner.gc_runs
-              tail.Runner.gc_runs;
           if not (String.equal (status_text fast) (status_text tail)) then
             add "fast VM %s vs stepper %s" (status_text fast)
               (status_text tail);
@@ -236,18 +220,15 @@ let vm_agreement ~fuel () =
           List.rev !fails)
     Corpus.all
 
-(* The provenance layer claims two invariants strong enough to check
-   differentially: every census sums exactly to the measured peak (flat
-   and linked, all six variants — [Provenance.total] telescopes back to
-   the figure telemetry reported), and the instrumented VM's censuses
-   are configuration-identical to the Tail stepper's. Labels are
-   stripped before the cross-engine comparison: the two engines expand
-   the program separately, so gensym'd names differ while site ids and
-   structure agree. *)
+(* The provenance layer claims an invariant strong enough to check
+   differentially: every census sums exactly to the measured peak (flat,
+   linked and log, all six variants — [Provenance.total] telescopes back
+   to the figure telemetry reported), and its flamegraph stacks
+   partition the peak. *)
 let census_agreement ~fuel () =
   let fails = ref [] in
   let add fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  let censuses engine variant program n =
+  let censuses variant program n =
     let census = Census.create () in
     let opts =
       Machine.Run_opts.make ~fuel
@@ -256,7 +237,7 @@ let census_agreement ~fuel () =
     in
     let m =
       Runner.run_once ~opts
-        ~config:(Machine.Config.make ~engine ~variant ())
+        ~config:(Machine.Config.make ~variant ())
         ~program ~n ()
     in
     (* [Runner.consumption] folds the program size in; the census peaks
@@ -280,7 +261,6 @@ let census_agreement ~fuel () =
           add "%s %s: %s flamegraph stacks sum to %d, peak %d" name variant
             what stack_sum c.P.peak
   in
-  let stripped c = Json.to_string (P.to_json ~with_labels:false c) in
   List.iter
     (fun name ->
       match Corpus.find name with
@@ -291,24 +271,11 @@ let census_agreement ~fuel () =
           List.iter
             (fun variant ->
               let v = Machine.variant_name variant in
-              let flat, linked, log = censuses Machine.Stepper variant program n in
+              let flat, linked, log = censuses variant program n in
               check_sums name v flat "flat";
               check_sums name v linked "linked";
               check_sums name v log "log")
-            Machine.all_variants;
-          let sf, sl, sg = censuses Machine.Stepper Machine.Tail program n in
-          let vf, vl, vg = censuses Machine.Vm Machine.Tail program n in
-          let agree what a b =
-            match (a, b) with
-            | Some a, Some b ->
-                if not (String.equal (stripped a) (stripped b)) then
-                  add "%s: %s census differs between stepper and VM" name what
-            | None, None -> ()
-            | _ -> add "%s: %s census captured on one engine only" name what
-          in
-          agree "flat" sf vf;
-          agree "linked" sl vl;
-          agree "log" sg vg)
+            Machine.all_variants)
     [ "countdown"; "append" ];
   List.rev !fails
 
@@ -317,7 +284,7 @@ let census_agreement ~fuel () =
    bignum fixnum fast path must be observationally invisible: same
    status, same step count, same measured peak, on every variant and
    every engine. Run the differential A/B with the tag on and off —
-   six variants under the stepper, plus both VM tiers on [Tail] — over
+   six variants under the stepper, plus the fast VM on [Tail] — over
    the default programs and the factorial entry (whose intermediates
    cross the fixnum/limb promotion boundary both ways). *)
 let fixnum_agreement ~fuel programs =
@@ -335,7 +302,7 @@ let fixnum_agreement ~fuel programs =
   in
   let engines =
     List.map (fun v -> (Machine.Stepper, v)) Machine.all_variants
-    @ [ (Machine.Vm, Machine.Tail); (Machine.Vm_fast, Machine.Tail) ]
+    @ [ (Machine.Vm_fast, Machine.Tail) ]
   in
   let restore = Bignum.fixnums_enabled () in
   Fun.protect
@@ -382,25 +349,22 @@ let fixnum_agreement ~fuel programs =
    [U_X <= S_X] (the §13 dedup argument), [U_X <= Log_X] (a pointer is
    at least one bit), and [Log_X <= 64·S_X] (pointer size never exceeds
    the machine word). The oracle re-measures every default program on
-   all six variants under all three models and checks the laws; on
-   [Tail] it additionally demands the instrumented VM report a peaks
-   list bit-identical to the stepper's. *)
+   all six variants under all three models and checks the laws. *)
 let log_agreement ~fuel programs =
   let measure = [ Space_model.Flat; Space_model.Linked; Space_model.Log ] in
   let fails = ref [] in
   let add fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
   List.iter
     (fun (family, program, n) ->
-      let point engine variant =
-        Runner.run_once
-          ~opts:(Machine.Run_opts.make ~fuel ~measure ())
-          ~config:(Machine.Config.make ~engine ~variant ())
-          ~program ~n ()
-      in
       List.iter
         (fun variant ->
           let v = Machine.variant_name variant in
-          let m = point Machine.Stepper variant in
+          let m =
+            Runner.run_once
+              ~opts:(Machine.Run_opts.make ~fuel ~measure ())
+              ~config:(Machine.Config.make ~variant ())
+              ~program ~n ()
+          in
           let s = Runner.peak_space m in
           match (Runner.peak_linked m, Runner.peak_log m) with
           | Some u, Some l ->
@@ -414,12 +378,7 @@ let log_agreement ~fuel programs =
                 add "%s n=%d %s: log peak %d exceeds %d * flat peak %d" family
                   n v l Space_model.word_bits s
           | _ -> add "%s n=%d %s: linked/log peaks not measured" family n v)
-        Machine.all_variants;
-      let tail = point Machine.Stepper Machine.Tail in
-      let inst = point Machine.Vm Machine.Tail in
-      if tail.Runner.peaks <> inst.Runner.peaks then
-        add "%s n=%d: instrumented VM peaks differ from Tail stepper's" family
-          n)
+        Machine.all_variants)
     programs;
   List.rev !fails
 

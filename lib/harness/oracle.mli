@@ -46,37 +46,31 @@ type report = {
   annot_failures : string list;
       (** human-readable description of each annotation disagreement *)
   vm_invariant : bool;
-      (** the bytecode VM agrees as a seventh engine on the full
-          corpus: both tiers produce the stepper's answers everywhere
-          (fast-tier answers are also checked against all six variants
-          on non-slow entries), and the instrumented tier's step
-          counts, peaks, and GC runs are identical to the Tail
-          stepper's *)
+      (** the fast bytecode VM agrees as a seventh engine on the full
+          corpus: it produces the Tail stepper's answers everywhere, and
+          on non-slow entries those of all six variants *)
   vm_failures : string list;
       (** human-readable description of each VM disagreement *)
   census_invariant : bool;
       (** heap censuses are sound: per-site live words sum exactly to
           the measured peak under the flat, linked, and log measures on
-          all six variants, flamegraph stacks partition the flat peak,
-          and the stepper and instrumented VM produce identical
-          censuses (modulo display labels) *)
+          all six variants, and flamegraph stacks partition the peak *)
   census_failures : string list;
       (** human-readable description of each census disagreement *)
   fixnum_invariant : bool;
       (** toggling the bignum fixnum fast path is observationally
           invisible: status, step count, and peak space are bit-identical
           with fixnums on and off for every (program, variant) under the
-          stepper and for both VM tiers on [Tail] (the fast tier, whose
-          accounting is compiled out, is held to status only) — the
-          space charge is a function of magnitude, not representation *)
+          stepper, and the fast VM's status is too on [Tail] (its
+          accounting is compiled out) — the space charge is a function
+          of magnitude, not representation *)
   fixnum_failures : string list;
       (** human-readable description of each fixnum disagreement *)
   log_invariant : bool;
       (** the three space models obey their pointwise scaling laws at
           the peaks on every (program, variant):
           [linked <= flat], [linked <= log], and
-          [log <= word_bits * flat]; and on [Tail] the instrumented
-          VM's per-model peaks list is bit-identical to the stepper's *)
+          [log <= word_bits * flat] *)
   log_failures : string list;
       (** human-readable description of each log-model violation *)
   ok : bool;

@@ -80,10 +80,10 @@ let measure_with machine ?(opts = Machine.Run_opts.default)
        else None);
   }
 
-(* The VM tiers report the same measurement shape as the stepper; in
-   fast mode the space columns are 0/absent by construction (the tier
-   compiles the accounting out), which downstream selectors like
-   [spaces] happily carry. *)
+(* The fast VM reports the same measurement shape as the stepper; its
+   space columns are 0/absent by construction (the tier compiles the
+   accounting out), which downstream selectors like [spaces] happily
+   carry. *)
 let measure_vm config ?(opts = Machine.Run_opts.default)
     ?(collect_telemetry = false) ~program ~n () =
   let telemetry =
@@ -116,7 +116,7 @@ let run_once ?opts ?collect_telemetry ?(config = Machine.Config.default)
   | Machine.Stepper ->
       let machine = Machine.create_with config in
       measure_with machine ?opts ?collect_telemetry ~program ~n ()
-  | Machine.Vm | Machine.Vm_fast ->
+  | Machine.Vm_fast ->
       measure_vm config ?opts ?collect_telemetry ~program ~n ()
 
 (* {2 Measurement codecs}

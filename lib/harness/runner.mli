@@ -61,9 +61,8 @@ val run_once :
 (** Build a fresh engine from [config] (default
     {!Machine.Config.default}) and measure one (program, input) point
     under [opts] (default {!Machine.Run_opts.default}). The engine is
-    [config.engine]: the classic stepper, the instrumented bytecode VM
-    (identical measurements by construction), or the fast VM, whose
-    space columns are [0]/absent — the tier compiles accounting out.
+    [config.engine]: the stepper, or the fast VM, whose space columns
+    are [0]/absent — the tier compiles accounting out.
     [collect_telemetry] (default [false]) attaches a fresh telemetry
     instance to the run — overriding any instance in [opts], which must
     not be shared across cached or parallel points — and stores its

@@ -235,8 +235,8 @@ let request_of_json json =
             | None -> Error (Printf.sprintf "request: unknown engine %S" s))
       in
       let* () =
-        if engine <> M.Stepper && variant <> M.Tail then
-          Error "request: vm engines support only the tail variant"
+        if engine = M.Vm_fast && variant <> M.Tail then
+          Error "request: the vm-fast engine supports only the tail variant"
         else Ok ()
       in
       let* stack_policy_s = str_opt "stack_policy" in

@@ -133,8 +133,7 @@ val create :
 (** [ring] is the capacity of the last-K-configurations buffer
     (default [0] = off). [config_sink] receives every (step,
     configuration description) pair the moment it is recorded — the
-    streaming analogue of the ring buffer, and the replacement for the
-    machines' deprecated [?trace] callback. *)
+    streaming analogue of the ring buffer. *)
 
 val has_sink : t -> bool
 

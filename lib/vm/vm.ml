@@ -4,19 +4,11 @@ module Datum = Tailspace_sexp.Datum
 module Reader = Tailspace_sexp.Reader
 module Expand = Tailspace_expander.Expand
 module Machine = Tailspace_core.Machine
-module Types = Tailspace_core.Types
-module Env = Tailspace_core.Env
-module Store = Tailspace_core.Store
 module Prim = Tailspace_core.Prim
-module Gc = Tailspace_core.Gc
-module Space = Tailspace_core.Space
 module Space_model = Tailspace_core.Space_model
-module Answer = Tailspace_core.Answer
 module Annot = Tailspace_analysis.Annot
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
-module Census = Tailspace_core.Census
-module Prov = Tailspace_provenance.Provenance
 
 type outcome =
   | Done of string
@@ -32,14 +24,8 @@ type result = {
   output : string;
 }
 
-let peak_of r model =
-  List.find_map
-    (fun (m, p) -> if Space_model.equal m model then Some p else None)
-    r.peaks
-
-let peak_space r = Option.value (peak_of r Space_model.Flat) ~default:0
-let peak_linked r = peak_of r Space_model.Linked
-let peak_log r = peak_of r Space_model.Log
+let peak_space r =
+  Option.value (List.assoc_opt Space_model.Flat r.peaks) ~default:0
 
 (* ================================================================== *)
 (* The fast tier: flat bytecode over an untracked value domain.        *)
@@ -61,9 +47,9 @@ type instr =
 
 (* The fast value domain. Mutation is direct (pair cells, vector and
    rib slots), identity is physical, and nothing carries a space
-   figure: the paper's accounting lives entirely in the instrumented
-   tier. [FUnbound] marks a global slot the compiler created for a name
-   no definition ever filled. *)
+   figure: the paper's accounting lives entirely in the stepper
+   ([Machine]). [FUnbound] marks a global slot the compiler created for
+   a name no definition ever filled. *)
 type fvalue =
   | FBool of bool
   | FInt of Bignum.t
@@ -1118,677 +1104,46 @@ let run_fast ?(fuel = 20_000_000) ?budget c =
   run_fast_with ~fuel ~budget ~seed:Machine.Config.default.Machine.Config.seed c
 
 (* ================================================================== *)
-(* The instrumented tier: tree-threaded [I_tail] transitions over the  *)
-(* real cost domain, bit-compatible with [Machine.run].                *)
-(* ================================================================== *)
-
-module Measured = struct
-  open Types
-
-  (* Per-node compile-time statics, memoized on physical node identity
-     (the same discipline as [Annot]): the constant's value for [Quote]
-     nodes, the operand array and fixed-order evaluation spine for
-     [Call] nodes. Seeded permutations shuffle per visit, as the
-     stepper does. *)
-  module Pt = struct
-    type t = Ast.expr
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end
-
-  module Ptbl = Hashtbl.Make (Pt)
-
-  type call_static = {
-    exprs : Ast.expr array;
-    first : int;
-    remaining : (int * Ast.expr) list;
-  }
-
-  type iconfig = {
-    control : [ `Expr of Ast.expr | `Value of value ];
-    env : Env.t;
-    cont : cont;
-    store : Store.t;
-  }
-
-  type istep =
-    | INext of iconfig
-    | IFinal of value * Store.t
-    | IStuck of string
-
-  type mstate = {
-    cfg : Machine.Config.t;
-    ctx : Prim.ctx;
-    quotes : value Ptbl.t;
-    calls : call_static Ptbl.t;
-    annot : Annot.t option;
-        (* the stepper machine's table, so site ids are assigned by the
-           same insertion order as [Machine.run]'s — the bit-compatible
-           peaks then imply configuration-identical censuses *)
-    prov : Census.t option;
-    track_sites : bool;
-  }
-
-  let site_of m e =
-    if not m.track_sites then -1
-    else
-      match m.annot with
-      | None -> -1
-      | Some a -> ( match Annot.site_id a e with Some s -> s | None -> -1)
-
-  let note_alloc_site m ~site ~phase =
-    match m.prov with
-    | None -> ()
-    | Some c -> Census.set_alloc_site c ~site ~phase
-
-  let call_static m e f args =
-    match Ptbl.find_opt m.calls e with
-    | Some cs -> cs
-    | None ->
-        let exprs = Array.of_list (f :: args) in
-        let n = Array.length exprs in
-        let order =
-          match m.cfg.Machine.Config.perm with
-          | Machine.Right_to_left -> List.init n (fun i -> n - 1 - i)
-          | Machine.Left_to_right | Machine.Seeded _ -> List.init n (fun i -> i)
-        in
-        let first, rest =
-          match order with i0 :: rest -> (i0, rest) | [] -> assert false
-        in
-        let cs =
-          { exprs; first; remaining = List.map (fun i -> (i, exprs.(i))) rest }
-        in
-        Ptbl.add m.calls e cs;
-        cs
-
-  (* Fisher-Yates over the machine's LCG — the same draws, in the same
-     order, as the stepper's [eval_order]. *)
-  let seeded_order m n =
-    let next_random bound =
-      m.ctx.Prim.rng <- ((m.ctx.Prim.rng * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
-      m.ctx.Prim.rng mod bound
-    in
-    let a = Array.init n (fun i -> i) in
-    for i = n - 1 downto 1 do
-      let j = next_random (i + 1) in
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp
-    done;
-    Array.to_list a
-
-  let step_expr m config e =
-    let { env; cont; store; _ } = config in
-    match (e : Ast.expr) with
-    | Ast.Quote c ->
-        let v =
-          match Ptbl.find_opt m.quotes e with
-          | Some v -> v
-          | None ->
-              let v = value_of_const c in
-              Ptbl.add m.quotes e v;
-              v
-        in
-        INext { config with control = `Value v }
-    | Ast.Var i -> (
-        match Env.find_opt i env with
-        | None -> IStuck (Printf.sprintf "unbound variable: %s" i)
-        | Some l -> (
-            match Store.find_opt store l with
-            | None ->
-                IStuck
-                  (Printf.sprintf "%s: location deleted by stack allocation" i)
-            | Some Undefined ->
-                IStuck
-                  (Printf.sprintf "%s: letrec variable used before initialization"
-                     i)
-            | Some v -> INext { config with control = `Value v }))
-    | Ast.Lambda lam ->
-        (* I_tail captures the full environment. *)
-        note_alloc_site m ~site:(site_of m e) ~phase:(Some Prov.P_closure);
-        let store, tag = Store.alloc store Unspecified in
-        INext { config with control = `Value (Closure (tag, lam, env)); store }
-    | Ast.If (e0, e1, e2) ->
-        INext
-          {
-            config with
-            control = `Expr e0;
-            cont = select ~site:(site_of m e) ~e1 ~e2 ~env ~next:cont ();
-          }
-    | Ast.Set (i, e0) ->
-        INext
-          {
-            config with
-            control = `Expr e0;
-            cont = assign ~site:(site_of m e) ~id:i ~env ~next:cont ();
-          }
-    | Ast.Call (f, args) ->
-        let cs = call_static m e f args in
-        let first, remaining =
-          match m.cfg.Machine.Config.perm with
-          | Machine.Left_to_right | Machine.Right_to_left ->
-              (cs.first, cs.remaining)
-          | Machine.Seeded _ -> (
-              match seeded_order m (Array.length cs.exprs) with
-              | i0 :: rest ->
-                  (i0, List.map (fun i -> (i, cs.exprs.(i))) rest)
-              | [] -> assert false)
-        in
-        INext
-          {
-            config with
-            control = `Expr cs.exprs.(first);
-            cont =
-              push ~fv_rest:[] ~site:(site_of m e) ~pending:first ~remaining
-                ~evaluated:[] ~env ~next:cont ();
-          }
-
-  let rec invoke ?(site = -1) m config v0 vals next =
-    let { store; _ } = config in
-    match v0 with
-    | Closure (_, lam, captured) ->
-        let np = List.length lam.Ast.params in
-        let nv = List.length vals in
-        let arity_ok =
-          match lam.Ast.rest with None -> nv = np | Some _ -> nv >= np
-        in
-        if not arity_ok then
-          IStuck
-            (Printf.sprintf "arity: procedure expects %s%d arguments, got %d"
-               (match lam.Ast.rest with None -> "" | Some _ -> "at least ")
-               np nv)
-        else begin
-          let rec split k vs =
-            if k = 0 then ([], vs)
-            else
-              match vs with
-              | v :: rest ->
-                  let direct, extra = split (k - 1) rest in
-                  (v :: direct, extra)
-              | [] -> assert false
-          in
-          let direct, extra = split np vals in
-          note_alloc_site m ~site ~phase:(Some Prov.P_rib);
-          let store, plocs = Store.alloc_many store direct in
-          let store, rest_binding =
-            match lam.Ast.rest with
-            | None -> (store, [])
-            | Some r ->
-                note_alloc_site m ~site ~phase:None;
-                let store, lst = Prim.values_to_list store extra in
-                note_alloc_site m ~site ~phase:(Some Prov.P_rib);
-                let store, rl = Store.alloc store lst in
-                (store, [ (r, rl) ])
-          in
-          let callee_env =
-            Env.add_list
-              (List.combine lam.Ast.params plocs @ rest_binding)
-              captured
-          in
-          (* I_tail creates no return frame: the continuation for the
-             body is [next] itself — the tail call reuses it. *)
-          INext
-            { control = `Expr lam.Ast.body; env = callee_env; cont = next; store }
-        end
-    | Escape (_, saved) -> (
-        match vals with
-        | [ v ] ->
-            INext { config with control = `Value v; env = Env.empty; cont = saved }
-        | _ ->
-            IStuck
-              (Printf.sprintf "continuation expects 1 value, got %d"
-                 (List.length vals)))
-    | Primop "apply" -> (
-        match vals with
-        | f :: (_ :: _ as rest) -> (
-            let middle, last =
-              let r = List.rev rest in
-              (List.rev (List.tl r), List.hd r)
-            in
-            match Prim.list_to_values store last with
-            | Some flattened ->
-                invoke ~site m config f (middle @ flattened) next
-            | None -> IStuck "apply: last argument is not a proper list")
-        | _ -> IStuck "apply: expected a procedure and an argument list")
-    | Primop ("call-with-current-continuation" | "call/cc") -> (
-        match vals with
-        | [ f ] ->
-            note_alloc_site m ~site ~phase:(Some Prov.P_escape);
-            let store, tag = Store.alloc store Unspecified in
-            let escape = Escape (tag, next) in
-            invoke ~site m { config with store } f [ escape ] next
-        | _ -> IStuck "call/cc: expected exactly 1 argument")
-    | Primop name -> (
-        match Prim.find name with
-        | None -> IStuck (Printf.sprintf "unknown primitive: %s" name)
-        | Some fn -> (
-            note_alloc_site m ~site ~phase:None;
-            match fn m.ctx store vals with
-            | store, v ->
-                INext { config with control = `Value v; cont = next; store }
-            | exception Prim.Prim_error msg -> IStuck msg
-            | exception Invalid_argument msg -> IStuck msg))
-    | v ->
-        IStuck
-          (Printf.sprintf "attempt to call a non-procedure (%s)" (tag_of_value v))
-
-  let step_value m config v =
-    let { cont; store; _ } = config in
-    match cont with
-    | Halt -> IFinal (v, store)
-    | Select { e1; e2; env; next; _ } ->
-        let branch = if v = Bool false then e2 else e1 in
-        INext { config with control = `Expr branch; env; cont = next }
-    | Assign { id; env; next; _ } -> (
-        match Env.find_opt id env with
-        | None -> IStuck (Printf.sprintf "set!: unbound variable %s" id)
-        | Some l -> (
-            match Store.mem store l with
-            | false ->
-                IStuck
-                  (Printf.sprintf "set! %s: location deleted by stack allocation"
-                     id)
-            | true ->
-                INext
-                  {
-                    control = `Value Unspecified;
-                    env;
-                    cont = next;
-                    store = Store.set store l v;
-                  }))
-    | Push { pending; remaining; evaluated; env; next; site; _ } -> (
-        let evaluated = (pending, v) :: evaluated in
-        match remaining with
-        | (j, e) :: rest ->
-            INext
-              {
-                config with
-                control = `Expr e;
-                env;
-                cont =
-                  push ~fv_rest:[] ~site ~pending:j ~remaining:rest ~evaluated
-                    ~env ~next ();
-              }
-        | [] -> (
-            let in_order =
-              List.sort (fun (i, _) (j, _) -> Int.compare i j) evaluated
-            in
-            match in_order with
-            | (0, operator) :: operands ->
-                INext
-                  {
-                    config with
-                    control = `Value operator;
-                    env;
-                    cont = call ~site ~vals:(List.map snd operands) ~next ();
-                  }
-            | _ -> assert false))
-    | Call { vals; next; site; _ } -> invoke ~site m config v vals next
-    | Return _ | Return_stack _ ->
-        (* Only I_gc/I_stack build these frames; the tier is Tail-only. *)
-        IStuck "vm: unexpected return frame (not an I_tail continuation)"
-
-  let step m config =
-    match config.control with
-    | `Expr e -> step_expr m config e
-    | `Value v -> step_value m config v
-
-  let flat_space config =
-    let base =
-      Env.cardinal config.env + cont_space config.cont + Store.space config.store
-    in
-    match config.control with
-    | `Expr _ -> base
-    | `Value v -> base + value_space v
-
-  let control_locs config =
-    match config.control with `Expr _ -> [] | `Value v -> value_locs v
-
-  let collect config =
-    let store, reclaimed =
-      Gc.collect ~control_locs:(control_locs config) ~env:config.env
-        ~cont:config.cont config.store
-    in
-    ({ config with store }, reclaimed)
-
-  let alloc_kind_of_value : value -> Telemetry.alloc_kind = function
-    | Bool _ | Sym _ | Char _ | Nil | Unspecified | Undefined | Primop _ ->
-        Telemetry.K_atom
-    | Int _ -> Telemetry.K_int
-    | Str _ -> Telemetry.K_string
-    | Pair _ -> Telemetry.K_pair
-    | Vector _ -> Telemetry.K_vector
-    | Closure _ -> Telemetry.K_closure
-    | Escape _ -> Telemetry.K_escape
-
-  (* A faithful transcription of [Machine.run]'s measured loop (minus
-     the deprecated [on_step]/[trace] shims), driving the specialized
-     transitions above: the same lazy collection schedule (the stepper
-     also skips the collections it proves would free nothing, which
-     changes no figure), the same governor and fault observation points,
-     the same final-configuration measurement — so steps, peaks, GC
-     runs, telemetry events, and abort points are bit-identical to the
-     Tail stepper's. *)
-  let exec (cfg : Machine.Config.t) ~(opts : Machine.Run_opts.t) ~program ~input
-      =
-    let machine = Machine.create_with { cfg with Machine.Config.engine = Stepper } in
-    let genv, gstore = Machine.initial machine in
-    let expr = Ast.Call (program, [ input ]) in
-    (* Record into the stepper machine's own table: its insertion order
-       (prelude first, then this program) matches what [Machine.run]
-       would produce, so site ids agree across engines. *)
-    let annot = Machine.annotations machine in
-    (match annot with Some a -> Annot.record a expr | None -> ());
-    let provenance = opts.Machine.Run_opts.provenance in
-    (match provenance with
-    | None -> ()
-    | Some c -> (
-        match annot with
-        | None ->
-            invalid_arg "Vm: provenance requires a config with annotate = true"
-        | Some a -> Census.set_annot c a));
-    let m =
-      {
-        cfg;
-        ctx = Prim.make_ctx ~seed:cfg.Machine.Config.seed ();
-        quotes = Ptbl.create 64;
-        calls = Ptbl.create 64;
-        annot;
-        prov = provenance;
-        track_sites = Option.is_some provenance && Option.is_some annot;
-      }
-    in
-    let fuel = opts.Machine.Run_opts.fuel in
-    let measure_models =
-      Space_model.normalize opts.Machine.Run_opts.measure
-    in
-    let measure_linked = Space_model.mem Space_model.Linked measure_models in
-    let measure_log = Space_model.mem Space_model.Log measure_models in
-    let measure_heavy = measure_linked || measure_log in
-    let gc_policy = opts.Machine.Run_opts.gc_policy in
-    let telemetry = opts.Machine.Run_opts.telemetry in
-    Buffer.clear m.ctx.Prim.output;
-    let budget =
-      Option.value opts.Machine.Run_opts.budget
-        ~default:Resilience.Budget.unlimited
-    in
-    let guard = Resilience.Guard.start ~default_fuel:fuel budget in
-    let fault =
-      Option.value opts.Machine.Run_opts.fault ~default:Resilience.Fault.none
-    in
-    let faults = Resilience.Fault.start fault in
-    let gc_runs = ref 0 in
-    let peak = ref 0 in
-    let peak_linked = ref 0 in
-    let peak_log = ref 0 in
-    let cur_step = ref 0 in
-    let record_gc reason store reclaimed =
-      if reclaimed > 0 then begin
-        incr gc_runs;
-        (match provenance with
-        | Some c -> Census.rescan c store
-        | None -> ());
-        match telemetry with
-        | Some tl ->
-            Telemetry.record_gc tl ~step:!cur_step ~reason
-              ~live:(Store.cardinal store) ~freed:reclaimed
-        | None -> ()
-      end
-    in
-    let note_flat config =
-      let s = flat_space config in
-      if s > !peak then begin
-        peak := s;
-        match provenance with
-        | Some c ->
-            Census.stash_flat c ~control:config.control ~env:config.env
-              ~cont:config.cont ~store:config.store
-        | None -> ()
-      end
-    in
-    let note_heavy config =
-      let u =
-        Space.linked_config_space ~control:config.control ~env:config.env
-          ~cont:config.cont ~store:config.store
-      in
-      if measure_linked && u > !peak_linked then begin
-        peak_linked := u;
-        match provenance with
-        | Some c ->
-            Census.stash_linked c ~control:config.control ~env:config.env
-              ~cont:config.cont ~store:config.store
-        | None -> ()
-      end;
-      if measure_log then begin
-        let s = Space.pointer_bits config.store * u in
-        if s > !peak_log then begin
-          peak_log := s;
-          match provenance with
-          | Some c ->
-              Census.stash_log c ~control:config.control ~env:config.env
-                ~cont:config.cont ~store:config.store
-          | None -> ()
-        end
-      end
-    in
-    let measure config =
-      if measure_heavy then begin
-        let config, reclaimed = collect config in
-        record_gc Telemetry.Gc_linked config.store reclaimed;
-        note_flat config;
-        note_heavy config;
-        config
-      end
-      else begin
-        let s = flat_space config in
-        let threshold =
-          match gc_policy with
-          | `Exact -> !peak
-          | `Approximate -> !peak + Stdlib.max 64 (!peak / 8)
-        in
-        if s <= threshold then config
-        else begin
-          let config, reclaimed = collect config in
-          record_gc Telemetry.Gc_peak config.store reclaimed;
-          note_flat config;
-          config
-        end
-      end
-    in
-    let observe config steps =
-      match telemetry with
-      | None -> ()
-      | Some tl ->
-          Telemetry.record_step tl ~step:steps ~space:(flat_space config)
-            ~cont_depth:(cont_depth config.cont)
-            ~store_cells:(Store.cardinal config.store)
-    in
-    let aborted reason steps =
-      ((Aborted reason : outcome), steps, None, None)
-    in
-    let rec loop config steps =
-      cur_step := steps;
-      (match Resilience.Fault.fuel_drop faults ~step:steps with
-      | Some remaining -> Resilience.Guard.cap_fuel guard (steps + remaining)
-      | None -> ());
-      let config =
-        if Resilience.Fault.force_gc faults ~step:steps then begin
-          let config, reclaimed = collect config in
-          record_gc Telemetry.Gc_forced config.store reclaimed;
-          config
-        end
-        else config
-      in
-      let config = measure config in
-      observe config steps;
-      let config, space_abort =
-        match Resilience.Guard.space_budget guard with
-        | Some b when flat_space config > b ->
-            let config, reclaimed = collect config in
-            record_gc Telemetry.Gc_budget config.store reclaimed;
-            let live = flat_space config in
-            note_flat config;
-            if live > b then
-              (config, Some (Resilience.Space_exceeded { budget = b; live }))
-            else (config, None)
-        | _ -> (config, None)
-      in
-      match space_abort with
-      | Some reason -> aborted reason steps
-      | None -> (
-          match
-            Resilience.Guard.check guard ~steps
-              ~output_bytes:(Buffer.length m.ctx.Prim.output)
-          with
-          | Some reason -> aborted reason steps
-          | None -> (
-              match step m config with
-              | exception Resilience.Fault.Injected msg ->
-                  aborted (Resilience.Injected_fault msg) steps
-              | INext c -> loop c (steps + 1)
-              | IFinal (v, store) ->
-                  let store, reclaimed =
-                    Gc.collect ~control_locs:(value_locs v) ~env:Env.empty
-                      ~cont:Halt store
-                  in
-                  record_gc Telemetry.Gc_final store reclaimed;
-                  let s = value_space v + Store.space store in
-                  if s > !peak then begin
-                    peak := s;
-                    match provenance with
-                    | Some c -> Census.stash_flat_final c ~v ~store
-                    | None -> ()
-                  end;
-                  if measure_heavy then begin
-                    let u =
-                      Space.linked_config_space ~control:(`Value v)
-                        ~env:Env.empty ~cont:Halt ~store
-                    in
-                    (if measure_linked && u > !peak_linked then begin
-                       peak_linked := u;
-                       match provenance with
-                       | Some c ->
-                           Census.stash_linked c ~control:(`Value v)
-                             ~env:Env.empty ~cont:Halt ~store
-                       | None -> ()
-                     end);
-                    if measure_log then begin
-                      let sl = Space.pointer_bits store * u in
-                      if sl > !peak_log then begin
-                        peak_log := sl;
-                        match provenance with
-                        | Some c ->
-                            Census.stash_log c ~control:(`Value v)
-                              ~env:Env.empty ~cont:Halt ~store
-                        | None -> ()
-                      end
-                    end
-                  end;
-                  ( Done (Answer.to_string store v),
-                    steps + 1,
-                    Some v,
-                    Some store )
-              | IStuck msg -> ((Stuck msg : outcome), steps, None, None)))
-    in
-    let initial_store =
-      let store =
-        match telemetry with
-        | None -> gstore
-        | Some tl ->
-            Store.with_observer gstore
-              (Some
-                 (fun v ->
-                   Telemetry.record_alloc tl ~step:!cur_step
-                     ~kind:(alloc_kind_of_value v)
-                     ~words:(1 + value_space v)))
-      in
-      let store =
-        if Resilience.Fault.observes_alloc fault then
-          Store.add_observer store (fun _ -> Resilience.Fault.on_alloc faults)
-        else store
-      in
-      match provenance with
-      | Some c -> Census.instrument c store
-      | None -> store
-    in
-    let initial =
-      { control = `Expr expr; env = genv; cont = Halt; store = initial_store }
-    in
-    let outcome, steps, _, _ = loop initial 0 in
-    (match telemetry with
-    | Some tl ->
-        Telemetry.note_steps tl steps;
-        Telemetry.note_peak tl !peak;
-        if measure_linked then Telemetry.note_linked tl !peak_linked;
-        if measure_log then Telemetry.note_log tl !peak_log;
-        (match outcome with
-        | Stuck msg -> Telemetry.record_stuck tl ~step:steps ~message:msg
-        | Done _ | Aborted _ -> ())
-    | None -> ());
-    {
-      outcome;
-      steps;
-      peaks =
-        List.filter_map
-          (fun model ->
-            match (model : Space_model.t) with
-            | Space_model.Flat -> Some (model, !peak)
-            | Space_model.Linked -> Some (model, !peak_linked)
-            | Space_model.Log -> Some (model, !peak_log))
-          measure_models;
-      program_size = Ast.size expr;
-      gc_runs = !gc_runs;
-      output = Buffer.contents m.ctx.Prim.output;
-    }
-end
-
-(* ================================================================== *)
-(* Dispatch                                                            *)
+(* Entry point                                                         *)
 (* ================================================================== *)
 
 let exec_program ?(opts = Machine.Run_opts.default) (cfg : Machine.Config.t)
     ~program ~input =
-  match cfg.Machine.Config.engine with
-  | Machine.Stepper | Machine.Vm ->
-      if cfg.Machine.Config.variant <> Machine.Tail then
-        invalid_arg "Vm: the instrumented VM tier supports only the Tail variant";
-      Measured.exec cfg ~opts ~program ~input
-  | Machine.Vm_fast ->
-      if cfg.Machine.Config.variant <> Machine.Tail then
-        invalid_arg "Vm: the fast VM tier supports only the Tail variant";
-      if cfg.Machine.Config.perm <> Machine.Left_to_right then
-        invalid_arg "Vm: the fast VM tier evaluates left-to-right only";
-      (match Space_model.normalize opts.Machine.Run_opts.measure with
-      | [ Space_model.Flat ] -> ()
-      | _ ->
-          invalid_arg
-            "Vm: linked- and log-space measurement requires the instrumented \
-             tier");
-      if Option.is_some opts.Machine.Run_opts.provenance then
-        invalid_arg "Vm: the provenance census requires the instrumented tier";
-      (match opts.Machine.Run_opts.fault with
-      | Some f when not (Resilience.Fault.is_none f) ->
-          invalid_arg "Vm: fault injection requires the instrumented tier"
-      | _ -> ());
-      let annot =
-        if cfg.Machine.Config.annotate then Some (Annot.create ()) else None
-      in
-      let c = compile ?annot (Ast.Call (program, [ input ])) in
-      let budget =
-        Option.value opts.Machine.Run_opts.budget
-          ~default:Resilience.Budget.unlimited
-      in
-      let r =
-        run_fast_with ~fuel:opts.Machine.Run_opts.fuel ~budget
-          ~seed:cfg.Machine.Config.seed c
-      in
-      (match opts.Machine.Run_opts.telemetry with
-      | Some tl ->
-          Telemetry.note_steps tl r.steps;
-          Telemetry.note_peak tl 0;
-          (match r.outcome with
-          | Stuck msg -> Telemetry.record_stuck tl ~step:r.steps ~message:msg
-          | Done _ | Aborted _ -> ())
-      | None -> ());
-      r
+  if cfg.Machine.Config.engine <> Machine.Vm_fast then
+    invalid_arg
+      "Vm: only the vm-fast engine runs here; the stepper runs in Machine";
+  if cfg.Machine.Config.variant <> Machine.Tail then
+    invalid_arg "Vm: the fast VM tier supports only the Tail variant";
+  if cfg.Machine.Config.perm <> Machine.Left_to_right then
+    invalid_arg "Vm: the fast VM tier evaluates left-to-right only";
+  (match Space_model.normalize opts.Machine.Run_opts.measure with
+  | [ Space_model.Flat ] -> ()
+  | _ ->
+      invalid_arg "Vm: linked- and log-space measurement requires the stepper");
+  if Option.is_some opts.Machine.Run_opts.provenance then
+    invalid_arg "Vm: the provenance census requires the stepper";
+  (match opts.Machine.Run_opts.fault with
+  | Some f when not (Resilience.Fault.is_none f) ->
+      invalid_arg "Vm: fault injection requires the stepper"
+  | _ -> ());
+  let annot =
+    if cfg.Machine.Config.annotate then Some (Annot.create ()) else None
+  in
+  let c = compile ?annot (Ast.Call (program, [ input ])) in
+  let budget =
+    Option.value opts.Machine.Run_opts.budget
+      ~default:Resilience.Budget.unlimited
+  in
+  let r =
+    run_fast_with ~fuel:opts.Machine.Run_opts.fuel ~budget
+      ~seed:cfg.Machine.Config.seed c
+  in
+  (match opts.Machine.Run_opts.telemetry with
+  | Some tl ->
+      Telemetry.note_steps tl r.steps;
+      Telemetry.note_peak tl 0;
+      (match r.outcome with
+      | Stuck msg -> Telemetry.record_stuck tl ~step:r.steps ~message:msg
+      | Done _ | Aborted _ -> ())
+  | None -> ());
+  r

@@ -1,34 +1,20 @@
 (** The bytecode VM execution tier.
 
     The six reference machines are AST-walking steppers: faithful, but
-    every sweep pays their interpretive overhead, which caps the input
-    sizes at which the Theorem 24/25/26 separations are visible. This
-    tier compiles the expanded Core Scheme AST once and then runs it in
-    one of two modes, selected by {!Machine.Config.t.engine}:
+    every run pays their interpretive overhead. This tier compiles the
+    expanded Core Scheme AST once, to a flat instruction array executed
+    by a dispatch loop with explicit value and frame stacks over an
+    untracked value domain: no store, no space accounting. A tail call
+    replaces the arguments and jumps without pushing a frame, so the
+    callee runs in (reuses) the caller's frame: Clinger's "proper tail
+    recursion" realized as frame reuse. It reports answers, output,
+    and an instruction count; peak space is not measured (reported as
+    0). Left-to-right evaluation only, no fault injection, no linked or
+    log measurement. Every measured figure comes from the stepper,
+    [Machine.exec_program].
 
-    - {b Instrumented} ([Vm]): tree-threaded code over the real cost
-      domain ([Types.value]/[Env]/[Store]/[cont]). The compiler resolves
-      constants and argument-evaluation spines per node; each dispatch
-      applies exactly one [I_tail] machine transition and charges
-      Definition 21's flat (and optionally Figure 8's linked) costs, so
-      step counts, peak space, GC schedule, telemetry events, and fault
-      injection are bit-compatible with [Machine.run] on the [Tail]
-      variant. Only the [Tail] variant is supported: proper tail
-      recursion is exactly what frame reuse implements, and the other
-      variants exist to measure what happens without it.
-
-    - {b Fast} ([Vm_fast]): a flat instruction array executed by a
-      dispatch loop with explicit value and frame stacks over an
-      untracked value domain — no store, no space accounting. A tail
-      call replaces the arguments and jumps without pushing a frame, so
-      the callee runs in (reuses) the caller's frame: Clinger's "proper
-      tail recursion" realized as frame reuse. Reports answers, output,
-      and an instruction count; peak space is not measured (reported as
-      0). Left-to-right evaluation only, no fault injection, no linked
-      measurement.
-
-    Both modes are differentially checked against the steppers by
-    [Tailspace_harness.Oracle]. *)
+    [Tailspace_harness.Oracle] checks its answers against the steppers
+    on the whole corpus. *)
 
 module Ast = Tailspace_ast.Ast
 module Machine = Tailspace_core.Machine
@@ -44,22 +30,16 @@ type outcome =
 
 type result = {
   outcome : outcome;
-  steps : int;
-      (** instrumented: machine transitions, identical to the stepper's
-          count; fast: executed instructions *)
+  steps : int;  (** executed instructions *)
   peaks : (Tailspace_core.Space_model.t * int) list;
-      (** Definition 21 peaks per requested model, identical to the
-          stepper's; fast mode reports [[(Flat, 0)]] (accounting is
-          compiled out) *)
+      (** always [[(Flat, 0)]]: accounting is compiled out *)
   program_size : int;  (** [|P|], the [Ast.size] of the executed term *)
-  gc_runs : int;  (** [0] in fast mode *)
+  gc_runs : int;  (** always [0] *)
   output : string;
 }
 
-val peak_of : result -> Tailspace_core.Space_model.t -> int option
 val peak_space : result -> int
-val peak_linked : result -> int option
-val peak_log : result -> int option
+(** The [Flat] entry of [peaks], so always [0]. *)
 
 val exec_program :
   ?opts:Machine.Run_opts.t ->
@@ -67,11 +47,9 @@ val exec_program :
   program:Ast.expr ->
   input:Ast.expr ->
   result
-(** Run [(program input)] on the tier named by [config.engine]
-    ([Stepper] is treated as [Vm]: this module always runs VM code).
+(** Run [(program input)] on the fast tier.
 
-    @raise Invalid_argument if [config.engine = Vm] and
-    [config.variant <> Tail]; or if [config.engine = Vm_fast] and the
+    @raise Invalid_argument if [config.engine <> Vm_fast], or if the
     config/opts demand accounting the fast tier compiles out
     ([variant <> Tail], a non-left-to-right [perm], a [measure] list
     beyond [[Flat]], a provenance census, or a fault plan). *)

@@ -265,38 +265,40 @@ let test_promises () =
   check "promises are values"
     "(define p (delay 10)) (list (force p) (force p))" "(10 10)"
 
-(* The deprecated create/run_string + on_step/trace surface is kept as
-   a shim over Config/Run_opts and telemetry until its removal (noted in
-   DESIGN.md); this test exercises the shim deliberately. *)
-module Legacy_shims = struct
-  [@@@alert "-deprecated"]
-  [@@@warning "-3"]
-
-  let test_hooks () =
-    let t = M.create () in
-    let steps_seen = ref 0 in
-    let max_space = ref 0 in
-    let traced = ref [] in
-    let r =
-      M.run_string
-        ~on_step:(fun ~steps:_ ~space ->
-          incr steps_seen;
-          max_space := Stdlib.max !max_space space)
-        ~trace:(fun _ line -> traced := line :: !traced)
-        t "(+ 1 2)"
-    in
-    Alcotest.(check bool) "hook per step" true (!steps_seen >= r.M.steps);
-    Alcotest.(check bool)
-      "profile sees the peak" true
-      (!max_space >= M.peak_space r);
-    Alcotest.(check bool)
-      "trace nonempty" true
-      (List.length !traced >= r.M.steps);
-    Alcotest.(check bool) "trace mentions control" true
-      (List.exists
-         (fun l -> String.length l > 2 && (l.[0] = 'E' || l.[0] = 'V'))
-         !traced)
-end
+(* The telemetry hooks a profiler attaches: a [Step] event for every
+   step carrying the configuration's flat space, and a one-line
+   description of every configuration. *)
+let test_hooks () =
+  let steps_seen = ref 0 in
+  let max_space = ref 0 in
+  let traced = ref [] in
+  let tl =
+    Tel.create
+      ~sink:(function
+        | Tel.Step { space; _ } ->
+            incr steps_seen;
+            max_space := Stdlib.max !max_space space
+        | _ -> ())
+      ~config_sink:(fun _ line -> traced := line :: !traced)
+      ()
+  in
+  let r =
+    M.exec_string
+      ~opts:(M.Run_opts.make ~telemetry:tl ())
+      (M.create_with M.Config.default)
+      "(+ 1 2)"
+  in
+  Alcotest.(check bool) "hook per step" true (!steps_seen >= r.M.steps);
+  Alcotest.(check bool)
+    "profile sees the peak" true
+    (!max_space >= M.peak_space r);
+  Alcotest.(check bool)
+    "trace nonempty" true
+    (List.length !traced >= r.M.steps);
+  Alcotest.(check bool) "trace mentions control" true
+    (List.exists
+       (fun l -> String.length l > 2 && (l.[0] = 'E' || l.[0] = 'V'))
+       !traced)
 
 let test_random_deterministic () =
   let one () = answer "(list (random 10) (random 10) (random 10))" in
@@ -480,8 +482,7 @@ let () =
           Alcotest.test_case "run_program" `Quick test_run_program_convention;
           Alcotest.test_case "random deterministic" `Quick test_random_deterministic;
           Alcotest.test_case "promises" `Quick test_promises;
-          Alcotest.test_case "profiling hooks (legacy shims)" `Quick
-            Legacy_shims.test_hooks;
+          Alcotest.test_case "profiling hooks" `Quick test_hooks;
         ] );
       ( "skipped collections",
         [

@@ -21,14 +21,14 @@ let corpus_program name =
    no |P| term, exactly what the censuses decompose. *)
 let all_models = [ SM.Flat; SM.Linked; SM.Log ]
 
-let profile ?(engine = M.Stepper) ~variant name n =
+let profile ~variant name n =
   let program = corpus_program name in
   let census = Census.create () in
   let opts =
     M.Run_opts.make ~fuel:2_000_000 ~measure:all_models ~provenance:census ()
   in
   let m =
-    R.run_once ~opts ~config:(M.Config.make ~engine ~variant ()) ~program ~n ()
+    R.run_once ~opts ~config:(M.Config.make ~variant ()) ~program ~n ()
   in
   let flat = Census.flat_census census ~peak:(R.peak_space m) in
   let linked =
@@ -239,22 +239,6 @@ let test_diff_surfaces_stack_frames () =
         (List.sort (fun a b -> compare b a) abs_deltas = abs_deltas)
   | _ -> Alcotest.fail "censuses missing"
 
-(* Stepper and instrumented VM produce identical censuses (modulo the
-   advisory labels, which embed gensym'd names). *)
-let test_vm_census_agrees () =
-  List.iter
-    (fun (name, n) ->
-      let _, sf, sl, sg = profile ~engine:M.Stepper ~variant:M.Tail name n in
-      let _, vf, vl, vg = profile ~engine:M.Vm ~variant:M.Tail name n in
-      let strip = function
-        | Some c -> P.Json.to_string (P.to_json ~with_labels:false c)
-        | None -> "<none>"
-      in
-      Alcotest.(check string) (name ^ ": flat") (strip sf) (strip vf);
-      Alcotest.(check string) (name ^ ": linked") (strip sl) (strip vl);
-      Alcotest.(check string) (name ^ ": log") (strip sg) (strip vg))
-    [ ("countdown", 10); ("append", 6) ]
-
 (* --- the sum-to-total invariant, property-checked ------------------ *)
 
 let fast_entries =
@@ -320,7 +304,5 @@ let () =
           Alcotest.test_case "tail vs stack frames" `Quick
             test_diff_surfaces_stack_frames;
         ] );
-      ( "engines",
-        [ Alcotest.test_case "stepper = vm" `Quick test_vm_census_agrees ] );
       ( "invariant", [ QCheck_alcotest.to_alcotest prop_census_sums_to_peak ] );
     ]

@@ -2,18 +2,13 @@
 
    - Unit: name/of_name and JSON codecs round-trip, [normalize] is
      canonical and always includes Flat, [names] is the stable cache
-     key, [to_bits] scales words to bits.
+     key, [to_bits] scales words to bits, and a run under the default
+     [Run_opts] measures the flat model only.
    - QCheck: on random (corpus entry, variant, input) the measured raw
      peaks obey the pointwise model laws — [U <= S] (deduplication
      only removes words), [Log >= U] (a pointer costs at least one
      bit), and [Log <= word_bits * S] (a pointer never costs more than
-     a word).
-   - Shims: the deprecated [Machine.run*] entry points are exact
-     wrappers over [exec*] with [Run_opts] — same outcome, steps, and
-     peaks list. The waiver module below is the only place in the tree
-     allowed to call them: everywhere else warning 3 (deprecated) is
-     fatal, which is the compile-time audit that no in-tree caller is
-     left on the old API. *)
+     a word). *)
 
 module SM = Tailspace_core.Space_model
 module M = Tailspace_core.Machine
@@ -70,6 +65,16 @@ let test_json_roundtrip () =
   | Ok _ -> Alcotest.fail "a bare string is not a model list"
   | Error _ -> ()
 
+let test_default_measures_flat () =
+  let r =
+    M.exec_string
+      (M.create_with M.Config.default)
+      "(define (f n) (if (zero? n) 'done (f (- n 1)))) (f 25)"
+  in
+  match r.M.peaks with
+  | [ (SM.Flat, _) ] -> ()
+  | _ -> Alcotest.fail "the default measures the flat model only"
+
 (* --- the pointwise laws, property-checked -------------------------- *)
 
 let fast_entries =
@@ -104,69 +109,6 @@ let prop_model_laws =
           u <= s && u <= l && l <= SM.word_bits * s
       | _ -> false)
 
-(* --- the deprecated shims ------------------------------------------ *)
-
-(* The one sanctioned call site of the old API (see the header note). *)
-module Old_api = struct
-  [@@@warning "-3"]
-
-  let run_string ?measure_linked t src = M.run_string ?measure_linked t src
-
-  let run_program ?measure_linked t ~program ~input =
-    M.run_program ?measure_linked t ~program ~input
-end
-
-let check_same what (old_r : M.result) (new_r : M.result) =
-  (let outcome = function
-     | M.Done { answer; _ } -> "done:" ^ answer
-     | M.Stuck m -> "stuck:" ^ m
-     | M.Aborted _ -> "aborted"
-   in
-   Alcotest.(check string)
-     (what ^ " outcome") (outcome new_r.M.outcome) (outcome old_r.M.outcome));
-  Alcotest.(check int) (what ^ " steps") new_r.M.steps old_r.M.steps;
-  Alcotest.(check (list (pair model_t int)))
-    (what ^ " peaks") new_r.M.peaks old_r.M.peaks
-
-let countdown_src = "(define (f n) (if (zero? n) 'done (f (- n 1)))) (f 25)"
-
-let test_shims_agree () =
-  let fresh () = M.create_with M.Config.default in
-  (* measure_linked:true maps to [Flat; Linked] *)
-  let old_r = Old_api.run_string ~measure_linked:true (fresh ()) countdown_src in
-  let new_r =
-    M.exec_string
-      ~opts:(M.Run_opts.make ~measure:[ SM.Flat; SM.Linked ] ())
-      (fresh ()) countdown_src
-  in
-  check_same "linked shim" old_r new_r;
-  (* the default maps to [Flat] only *)
-  let old_d = Old_api.run_string (fresh ()) countdown_src in
-  let new_d = M.exec_string (fresh ()) countdown_src in
-  check_same "default shim" old_d new_d;
-  match new_d.M.peaks with
-  | [ (SM.Flat, _) ] -> ()
-  | _ -> Alcotest.fail "the default measures the flat model only"
-
-let test_shim_program () =
-  let program =
-    Tailspace_expander.Expand.program_of_string
-      "(define (f n) (if (zero? n) 'done (f (- n 1)))) f"
-  in
-  let input = Tailspace_ast.Ast.Quote (Tailspace_ast.Ast.C_int (Tailspace_bignum.Bignum.of_int 25)) in
-  let old_r =
-    Old_api.run_program ~measure_linked:true
-      (M.create_with M.Config.default)
-      ~program ~input
-  in
-  let new_r =
-    M.exec_program
-      ~opts:(M.Run_opts.make ~measure:[ SM.Linked ] ())
-      (M.create_with M.Config.default)
-      ~program ~input
-  in
-  check_same "run_program shim" old_r new_r
-
 let () =
   Alcotest.run "space_model"
     [
@@ -176,12 +118,8 @@ let () =
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "to_bits" `Quick test_to_bits;
           Alcotest.test_case "json codecs" `Quick test_json_roundtrip;
+          Alcotest.test_case "default measures flat only" `Quick
+            test_default_measures_flat;
         ] );
       ("laws", [ QCheck_alcotest.to_alcotest prop_model_laws ]);
-      ( "shims",
-        [
-          Alcotest.test_case "run_string = exec_string" `Quick test_shims_agree;
-          Alcotest.test_case "run_program = exec_program" `Quick
-            test_shim_program;
-        ] );
     ]

@@ -1,6 +1,6 @@
 (* The telemetry layer: counter/result agreement across all six
    variants, deterministic exact counts on fixed programs, the stuck
-   ring buffer, JSON round-trips, the legacy shims, profile
+   ring buffer, JSON round-trips, the step stream and config sink, profile
    downsampling, and the alternative engines' instrumentation. *)
 
 module M = Tailspace_core.Machine
@@ -143,45 +143,40 @@ let test_json_parser () =
   | Ok _ -> Alcotest.fail "trailing comma accepted"
   | Error _ -> ()
 
-(* on_step and trace are deprecated shims over the telemetry
-   observation point (kept until the removal noted in DESIGN.md): they
-   must see exactly the Step events / ring descriptions. This test
-   exercises the deprecated surface deliberately. *)
-module Legacy_shims = struct
-  [@@@alert "-deprecated"]
-  [@@@warning "-3"]
-
-  let test_shims () =
-    let src = count_25 in
-    let events = ref [] in
-    let sink = function
-      | Tel.Step { step; space; _ } -> events := (step, space) :: !events
-      | _ -> ()
-    in
-    let steps_seen = ref [] in
-    let t = M.create () in
-    let tl = Tel.create ~sink () in
-    let _ =
-      M.run_string ~telemetry:tl
-        ~on_step:(fun ~steps ~space ->
-          steps_seen := (steps, space) :: !steps_seen)
-        t src
-    in
-    Alcotest.(check (list (pair int int)))
-      "on_step sees the Step events" (List.rev !events) (List.rev !steps_seen);
-    (* trace sees the same descriptions the ring records *)
-    let traced = ref [] in
-    let t = M.create ~variant:M.Stack ~stack_policy:M.Algol () in
-    let tl = Tel.create ~ring:1000 () in
-    let _ =
-      M.run_string ~telemetry:tl
-        ~trace:(fun step d -> traced := (step, d) :: !traced)
-        t "(define (make n) (lambda () n)) ((make 5))"
-    in
-    Alcotest.(check (list (pair int string)))
-      "trace sees the ring descriptions" (Tel.ring_contents tl)
-      (List.rev !traced)
-end
+(* The event stream sees every transition: one [Step] event per step,
+   numbered from 0, whose largest space is exactly the reported peak
+   (under [`Exact] every observed configuration fits under the peak,
+   and every peak increase is observed). The [config_sink] receives
+   exactly the descriptions the ring records. *)
+let test_sinks () =
+  let events = ref [] in
+  let sink = function
+    | Tel.Step { step; space; _ } -> events := (step, space) :: !events
+    | _ -> ()
+  in
+  let r, _ = run ~sink count_25 in
+  let events = List.rev !events in
+  Alcotest.(check (list int))
+    "one Step per step" (List.init r.M.steps Fun.id) (List.map fst events);
+  Alcotest.(check int)
+    "Step spaces reach the peak" (M.peak_space r)
+    (List.fold_left (fun m (_, space) -> Stdlib.max m space) 0 events);
+  let traced = ref [] in
+  let t =
+    M.create_with (M.Config.make ~variant:M.Stack ~stack_policy:M.Algol ())
+  in
+  let tl =
+    Tel.create ~ring:1000
+      ~config_sink:(fun step d -> traced := (step, d) :: !traced)
+      ()
+  in
+  let _ =
+    M.exec_string ~opts:(M.Run_opts.make ~telemetry:tl ()) t
+      "(define (make n) (lambda () n)) ((make 5))"
+  in
+  Alcotest.(check (list (pair int string)))
+    "config_sink sees the ring descriptions" (Tel.ring_contents tl)
+    (List.rev !traced)
 
 (* The profile recorder downsamples by doubling its stride once the
    sample buffer fills, so memory stays bounded. *)
@@ -274,7 +269,7 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "legacy shims" `Quick Legacy_shims.test_shims;
+          Alcotest.test_case "step stream and config sink" `Quick test_sinks;
           Alcotest.test_case "profile downsampling" `Quick
             test_profile_downsampling;
           Alcotest.test_case "secd" `Quick test_secd_telemetry;

@@ -5,13 +5,10 @@
      the callee reuses the caller's frame — while the exit branch ends
      in [CONST done; RETURN].
    - QCheck: compilation is total on generated closed programs and the
-     fast tier's answers agree with the instrumented tier's and the
-     Tail stepper's.
-   - Bit-compatibility: on corpus programs the instrumented tier's
-     steps, peak space, linked peaks, GC runs, and output are identical
-     to [Machine.run]'s, across evaluation-order permutations.
-   - The fast tier rejects configurations whose accounting it compiles
-     out. *)
+     fast tier's answers agree with the Tail stepper's.
+   - Every corpus entry answers as its checks say.
+   - The tier runs only the vm-fast engine, and rejects configurations
+     whose accounting it compiles out. *)
 
 module A = Tailspace_ast.Ast
 module M = Tailspace_core.Machine
@@ -23,23 +20,17 @@ module Corpus = Tailspace_corpus.Corpus
 
 let input n = A.Quote (A.C_int (B.of_int n))
 
-let vm_exec ?opts engine cfg program n =
-  Vm.exec_program ?opts
-    { cfg with M.Config.engine }
-    ~program ~input:(input n)
+let fast = M.Config.make ~engine:M.Vm_fast ()
 
-let vm_answer ?opts engine cfg program n =
-  match (vm_exec ?opts engine cfg program n).Vm.outcome with
+let vm_answer program n =
+  match (Vm.exec_program fast ~program ~input:(input n)).Vm.outcome with
   | Vm.Done a -> a
   | Vm.Stuck m -> "error: " ^ m
   | Vm.Aborted _ -> "fuel"
 
-let stepper_result ?opts cfg program n =
-  let t = M.create_with cfg in
-  M.exec_program ?opts t ~program ~input:(input n)
-
-let stepper_answer ?opts cfg program n =
-  match (stepper_result ?opts cfg program n).M.outcome with
+let stepper_answer program n =
+  let t = M.create_with M.Config.default in
+  match (M.exec_program t ~program ~input:(input n)).M.outcome with
   | M.Done { answer; _ } -> answer
   | M.Stuck m -> "error: " ^ m
   | M.Aborted _ -> "fuel"
@@ -101,9 +92,7 @@ let test_frame_reuse_depth () =
      frame-stack space; a frame-pushing compiler would need a million
      frames. *)
   let program = E.program_of_string countdown_src in
-  Alcotest.(check string)
-    "deep countdown" "done"
-    (vm_answer M.Vm_fast M.Config.default program 1_000_000)
+  Alcotest.(check string) "deep countdown" "done" (vm_answer program 1_000_000)
 
 (* --- QCheck: totality + answer agreement on generated programs --- *)
 
@@ -165,19 +154,16 @@ let gen_expr =
 let arb_expr = QCheck.make ~print:A.to_string gen_expr
 
 let prop_vm_agrees =
-  QCheck.Test.make
-    ~name:"fast and instrumented tiers agree with the Tail stepper" ~count:150
+  QCheck.Test.make ~name:"fast tier agrees with the Tail stepper" ~count:150
     arb_expr (fun body ->
       let program = A.Lambda { A.params = [ "input" ]; rest = None; body } in
       (* Totality: compilation succeeds and yields a nonempty stream. *)
       let c = Vm.compile (A.Call (program, [ input 0 ])) in
       if Array.length (Vm.main_code c) = 0 then false
       else
-        let reference = stepper_answer M.Config.default program 0 in
-        String.equal reference (vm_answer M.Vm M.Config.default program 0)
-        && String.equal reference (vm_answer M.Vm_fast M.Config.default program 0))
+        String.equal (stepper_answer program 0) (vm_answer program 0))
 
-(* --- corpus: answers agree, instrumented is bit-compatible --- *)
+(* --- corpus: answers agree --- *)
 
 let corpus_programs =
   List.filter_map
@@ -190,34 +176,8 @@ let corpus_programs =
 let test_corpus_answers () =
   List.iter
     (fun (name, program, n, expected) ->
-      Alcotest.(check string)
-        (name ^ " fast") expected
-        (vm_answer M.Vm_fast M.Config.default program n);
-      Alcotest.(check string)
-        (name ^ " instrumented") expected
-        (vm_answer M.Vm M.Config.default program n))
+      Alcotest.(check string) name expected (vm_answer program n))
     corpus_programs
-
-let test_instrumented_bit_compat () =
-  let opts = M.Run_opts.make ~measure:[ SM.Flat; SM.Linked; SM.Log ] () in
-  List.iter
-    (fun perm ->
-      let cfg = { M.Config.default with M.Config.perm } in
-      List.iter
-        (fun (name, program, n, _) ->
-          let sr = stepper_result ~opts cfg program n in
-          let ir = vm_exec ~opts M.Vm cfg program n in
-          Alcotest.(check int) (name ^ " steps") sr.M.steps ir.Vm.steps;
-          Alcotest.(check int)
-            (name ^ " peak") (M.peak_space sr) (Vm.peak_space ir);
-          Alcotest.(check (option int))
-            (name ^ " linked") (M.peak_linked sr) (Vm.peak_linked ir);
-          Alcotest.(check (option int))
-            (name ^ " log") (M.peak_log sr) (Vm.peak_log ir);
-          Alcotest.(check int) (name ^ " gc runs") sr.M.gc_runs ir.Vm.gc_runs;
-          Alcotest.(check string) (name ^ " output") sr.M.output ir.Vm.output)
-        corpus_programs)
-    [ M.Left_to_right; M.Right_to_left; M.Seeded 42 ]
 
 let test_fast_rejects_accounting () =
   let program = E.program_of_string countdown_src in
@@ -227,22 +187,24 @@ let test_fast_rejects_accounting () =
          (match what with
          | "rtl" -> "Vm: the fast VM tier evaluates left-to-right only"
          | "linked" ->
-             "Vm: linked- and log-space measurement requires the instrumented \
-              tier"
+             "Vm: linked- and log-space measurement requires the stepper"
          | _ -> assert false))
       (fun () ->
         ignore (Vm.exec_program ?opts cfg ~program ~input:(input 1)))
   in
-  check_rejects "rtl"
-    {
-      M.Config.default with
-      M.Config.engine = M.Vm_fast;
-      M.Config.perm = M.Right_to_left;
-    }
-    None;
-  check_rejects "linked"
-    { M.Config.default with M.Config.engine = M.Vm_fast }
+  check_rejects "rtl" { fast with M.Config.perm = M.Right_to_left } None;
+  check_rejects "linked" fast
     (Some (M.Run_opts.make ~measure:[ SM.Flat; SM.Linked ] ()))
+
+(* Space is measured only by [Machine]: handed the stepper engine, the
+   VM refuses rather than quietly running its own tier. *)
+let test_rejects_stepper () =
+  let program = E.program_of_string countdown_src in
+  Alcotest.check_raises "stepper"
+    (Invalid_argument
+       "Vm: only the vm-fast engine runs here; the stepper runs in Machine")
+    (fun () ->
+      ignore (Vm.exec_program M.Config.default ~program ~input:(input 1)))
 
 let () =
   Alcotest.run "vm"
@@ -260,10 +222,7 @@ let () =
           Alcotest.test_case "corpus answers" `Quick test_corpus_answers;
           Alcotest.test_case "fast tier rejects accounting configs" `Quick
             test_fast_rejects_accounting;
-        ] );
-      ( "bit-compat",
-        [
-          Alcotest.test_case "instrumented = stepper (all perms, linked)"
-            `Slow test_instrumented_bit_compat;
+          Alcotest.test_case "rejects the stepper engine" `Quick
+            test_rejects_stepper;
         ] );
     ]
