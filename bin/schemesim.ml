@@ -11,11 +11,6 @@
      faults      fault-injection matrix + differential oracle (JSON)
      spaceprof   space-provenance profiler: per-site heap census at the
                  peak, flamegraph export, and per-variant census diffs
-     serve       evaluation-as-a-service daemon: length-prefixed JSON
-                 over TCP or Unix sockets, admission control, per-tenant
-                 quotas, graceful SIGTERM drain
-     loadgen     seeded closed-loop load generator (with poison mix)
-                 against a running serve daemon
      bignumbench Karatsuba/schoolbook crossover, decimal-conversion and
                  fixnum fast-path timings (BENCH_bignum.json)
 
@@ -42,7 +37,6 @@ module Res = Tailspace_resilience.Resilience
 module Oracle = Tailspace_harness.Oracle
 module Families = Tailspace_corpus.Families
 module Pool = Tailspace_parallel.Pool
-module Mcache = Tailspace_parallel.Cache
 module Vm = Tailspace_vm.Vm
 module Ast = Tailspace_ast.Ast
 module Census = Tailspace_core.Census
@@ -638,7 +632,9 @@ let profile_cmd =
    files written by [--baseline-out]. Wall-clock gets a noise band
    (machines differ, CI is noisy); space columns are deterministic word
    counts, so their default band is zero — any growth is a regression,
-   as is a point whose status degrades from [done] or disappears. *)
+   as is a point whose status degrades from [done] or disappears. A
+   file without a non-empty [points] list is a usage error: there would
+   be nothing to compare. *)
 let compare_baselines ~wall_band ~space_band old_path new_path =
   let load path =
     match Json.of_string (read_file path) with
@@ -663,9 +659,18 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
   let str_of name j =
     match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
   in
-  let points j =
-    match Json.member "points" j with Some (Json.List l) -> l | _ -> []
+  let points path j =
+    match Json.member "points" j with
+    | Some (Json.List (_ :: _ as l)) -> l
+    | _ ->
+        Format.eprintf
+          "schemesim: %s: not a bench baseline (no non-empty \"points\" \
+           list)@."
+          path;
+        exit 2
   in
+  let old_points = points old_path old_j
+  and new_points = points new_path new_j in
   let regressions = ref [] in
   let reg fmt =
     Printf.ksprintf (fun s -> regressions := s :: !regressions) fmt
@@ -678,35 +683,13 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
           ((nw /. ow -. 1.) *. 100.)
           (wall_band *. 100.)
   | _ -> ());
-  (* serve-aware keys (BENCH_serve.json from `schemesim loadgen`):
-     throughput may not drop and tail latency may not grow beyond the
-     wall-clock noise band — both are timing-derived, so they share it *)
-  (match (num "throughput_rps" old_j, num "throughput_rps" new_j) with
-  | Some o, Some n when n < o *. (1. -. wall_band) ->
-      reg "throughput regression: %.1f -> %.1f rps (-%.0f%% > %.0f%% band)" o
-        n
-        ((1. -. (n /. o)) *. 100.)
-        (wall_band *. 100.)
-  | _ -> ());
-  (let p99 j =
-     match Json.member "latency_ms" j with
-     | Some lat -> num "p99" lat
-     | None -> None
-   in
-   match (p99 old_j, p99 new_j) with
-   | Some o, Some n when n > o *. (1. +. wall_band) ->
-       reg "p99 latency regression: %.2fms -> %.2fms (+%.0f%% > %.0f%% band)"
-         o n
-         (((n /. o) -. 1.) *. 100.)
-         (wall_band *. 100.)
-   | _ -> ());
   List.iter
     (fun op ->
       match int_of "n" op with
       | None -> ()
       | Some n -> (
           match
-            List.find_opt (fun np -> int_of "n" np = Some n) (points new_j)
+            List.find_opt (fun np -> int_of "n" np = Some n) new_points
           with
           | None -> reg "point n=%d missing from %s" n new_path
           | Some np ->
@@ -749,7 +732,7 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
                         (space_band *. 100.)
                   | _ -> ())
                 (peaks op)))
-    (points old_j);
+    old_points;
   match List.rev !regressions with
   | [] ->
       Format.printf "bench compare: %s vs %s: no regressions@." old_path
@@ -821,7 +804,7 @@ let bench_cmd =
   in
   let bench file expr name_opt ns variant perm stack_policy no_annot vm_fast
       fuel timeout space_budget output_cap linked models json keep_going jobs
-      cache_dir baseline_out compare new_pos wall_band space_band =
+      baseline_out compare new_pos wall_band space_band =
     if compare then begin
       match (file, new_pos) with
       | Some old_path, Some new_path ->
@@ -834,17 +817,14 @@ let bench_cmd =
     end;
     let measure = measure_of ~linked ~models in
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
-    (* [cache_source] is the program's identity in the cache key: the
-       corpus tag, or the source text itself for files and inline
-       expressions — editing the program invalidates its entries. *)
-    let name, cache_source, program =
+    let name, program =
       match name_opt with
       | Some entry_name -> (
           match Corpus.find entry_name with
           | None ->
               Format.eprintf "schemesim: unknown corpus entry %S@." entry_name;
               exit 2
-          | Some e -> (entry_name, "corpus:" ^ entry_name, Corpus.program e))
+          | Some e -> (entry_name, Corpus.program e))
       | None -> (
           match load_source file expr with
           | Error m ->
@@ -858,14 +838,12 @@ let bench_cmd =
               | exception Expand.Expand_error e ->
                   Format.eprintf "schemesim: %a@." Expand.pp_error e;
                   exit 2
-              | program -> (name, "source:" ^ source, program)))
+              | program -> (name, program)))
     in
     let budget =
       make_budget ?timeout_s:timeout ?space_words:space_budget
         ?output_bytes:output_cap ()
     in
-    let cache = Option.map (fun dir -> Mcache.create ~dir ()) cache_dir in
-    let cache_source = Option.map (fun _ -> cache_source) cache in
     let started = Res.Clock.now () in
     let config =
       M.Config.make ~engine ~variant ~perm ~stack_policy
@@ -875,7 +853,7 @@ let bench_cmd =
       Pool.with_pool ?jobs (fun pool ->
           if keep_going then
             `Supervised
-              (R.sweep_supervised ?pool ?cache ?cache_source
+              (R.sweep_supervised ?pool
                  ~opts:
                    (M.Run_opts.make
                       ~budget:{ budget with Res.Budget.fuel = Some fuel }
@@ -883,16 +861,11 @@ let bench_cmd =
                  ~collect_telemetry:true ~config ~program ~ns ())
           else
             `Plain
-              (R.sweep ?pool ?cache ?cache_source
+              (R.sweep ?pool
                  ~opts:(M.Run_opts.make ~fuel ~budget ~measure ())
                  ~collect_telemetry:true ~config ~program ~ns ()))
     in
     let wall_s = Res.Clock.now () -. started in
-    (match cache with
-    | Some c ->
-        Format.eprintf "; cache: %d hits, %d misses@." (Mcache.hits c)
-          (Mcache.misses c)
-    | None -> ());
     (match baseline_out with
     | None -> ()
     | Some path ->
@@ -918,15 +891,6 @@ let bench_cmd =
                   (match jobs with Some j -> max 1 j | None -> Pool.default_jobs ())
               );
               ("wall_s", Json.Float wall_s);
-              ( "cache",
-                match cache with
-                | Some c ->
-                    Json.Obj
-                      [
-                        ("hits", Json.Int (Mcache.hits c));
-                        ("misses", Json.Int (Mcache.misses c));
-                      ]
-                | None -> Json.Null );
               ( "points",
                 Json.List
                   (List.map
@@ -996,19 +960,10 @@ let bench_cmd =
     in
     if failed then exit 1
   in
-  let cache_dir_arg =
-    let doc =
-      "Cache measured points as JSON files under $(docv) (created if \
-       missing); a re-run with the same program and configuration replays \
-       cached points instead of measuring them."
-    in
-    Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-  in
   let baseline_out_arg =
     let doc =
       "Write a machine-readable baseline (deterministic per-point results \
-       plus wall-clock, job count, cache statistics, and merged telemetry) \
-       to $(docv)."
+       plus wall-clock, job count, and merged telemetry) to $(docv)."
     in
     Arg.(
       value
@@ -1024,7 +979,8 @@ let bench_cmd =
       "Compare two baseline files written by --baseline-out instead of \
        sweeping: bench --compare OLD NEW. Exits 1 on a wall-clock regression \
        beyond --wall-band, any peak-space/space growth beyond --space-band, \
-       a degraded point status, or a missing point."
+       a degraded point status, or a missing point; exits 2 if either file \
+       has no non-empty points list."
     in
     Arg.(value & flag & info [ "compare" ] ~doc)
   in
@@ -1057,7 +1013,7 @@ let bench_cmd =
       $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ vm_fast_arg
       $ fuel_arg $ timeout_arg $ space_budget_arg $ output_cap_arg
       $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg
-      $ cache_dir_arg $ baseline_out_arg $ compare_arg $ new_pos_arg
+      $ baseline_out_arg $ compare_arg $ new_pos_arg
       $ wall_band_arg $ space_band_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -2025,184 +1981,6 @@ let spaceprof_cmd =
       $ variant_arg $ vm_fast_arg $ fuel_arg $ linked_arg
       $ model_arg $ json_arg $ flamegraph_arg $ diff_arg $ top_arg)
 
-(* ------------------------------------------------------------------ *)
-(* serve / loadgen                                                     *)
-
-module Server = Tailspace_serve.Server
-module Sproto = Tailspace_serve.Protocol
-module Loadgen = Tailspace_serve.Loadgen
-
-let host_arg =
-  let doc = "Address to bind or connect to." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc)
-
-let port_arg =
-  let doc = "TCP port (0 asks the kernel for an ephemeral port)." in
-  Arg.(value & opt int 7464 & info [ "port" ] ~docv:"PORT" ~doc)
-
-let socket_arg =
-  let doc = "Serve on a Unix-domain socket at $(docv) instead of TCP." in
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
-
-let endpoint_of ~host ~port ~socket =
-  match socket with
-  | Some path -> Sproto.Unix_domain path
-  | None -> Sproto.Tcp (host, port)
-
-let serve_cmd =
-  let jobs_arg =
-    let doc = "Worker domains (default: the machine's core count)." in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  let queue_arg =
-    let doc = "Admission queue capacity; beyond it requests are shed." in
-    Arg.(value & opt int 256 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let rate_arg =
-    let doc =
-      "Per-tenant token-bucket refill rate, requests/second (0 disables \
-       quotas)."
-    in
-    Arg.(value & opt float 50. & info [ "tenant-rate" ] ~docv:"RPS" ~doc)
-  in
-  let burst_arg =
-    let doc = "Per-tenant token-bucket burst." in
-    Arg.(value & opt float 100. & info [ "tenant-burst" ] ~docv:"N" ~doc)
-  in
-  let drain_arg =
-    let doc =
-      "Graceful-shutdown deadline: seconds to finish queued and in-flight \
-       work after SIGTERM before forcing exit."
-    in
-    Arg.(value & opt float 30. & info [ "drain-timeout" ] ~docv:"SECONDS" ~doc)
-  in
-  let max_fuel_arg =
-    let doc = "Server-side ceiling on any request's fuel budget." in
-    Arg.(value & opt int 5_000_000 & info [ "max-fuel" ] ~docv:"STEPS" ~doc)
-  in
-  let max_timeout_arg =
-    let doc = "Server-side ceiling on any request's wall-clock budget." in
-    Arg.(value & opt float 10. & info [ "max-timeout" ] ~docv:"SECONDS" ~doc)
-  in
-  let serve port host socket jobs queue rate burst drain max_fuel max_timeout =
-    let ep = endpoint_of ~host ~port ~socket in
-    let config =
-      {
-        Server.default_config with
-        Server.jobs =
-          Option.value ~default:Server.default_config.Server.jobs jobs;
-        Server.queue_capacity = queue;
-        Server.tenant_rate = rate;
-        Server.tenant_burst = burst;
-        Server.drain_timeout_s = drain;
-        Server.policy =
-          {
-            Server.default_policy with
-            Server.max_fuel;
-            Server.max_timeout_s = max_timeout;
-          };
-      }
-    in
-    let t =
-      try Server.create ~config ep
-      with Unix.Unix_error (e, _, _) ->
-        Format.eprintf "schemesim serve: cannot bind %s: %s@."
-          (Sproto.endpoint_name ep) (Unix.error_message e);
-        exit 2
-    in
-    (* OCaml signal handlers run at safepoints on the main thread; the
-       accept loop's select wakes with EINTR and re-polls the flag *)
-    let stop _ = Server.shutdown t in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    (match Server.port t with
-    | Some p -> Format.printf "schemesim serve: listening on %s:%d@." host p
-    | None ->
-        Format.printf "schemesim serve: listening on %s@."
-          (Sproto.endpoint_name ep));
-    (* parent scripts scrape the port from this line *)
-    Format.print_flush ();
-    match Server.run t with
-    | Server.Drained ->
-        Format.printf "schemesim serve: drained cleanly@.";
-        exit 0
-    | Server.Forced ->
-        Format.eprintf
-          "schemesim serve: drain deadline passed; forced shutdown@.";
-        exit 1
-  in
-  let doc =
-    "Run the evaluation service: a fault-tolerant daemon that evaluates, \
-     sweeps, and censuses programs over the length-prefixed JSON protocol, \
-     with admission control, per-tenant quotas, and graceful SIGTERM drain."
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const serve $ port_arg $ host_arg $ socket_arg $ jobs_arg $ queue_arg
-      $ rate_arg $ burst_arg $ drain_arg $ max_fuel_arg $ max_timeout_arg)
-
-let loadgen_cmd =
-  let clients_arg =
-    let doc = "Concurrent closed-loop clients." in
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc)
-  in
-  let requests_arg =
-    let doc = "Requests each client issues." in
-    Arg.(value & opt int 25 & info [ "requests" ] ~docv:"N" ~doc)
-  in
-  let poison_arg =
-    let doc =
-      "Percentage of requests drawn from the poison mix (fuel burners, \
-       space blow-ups, deadline busters, output floods, stuck states, \
-       unparsable sources)."
-    in
-    Arg.(value & opt int 20 & info [ "poison" ] ~docv:"PCT" ~doc)
-  in
-  let seed_arg =
-    let doc = "Workload seed: same seed, same request sequence." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let retries_arg =
-    let doc = "Retry budget per rejected request (seeded backoff)." in
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let out_arg =
-    let doc = "Also write the JSON report to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
-  in
-  let loadgen port host socket clients requests poison seed retries out =
-    if poison < 0 || poison > 100 then begin
-      Format.eprintf "schemesim loadgen: --poison must be in 0..100@.";
-      exit 2
-    end;
-    let ep = endpoint_of ~host ~port ~socket in
-    let report =
-      try
-        Loadgen.run ~clients ~requests_per_client:requests ~poison_pct:poison
-          ~seed ~max_retries:retries ep
-      with Unix.Unix_error (e, _, _) ->
-        Format.eprintf "schemesim loadgen: cannot reach %s: %s@."
-          (Sproto.endpoint_name ep) (Unix.error_message e);
-        exit 2
-    in
-    let json = Json.to_string (Loadgen.report_to_json report) in
-    (match out with Some path -> write_file path (json ^ "\n") | None -> ());
-    print_endline json;
-    (* clean run: every request answered with a typed response and no
-       connection reset by the server *)
-    if report.Loadgen.unanswered > 0 || report.Loadgen.resets > 0 then exit 1
-    else exit 0
-  in
-  let doc =
-    "Drive a running evaluation service with a seeded closed-loop workload \
-     (including poison programs) and report latency percentiles and the \
-     outcome-taxonomy histogram as JSON."
-  in
-  Cmd.v (Cmd.info "loadgen" ~doc)
-    Term.(
-      const loadgen $ port_arg $ host_arg $ socket_arg $ clients_arg
-      $ requests_arg $ poison_arg $ seed_arg $ retries_arg $ out_arg)
-
 let () =
   let doc =
     "reference implementations for 'Proper Tail Recursion and Space \
@@ -2223,6 +2001,4 @@ let () =
             report_cmd;
             faults_cmd;
             spaceprof_cmd;
-            serve_cmd;
-            loadgen_cmd;
           ]))

@@ -35,14 +35,7 @@ type engine = Stepper | Vm_fast
 
 let engine_name = function Stepper -> "stepper" | Vm_fast -> "vm-fast"
 
-let engine_of_name = function
-  | "stepper" -> Some Stepper
-  | "vm-fast" -> Some Vm_fast
-  | _ -> None
-
 module Config = struct
-  module Json = Telemetry.Json
-
   type t = {
     variant : variant;
     perm : perm_policy;
@@ -73,92 +66,6 @@ module Config = struct
       ?(engine = default.engine) () =
     { variant; perm; stack_policy; return_env; evlis_drop_at_creation; seed;
       annotate; engine }
-
-  let perm_name = function
-    | Left_to_right -> "ltr"
-    | Right_to_left -> "rtl"
-    | Seeded s -> "seeded:" ^ string_of_int s
-
-  let perm_of_name s =
-    match s with
-    | "ltr" -> Some Left_to_right
-    | "rtl" -> Some Right_to_left
-    | _ -> (
-        match String.index_opt s ':' with
-        | Some i
-          when String.sub s 0 i = "seeded" -> (
-            match
-              int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-            with
-            | Some seed -> Some (Seeded seed)
-            | None -> None)
-        | _ -> None)
-
-  let stack_policy_name = function
-    | Algol -> "algol"
-    | Safe_deletion -> "safe"
-
-  let stack_policy_of_name = function
-    | "algol" -> Some Algol
-    | "safe" -> Some Safe_deletion
-    | _ -> None
-
-  let return_env_name = function
-    | Closure_env -> "closure"
-    | Register_env -> "register"
-
-  let return_env_of_name = function
-    | "closure" -> Some Closure_env
-    | "register" -> Some Register_env
-    | _ -> None
-
-  let to_json t =
-    Json.Obj
-      [
-        ("variant", Json.Str (variant_name t.variant));
-        ("perm", Json.Str (perm_name t.perm));
-        ("stack_policy", Json.Str (stack_policy_name t.stack_policy));
-        ("return_env", Json.Str (return_env_name t.return_env));
-        ("evlis_drop_at_creation", Json.Bool t.evlis_drop_at_creation);
-        ("seed", Json.Int t.seed);
-        ("annotate", Json.Bool t.annotate);
-        ("engine", Json.Str (engine_name t.engine));
-      ]
-
-  let of_json json =
-    let ( let* ) = Result.bind in
-    let field name decode =
-      match Json.member name json with
-      | None -> Error (Printf.sprintf "config: missing field %S" name)
-      | Some v -> (
-          match decode v with
-          | Some x -> Ok x
-          | None -> Error (Printf.sprintf "config: bad field %S" name))
-    in
-    let str decode = function Json.Str s -> decode s | _ -> None in
-    let bool = function Json.Bool b -> Some b | _ -> None in
-    let int = function Json.Int i -> Some i | _ -> None in
-    let* variant = field "variant" (str variant_of_name) in
-    let* perm = field "perm" (str perm_of_name) in
-    let* stack_policy = field "stack_policy" (str stack_policy_of_name) in
-    let* return_env = field "return_env" (str return_env_of_name) in
-    let* evlis_drop_at_creation = field "evlis_drop_at_creation" bool in
-    let* seed = field "seed" int in
-    let* annotate = field "annotate" bool in
-    (* [engine] arrived after the first serialized configs; a missing
-       field means the classic stepper. *)
-    let* engine =
-      match Json.member "engine" json with
-      | None -> Ok Stepper
-      | Some (Json.Str s) -> (
-          match engine_of_name s with
-          | Some e -> Ok e
-          | None -> Error "config: bad field \"engine\"")
-      | Some _ -> Error "config: bad field \"engine\""
-    in
-    Ok
-      { variant; perm; stack_policy; return_env; evlis_drop_at_creation; seed;
-        annotate; engine }
 end
 
 type t = {

@@ -48,20 +48,16 @@ type return_env = Closure_env | Register_env
     reference interpreter (this module's {!exec}), the only engine that
     measures space; [Vm_fast] is the bytecode VM with accounting
     compiled out (answers only), which lives in [Tailspace_vm.Vm]. The
-    config field just names the choice so the harness can key caches on
-    it. *)
+    config field just names the choice so the harness can route a point
+    to it. *)
 type engine = Stepper | Vm_fast
 
 val engine_name : engine -> string
 (** ["stepper"], ["vm-fast"]. *)
 
-val engine_of_name : string -> engine option
-
 (** The full identity of a machine: every knob {!create_with} consumes,
-    as one first-class, serializable record. Two machines built from
-    equal configs behave identically, and [to_json] is a complete,
-    canonical description — the harness derives sweep cache keys from
-    it and the CLI prints it. *)
+    as one first-class record. Two machines built from equal configs
+    behave identically. *)
 module Config : sig
   type t = {
     variant : variant;
@@ -100,19 +96,6 @@ module Config : sig
     unit ->
     t
   (** {!default} with the given fields replaced. *)
-
-  val perm_name : perm_policy -> string
-  (** ["ltr"], ["rtl"], ["seeded:<seed>"]. *)
-
-  val perm_of_name : string -> perm_policy option
-  val stack_policy_name : stack_policy -> string
-  val stack_policy_of_name : string -> stack_policy option
-  val return_env_name : return_env -> string
-  val return_env_of_name : string -> return_env option
-
-  val to_json : t -> Tailspace_telemetry.Telemetry.Json.t
-  val of_json : Tailspace_telemetry.Telemetry.Json.t -> (t, string) result
-  (** Inverse of {!to_json}. *)
 end
 
 type t

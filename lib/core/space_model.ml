@@ -1,5 +1,3 @@
-module Json = Tailspace_telemetry.Telemetry.Json
-
 type t = Flat | Linked | Log
 
 let all = [ Flat; Linked; Log ]
@@ -21,27 +19,3 @@ let mem m ms = List.exists (equal m) ms
 
 let normalize ms =
   List.filter (fun m -> mem m ms || equal m Flat) all
-
-let names ms = String.concat "+" (List.map name (normalize ms))
-let to_json m = Json.Str (name m)
-
-let of_json = function
-  | Json.Str s -> (
-      match of_name s with
-      | Some m -> Ok m
-      | None -> Error (Printf.sprintf "space_model: unknown model %S" s))
-  | _ -> Error "space_model: expected a string"
-
-let list_to_json ms = Json.List (List.map to_json (normalize ms))
-
-let list_of_json = function
-  | Json.List l ->
-      let rec go acc = function
-        | [] -> Ok (normalize (List.rev acc))
-        | j :: rest -> (
-            match of_json j with
-            | Ok m -> go (m :: acc) rest
-            | Error _ as e -> e)
-      in
-      go [] l
-  | _ -> Error "space_model: expected a list of model names"

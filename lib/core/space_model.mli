@@ -57,19 +57,3 @@ val normalize : t list -> t list
     always measured. [normalize [] = [Flat]]. *)
 
 val mem : t -> t list -> bool
-
-val names : t list -> string
-(** Canonical [+]-separated key, e.g. ["flat+linked"] - stable across
-    runs, used in cache keys. Normalizes first. *)
-
-val to_json : t -> Tailspace_telemetry.Telemetry.Json.t
-
-val of_json : Tailspace_telemetry.Telemetry.Json.t -> (t, string) result
-
-val list_to_json : t list -> Tailspace_telemetry.Telemetry.Json.t
-(** A JSON list of model names, in canonical order. *)
-
-val list_of_json :
-  Tailspace_telemetry.Telemetry.Json.t -> (t list, string) result
-(** Accepts a JSON list of model-name strings; the result is
-    normalized. *)

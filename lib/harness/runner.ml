@@ -5,9 +5,7 @@ module Bignum = Tailspace_bignum.Bignum
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
-module Cache = Tailspace_parallel.Cache
 module Vm = Tailspace_vm.Vm
-module Json = Telemetry.Json
 
 type status =
   | Answer of string
@@ -54,7 +52,7 @@ let input_expr n = Ast.Quote (Ast.C_int (Bignum.of_int n))
 let measure_with machine ?(opts = Machine.Run_opts.default)
     ?(collect_telemetry = false) ~program ~n () =
   (* [collect_telemetry] attaches a fresh telemetry instance per point
-     (never shared through [opts]), so cached and parallel sweeps stay
+     (never shared through [opts]), so parallel sweeps stay
      deterministic. *)
   let telemetry =
     if collect_telemetry then Some (Telemetry.create ())
@@ -119,194 +117,15 @@ let run_once ?opts ?collect_telemetry ?(config = Machine.Config.default)
   | Machine.Vm_fast ->
       measure_vm config ?opts ?collect_telemetry ~program ~n ()
 
-(* {2 Measurement codecs}
-
-   A cached measurement must round-trip exactly, including the abort
-   reason and the telemetry summary, so a cache-warm sweep is
-   indistinguishable from a cold one. *)
-
-let status_to_json = function
-  | Answer a -> Json.Obj [ ("kind", Json.Str "answer"); ("value", Json.Str a) ]
-  | Stuck m -> Json.Obj [ ("kind", Json.Str "stuck"); ("message", Json.Str m) ]
-  | Aborted r ->
-      Json.Obj
-        [
-          ("kind", Json.Str "aborted");
-          ("reason", Resilience.abort_reason_to_json r);
-        ]
-
-let str_field name json =
-  match Json.member name json with
-  | Some (Json.Str s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
-
-let int_field name json =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing integer field %S" name)
-
-let ( let* ) = Result.bind
-
-let status_of_json json =
-  let* kind = str_field "kind" json in
-  match kind with
-  | "answer" ->
-      let* v = str_field "value" json in
-      Ok (Answer v)
-  | "stuck" ->
-      let* m = str_field "message" json in
-      Ok (Stuck m)
-  | "aborted" -> (
-      match Json.member "reason" json with
-      | Some r ->
-          Result.map (fun r -> Aborted r) (Resilience.abort_reason_of_json r)
-      | None -> Error "status: missing field \"reason\"")
-  | k -> Error (Printf.sprintf "status: unknown kind %S" k)
-
-(* Unmeasured models are *omitted* from the peaks object — never
-   emitted as null — so partial supervised sweeps degrade gracefully
-   on re-read instead of tripping a strict decoder. *)
-let peaks_to_json peaks =
-  Json.Obj
-    (List.map (fun (m, p) -> (Space_model.name m, Json.Int p)) peaks)
-
-let peaks_of_json json =
-  match json with
-  | Json.Obj fields ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | (name, Json.Int p) :: rest -> (
-            match Space_model.of_name name with
-            | Some m -> go ((m, p) :: acc) rest
-            | None -> Error (Printf.sprintf "peaks: unknown model %S" name))
-        | (name, _) :: _ ->
-            Error (Printf.sprintf "peaks: field %S must be an integer" name)
-      in
-      go [] fields
-  | _ -> Error "peaks: expected an object"
-
-let measurement_to_json m =
-  Json.Obj
-    [
-      ("n", Json.Int m.n);
-      ("space", Json.Int m.space);
-      ("peaks", peaks_to_json m.peaks);
-      ("steps", Json.Int m.steps);
-      ("status", status_to_json m.status);
-      ("gc_runs", Json.Int m.gc_runs);
-      ( "summary",
-        match m.summary with
-        | Some s -> Telemetry.summary_to_json s
-        | None -> Json.Null );
-    ]
-
-let measurement_of_json json =
-  let* n = int_field "n" json in
-  let* space = int_field "space" json in
-  let* steps = int_field "steps" json in
-  let* gc_runs = int_field "gc_runs" json in
-  let* peaks =
-    match Json.member "peaks" json with
-    | Some p -> peaks_of_json p
-    | None -> Ok []
-  in
-  let* status =
-    match Json.member "status" json with
-    | Some s -> status_of_json s
-    | None -> Error "measurement: missing field \"status\""
-  in
-  let* summary =
-    match Json.member "summary" json with
-    | Some Json.Null | None -> Ok None
-    | Some s -> Result.map Option.some (Telemetry.summary_of_json s)
-  in
-  Ok { n; space; peaks; steps; status; gc_runs; summary }
-
-(* {2 Cache keys}
-
-   Everything that can change a measurement goes into the key: the
-   program identity supplied by the caller ([cache_source] — source
-   text, or a corpus tag), the machine configuration, the governor
-   budget, the fault plan, and the input. The leading version tag
-   invalidates old entries whenever the codec or the semantics of a
-   part changes. *)
-
-let point_key ~source ?(opts = Machine.Run_opts.default)
-    ?(collect_telemetry = false) ~config ~extra ~n () =
-  let opt f = function Some v -> f v | None -> "default" in
-  Cache.key
-    ([
-       (* v4: [measure_linked : bool] became the [Space_model] list and
-          the measurement codec grew the per-model [peaks] object; old
-          v3 entries (boolean key part, [linked]/[peak_space] fields)
-          simply miss and recompute. *)
-       "tailspace-measurement-v4";
-       source;
-       (* The machine part of the key is the canonical serialized
-          config, so anything that can change a machine's behavior —
-          including the annotation toggle and the seed — is keyed. *)
-       Json.to_string (Machine.Config.to_json config);
-       string_of_int opts.Machine.Run_opts.fuel;
-       opt
-         (fun b -> Json.to_string (Resilience.Budget.to_json b))
-         opts.Machine.Run_opts.budget;
-       opt
-         (fun f -> Json.to_string (Resilience.Fault.to_json f))
-         opts.Machine.Run_opts.fault;
-       Space_model.names opts.Machine.Run_opts.measure;
-       (match opts.Machine.Run_opts.gc_policy with
-       | `Exact -> "exact"
-       | `Approximate -> "approximate");
-       string_of_bool collect_telemetry;
-       string_of_int n;
-     ]
-    @ extra)
-
-(* Probe the cache for every input, compute only the misses (fanned out
-   on the pool when given), then store the fresh results and reassemble
-   the table in input order. Cache traffic stays on the calling domain;
-   workers only ever run the pure task. *)
-let through_cache ~cache ~key ~decode ~encode ~task ?pool ns =
-  let probed =
-    List.map
-      (fun n ->
-        let hit =
-          Option.bind (Cache.find cache (key n)) (fun j ->
-              Result.to_option (decode j))
-        in
-        (n, hit))
-      ns
-  in
-  let missing = List.filter_map (fun (n, h) -> if h = None then Some n else None) probed in
-  let fresh = ref (Pool.map ?pool task missing) in
-  List.map
-    (fun (n, hit) ->
-      match hit with
-      | Some v -> v
-      | None -> (
-          match !fresh with
-          | v :: rest ->
-              fresh := rest;
-              Cache.store cache (key n) (encode v);
-              v
-          | [] -> assert false))
-    probed
-
-let sweep ?pool ?cache ?cache_source ?opts ?collect_telemetry
-    ?(config = Machine.Config.default) ~program ~ns () =
+let sweep ?pool ?opts ?collect_telemetry ?(config = Machine.Config.default)
+    ~program ~ns () =
   (* Each point runs on a fresh machine so results depend only on the
      point itself — not on sweep order, job count, or RNG state carried
      over from earlier inputs. This is what makes parallel sweeps
      byte-identical to serial ones. *)
-  let task n = run_once ?opts ?collect_telemetry ~config ~program ~n () in
-  match (cache, cache_source) with
-  | Some cache, Some source ->
-      let key n =
-        point_key ~source ?opts ?collect_telemetry ~config ~extra:[] ~n ()
-      in
-      through_cache ~cache ~key ~decode:measurement_of_json
-        ~encode:measurement_to_json ~task ?pool ns
-  | _ -> Pool.map ?pool task ns
+  Pool.map ?pool
+    (fun n -> run_once ?opts ?collect_telemetry ~config ~program ~n ())
+    ns
 
 (* {2 The crash-proof sweep supervisor} *)
 
@@ -333,30 +152,10 @@ let crashed_measurement n message =
     summary = None;
   }
 
-let supervised_point_to_json p =
-  Json.Obj
-    [
-      ("measurement", measurement_to_json p.measurement);
-      ("attempts", Json.Int p.attempts);
-      ("note", match p.note with Some s -> Json.Str s | None -> Json.Null);
-    ]
-
-let supervised_point_of_json json =
-  let* measurement =
-    match Json.member "measurement" json with
-    | Some m -> measurement_of_json m
-    | None -> Error "supervised_point: missing field \"measurement\""
-  in
-  let* attempts = int_field "attempts" json in
-  let note =
-    match Json.member "note" json with Some (Json.Str s) -> Some s | _ -> None
-  in
-  Ok { measurement; attempts; note }
-
-let sweep_supervised ?pool ?cache ?cache_source
-    ?(opts = Machine.Run_opts.default) ?collect_telemetry
-    ?(config = Machine.Config.default) ?(max_attempts = 3) ?(fuel_factor = 4)
-    ?(fuel_cap = 50_000_000) ?(initial_fuel = 1_000_000) ~program ~ns () =
+let sweep_supervised ?pool ?(opts = Machine.Run_opts.default)
+    ?collect_telemetry ?(config = Machine.Config.default) ?(max_attempts = 3)
+    ?(fuel_factor = 4) ?(fuel_cap = 50_000_000) ?(initial_fuel = 1_000_000)
+    ~program ~ns () =
   let base_budget =
     Option.value opts.Machine.Run_opts.budget
       ~default:Resilience.Budget.unlimited
@@ -406,25 +205,7 @@ let sweep_supervised ?pool ?cache ?cache_source
     in
     attempt 1 start_fuel
   in
-  let points =
-    match (cache, cache_source) with
-    | Some cache, Some source ->
-        let key n =
-          point_key ~source ~opts ?collect_telemetry ~config
-            ~extra:
-              [
-                "supervised";
-                string_of_int max_attempts;
-                string_of_int fuel_factor;
-                string_of_int fuel_cap;
-                string_of_int initial_fuel;
-              ]
-            ~n ()
-        in
-        through_cache ~cache ~key ~decode:supervised_point_of_json
-          ~encode:supervised_point_to_json ~task:supervise ?pool ns
-    | _ -> Pool.map ?pool supervise ns
-  in
+  let points = Pool.map ?pool supervise ns in
   let answered =
     List.length
       (List.filter

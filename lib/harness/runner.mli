@@ -6,7 +6,6 @@ module Space_model = Tailspace_core.Space_model
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
-module Cache = Tailspace_parallel.Cache
 
 type status =
   | Answer of string
@@ -65,22 +64,11 @@ val run_once :
     are [0]/absent — the tier compiles accounting out.
     [collect_telemetry] (default [false]) attaches a fresh telemetry
     instance to the run — overriding any instance in [opts], which must
-    not be shared across cached or parallel points — and stores its
-    summary in the measurement. *)
-
-val status_to_json : status -> Telemetry.Json.t
-val status_of_json : Telemetry.Json.t -> (status, string) result
-
-val measurement_to_json : measurement -> Telemetry.Json.t
-
-val measurement_of_json : Telemetry.Json.t -> (measurement, string) result
-(** Exact inverse of {!measurement_to_json}, abort reasons and telemetry
-    summaries included — what the result cache stores per sweep point. *)
+    not be shared across parallel points — and stores its summary in the
+    measurement. *)
 
 val sweep :
   ?pool:Pool.t ->
-  ?cache:Cache.t ->
-  ?cache_source:string ->
   ?opts:Machine.Run_opts.t ->
   ?collect_telemetry:bool ->
   ?config:Machine.Config.t ->
@@ -93,15 +81,7 @@ val sweep :
     order, of the [pool]'s job count, and of machine state (notably the
     RNG) left behind by earlier inputs. With a [pool], points are
     measured concurrently and returned in input order — the table is
-    byte-identical to the serial one. With [cache] and [cache_source]
-    (the program's identity: its source text, or a corpus tag), points
-    already measured under the same configuration are replayed from the
-    cache and only the misses run; the cache is touched only from the
-    calling domain. Cache keys embed the canonical
-    {!Machine.Config.to_json} serialization and the canonical
-    {!Space_model.names} of the requested measure list (version tag
-    [tailspace-measurement-v4]), so any knob that can change a
-    measurement — including the annotation toggle — is keyed. *)
+    byte-identical to the serial one. *)
 
 (** {1 The crash-proof sweep supervisor}
 
@@ -123,15 +103,8 @@ type supervised = {
   degraded : int;  (** points whose final status is not [Answer] *)
 }
 
-val supervised_point_to_json : supervised_point -> Telemetry.Json.t
-
-val supervised_point_of_json :
-  Telemetry.Json.t -> (supervised_point, string) result
-
 val sweep_supervised :
   ?pool:Pool.t ->
-  ?cache:Cache.t ->
-  ?cache_source:string ->
   ?opts:Machine.Run_opts.t ->
   ?collect_telemetry:bool ->
   ?config:Machine.Config.t ->
@@ -156,8 +129,7 @@ val sweep_supervised :
     abort reason in the measurement status and a human note.
 
     Points run on fresh machines (one per attempt) and are independent,
-    so [pool], [cache], and [cache_source] behave exactly as in {!sweep};
-    the supervision parameters are part of the cache key. *)
+    so [pool] behaves exactly as in {!sweep}. *)
 
 val spaces : measurement list -> (int * int) list
 (** [(n, space)] pairs of the successful measurements. *)

@@ -1,14 +1,14 @@
 (* A fixed set of worker domains draining a shared queue. One mutex
-   guards everything (the queue, the shutdown flag, each map's
-   completion counter, and every handle's result slot); two conditions
-   signal "work arrived" to workers and "a result landed" to waiters.
+   guards everything (the queue, the shutdown flag, and each map's
+   completion counter and result slots); two conditions signal "work
+   arrived" to workers and "a result landed" to the waiting caller.
    Tasks are thunks that have already captured their result slot, so
    the pool itself is untyped. *)
 
 type t = {
   mutex : Mutex.t;
   work_arrived : Condition.t;  (* workers wait here *)
-  result_landed : Condition.t;  (* submitters and awaiters wait here *)
+  result_landed : Condition.t;  (* the mapping caller waits here *)
   queue : (unit -> unit) Queue.t;
   mutable shutting_down : bool;
   mutable domains : unit Domain.t array;
@@ -52,8 +52,6 @@ let create ?jobs () =
   pool.domains <-
     Array.init jobs (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
-
-let jobs pool = Array.length pool.domains
 
 let shutdown pool =
   Mutex.lock pool.mutex;
@@ -127,52 +125,6 @@ let map_on pool f xs =
 
 let map ?pool f xs =
   match pool with None -> List.map f xs | Some pool -> map_on pool f xs
-
-(* ------------------------------------------------------------------ *)
-(* Asynchronous handles                                                *)
-
-type 'a handle = { h_pool : t; mutable h_slot : 'a slot }
-
-let submit pool f =
-  let h = { h_pool = pool; h_slot = Empty } in
-  Mutex.lock pool.mutex;
-  if pool.shutting_down then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.push
-    (fun () ->
-      let r =
-        match f () with
-        | y -> Ok_ y
-        | exception e -> Err (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock pool.mutex;
-      h.h_slot <- r;
-      Condition.broadcast pool.result_landed;
-      Mutex.unlock pool.mutex)
-    pool.queue;
-  Condition.signal pool.work_arrived;
-  Mutex.unlock pool.mutex;
-  h
-
-let is_done h =
-  Mutex.lock h.h_pool.mutex;
-  let done_ = match h.h_slot with Empty -> false | _ -> true in
-  Mutex.unlock h.h_pool.mutex;
-  done_
-
-let await h =
-  Mutex.lock h.h_pool.mutex;
-  while match h.h_slot with Empty -> true | _ -> false do
-    Condition.wait h.h_pool.result_landed h.h_pool.mutex
-  done;
-  let r = h.h_slot in
-  Mutex.unlock h.h_pool.mutex;
-  match r with
-  | Ok_ y -> y
-  | Err (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Empty | Discarded -> assert false
 
 let with_pool ?jobs f =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in

@@ -2,10 +2,9 @@
 
     The reference machines are pure over a persistent store, so sweep
     points are embarrassingly parallel; the only shared mutable state is
-    at the edges (telemetry handles, the result cache), which the
-    harness keeps per-task. This pool is the one concurrency primitive
-    in the system: a fixed set of worker domains draining a
-    [Mutex]/[Condition] work queue.
+    at the edges (telemetry handles), which the harness keeps per-task.
+    This pool is the one concurrency primitive in the system: a fixed
+    set of worker domains draining a [Mutex]/[Condition] work queue.
 
     Determinism contract: {!map} returns results in submission order, so
     a parallel map is observationally identical to [List.map] whenever
@@ -23,9 +22,6 @@ val create : ?jobs:int -> unit -> t
     least 1). The pool must eventually be {!shutdown} (or use
     {!with_pool}). *)
 
-val jobs : t -> int
-(** The number of worker domains. *)
-
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?pool f xs] applies [f] to every element, returning results in
     submission order. Without a [pool] this is exactly [List.map f xs]
@@ -35,34 +31,11 @@ val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
     discarded without running (in-flight items finish), and then the
     exception of the {e earliest} failed item (by submission index) is
     re-raised with its backtrace. The workers survive a poisoned batch
-    and the pool stays usable for subsequent batches and submissions.
+    and the pool stays usable for subsequent batches.
 
     Do not call [map] on the same pool from within one of its own tasks:
     the waiting task occupies a worker and the pool can deadlock. The
     harness only maps over leaf-level measurement tasks. *)
-
-(** {1 Asynchronous submission}
-
-    The evaluation service must keep accepting connections while
-    requests run, so it cannot block in {!map}; it enqueues one task at
-    a time and lets the completion land later. A handle is affine in
-    practice: one dispatcher submits, one waiter awaits. *)
-
-type 'a handle
-(** The pending (or completed) result of one submitted task. *)
-
-val submit : t -> (unit -> 'a) -> 'a handle
-(** Enqueue one task without waiting. The caller bounds its own number
-    of outstanding handles (the pool's queue is unbounded by design —
-    admission control lives above it). Raises [Invalid_argument] if the
-    pool is shut down. *)
-
-val await : 'a handle -> 'a
-(** Block until the task completes; returns its result or re-raises its
-    exception with the original backtrace. *)
-
-val is_done : 'a handle -> bool
-(** Whether {!await} would return without blocking. *)
 
 val shutdown : t -> unit
 (** Finish the queued tasks, then join every worker domain. Idempotent. *)

@@ -54,48 +54,6 @@ let abort_reason_to_json reason : Json.t =
   | Injected_fault m -> Obj [ tag; ("fault", Str m) ]
   | Crashed m -> Obj [ tag; ("exception", Str m) ]
 
-let abort_reason_of_json json =
-  let int_field name =
-    match Json.member name json with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "abort_reason: missing integer field %S" name)
-  in
-  let float_field name =
-    match Json.member name json with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "abort_reason: missing float field %S" name)
-  in
-  let str_field name =
-    match Json.member name json with
-    | Some (Json.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "abort_reason: missing string field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* tag = str_field "reason" in
-  match tag with
-  | "out-of-fuel" ->
-      let* limit = int_field "limit" in
-      Ok (Out_of_fuel { limit })
-  | "space-budget" ->
-      let* budget = int_field "budget" in
-      let* live = int_field "live" in
-      Ok (Space_exceeded { budget; live })
-  | "deadline" ->
-      let* timeout_s = float_field "timeout_s" in
-      Ok (Deadline_exceeded { timeout_s })
-  | "output-cap" ->
-      let* cap = int_field "cap" in
-      let* written = int_field "written" in
-      Ok (Output_exceeded { cap; written })
-  | "injected-fault" ->
-      let* m = str_field "fault" in
-      Ok (Injected_fault m)
-  | "crashed" ->
-      let* m = str_field "exception" in
-      Ok (Crashed m)
-  | other -> Error (Printf.sprintf "abort_reason: unknown tag %S" other)
-
 (* ------------------------------------------------------------------ *)
 (* Wall clock                                                          *)
 
@@ -132,65 +90,6 @@ module Budget = struct
 
   let make ?fuel ?space_words ?timeout_s ?output_bytes () =
     { fuel; space_words; timeout_s; output_bytes }
-
-  let is_unlimited t = t = unlimited
-
-  let to_json t : Json.t =
-    let opt name = function
-      | Some i -> [ (name, Json.Int i) ]
-      | None -> []
-    in
-    Obj
-      (opt "fuel" t.fuel @ opt "space_words" t.space_words
-      @ (match t.timeout_s with
-        | Some s -> [ ("timeout_s", Json.Float s) ]
-        | None -> [])
-      @ opt "output_bytes" t.output_bytes)
-
-  let of_json json =
-    match json with
-    | Json.Obj fields ->
-        let bad = ref None in
-        let int_opt name =
-          match List.assoc_opt name fields with
-          | None | Some Json.Null -> None
-          | Some (Json.Int i) -> Some i
-          | Some _ ->
-              bad := Some (Printf.sprintf "budget: %S must be an integer" name);
-              None
-        in
-        let float_opt name =
-          match List.assoc_opt name fields with
-          | None | Some Json.Null -> None
-          | Some (Json.Float f) -> Some f
-          | Some (Json.Int i) -> Some (float_of_int i)
-          | Some _ ->
-              bad := Some (Printf.sprintf "budget: %S must be a number" name);
-              None
-        in
-        let t =
-          {
-            fuel = int_opt "fuel";
-            space_words = int_opt "space_words";
-            timeout_s = float_opt "timeout_s";
-            output_bytes = int_opt "output_bytes";
-          }
-        in
-        (match !bad with None -> Ok t | Some m -> Error m)
-    | _ -> Error "budget: expected an object"
-
-  let clamp ~limit t =
-    let min_opt a b =
-      match (a, b) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (Stdlib.min a b)
-    in
-    {
-      fuel = min_opt limit.fuel t.fuel;
-      space_words = min_opt limit.space_words t.space_words;
-      timeout_s = min_opt limit.timeout_s t.timeout_s;
-      output_bytes = min_opt limit.output_bytes t.output_bytes;
-    }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -249,38 +148,6 @@ module Guard = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Seeded retry backoff                                                *)
-
-module Backoff = struct
-  type t = {
-    base_s : float;
-    factor : float;
-    max_s : float;
-    mutable attempt : int;
-    mutable rng : int;
-  }
-
-  let mask = 0xFFFFFFFFFFFF
-
-  let make ?(base_s = 0.05) ?(factor = 2.0) ?(max_s = 5.0) ?(seed = 1) () =
-    let rng = if seed land mask = 0 then 0x5DEECE66D else seed land mask in
-    { base_s; factor; max_s; attempt = 0; rng }
-
-  let next t =
-    let raw = t.base_s *. (t.factor ** float_of_int t.attempt) in
-    t.attempt <- t.attempt + 1;
-    (* same LCG as the fault layer; jitter in [0.5, 1.0) of the raw
-       delay so synchronized clients decorrelate without ever retrying
-       immediately *)
-    t.rng <- ((t.rng * 0x5DEECE66D) + 0xB) land mask;
-    let unit = float_of_int ((t.rng lsr 16) land 0xFFFF) /. 65536.0 in
-    Float.min t.max_s (raw *. (0.5 +. (unit /. 2.)))
-
-  let attempt t = t.attempt
-  let reset t = t.attempt <- 0
-end
-
-(* ------------------------------------------------------------------ *)
 (* Deterministic fault injection                                       *)
 
 module Fault = struct
@@ -333,27 +200,6 @@ module Fault = struct
     { p with label }
 
   let label p = p.label
-
-  let to_json p : Json.t =
-    Obj
-      ([ ("label", Json.Str p.label) ]
-      @ (if p.gc_at = [] then []
-         else
-           [ ("gc_at", Json.List (List.map (fun s -> Json.Int s) p.gc_at)) ])
-      @ (match p.gc_every with
-        | Some k -> [ ("gc_every", Json.Int k) ]
-        | None -> [])
-      @ (match p.gc_seed with
-        | Some s -> [ ("gc_seed", Json.Int s) ]
-        | None -> [])
-      @ (match p.fail_alloc with
-        | Some n -> [ ("fail_alloc", Json.Int n) ]
-        | None -> [])
-      @
-      match p.fuel_drop with
-      | Some (s, k) ->
-          [ ("fuel_drop_step", Json.Int s); ("fuel_drop_remaining", Json.Int k) ]
-      | None -> [])
 
   exception Injected of string
 

@@ -55,18 +55,12 @@ val abort_reason_message : abort_reason -> string
 val abort_reason_to_json : abort_reason -> Json.t
 (** [{"reason": <tag>, ...payload fields}] *)
 
-val abort_reason_of_json : Json.t -> (abort_reason, string) result
-(** Full inverse of {!abort_reason_to_json}, payload included —
-    [abort_reason_of_json (abort_reason_to_json r)] is [Ok r]. Used by
-    the measurement cache to rehydrate aborted sweep points. *)
-
 (** {1 Wall clock} *)
 
 module Clock : sig
-  (** The one clock everything in the system reads: {!Guard} deadlines,
-      the server's drain timer and token buckets, bench wall-clocks.
-      The source is injectable so time-dependent tests advance a fake
-      clock instead of sleeping. *)
+  (** The one clock everything in the system reads: {!Guard} deadlines
+      and bench wall-clocks. The source is injectable so time-dependent
+      tests advance a fake clock instead of sleeping. *)
 
   val now : unit -> float
   (** Seconds from the current source (default [Unix.gettimeofday]). *)
@@ -107,51 +101,6 @@ module Budget : sig
     ?output_bytes:int ->
     unit ->
     t
-
-  val is_unlimited : t -> bool
-
-  val to_json : t -> Json.t
-
-  val of_json : Json.t -> (t, string) result
-  (** Inverse of {!to_json}; absent or [null] fields stay unlimited.
-      Used by the evaluation service to parse client budgets. *)
-
-  val clamp : limit:t -> t -> t
-  (** [clamp ~limit client]: the pointwise minimum of the two budgets
-      ([None] is unlimited and never wins against a set limit). The
-      server applies its policy budget as [limit], so a client may
-      always ask for less than the policy allows, never more. *)
-end
-
-(** {1 Retry backoff}
-
-    Capped exponential backoff with seeded jitter, for clients that
-    must retry a structured [retry-after] rejection without
-    synchronizing into thundering herds. Deterministic per seed — the
-    load generator's retry schedule is reproducible. *)
-
-module Backoff : sig
-  type t
-
-  val make :
-    ?base_s:float ->
-    ?factor:float ->
-    ?max_s:float ->
-    ?seed:int ->
-    unit ->
-    t
-  (** Defaults: base 0.05s, factor 2, cap 5s. *)
-
-  val next : t -> float
-  (** The next delay: [base * factor^attempt] jittered into
-      [50%, 100%) of itself, capped at [max_s]; advances the attempt
-      counter and the jitter state. *)
-
-  val attempt : t -> int
-  (** Attempts consumed so far. *)
-
-  val reset : t -> unit
-  (** Back to attempt 0 (the jitter state keeps advancing). *)
 end
 
 (** {1 Enforcement}
@@ -215,7 +164,6 @@ module Fault : sig
       step [s] is reached. *)
 
   val label : plan -> string
-  val to_json : plan -> Json.t
 
   exception Injected of string
   (** Raised by the allocation hook; the machines catch it at the step

@@ -271,16 +271,6 @@ let alloc_kind_name = function
   | K_closure -> "closure"
   | K_escape -> "escape"
 
-let alloc_kind_of_name = function
-  | "atom" -> Some K_atom
-  | "int" -> Some K_int
-  | "string" -> Some K_string
-  | "pair" -> Some K_pair
-  | "vector" -> Some K_vector
-  | "closure" -> Some K_closure
-  | "escape" -> Some K_escape
-  | _ -> None
-
 type gc_reason = Gc_peak | Gc_linked | Gc_final | Gc_forced | Gc_budget
 
 let gc_reason_name = function
@@ -663,110 +653,3 @@ let summary_to_json (s : summary) : Json.t =
       ("peak_log", match s.peak_log with Some p -> Int p | None -> Null);
       ("stuck", match s.stuck with Some m -> Str m | None -> Null);
     ]
-
-let summary_of_json json =
-  let int_field name =
-    match Json.member name json with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "summary: missing integer field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* steps = int_field "steps" in
-  let* gc_runs = int_field "gc_runs" in
-  let* gc_freed = int_field "gc_freed" in
-  let* alloc_words = int_field "alloc_words" in
-  let* max_cont_depth = int_field "max_cont_depth" in
-  let* cont_pushes = int_field "cont_pushes" in
-  let* cont_pops = int_field "cont_pops" in
-  let* store_hwm = int_field "store_hwm" in
-  let* peak_space = int_field "peak_space" in
-  let* peak_linked =
-    match Json.member "peak_linked" json with
-    | Some Json.Null | None -> Ok None
-    | Some (Json.Int i) -> Ok (Some i)
-    | Some _ -> Error "summary: bad peak_linked"
-  in
-  let* peak_log =
-    match Json.member "peak_log" json with
-    | Some Json.Null | None -> Ok None
-    | Some (Json.Int i) -> Ok (Some i)
-    | Some _ -> Error "summary: bad peak_log"
-  in
-  let* stuck =
-    match Json.member "stuck" json with
-    | Some Json.Null | None -> Ok None
-    | Some (Json.Str m) -> Ok (Some m)
-    | Some _ -> Error "summary: bad stuck"
-  in
-  let* allocations =
-    match Json.member "allocations" json with
-    | Some (Json.Obj fields) ->
-        List.fold_left
-          (fun acc (name, v) ->
-            let* acc = acc in
-            match (alloc_kind_of_name name, v) with
-            | Some kind, Json.Int c -> Ok ((kind, c) :: acc)
-            | _ -> Error (Printf.sprintf "summary: bad allocation kind %S" name))
-          (Ok []) fields
-        |> Result.map List.rev
-    | _ -> Error "summary: missing allocations"
-  in
-  Ok
-    {
-      steps;
-      gc_runs;
-      gc_freed;
-      allocations;
-      alloc_words;
-      max_cont_depth;
-      cont_pushes;
-      cont_pops;
-      store_hwm;
-      peak_space;
-      peak_linked;
-      peak_log;
-      stuck;
-    }
-
-(* ------------------------------------------------------------------ *)
-(* Named counter groups                                                *)
-
-module Counters = struct
-  (* One mutex per group: the writers are the server's connection and
-     worker threads, each touching a handful of counters per request,
-     so contention is negligible next to an evaluation. *)
-  type t = { mutex : Mutex.t; cells : (string, int ref) Hashtbl.t }
-
-  let create () = { mutex = Mutex.create (); cells = Hashtbl.create 32 }
-
-  let locked t k =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) k
-
-  let cell t name =
-    match Hashtbl.find_opt t.cells name with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add t.cells name r;
-        r
-
-  let incr ?(by = 1) t name =
-    locked t (fun () ->
-        let r = cell t name in
-        r := !r + by)
-
-  let set t name v = locked t (fun () -> cell t name := v)
-
-  let get t name =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.cells name with Some r -> !r | None -> 0)
-
-  let snapshot t =
-    locked t (fun () ->
-        Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.cells []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-  let to_json t =
-    Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) (snapshot t))
-end

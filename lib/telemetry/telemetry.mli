@@ -56,7 +56,6 @@ type alloc_kind =
 
 val all_alloc_kinds : alloc_kind list
 val alloc_kind_name : alloc_kind -> string
-val alloc_kind_of_name : string -> alloc_kind option
 
 (** Why a collection ran. *)
 type gc_reason =
@@ -212,34 +211,3 @@ val merge_summaries : summary list -> summary
     list merges to the all-zero summary. *)
 
 val summary_to_json : summary -> Json.t
-val summary_of_json : Json.t -> (summary, string) result
-(** Inverse of {!summary_to_json}: [summary_of_json (summary_to_json s)]
-    is [Ok s]. *)
-
-(** {1 Named counter groups}
-
-    A thread-safe bag of named integer counters and gauges — the
-    evaluation service's stats surface (requests admitted/rejected per
-    tenant, responses by outcome, queue depth). Kept here so the server
-    counters render through the same JSON codec as everything else. *)
-
-module Counters : sig
-  type t
-
-  val create : unit -> t
-
-  val incr : ?by:int -> t -> string -> unit
-  (** Add [by] (default 1) to the named counter, creating it at 0. *)
-
-  val set : t -> string -> int -> unit
-  (** Gauge-style overwrite (e.g. current queue depth). *)
-
-  val get : t -> string -> int
-  (** Current value; 0 for a counter never touched. *)
-
-  val snapshot : t -> (string * int) list
-  (** A consistent copy, sorted by name. *)
-
-  val to_json : t -> Json.t
-  (** [snapshot] as one JSON object. *)
-end

@@ -149,7 +149,6 @@ module R = Tailspace_harness.Runner
 module Pool = Tailspace_parallel.Pool
 module S = Tailspace_engines.Secd
 module E = Tailspace_expander.Expand
-module Json = Tailspace_telemetry.Telemetry.Json
 
 (* possibly-open expressions: free variables are the interesting case,
    so unlike test_engines' generator this one deliberately produces
@@ -263,7 +262,7 @@ let prop_secd_compile_equal =
       S.compile e = S.compile ~annot:t e)
 
 (* The end-to-end invariance the oracle enforces, at the sweep level:
-   annotated and unannotated measurements serialize byte-identically,
+   annotated and unannotated sweeps yield equal measurement lists,
    serially and through a 4-domain pool. *)
 let test_annot_sweep_identical () =
   let program =
@@ -271,30 +270,22 @@ let test_annot_sweep_identical () =
       "(define (count n) (if (zero? n) 0 (count (- n 1)))) count"
   in
   let ns = [ 3; 9; 27 ] in
-  let serialize ms =
-    String.concat "\n"
-      (List.map (fun m -> Json.to_string (R.measurement_to_json m)) ms)
-  in
   List.iter
     (fun variant ->
       let sweep ?pool annotate =
-        serialize
-          (R.sweep ?pool
-             ~config:(M.Config.make ~variant ~annotate ())
-             ~program ~ns ())
+        R.sweep ?pool
+          ~config:(M.Config.make ~variant ~annotate ())
+          ~program ~ns ()
       in
       let name = M.variant_name variant in
       let baseline = sweep true in
-      Alcotest.(check string)
-        (name ^ ": jobs=1 annotated = unannotated")
-        baseline (sweep false);
+      let same what ms =
+        Alcotest.(check bool) (name ^ ": " ^ what) true (ms = baseline)
+      in
+      same "jobs=1 annotated = unannotated" (sweep false);
       Pool.with_pool ~jobs:4 (fun pool ->
-          Alcotest.(check string)
-            (name ^ ": jobs=4 annotated")
-            baseline (sweep ?pool true);
-          Alcotest.(check string)
-            (name ^ ": jobs=4 unannotated")
-            baseline (sweep ?pool false)))
+          same "jobs=4 annotated" (sweep ?pool true);
+          same "jobs=4 unannotated" (sweep ?pool false)))
     [ M.Sfs; M.Free; M.Tail ]
 
 let () =

@@ -1,14 +1,12 @@
 (* The parallel measurement engine: the domain pool's ordering and
-   failure contract, the result cache, sweep determinism across job
-   counts (tables must be byte-identical), cache-warm replay, the
-   profile downsampler's alignment invariant, summary merging, and the
-   fault-plan periodic-GC fencepost. *)
+   failure contract, sweep determinism across job counts (tables must
+   be byte-identical), the profile downsampler's alignment invariant,
+   summary merging, and the fault-plan periodic-GC fencepost. *)
 
 module M = Tailspace_core.Machine
 module Tel = Tailspace_telemetry.Telemetry
 module Res = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
-module Cache = Tailspace_parallel.Cache
 module R = Tailspace_harness.Runner
 module X = Tailspace_harness.Experiments
 module G = Tailspace_harness.Growth
@@ -47,7 +45,6 @@ let test_pool_earliest_exception () =
 
 let test_pool_shutdown () =
   let pool = Pool.create ~jobs:2 () in
-  Alcotest.(check int) "jobs" 2 (Pool.jobs pool);
   Pool.shutdown pool;
   Pool.shutdown pool (* idempotent *);
   (match Pool.map ~pool Fun.id [ 1 ] with
@@ -85,73 +82,8 @@ let test_pool_poisoned_batch_discards () =
     "workers reusable after a poisoned batch" [ 2; 4; 6 ]
     (Pool.map ~pool (fun x -> 2 * x) [ 1; 2; 3 ])
 
-let test_pool_submit_await () =
-  with_test_pool ~jobs:2 @@ fun pool ->
-  let handles =
-    List.init 10 (fun i -> Pool.submit pool (fun () -> i * i))
-  in
-  Alcotest.(check (list int))
-    "await returns each result"
-    (List.init 10 (fun i -> i * i))
-    (List.map Pool.await handles);
-  let failing = Pool.submit pool (fun () -> failwith "boom") in
-  (match Pool.await failing with
-  | _ -> Alcotest.fail "await must re-raise the task's exception"
-  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-  (* one task failing poisons nothing else *)
-  Alcotest.(check int) "pool still serves" 7 (Pool.await (Pool.submit pool (fun () -> 7)))
-
-let test_pool_submit_after_shutdown () =
-  let pool = Pool.create ~jobs:1 () in
-  Pool.shutdown pool;
-  match Pool.submit pool (fun () -> 1) with
-  | _ -> Alcotest.fail "submit on a shut-down pool must raise"
-  | exception Invalid_argument _ -> ()
-
 (* ------------------------------------------------------------------ *)
-(* the cache *)
-
-let tmp_dir () = Filename.temp_file "tailspace-cache" "" |> fun f ->
-  Sys.remove f;
-  f
-
-let test_cache_roundtrip () =
-  let c = Cache.create () in
-  let k = Cache.key [ "a"; "b" ] in
-  Alcotest.(check bool) "miss on empty" true (Cache.find c k = None);
-  Cache.store c k (Json.Int 42);
-  Alcotest.(check bool) "hit after store" true (Cache.find c k = Some (Json.Int 42));
-  Alcotest.(check int) "hits" 1 (Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Cache.misses c);
-  Alcotest.(check int) "size" 1 (Cache.size c)
-
-let test_cache_keys_unambiguous () =
-  (* length-prefixed parts: moving a boundary must change the key *)
-  Alcotest.(check bool) "ab|c <> a|bc" false
-    (Cache.key [ "ab"; "c" ] = Cache.key [ "a"; "bc" ]);
-  Alcotest.(check bool) "order matters" false
-    (Cache.key [ "x"; "y" ] = Cache.key [ "y"; "x" ]);
-  Alcotest.(check string) "stable" (Cache.key [ "x" ]) (Cache.key [ "x" ])
-
-let test_cache_persists () =
-  let dir = tmp_dir () in
-  let k = Cache.key [ "persisted" ] in
-  let c1 = Cache.create ~dir () in
-  Cache.store c1 k (Json.Obj [ ("v", Json.Str "x") ]);
-  (* a second instance over the same directory sees the entry *)
-  let c2 = Cache.create ~dir () in
-  Alcotest.(check bool) "disk hit" true
-    (Cache.find c2 k = Some (Json.Obj [ ("v", Json.Str "x") ]));
-  (* a corrupt entry is a miss, not an error *)
-  let k_bad = Cache.key [ "corrupt" ] in
-  Out_channel.with_open_bin
-    (Filename.concat dir (k_bad ^ ".json"))
-    (fun oc -> output_string oc "{not json");
-  Alcotest.(check bool) "corrupt entry is a miss" true
-    (Cache.find c2 k_bad = None)
-
-(* ------------------------------------------------------------------ *)
-(* sweeps: parallel = serial, cache-warm = cold *)
+(* sweeps: parallel = serial *)
 
 let countdown =
   Expand.program_of_string
@@ -170,56 +102,6 @@ let test_sweep_parallel_equals_serial () =
   in
   Alcotest.(check bool) "identical supervised sweeps" true
     (s_serial = s_parallel)
-
-let test_sweep_cache_warm () =
-  let dir = tmp_dir () in
-  let cache = Cache.create ~dir () in
-  let ns = [ 10; 20; 40 ] in
-  let sweep () =
-    R.sweep ~cache ~cache_source:"test:countdown"
-      ~config:(M.Config.make ~variant:M.Tail ())
-      ~program:countdown ~ns ~collect_telemetry:true ()
-  in
-  let cold = sweep () in
-  Alcotest.(check int) "cold misses" 3 (Cache.misses cache);
-  Alcotest.(check int) "cold hits" 0 (Cache.hits cache);
-  let warm = sweep () in
-  Alcotest.(check int) "warm hits" 3 (Cache.hits cache);
-  Alcotest.(check int) "warm misses" 3 (Cache.misses cache);
-  Alcotest.(check bool) "warm equals cold" true (cold = warm);
-  (* a second process (fresh cache over the same directory) also replays *)
-  let cache2 = Cache.create ~dir () in
-  let replay =
-    R.sweep ~cache:cache2 ~cache_source:"test:countdown"
-      ~config:(M.Config.make ~variant:M.Tail ())
-      ~program:countdown ~ns ~collect_telemetry:true ()
-  in
-  Alcotest.(check int) "disk hits" 3 (Cache.hits cache2);
-  Alcotest.(check bool) "disk replay equals cold" true (cold = replay);
-  (* a different configuration does not alias *)
-  let _ =
-    R.sweep ~cache:cache2 ~cache_source:"test:countdown"
-      ~config:(M.Config.make ~variant:M.Gc ())
-      ~program:countdown ~ns ~collect_telemetry:true ()
-  in
-  Alcotest.(check int) "other variant misses" 3 (Cache.misses cache2)
-
-let test_measurement_json_roundtrip () =
-  let gc = M.Config.make ~variant:M.Gc () in
-  let ms =
-    R.sweep ~config:gc ~program:countdown ~ns:[ 12 ] ~collect_telemetry:true ()
-  in
-  let aborted =
-    R.sweep
-      ~opts:(M.Run_opts.make ~fuel:10 ())
-      ~config:gc ~program:countdown ~ns:[ 1000 ] ()
-  in
-  List.iter
-    (fun (m : R.measurement) ->
-      match R.measurement_of_json (R.measurement_to_json m) with
-      | Ok m' -> Alcotest.(check bool) "round-trips" true (m = m')
-      | Error e -> Alcotest.failf "decode failed: %s" e)
-    (ms @ aborted)
 
 (* ------------------------------------------------------------------ *)
 (* experiment tables byte-identical across job counts *)
@@ -364,24 +246,11 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "poisoned batch discards" `Quick
             test_pool_poisoned_batch_discards;
-          Alcotest.test_case "submit/await" `Quick test_pool_submit_await;
-          Alcotest.test_case "submit after shutdown" `Quick
-            test_pool_submit_after_shutdown;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip;
-          Alcotest.test_case "keys unambiguous" `Quick
-            test_cache_keys_unambiguous;
-          Alcotest.test_case "persists to disk" `Quick test_cache_persists;
         ] );
       ( "sweeps",
         [
           Alcotest.test_case "parallel = serial" `Quick
             test_sweep_parallel_equals_serial;
-          Alcotest.test_case "cache-warm replay" `Quick test_sweep_cache_warm;
-          Alcotest.test_case "measurement json roundtrip" `Quick
-            test_measurement_json_roundtrip;
         ] );
       ( "experiments",
         [

@@ -269,44 +269,6 @@ let test_fake_clock_deadline () =
     "with_source restored the real clock" true
     (Res.Clock.now () > 1_000_000.)
 
-let test_backoff_deterministic () =
-  let next6 seed =
-    let b = Res.Backoff.make ~seed () in
-    let acc = ref [] in
-    for _ = 1 to 6 do
-      acc := Res.Backoff.next b :: !acc
-    done;
-    (b, List.rev !acc)
-  in
-  let a, xs = next6 42 in
-  let _, ys = next6 42 in
-  Alcotest.(check (list (float 0.))) "same seed, same schedule" xs ys;
-  let _, zs = next6 43 in
-  Alcotest.(check bool) "different seed, different jitter" true (xs <> zs);
-  Alcotest.(check int) "attempts counted" 6 (Res.Backoff.attempt a);
-  List.iteri
-    (fun i d ->
-      let raw = 0.05 *. (2. ** float_of_int i) in
-      let lo = Float.min 5. (raw /. 2.) and hi = Float.min 5. raw in
-      Alcotest.(check bool)
-        (Printf.sprintf "delay %d in [%.3f, %.3f]" i lo hi)
-        true
-        (d >= lo && d <= hi))
-    xs
-
-let test_budget_clamp () =
-  let limit = Res.Budget.make ~fuel:100 ~timeout_s:1. () in
-  let below = Res.Budget.clamp ~limit (Res.Budget.make ~fuel:50 ~space_words:10 ()) in
-  Alcotest.(check (option int)) "client may ask for less" (Some 50) below.Res.Budget.fuel;
-  Alcotest.(check (option int)) "client limits survive" (Some 10) below.Res.Budget.space_words;
-  Alcotest.(check bool) "policy timeout applies" true
-    (below.Res.Budget.timeout_s = Some 1.);
-  let above = Res.Budget.clamp ~limit (Res.Budget.make ~fuel:1_000_000 ()) in
-  Alcotest.(check (option int)) "never more than policy" (Some 100) above.Res.Budget.fuel;
-  let unlimited = Res.Budget.clamp ~limit Res.Budget.unlimited in
-  Alcotest.(check (option int)) "unlimited never beats a set limit" (Some 100)
-    unlimited.Res.Budget.fuel
-
 let () =
   Alcotest.run "resilience"
     [
@@ -338,9 +300,6 @@ let () =
         [
           Alcotest.test_case "fake-clock deadline" `Quick
             test_fake_clock_deadline;
-          Alcotest.test_case "backoff deterministic" `Quick
-            test_backoff_deterministic;
-          Alcotest.test_case "budget clamp" `Quick test_budget_clamp;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_budgets_never_escape ] );

@@ -1,9 +1,8 @@
 (* The space-model vocabulary type and the cross-model laws.
 
-   - Unit: name/of_name and JSON codecs round-trip, [normalize] is
-     canonical and always includes Flat, [names] is the stable cache
-     key, [to_bits] scales words to bits, and a run under the default
-     [Run_opts] measures the flat model only.
+   - Unit: name/of_name round-trip, [normalize] is canonical and
+     always includes Flat, [to_bits] scales words to bits, and a run
+     under the default [Run_opts] measures the flat model only.
    - QCheck: on random (corpus entry, variant, input) the measured raw
      peaks obey the pointwise model laws — [U <= S] (deduplication
      only removes words), [Log >= U] (a pointer costs at least one
@@ -37,10 +36,7 @@ let test_normalize () =
   Alcotest.(check (list model_t))
     "sorted, deduplicated, flat added"
     [ SM.Flat; SM.Linked; SM.Log ]
-    (SM.normalize [ SM.Log; SM.Linked; SM.Log ]);
-  Alcotest.(check string) "cache key" "flat+linked+log"
-    (SM.names [ SM.Log; SM.Linked ]);
-  Alcotest.(check string) "flat-only cache key" "flat" (SM.names [])
+    (SM.normalize [ SM.Log; SM.Linked; SM.Log ])
 
 let test_to_bits () =
   Alcotest.(check int) "flat words scale" (3 * SM.word_bits)
@@ -48,22 +44,6 @@ let test_to_bits () =
   Alcotest.(check int) "linked words scale" (5 * SM.word_bits)
     (SM.to_bits SM.Linked 5);
   Alcotest.(check int) "log already in bits" 7 (SM.to_bits SM.Log 7)
-
-let test_json_roundtrip () =
-  List.iter
-    (fun m ->
-      match SM.of_json (SM.to_json m) with
-      | Ok m' -> Alcotest.check model_t (SM.name m ^ " json") m m'
-      | Error e -> Alcotest.failf "%s: %s" (SM.name m) e)
-    SM.all;
-  (match SM.list_of_json (SM.list_to_json [ SM.Log ]) with
-  | Ok ms ->
-      Alcotest.(check (list model_t))
-        "list json normalizes" [ SM.Flat; SM.Log ] ms
-  | Error e -> Alcotest.fail e);
-  match SM.list_of_json (Tailspace_telemetry.Telemetry.Json.Str "log") with
-  | Ok _ -> Alcotest.fail "a bare string is not a model list"
-  | Error _ -> ()
 
 let test_default_measures_flat () =
   let r =
@@ -117,7 +97,6 @@ let () =
           Alcotest.test_case "names round-trip" `Quick test_names_roundtrip;
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "to_bits" `Quick test_to_bits;
-          Alcotest.test_case "json codecs" `Quick test_json_roundtrip;
           Alcotest.test_case "default measures flat only" `Quick
             test_default_measures_flat;
         ] );
