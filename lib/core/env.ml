@@ -57,6 +57,7 @@ let bindings t = fold (fun x l acc -> (x, l) :: acc) t []
 let locations t = fold (fun _ l acc -> l :: acc) t []
 let iter_overlay f t = Smap.iter f t.over
 let has_base t = not (Smap.is_empty t.base)
+let overlay_is_empty t = Smap.is_empty t.over
 let base_eq a b = a.base == b.base
 let iter_base f t = Smap.iter f t.base
 let mem_base x t = Smap.mem x t.base

@@ -75,3 +75,6 @@ val iter_base : (string -> loc -> unit) -> t -> unit
 val mem_base : string -> t -> bool
 (** Whether the base binds the identifier, shadowed or not: an overlay
     identifier for which this holds shadows a base binding. *)
+
+val overlay_is_empty : t -> bool
+(** Whether every binding is in the base: true right after {!rebase}. *)

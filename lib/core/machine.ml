@@ -576,9 +576,9 @@ let flat_space config =
 let control_locs config =
   match config.control with `Expr _ -> [] | `Value v -> value_locs v
 
-let collect config =
+let collect ~world config =
   let store, reclaimed =
-    Gc.collect ~control_locs:(control_locs config) ~env:config.env
+    Gc.collect ~world ~control_locs:(control_locs config) ~env:config.env
       ~cont:config.cont config.store
   in
   ({ config with store }, reclaimed)
@@ -890,6 +890,10 @@ let run_measured
   let guard = Resilience.Guard.start ~default_fuel:fuel budget in
   let fault = Option.value fault ~default:Resilience.Fault.none in
   let faults = Resilience.Fault.start fault in
+  (* The initial world is this run's old generation (see [Gc.collect]):
+     [initial_store] below starts the run on the machine's store, and
+     every collection of the run shares this world handle. *)
+  let world = Gc.world t.genv in
   let gc_runs = ref 0 in
   let peak = ref 0 in
   let peak_linked = ref 0 in
@@ -921,7 +925,7 @@ let run_measured
      collections always run: they are the oracle's hostile schedules. *)
   let garbage_free = ref false in
   let collect_as reason config =
-    let config, reclaimed = collect config in
+    let config, reclaimed = collect ~world config in
     record_gc reason config.store reclaimed;
     garbage_free := true;
     config
@@ -1118,11 +1122,12 @@ let run_measured
       | Stuck_state m -> (Stuck m, steps)
   in
   let initial_store =
+    let gstore = Store.start_run t.gstore in
     let store =
       match telemetry with
-      | None -> t.gstore
+      | None -> gstore
       | Some tl ->
-          Store.with_observer t.gstore
+          Store.with_observer gstore
             (Some
                (fun v ->
                  Telemetry.record_alloc tl ~step:!cur_step

@@ -9,6 +9,12 @@ type t = {
   space : int;
   count : int;
   next : Types.loc;
+  first : Types.loc;
+      (* the run's first location: the cells below it are the old
+         generation (0 when there is none) *)
+  written : bool;
+      (* the write barrier: some old cell has been written since the
+         run started, so old cells may point at young ones *)
   observe : (Types.value -> unit) option;
       (* allocation observer; survives the persistent updates so every
          store derived from an instrumented one reports its allocations
@@ -26,6 +32,8 @@ let empty =
     space = 0;
     count = 0;
     next = 0;
+    first = 0;
+    written = false;
     observe = None;
     observe_loc = None;
   }
@@ -95,6 +103,7 @@ let set t l v =
         t with
         cells = Imap.add l { v; sz } t.cells;
         space = t.space - old.sz + sz;
+        written = t.written || l < t.first;
       }
 
 let remove_all t locs =
@@ -116,3 +125,13 @@ let space t = t.space
 let iter f t = Imap.iter (fun l c -> f l c.v) t.cells
 let fold f t init = Imap.fold (fun l c acc -> f l c.v acc) t.cells init
 let next_loc t = t.next
+let start_run t = { t with first = t.next; written = false }
+let first_run_loc t = t.first
+let old_written t = t.written
+
+let fold_from lo f t init =
+  if lo <= 0 then fold f t init
+  else
+    let _, at, above = Imap.split lo t.cells in
+    let init = match at with Some c -> f lo c.v init | None -> init in
+    Imap.fold (fun l c acc -> f l c.v acc) above init

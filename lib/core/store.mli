@@ -7,7 +7,19 @@
     [I_stack] deletion rule produce new stores without mutation, exactly
     like the small-step semantics. Locations are allocated from a
     monotone counter, which trivially satisfies the freshness side
-    conditions ("alpha does not occur within L, rho, kappa, sigma"). *)
+    conditions ("alpha does not occur within L, rho, kappa, sigma").
+
+    {b Old generation.} A measured run calls {!start_run} on the
+    machine's initial store: every cell already allocated (the
+    primitives and the prelude, the {e world}) becomes old, and the
+    run's first location is the next one the allocator hands out. An old
+    cell's value was built before the run, so it can name only old
+    locations, until a write puts a run-time value in it. {!set} on an
+    old cell therefore trips a write barrier; the barrier is part of the
+    persistent store, so it stays tripped in every store derived from
+    that one, i.e. for the rest of the run. While it is clear, old cells
+    point only at old cells, which lets the collector and the [I_stack]
+    occurs-check skip them (see {!Gc}). *)
 
 type t
 
@@ -22,6 +34,8 @@ val find_opt : t -> Types.loc -> Types.value option
 
 val set : t -> Types.loc -> Types.value -> t
 (** [sigma[alpha -> v]]; the space total is adjusted by the difference.
+    Trips the write barrier when [alpha] is below the run's first
+    location.
     @raise Invalid_argument if the location is not in the store. *)
 
 val mem : t -> Types.loc -> bool
@@ -58,5 +72,24 @@ val add_loc_observer : t -> (Types.loc -> Types.value -> unit) -> t
 val iter : (Types.loc -> Types.value -> unit) -> t -> unit
 val fold : (Types.loc -> Types.value -> 'a -> 'a) -> t -> 'a -> 'a
 
+val fold_from :
+  Types.loc -> (Types.loc -> Types.value -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_from lo f] is {!fold} restricted to locations [>= lo], in
+    increasing order, without visiting the cells below [lo]. *)
+
 val next_loc : t -> Types.loc
 (** The next location the allocator will hand out (diagnostics only). *)
+
+(** {1 Old generation} *)
+
+val start_run : t -> t
+(** Make every allocated cell old: the run's first location becomes
+    {!next_loc}, and the write barrier is cleared. *)
+
+val first_run_loc : t -> Types.loc
+(** The run's first location: the cells below it are old. [0] (no old
+    generation) until {!start_run}. *)
+
+val old_written : t -> bool
+(** Whether the write barrier has tripped: {!set} has written a cell
+    below {!first_run_loc} since {!start_run}. *)

@@ -1,7 +1,8 @@
 (* The garbage-collection rule: reachability through the store, the
    once-per-base optimization's transparency and the shared prelude base
-   it relies on, the per-domain mark table, Return_stack pinning, and the
-   I_stack occurs-check. *)
+   it relies on, the per-domain mark table, Return_stack pinning, the
+   I_stack occurs-check, and the old generation (young-only collections
+   and occurs-checks against their whole-store twins). *)
 
 module T = Tailspace_core.Types
 module Env = Tailspace_core.Types.Env
@@ -142,6 +143,17 @@ let test_prelude_closures_share_base () =
                 true (Env.base_eq first cenv))
             envs)
     [ M.Tail; M.Gc; M.Stack; M.Evlis ]
+
+let test_initial_world_fully_live () =
+  (* The young-only collection rests on this: the world a run starts
+     from is all reachable from its global base, so a prelude edit that
+     left garbage must fail here rather than skew peaks. *)
+  List.iter
+    (fun variant ->
+      let env, store = M.initial (M.create_with (M.Config.make ~variant ())) in
+      let _, freed = Gc.collect ~control_locs:[] ~env ~cont:T.Halt store in
+      check_int (M.variant_name variant ^ ": freed") 0 freed)
+    M.all_variants
 
 let test_initial_world_unchanged () =
   let env, store = M.initial (M.create_with M.Config.default) in
@@ -337,6 +349,193 @@ let test_gc_counts_reported () =
   in
   Alcotest.(check bool) "collector ran" true (r.M.gc_runs > 0)
 
+(* --- the old generation --- *)
+
+(* One random configuration, built by a seeded script: a closed world
+   of old cells, all reachable from one base (the world environment's),
+   with a second base over some of them that old closures capture; then
+   young cells over any location — pairs, vectors, closures and escapes
+   over the world base, the second base, bases built from young cells
+   and base-less overlays; writes to old and young cells; removals of
+   young cells, as I_stack deletes them; and roots with Return_stack
+   deletion sets and dangling locations. [old_gen] starts the run once
+   the world is built; every random draw is the same either way. *)
+type script = {
+  rng : Random.State.t;
+  mutable st : Store.t;
+  mutable old : T.loc list;
+  mutable young : T.loc list;
+  mutable removed : T.loc list;
+  mutable bases : Env.t list;
+}
+
+let draw sc n = Random.State.int sc.rng n
+let pick sc xs = List.nth xs (draw sc (List.length xs))
+
+(* Dangling locations are removed ones or ones never handed out; a
+   location only allocated later would let an old cell name a young
+   one without a write, which no run can do. *)
+let some_loc sc =
+  match draw sc 12 with
+  | 0 -> 1_000_000 + draw sc 3
+  | 1 when sc.removed <> [] -> pick sc sc.removed
+  | _ -> (
+      match sc.old @ sc.young with
+      | [] -> 1_000_000
+      | locs -> pick sc locs)
+
+let some_env sc =
+  let overlay =
+    List.init (draw sc 3) (fun i -> (Printf.sprintf "x%d" i, some_loc sc))
+  in
+  let base =
+    match draw sc (List.length sc.bases + 1) with
+    | 0 -> Env.empty
+    | i -> List.nth sc.bases (i - 1)
+  in
+  Env.add_list overlay base
+
+let rec some_cont sc depth =
+  if depth = 0 || draw sc 3 = 0 then T.Halt
+  else
+    let next = some_cont sc (depth - 1) in
+    match draw sc 5 with
+    | 0 -> T.select ~e1:unit_body ~e2:unit_body ~env:(some_env sc) ~next ()
+    | 1 -> T.return_gc ~env:(some_env sc) ~next ()
+    | 2 ->
+        let dels = List.init (draw sc 3) (fun _ -> some_loc sc) in
+        T.return_stack ~dels ~env:(some_env sc) ~next ()
+    | 3 -> T.call ~vals:[ some_value sc ] ~next ()
+    | _ ->
+        T.push ~pending:0 ~remaining:[]
+          ~evaluated:[ (1, some_value sc) ]
+          ~env:(some_env sc) ~next ()
+
+(* A value over existing locations, allocating nothing. *)
+and some_value sc : T.value =
+  match draw sc 6 with
+  | 0 -> T.Sym "s"
+  | 1 | 2 -> T.Pair (some_loc sc, some_loc sc)
+  | 3 -> T.Vector (Array.init (draw sc 3) (fun _ -> some_loc sc))
+  | 4 -> T.Closure (some_loc sc, lam unit_body, some_env sc)
+  | _ -> T.Escape (some_loc sc, some_cont sc 2)
+
+let alloc sc v =
+  let st, l = Store.alloc sc.st v in
+  sc.st <- st;
+  l
+
+(* A stored value: closures and escapes get a fresh tag cell first, as
+   the machine allocates them. *)
+let alloc_value sc =
+  match draw sc 4 with
+  | 0 ->
+      let tag = alloc sc T.Unspecified in
+      [ tag; alloc sc (T.Closure (tag, lam unit_body, some_env sc)) ]
+  | 1 ->
+      let tag = alloc sc T.Unspecified in
+      [ tag; alloc sc (T.Escape (tag, some_cont sc 2)) ]
+  | _ -> [ alloc sc (some_value sc) ]
+
+let bindings_of locs = List.mapi (fun i l -> (Printf.sprintf "g%d" i, l)) locs
+
+let build_world sc =
+  let n = 1 + draw sc 12 in
+  for i = 1 to n do
+    sc.old <- sc.old @ alloc_value sc;
+    if i = (n + 1) / 2 then
+      let some = List.filter (fun _ -> draw sc 2 = 0) sc.old in
+      sc.bases <- [ Env.rebase (Env.add_list (bindings_of some) Env.empty) ]
+  done;
+  (* Old cells name only earlier ones, so binding every cell no other
+     old cell names, and some others, reaches the whole world. *)
+  let named =
+    List.concat_map
+      (fun l -> T.value_locs (Option.get (Store.find_opt sc.st l)))
+      sc.old
+  in
+  let roots =
+    List.filter (fun l -> (not (List.mem l named)) || draw sc 3 = 0) sc.old
+  in
+  let world = Env.rebase (Env.add_list (bindings_of roots) Env.empty) in
+  sc.bases <- world :: sc.bases;
+  world
+
+let young_ops sc =
+  for _ = 1 to draw sc 24 do
+    match draw sc 7 with
+    | 0 | 1 -> sc.young <- sc.young @ alloc_value sc
+    | 2 | 3 | 4 -> (
+        match List.filter (Store.mem sc.st) (sc.old @ sc.young) with
+        | [] -> ()
+        | present -> sc.st <- Store.set sc.st (pick sc present) (some_value sc))
+    | 5 -> (
+        match List.filter (Store.mem sc.st) sc.young with
+        | [] -> ()
+        | present ->
+            let l = pick sc present in
+            sc.st <- Store.remove_all sc.st [ l ];
+            sc.removed <- l :: sc.removed)
+    | _ ->
+        let some = List.init (1 + draw sc 3) (fun _ -> some_loc sc) in
+        sc.bases <- Env.rebase (Env.add_list (bindings_of some) Env.empty) :: sc.bases
+  done
+
+let some_roots sc =
+  let control_locs = List.init (draw sc 3) (fun _ -> some_loc sc) in
+  (control_locs, some_env sc, some_cont sc 3)
+
+let sorted_keys h = List.sort compare (List.of_seq (Hashtbl.to_seq_keys h))
+
+(* Two collections with one world handle, with more young work between
+   them, and an I_stack occurs-check of a random deletion set. *)
+let generation_run ~old_gen seed =
+  let sc =
+    { rng = Random.State.make [| seed |]; st = Store.empty; old = []; young = [];
+      removed = []; bases = [] }
+  in
+  let world_env = build_world sc in
+  if old_gen then sc.st <- Store.start_run sc.st;
+  let world = Gc.world world_env in
+  let round () =
+    young_ops sc;
+    let control_locs, env, cont = some_roots sc in
+    let dels = List.filter (fun _ -> draw sc 2 = 0) sc.young in
+    let hits =
+      Gc.occurs_in_retained ~candidates:(table_of dels) ~control_locs ~env ~cont
+        ~retained:(Store.remove_all sc.st dels)
+    in
+    let st, freed = Gc.collect ~world ~control_locs ~env ~cont sc.st in
+    sc.st <- st;
+    (sorted_keys hits, cells st, Store.space st, Store.cardinal st, freed)
+  in
+  let first = round () in
+  let second = round () in
+  [ first; second ]
+
+let prop_young_only_exact =
+  QCheck.Test.make ~count:2000
+    ~name:"young-only collection and occurs-check = whole-store ones"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      generation_run ~old_gen:true seed = generation_run ~old_gen:false seed)
+
+let test_define_global_world_lost () =
+  (* A world environment with an overlay starts lost: its young-only
+     path would keep cells the base does not reach. *)
+  let s, kept = Store.alloc Store.empty (T.Sym "kept") in
+  let s, stray = Store.alloc s (T.Sym "stray") in
+  let base = Env.rebase (Env.add "k" kept Env.empty) in
+  let world_env = Env.add "stray" stray base in
+  let s = Store.start_run s in
+  let s, young = Store.alloc s (T.Sym "young") in
+  let s', freed =
+    Gc.collect ~world:(Gc.world world_env) ~control_locs:[ young ] ~env:base
+      ~cont:T.Halt s
+  in
+  check_int "stray freed" 1 freed;
+  Alcotest.(check (list int)) "kept" [ kept; young ] (cells s')
+
 let () =
   Alcotest.run "gc"
     [
@@ -358,6 +557,8 @@ let () =
             test_prelude_closures_share_base;
           Alcotest.test_case "initial world unchanged" `Quick
             test_initial_world_unchanged;
+          Alcotest.test_case "initial world fully live" `Quick
+            test_initial_world_fully_live;
         ] );
       ( "mark-table",
         [
@@ -373,6 +574,12 @@ let () =
         [
           Alcotest.test_case "via store" `Quick test_occurs_check;
           Alcotest.test_case "via env/value" `Quick test_occurs_via_env_and_value;
+        ] );
+      ( "old-generation",
+        [
+          QCheck_alcotest.to_alcotest prop_young_only_exact;
+          Alcotest.test_case "world with an overlay starts lost" `Quick
+            test_define_global_world_lost;
         ] );
       ( "integration",
         [

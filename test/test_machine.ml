@@ -224,6 +224,24 @@ let test_variant_answers_each () =
         "(define (fact n) (if (zero? n) 1 (* n (fact (- n 1))))) (fact 6)" "720")
     M.all_variants
 
+(* Answer, steps, every peak and reclaiming collections of a run, in one
+   line, for comparing against recorded figures. *)
+let figures r =
+  let answer =
+    match r.M.outcome with
+    | M.Done { answer; _ } -> answer
+    | M.Stuck m -> "stuck: " ^ m
+    | M.Aborted _ -> "aborted"
+  in
+  Printf.sprintf "%s steps=%d %s gc_runs=%d" answer r.M.steps
+    (String.concat " "
+       (List.map (fun (m, p) -> Printf.sprintf "%s=%d" (SM.name m) p) r.M.peaks))
+    r.M.gc_runs
+
+let flat = [ SM.Flat ]
+let heavy = SM.[ Flat; Linked; Log ]
+let models_name measure = String.concat "," (List.map SM.name measure)
+
 let test_eval_and_define_global () =
   let t = M.create_with M.Config.default in
   (match M.define_global t "double" (E.expression_of_string "(lambda (x) (* 2 x))") with
@@ -241,9 +259,52 @@ let test_eval_and_define_global () =
    with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  match M.eval_global t (E.expression_of_string "(count 5)") with
+  (match M.eval_global t (E.expression_of_string "(count 5)") with
   | Ok (T.Sym s, _) -> Alcotest.(check string) "recursion" "zero" s
-  | _ -> Alcotest.fail "expected symbol"
+  | _ -> Alcotest.fail "expected symbol");
+  (* Globals defined after the machine was built sit in the initial
+     environment's overlay, outside its base, and [xs]'s definition
+     leaves garbage in the initial store: a run that makes garbage must
+     still free it, with the figures of a machine whose every collection
+     is full. *)
+  List.iter
+    (fun (variant, measure, expected) ->
+      let t = M.create_with (M.Config.make ~variant ()) in
+      List.iter
+        (fun (name, src) ->
+          match M.define_global t name (E.expression_of_string src) with
+          | Ok () -> ()
+          | Error m -> Alcotest.fail m)
+        [
+          ("double", "(lambda (x) (* 2 x))");
+          ("count", "(lambda (n) (if (zero? n) 'zero (count (- n 1))))");
+          ("xs", "(cdr (list 1 2 3))");
+        ];
+      let r =
+        M.exec_string ~opts:(M.Run_opts.make ~measure ()) t
+          "(define (churn n acc)
+             (if (zero? n)
+                 (list (count 3) (length acc) (car xs))
+                 (churn (- n 1) (cons (double n) '()))))
+           (churn 60 '())"
+      in
+      Alcotest.(check string)
+        (M.variant_name variant ^ " " ^ models_name measure)
+        expected (figures r))
+    [
+      (M.Tail, flat, "(zero 1 2) steps=2767 flat=3680 gc_runs=64");
+      (M.Tail, heavy, "(zero 1 2) steps=2767 flat=3680 linked=442 log=3536 gc_runs=134");
+      (M.Gc, flat, "(zero 1 2) steps=2899 flat=10520 gc_runs=68");
+      (M.Gc, heavy, "(zero 1 2) steps=2899 flat=10520 linked=503 log=4024 gc_runs=138");
+      (M.Stack, flat, "(zero 1 2) steps=2899 flat=11791 gc_runs=4");
+      (M.Stack, heavy, "(zero 1 2) steps=2899 flat=11791 linked=1767 log=15903 gc_runs=68");
+      (M.Evlis, flat, "(zero 1 2) steps=2767 flat=3575 gc_runs=66");
+      (M.Evlis, heavy, "(zero 1 2) steps=2767 flat=3575 linked=442 log=3536 gc_runs=135");
+      (M.Free, flat, "(zero 1 2) steps=2767 flat=618 gc_runs=6");
+      (M.Free, heavy, "(zero 1 2) steps=2767 flat=618 linked=392 log=3136 gc_runs=134");
+      (M.Sfs, flat, "(zero 1 2) steps=2767 flat=516 gc_runs=7");
+      (M.Sfs, heavy, "(zero 1 2) steps=2767 flat=516 linked=392 log=3136 gc_runs=204");
+    ]
 
 let test_run_program_convention () =
   let t = M.create_with M.Config.default in
@@ -450,6 +511,67 @@ let test_skips_corpus () =
         check_schedule_free e.Corpus.name (applied (Corpus.program e) 1))
     Corpus.all
 
+(* --- writes to the initial world --- *)
+
+let example file =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "../examples" file; Filename.concat "examples" file ]
+  in
+  In_channel.with_open_text path In_channel.input_all
+
+(* A set! of a prelude global writes a cell built before the run, which
+   can then point at cells the run allocated: the collector must stop
+   treating the initial world as closed. The figures are those of a
+   machine whose every collection is full, at N = 40. *)
+let test_set_prelude_global () =
+  List.iter
+    (fun (file, rows) ->
+      let program = E.program_of_string (example file) in
+      List.iter
+        (fun (variant, measure, expected) ->
+          let t = M.create_with (M.Config.make ~variant ()) in
+          let r =
+            M.exec_program ~opts:(M.Run_opts.make ~measure ()) t ~program
+              ~input:(Runner.input_expr 40)
+          in
+          Alcotest.(check string)
+            (String.concat " " [ file; M.variant_name variant; models_name measure ])
+            expected (figures r))
+        rows)
+    [
+      ( "redefine-length.scm",
+        [
+          (M.Tail, flat, "40 steps=6052 flat=8333 gc_runs=6");
+          (M.Tail, heavy, "40 steps=6052 flat=8333 linked=884 log=7072 gc_runs=216");
+          (M.Gc, flat, "40 steps=6266 flat=21279 gc_runs=91");
+          (M.Gc, heavy, "40 steps=6266 flat=21279 linked=1028 log=8224 gc_runs=219");
+          (M.Stack, flat, "40 steps=6266 flat=24938 gc_runs=7");
+          (M.Stack, heavy, "40 steps=6266 flat=24938 linked=4677 log=46770 gc_runs=171");
+          (M.Evlis, flat, "40 steps=6052 flat=4077 gc_runs=207");
+          (M.Evlis, heavy, "40 steps=6052 flat=4077 linked=879 log=7032 gc_runs=217");
+          (M.Free, flat, "40 steps=6052 flat=685 gc_runs=25");
+          (M.Free, heavy, "40 steps=6052 flat=685 linked=514 log=3598 gc_runs=217");
+          (M.Sfs, flat, "40 steps=6052 flat=496 gc_runs=164");
+          (M.Sfs, heavy, "40 steps=6052 flat=496 linked=492 log=3444 gc_runs=390");
+        ] );
+      ( "redefine-reverse.scm",
+        [
+          (M.Tail, flat, "(1) steps=1579 flat=3884 gc_runs=43");
+          (M.Tail, heavy, "(1) steps=1579 flat=3884 linked=814 log=6512 gc_runs=127");
+          (M.Gc, flat, "(1) steps=1665 flat=12642 gc_runs=86");
+          (M.Gc, heavy, "(1) steps=1665 flat=12642 linked=1389 log=12501 gc_runs=167");
+          (M.Stack, flat, "(1) steps=1665 flat=12736 gc_runs=44");
+          (M.Stack, heavy, "(1) steps=1665 flat=12736 linked=1483 log=13347 gc_runs=85");
+          (M.Evlis, flat, "(1) steps=1579 flat=3782 gc_runs=85");
+          (M.Evlis, heavy, "(1) steps=1579 flat=3782 linked=814 log=6512 gc_runs=127");
+          (M.Free, flat, "(1) steps=1579 flat=680 gc_runs=4");
+          (M.Free, heavy, "(1) steps=1579 flat=680 linked=462 log=3234 gc_runs=128");
+          (M.Sfs, flat, "(1) steps=1579 flat=482 gc_runs=9");
+          (M.Sfs, heavy, "(1) steps=1579 flat=482 linked=460 log=3220 gc_runs=173");
+        ] );
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -484,6 +606,8 @@ let () =
           Alcotest.test_case "promises" `Quick test_promises;
           Alcotest.test_case "profiling hooks" `Quick test_hooks;
         ] );
+      ( "old generation",
+        [ Alcotest.test_case "set! of a prelude global" `Quick test_set_prelude_global ] );
       ( "skipped collections",
         [
           Alcotest.test_case "drop then grow" `Quick test_skips_drop_then_grow;
