@@ -201,54 +201,6 @@ let vm_benches =
   @ tiers "fib-naive" (entry "fib-naive") 15
   @ tiers "even-odd" (entry "even-odd") 2000
 
-(* The bignum layer head-to-head: schoolbook vs the shipped Karatsuba
-   hybrid on dense operands bracketing the tuned threshold, classic vs
-   divide-and-conquer decimal conversion, and the fixnum tag on/off on
-   a small-int loop. `schemesim bignumbench` is the tuning tool (it
-   locates the crossover and writes BENCH_bignum.json); this group just
-   keeps the layer visible in the standing report. *)
-let bignum_benches =
-  let module B = Tailspace_bignum.Bignum in
-  let dense n = B.pred (B.shift_left B.one (30 * n)) in
-  let mul_pair name n =
-    let a = dense n and b = B.pred (dense n) in
-    [
-      Test.make
-        ~name:(Printf.sprintf "mul%d.school" name)
-        (Staged.stage (fun () -> ignore (B.Internal.mul_schoolbook a b)));
-      Test.make
-        ~name:(Printf.sprintf "mul%d.shipped" name)
-        (Staged.stage (fun () -> ignore (B.mul a b)));
-    ]
-  in
-  let big = dense 400 in
-  let digits = B.to_string big in
-  let sum_loop () =
-    let rec go i acc =
-      if i = 0 then acc else go (i - 1) (B.add acc (B.of_int i))
-    in
-    ignore (go 20_000 B.zero)
-  in
-  mul_pair 48 48 @ mul_pair 192 192
-  @ [
-      Test.make ~name:"to_string.classic"
-        (Staged.stage (fun () -> ignore (B.Internal.to_string_classic big)));
-      Test.make ~name:"to_string.dc"
-        (Staged.stage (fun () -> ignore (B.to_string big)));
-      Test.make ~name:"of_string.classic"
-        (Staged.stage (fun () -> ignore (B.Internal.of_string_classic digits)));
-      Test.make ~name:"of_string.dc"
-        (Staged.stage (fun () -> ignore (B.of_string digits)));
-      Test.make ~name:"sumloop.fixnums"
-        (Staged.stage (fun () ->
-             B.set_fixnums true;
-             sum_loop ()));
-      Test.make ~name:"sumloop.limbs"
-        (Staged.stage (fun () ->
-             B.set_fixnums false;
-             Fun.protect ~finally:(fun () -> B.set_fixnums true) sum_loop));
-    ]
-
 let run_benches () =
   let tests =
     Test.make_grouped ~name:"bench"
@@ -258,7 +210,6 @@ let run_benches () =
         Test.make_grouped ~name:"telemetry" telemetry_benches;
         Test.make_grouped ~name:"annot" annot_benches;
         Test.make_grouped ~name:"vm" vm_benches;
-        Test.make_grouped ~name:"bignum" bignum_benches;
       ]
   in
   let cfg =

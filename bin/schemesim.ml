@@ -11,8 +11,6 @@
      faults      fault-injection matrix + differential oracle (JSON)
      spaceprof   space-provenance profiler: per-site heap census at the
                  peak, flamegraph export, and per-variant census diffs
-     bignumbench Karatsuba/schoolbook crossover, decimal-conversion and
-                 fixnum fast-path timings (BENCH_bignum.json)
 
    exit codes (uniform across subcommands, documented in README):
      0  the program ran to completion (Done)
@@ -41,7 +39,6 @@ module Vm = Tailspace_vm.Vm
 module Ast = Tailspace_ast.Ast
 module Census = Tailspace_core.Census
 module Prov = Tailspace_provenance.Provenance
-module Bignum = Tailspace_bignum.Bignum
 
 let read_file path =
   let ic = open_in_bin path in
@@ -629,13 +626,13 @@ let profile_cmd =
 (* bench                                                               *)
 
 (* [bench --compare OLD NEW] gates on regressions between two baseline
-   files written by [--baseline-out]. Wall-clock gets a noise band
-   (machines differ, CI is noisy); space columns are deterministic word
-   counts, so their default band is zero — any growth is a regression,
-   as is a point whose status degrades from [done] or disappears. A
-   file without a non-empty [points] list is a usage error: there would
-   be nothing to compare. *)
-let compare_baselines ~wall_band ~space_band old_path new_path =
+   files written by [--baseline-out]. Space columns are deterministic
+   word counts, so any growth is a regression, as is a [space] or
+   [peak_space] that OLD has and NEW lacks, and a point whose status
+   degrades from [done] or disappears. Wall time is not compared: the
+   repo benchmark ([benchmark/]) gates it. A file without a non-empty
+   [points] list is a usage error: there would be nothing to compare. *)
+let compare_baselines old_path new_path =
   let load path =
     match Json.of_string (read_file path) with
     | Ok j -> j
@@ -647,12 +644,6 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
         exit 2
   in
   let old_j = load old_path and new_j = load new_path in
-  let num name j =
-    match Json.member name j with
-    | Some (Json.Float f) -> Some f
-    | Some (Json.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
   let int_of name j =
     match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
   in
@@ -675,14 +666,6 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
   let reg fmt =
     Printf.ksprintf (fun s -> regressions := s :: !regressions) fmt
   in
-  (match (num "wall_s" old_j, num "wall_s" new_j) with
-  | Some ow, Some nw ->
-      if nw > ow *. (1. +. wall_band) then
-        reg "wall-clock regression: %.3fs -> %.3fs (+%.0f%% > %.0f%% band)" ow
-          nw
-          ((nw /. ow -. 1.) *. 100.)
-          (wall_band *. 100.)
-  | _ -> ());
   List.iter
     (fun op ->
       match int_of "n" op with
@@ -700,14 +683,13 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
               List.iter
                 (fun field ->
                   match (int_of field op, int_of field np) with
-                  | Some o, Some nn
-                    when float_of_int nn
-                         > float_of_int o *. (1. +. space_band) ->
-                      reg "point n=%d %s regression: %s -> %s (%+.1f%% > %.0f%% band)"
-                        n field (Prov.humanize_words o)
+                  | Some o, Some nn when nn > o ->
+                      reg "point n=%d %s regression: %s -> %s (%+.1f%%)" n
+                        field (Prov.humanize_words o)
                         (Prov.humanize_words nn)
                         (Prov.percent_delta ~from:o ~to_:nn)
-                        (space_band *. 100.)
+                  | Some _, None ->
+                      reg "point n=%d %s missing from %s" n field new_path
                   | _ -> ())
                 [ "peak_space"; "space" ];
               (* per-model peaks: gate every model measured in BOTH
@@ -721,15 +703,10 @@ let compare_baselines ~wall_band ~space_band old_path new_path =
               List.iter
                 (fun (model, ov) ->
                   match (ov, List.assoc_opt model (peaks np)) with
-                  | Json.Int o, Some (Json.Int nn)
-                    when float_of_int nn > float_of_int o *. (1. +. space_band)
-                    ->
-                      reg
-                        "point n=%d peak[%s] regression: %d -> %d (%+.1f%% > \
-                         %.0f%% band)"
+                  | Json.Int o, Some (Json.Int nn) when nn > o ->
+                      reg "point n=%d peak[%s] regression: %d -> %d (%+.1f%%)"
                         n model o nn
                         (Prov.percent_delta ~from:o ~to_:nn)
-                        (space_band *. 100.)
                   | _ -> ())
                 (peaks op)))
     old_points;
@@ -804,11 +781,10 @@ let bench_cmd =
   in
   let bench file expr name_opt ns variant perm stack_policy no_annot vm_fast
       fuel timeout space_budget output_cap linked models json keep_going jobs
-      baseline_out compare new_pos wall_band space_band =
+      baseline_out compare new_pos =
     if compare then begin
       match (file, new_pos) with
-      | Some old_path, Some new_path ->
-          compare_baselines ~wall_band ~space_band old_path new_path
+      | Some old_path, Some new_path -> compare_baselines old_path new_path
       | _ ->
           Format.eprintf
             "schemesim: bench --compare expects two baseline files: bench \
@@ -977,30 +953,17 @@ let bench_cmd =
   let compare_arg =
     let doc =
       "Compare two baseline files written by --baseline-out instead of \
-       sweeping: bench --compare OLD NEW. Exits 1 on a wall-clock regression \
-       beyond --wall-band, any peak-space/space growth beyond --space-band, \
-       a degraded point status, or a missing point; exits 2 if either file \
-       has no non-empty points list."
+       sweeping: bench --compare OLD NEW. Exits 1 on any growth of a \
+       point's space, peak space or per-model peak, on a space or peak \
+       space missing from NEW, on a degraded point status, or on a missing \
+       point; exits 2 if either file has no non-empty points list. Wall \
+       time is not compared."
     in
     Arg.(value & flag & info [ "compare" ] ~doc)
   in
   let new_pos_arg =
     let doc = "The NEW baseline file (with --compare)." in
     Arg.(value & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-  in
-  let wall_band_arg =
-    let doc =
-      "Allowed fractional wall-clock growth before --compare reports a \
-       regression (0.5 = new may be up to 50% slower; wall time is noisy)."
-    in
-    Arg.(value & opt float 0.5 & info [ "wall-band" ] ~docv:"FRAC" ~doc)
-  in
-  let space_band_arg =
-    let doc =
-      "Allowed fractional space growth before --compare reports a regression \
-       (default 0: space is a deterministic word count, any growth fails)."
-    in
-    Arg.(value & opt float 0.0 & info [ "space-band" ] ~docv:"FRAC" ~doc)
   in
   let doc =
     "Sweep a program over several inputs, reporting space consumption, GC \
@@ -1013,8 +976,7 @@ let bench_cmd =
       $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ vm_fast_arg
       $ fuel_arg $ timeout_arg $ space_budget_arg $ output_cap_arg
       $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg
-      $ baseline_out_arg $ compare_arg $ new_pos_arg
-      $ wall_band_arg $ space_band_arg)
+      $ baseline_out_arg $ compare_arg $ new_pos_arg)
 
 (* ------------------------------------------------------------------ *)
 (* vmbench                                                             *)
@@ -1188,268 +1150,6 @@ let vmbench_cmd =
     Term.(
       const vmbench $ out_arg $ reps_arg $ check_speedup_arg $ min_families_arg
       $ families_arg $ fuel_arg)
-
-(* ------------------------------------------------------------------ *)
-(* bignumbench                                                         *)
-
-(* Crossover-threshold benchmark for the bignum layer, in the spirit of
-   GMP's gmp-mparam.h tuning tables: time schoolbook multiplication
-   against the Karatsuba path across a ladder of limb sizes to locate
-   where the O(n^1.585) split starts paying, plus divide-and-conquer vs
-   classic decimal conversion, a fixnum-tag on/off A/B on a small-int
-   loop, and a power workload (repeated balanced squarings — the shape
-   Karatsuba likes best). Emits the committed BENCH_bignum.json with a
-   top-level [wall_s] and a [points] table so the existing
-   `bench --compare` noise bands gate it in CI. *)
-let bignumbench_cmd =
-  let default_sizes = [ 8; 12; 16; 24; 32; 48; 64; 96; 128; 192; 256; 384; 512 ] in
-  let out_arg =
-    let doc = "Write the crossover results as JSON to $(docv)." in
-    Arg.(
-      value & opt string "BENCH_bignum.json" & info [ "out" ] ~docv:"FILE" ~doc)
-  in
-  let reps_arg =
-    let doc = "Timing repetitions per point; best-of wins." in
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"K" ~doc)
-  in
-  let check_crossover_arg =
-    let doc =
-      "Fail (exit 1) unless Karatsuba beats schoolbook at every measured \
-       size at least twice the shipped threshold (and the differential \
-       products agree)."
-    in
-    Arg.(value & flag & info [ "check-crossover" ] ~doc)
-  in
-  let sizes_arg =
-    let doc = "Limb sizes to measure (default: the shipped ladder)." in
-    Arg.(
-      value & opt (list int) default_sizes & info [ "sizes" ] ~docv:"N,.." ~doc)
-  in
-  let bignumbench out reps check_crossover sizes =
-    let started = Res.Clock.now () in
-    let time_best iters f =
-      let rec go best k =
-        if k = 0 then best
-        else begin
-          let t0 = Res.Clock.now () in
-          for _ = 1 to iters do
-            ignore (Sys.opaque_identity (f ()))
-          done;
-          let dt = (Res.Clock.now () -. t0) /. float_of_int iters in
-          go (match best with Some b when b <= dt -> best | _ -> Some dt) (k - 1)
-        end
-      in
-      match go None (max 1 reps) with Some dt -> dt | None -> assert false
-    in
-    let shipped_threshold = !Bignum.Internal.karatsuba_threshold in
-    let with_threshold t f =
-      let saved = !Bignum.Internal.karatsuba_threshold in
-      Bignum.Internal.karatsuba_threshold := t;
-      Fun.protect
-        ~finally:(fun () -> Bignum.Internal.karatsuba_threshold := saved)
-        f
-    in
-    (* dense n-limb operands: 2^(30n) - 1 and a shifted variant *)
-    let dense n = Bignum.pred (Bignum.shift_left Bignum.one (30 * n)) in
-    let agree = ref true in
-    let points =
-      List.map
-        (fun n ->
-          let a = dense n and b = Bignum.pred (dense n) in
-          let iters = max 1 (200_000 / (n * n)) in
-          let school_s =
-            time_best iters (fun () -> Bignum.Internal.mul_schoolbook a b)
-          in
-          (* Karatsuba forced at this size: splitting at n/2 makes the
-             top level divide while the halves fall back to schoolbook —
-             the marginal cost of one split, which is what locates the
-             crossover. *)
-          let kara_s =
-            with_threshold
-              (max 2 (n / 2))
-              (fun () -> time_best iters (fun () -> Bignum.mul a b))
-          in
-          let shipped_s = time_best iters (fun () -> Bignum.mul a b) in
-          if
-            not
-              (Bignum.equal (Bignum.Internal.mul_schoolbook a b)
-                 (with_threshold (max 2 (n / 2)) (fun () -> Bignum.mul a b)))
-          then agree := false;
-          (n, school_s, kara_s, shipped_s, school_s /. Float.max kara_s 1e-12))
-        sizes
-    in
-    let crossover =
-      List.fold_left
-        (fun acc (n, _, _, _, sp) ->
-          match acc with Some _ -> acc | None -> if sp > 1.0 then Some n else None)
-        None points
-    in
-    (* decimal conversion: a ~1200-limb dense operand (~10.8k digits) *)
-    let conv_limbs = 1200 in
-    let big = dense conv_limbs in
-    let digits = Bignum.to_string big in
-    if not (String.equal digits (Bignum.Internal.to_string_classic big)) then
-      agree := false;
-    if not (Bignum.equal (Bignum.of_string digits) (Bignum.Internal.of_string_classic digits))
-    then agree := false;
-    let to_classic_s =
-      time_best 1 (fun () -> Bignum.Internal.to_string_classic big)
-    in
-    let to_dc_s = time_best 1 (fun () -> Bignum.to_string big) in
-    let of_classic_s =
-      time_best 1 (fun () -> Bignum.Internal.of_string_classic digits)
-    in
-    let of_dc_s = time_best 1 (fun () -> Bignum.of_string digits) in
-    (* power workload: balanced squarings of a growing operand *)
-    let pow_base = Bignum.of_string "1234567890123456789" in
-    let pow_exp = 600 in
-    let pow_school_s =
-      with_threshold max_int (fun () ->
-          time_best 1 (fun () -> Bignum.pow pow_base pow_exp))
-    in
-    let pow_kara_s = time_best 1 (fun () -> Bignum.pow pow_base pow_exp) in
-    if
-      not
-        (Bignum.equal (Bignum.pow pow_base pow_exp)
-           (with_threshold max_int (fun () -> Bignum.pow pow_base pow_exp)))
-    then agree := false;
-    (* fixnum A/B: a small-int accumulation loop entirely in tag range *)
-    let fix_n = 200_000 in
-    let sum_loop () =
-      let rec go i acc =
-        if i = 0 then acc else go (i - 1) (Bignum.add acc (Bignum.of_int i))
-      in
-      go fix_n Bignum.zero
-    in
-    let with_fixnums enabled f =
-      let saved = Bignum.fixnums_enabled () in
-      Bignum.set_fixnums enabled;
-      Fun.protect ~finally:(fun () -> Bignum.set_fixnums saved) f
-    in
-    let fix_on_s = with_fixnums true (fun () -> time_best 1 sum_loop) in
-    let fix_off_s = with_fixnums false (fun () -> time_best 1 sum_loop) in
-    if
-      not
-        (Bignum.equal
-           (with_fixnums true sum_loop)
-           (with_fixnums false sum_loop))
-    then agree := false;
-    let wall_s = Res.Clock.now () -. started in
-    let json =
-      Json.Obj
-        [
-          ("tool", Json.Str "schemesim bignumbench");
-          ("reps", Json.Int reps);
-          ("wall_s", Json.Float wall_s);
-          ("karatsuba_threshold", Json.Int shipped_threshold);
-          ( "crossover_limbs",
-            match crossover with Some n -> Json.Int n | None -> Json.Null );
-          ("answers_agree", Json.Bool !agree);
-          ( "points",
-            Json.List
-              (List.map
-                 (fun (n, ss, ks, hs, sp) ->
-                   Json.Obj
-                     [
-                       ("n", Json.Int n);
-                       ("status", Json.Str "done");
-                       ("school_mul_s", Json.Float ss);
-                       ("karatsuba_mul_s", Json.Float ks);
-                       ("shipped_mul_s", Json.Float hs);
-                       ("speedup", Json.Float sp);
-                     ])
-                 points) );
-          ( "conversion",
-            Json.Obj
-              [
-                ("limbs", Json.Int conv_limbs);
-                ("digits", Json.Int (String.length digits));
-                ("to_string_classic_s", Json.Float to_classic_s);
-                ("to_string_dc_s", Json.Float to_dc_s);
-                ( "to_string_speedup",
-                  Json.Float (to_classic_s /. Float.max to_dc_s 1e-12) );
-                ("of_string_classic_s", Json.Float of_classic_s);
-                ("of_string_dc_s", Json.Float of_dc_s);
-                ( "of_string_speedup",
-                  Json.Float (of_classic_s /. Float.max of_dc_s 1e-12) );
-              ] );
-          ( "pow",
-            Json.Obj
-              [
-                ("base_digits", Json.Int 19);
-                ("exponent", Json.Int pow_exp);
-                ("school_s", Json.Float pow_school_s);
-                ("karatsuba_s", Json.Float pow_kara_s);
-                ( "speedup",
-                  Json.Float (pow_school_s /. Float.max pow_kara_s 1e-12) );
-              ] );
-          ( "fixnum",
-            Json.Obj
-              [
-                ("adds", Json.Int fix_n);
-                ("fixnums_on_s", Json.Float fix_on_s);
-                ("fixnums_off_s", Json.Float fix_off_s);
-                ( "speedup",
-                  Json.Float (fix_off_s /. Float.max fix_on_s 1e-12) );
-              ] );
-        ]
-    in
-    write_file out (Json.to_string json);
-    Format.printf "%-8s %14s %14s %14s %9s@." "limbs" "schoolbook" "karatsuba"
-      "shipped" "speedup";
-    List.iter
-      (fun (n, ss, ks, hs, sp) ->
-        Format.printf "%-8d %12.2f us %12.2f us %12.2f us %8.2fx@." n
-          (ss *. 1e6) (ks *. 1e6) (hs *. 1e6) sp)
-      points;
-    (match crossover with
-    | Some n -> Format.printf "crossover at ~%d limbs (shipped threshold %d)@." n shipped_threshold
-    | None -> Format.printf "no crossover located in the measured sizes@.");
-    Format.printf
-      "to_string %4.1fx, of_string %4.1fx, pow %4.1fx, fixnums %4.1fx; \
-       results -> %s@."
-      (to_classic_s /. Float.max to_dc_s 1e-12)
-      (of_classic_s /. Float.max of_dc_s 1e-12)
-      (pow_school_s /. Float.max pow_kara_s 1e-12)
-      (fix_off_s /. Float.max fix_on_s 1e-12)
-      out;
-    if not !agree then begin
-      Format.printf "bignumbench: FAILED (differential paths disagree)@.";
-      exit 1
-    end;
-    if check_crossover then begin
-      let above =
-        List.filter (fun (n, _, _, _, _) -> n >= 2 * shipped_threshold) points
-      in
-      (* gate on the shipped hybrid — the path users actually hit — not
-         the forced single split used to locate the crossover *)
-      let losing =
-        List.filter (fun (_, ss, _, hs, _) -> ss /. hs <= 1.0) above
-      in
-      let pow_sp = pow_school_s /. Float.max pow_kara_s 1e-12 in
-      if above <> [] && losing = [] && pow_sp > 1.0 then
-        Format.printf "bignumbench: OK (karatsuba wins at all %d sizes >= %d \
-                       limbs; pow %4.1fx)@."
-          (List.length above) (2 * shipped_threshold) pow_sp
-      else begin
-        Format.printf
-          "bignumbench: FAILED (%d/%d sizes above %d limbs lose to \
-           schoolbook; pow %4.1fx)@."
-          (List.length losing) (List.length above)
-          (2 * shipped_threshold) pow_sp;
-        exit 1
-      end
-    end
-  in
-  let doc =
-    "Locate the Karatsuba/schoolbook crossover (gmp-mparam style), time \
-     divide-and-conquer vs classic decimal conversion, the fixnum fast \
-     path, and a power workload; write BENCH_bignum.json and optionally \
-     gate on Karatsuba beating schoolbook above the shipped threshold."
-  in
-  Cmd.v (Cmd.info "bignumbench" ~doc)
-    Term.(
-      const bignumbench $ out_arg $ reps_arg $ check_crossover_arg $ sizes_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -1995,7 +1695,6 @@ let () =
             profile_cmd;
             bench_cmd;
             vmbench_cmd;
-            bignumbench_cmd;
             analyze_cmd;
             corpus_cmd;
             report_cmd;

@@ -11,17 +11,18 @@
 
    The fixnum toggle ([set_fixnums false]) exists so the differential
    oracle can force the all-limbs regime: every observer below (compare,
-   to_string, bit_length, hash, arithmetic) is representation-agnostic,
-   so a [Fix] and a [Big] holding the same number are indistinguishable
-   to callers — which is exactly the paper's point that the space
-   *charge* (1 + log2 z, via [bit_length]) is a function of the
-   magnitude, never of the representation.
+   to_string, bit_length, arithmetic) is representation-agnostic, so a
+   [Fix] and a [Big] holding the same number are indistinguishable to
+   callers — which is exactly the paper's point that the space *charge*
+   (1 + log2 z, via [bit_length]) is a function of the magnitude, never
+   of the representation.
 
-   Sub-quadratic algorithms: Karatsuba multiplication above a tuned limb
-   threshold, Knuth Algorithm D (limb-at-a-time quotient estimation) for
-   division, and divide-and-conquer decimal conversion splitting at a
-   shared tree of 10^(9*2^k) powers. The schoolbook paths survive under
-   [Internal] for differential tests and crossover benchmarks. *)
+   One schoolbook path per operation: quadratic multiplication,
+   shift-subtract division (short division for a one-limb divisor) and
+   10^9-chunk decimal conversion. The charge reads only the magnitude,
+   so a faster algorithm could not move a peak, and measured runs keep
+   their integers within a few limbs (the corpus's largest, fact(25),
+   needs three). *)
 
 let limb_bits = 30
 let base = 1 lsl limb_bits
@@ -108,8 +109,6 @@ let sub_mag a b =
   assert (!borrow = 0);
   r
 
-let sub_mag_norm a b = normalize_mag (sub_mag a b)
-
 let bit_length_mag mag =
   let n = Array.length mag in
   if n = 0 then 0 else ((n - 1) * limb_bits) + num_bits_int mag.(n - 1)
@@ -127,30 +126,12 @@ let shift_left_mag mag k =
     done;
     r
 
-let shift_right_mag mag k =
-  let limbs = k / limb_bits and bits = k mod limb_bits in
-  let n = Array.length mag in
-  if limbs >= n then [||]
-  else begin
-    let r = Array.make (n - limbs) 0 in
-    for i = 0 to n - limbs - 1 do
-      let lo = mag.(i + limbs) lsr bits in
-      let hi =
-        if bits > 0 && i + limbs + 1 < n then
-          (mag.(i + limbs + 1) lsl (limb_bits - bits)) land limb_mask
-        else 0
-      in
-      r.(i) <- lo lor hi
-    done;
-    r
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Multiplication: schoolbook below the threshold, Karatsuba above.    *)
+(* Multiplication                                                      *)
 
 (* Schoolbook. Limbs are < 2^30 so a limb product plus carries stays
    below 2^62, within native-int range. *)
-let mul_mag_school a b =
+let mul_mag a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
   else begin
@@ -168,68 +149,9 @@ let mul_mag_school a b =
     normalize_mag r
   end
 
-(* Crossover limb count below which schoolbook wins; the default is
-   tuned by `schemesim bignumbench` (committed in BENCH_bignum.json,
-   which locates the single-split crossover near 96 limbs on the CI
-   hardware), mirroring the per-machine MUL_TOOM_THRESHOLD tables of
-   GMP's gmp-mparam.h. *)
-let karatsuba_threshold = ref 80
-
-(* r[off..] += src, with carry propagation. The caller guarantees the
-   running value fits in r (true for Karatsuba's recombination, whose
-   partial sums are bounded by the final product). *)
-let add_into r src off =
-  let n = Array.length src in
-  let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let s = r.(off + i) + src.(i) + !carry in
-    r.(off + i) <- s land limb_mask;
-    carry := s lsr limb_bits
-  done;
-  let i = ref (off + n) in
-  while !carry <> 0 do
-    let s = r.(!i) + !carry in
-    r.(!i) <- s land limb_mask;
-    carry := s lsr limb_bits;
-    incr i
-  done
-
-(* a1*B^k + a0, both normalized. *)
-let split_mag x k =
-  let lx = Array.length x in
-  if lx <= k then (normalize_mag x, [||])
-  else (normalize_mag (Array.sub x 0 k), Array.sub x k (lx - k))
-
-let rec mul_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else if (if la < lb then la else lb) < !karatsuba_threshold then
-    mul_mag_school a b
-  else begin
-    (* Karatsuba: a = a1*B^k + a0, b = b1*B^k + b0;
-       a*b = z2*B^2k + (z1 - z0 - z2)*B^k + z0
-       with z0 = a0*b0, z2 = a1*b1, z1 = (a0+a1)(b0+b1). *)
-    let k = ((if la > lb then la else lb) + 1) / 2 in
-    let a0, a1 = split_mag a k and b0, b1 = split_mag b k in
-    let z0 = mul_mag a0 b0 in
-    let z2 = mul_mag a1 b1 in
-    let z1 =
-      mul_mag (normalize_mag (add_mag a0 a1)) (normalize_mag (add_mag b0 b1))
-    in
-    (* mid = z1 - z0 - z2 >= 0, computed standalone so every add below
-       is a partial sum of the true product and cannot carry past the
-       la+lb limbs of the result. *)
-    let mid = sub_mag_norm (sub_mag_norm z1 z0) z2 in
-    let r = Array.make (la + lb) 0 in
-    add_into r z0 0;
-    if Array.length z2 > 0 then add_into r z2 (2 * k);
-    add_into r mid k;
-    normalize_mag r
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Small-operand helpers (single-limb multiplier/divisor), used by the
-   decimal-conversion base cases.                                      *)
+(* Small-operand helpers (single-limb multiplier/divisor), used by
+   decimal conversion and one-limb division.                           *)
 
 let mul_small_mag mag m =
   let n = Array.length mag in
@@ -279,12 +201,15 @@ let divmod_small_mag mag m =
 (* ------------------------------------------------------------------ *)
 (* Division                                                            *)
 
-(* Shift-and-subtract, one bit at a time from the top: the seed
-   implementation, kept as the differential reference for Algorithm D.
+(* A one-limb divisor takes the short division above; any other divisor
+   is shifted and subtracted one bit at a time from the top, which costs
    O(bits(a) * limbs(a)). *)
-let divmod_mag_school a b =
-  let c = cmp_mag a b in
-  if c < 0 then ([||], a)
+let divmod_mag a b =
+  if cmp_mag a b < 0 then ([||], a)
+  else if Array.length b = 1 then begin
+    let q, r = divmod_small_mag a b.(0) in
+    (normalize_mag q, if r = 0 then [||] else [| r |])
+  end
   else begin
     let shift = bit_length_mag a - bit_length_mag b in
     let q = Array.make ((shift / limb_bits) + 1) 0 in
@@ -298,73 +223,6 @@ let divmod_mag_school a b =
     done;
     (normalize_mag q, !rem)
   end
-
-(* Knuth Algorithm D (TAOCP vol. 2, 4.3.1), limb-at-a-time: normalize so
-   the divisor's top limb has its high bit set, estimate each quotient
-   limb from the top two dividend limbs, correct the estimate with the
-   second divisor limb (at most two decrements), multiply-subtract, and
-   add back in the rare over-estimate case. Requires length b >= 2 and
-   |a| >= |b|; all intermediates stay below 2^60 in 63-bit ints. *)
-let divmod_mag_knuth a b =
-  let n = Array.length b in
-  let la = Array.length a in
-  let shift = limb_bits - num_bits_int b.(n - 1) in
-  let v = normalize_mag (shift_left_mag b shift) in
-  let u = shift_left_mag a shift in
-  (* u has la+1 limbs (the top one possibly zero — Algorithm D wants the
-     extra limb); v still has n limbs, top limb >= base/2. *)
-  let m = la - n in
-  let q = Array.make (m + 1) 0 in
-  let vtop = v.(n - 1) and vsec = v.(n - 2) in
-  for j = m downto 0 do
-    let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
-    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
-    let adjusting = ref true in
-    while !adjusting do
-      if
-        !qhat >= base
-        || !qhat * vsec > (!rhat lsl limb_bits) lor u.(j + n - 2)
-      then begin
-        decr qhat;
-        rhat := !rhat + vtop;
-        if !rhat >= base then adjusting := false
-      end
-      else adjusting := false
-    done;
-    (* multiply-subtract qhat*v from u[j .. j+n] *)
-    let borrow = ref 0 in
-    for i = 0 to n - 1 do
-      let p = !qhat * v.(i) in
-      let t = u.(i + j) - !borrow - (p land limb_mask) in
-      u.(i + j) <- t land limb_mask;
-      borrow := (p lsr limb_bits) - (t asr limb_bits)
-    done;
-    let t = u.(j + n) - !borrow in
-    u.(j + n) <- t land limb_mask;
-    if t < 0 then begin
-      (* qhat was one too large: add v back; the final carry cancels the
-         borrow that went negative above. *)
-      decr qhat;
-      let carry = ref 0 in
-      for i = 0 to n - 1 do
-        let s = u.(i + j) + v.(i) + !carry in
-        u.(i + j) <- s land limb_mask;
-        carry := s lsr limb_bits
-      done;
-      u.(j + n) <- (u.(j + n) + !carry) land limb_mask
-    end;
-    q.(j) <- !qhat
-  done;
-  let rem = shift_right_mag (normalize_mag (Array.sub u 0 n)) shift in
-  (normalize_mag q, normalize_mag rem)
-
-let divmod_mag a b =
-  if cmp_mag a b < 0 then ([||], a)
-  else if Array.length b = 1 then begin
-    let q, r = divmod_small_mag a b.(0) in
-    (normalize_mag q, if r = 0 then [||] else [| r |])
-  end
-  else divmod_mag_knuth a b
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization and conversions to/from native ints                *)
@@ -490,24 +348,6 @@ let bit_length = function
   | Fix n -> num_bits_int (Stdlib.abs n)
   | Big b -> bit_length_mag b.mag
 
-let shift_left a k =
-  if k < 0 then invalid_arg "Bignum.shift_left"
-  else if is_zero a || k = 0 then a
-  else
-    match a with
-    | Fix n when num_bits_int (Stdlib.abs n) + k <= fix_bits -> Fix (n lsl k)
-    | _ -> make (sign a) (shift_left_mag (mag_of a) k)
-
-let shift_right a k =
-  if k < 0 then invalid_arg "Bignum.shift_right"
-  else if is_zero a || k = 0 then a
-  else
-    match a with
-    | Fix n ->
-        let m = Stdlib.abs n lsr k in
-        Fix (if n < 0 then -m else m)
-    | _ -> make (sign a) (shift_right_mag (mag_of a) k)
-
 let divmod a b =
   if is_zero b then raise Division_by_zero
   else if is_zero a then (Fix 0, Fix 0)
@@ -537,9 +377,8 @@ let pow base_v n =
     let rec go acc b n =
       if n = 0 then acc
       else if n = 1 then mul acc b
-        (* n = 1 used to fall through the squaring case: [go acc (mul b b)
-           0] squared the largest intermediate of the whole call only to
-           discard it. Returning here skips that dead final multiply. *)
+        (* stop here rather than square the largest intermediate of the
+           call only to discard it *)
       else go (if n land 1 = 1 then mul acc b else acc) (mul b b) (n lsr 1)
     in
     go one base_v n
@@ -550,9 +389,8 @@ let pow base_v n =
 let decimal_chunk = 1_000_000_000 (* largest power of 10 below 2^30 *)
 let chunk_digits = 9
 
-(* pow10.(k) = 10^k as a native int, k <= 18 (10^18 < 2^62). The integer
-   table replaces the old [int_of_float (10. ** float k)] detour, so
-   parsing never depends on float rounding. *)
+(* pow10.(k) = 10^k as a native int, k <= 18 (10^18 < 2^62): an integer
+   table, so parsing never depends on float rounding. *)
 let pow10 =
   let a = Array.make 19 1 in
   for i = 1 to 18 do
@@ -560,125 +398,26 @@ let pow10 =
   done;
   a
 
-(* tree.(k) = 10^(9 * 2^k) as a magnitude, extended by repeated squaring
-   on demand. The atomic holds an immutable snapshot so concurrent
-   measurement domains can extend it lock-free: losers of the CAS just
-   re-read the (deterministic) winner's array. *)
-let pow10_tree = Atomic.make [| [| decimal_chunk |] |]
-
-let rec tree_level k =
-  let t = Atomic.get pow10_tree in
-  if k < Array.length t then t.(k)
-  else begin
-    let n = Array.length t in
-    let t' = Array.make (k + 1) [||] in
-    Array.blit t 0 t' 0 n;
-    for i = n to k do
-      t'.(i) <- mul_mag t'.(i - 1) t'.(i - 1)
-    done;
-    ignore (Atomic.compare_and_set pow10_tree t t');
-    tree_level k
-  end
-
-(* Limb count below which [to_string] uses the classic chunk loop, and
-   digit count below which [of_string] does; both are quadratic below
-   and divide-and-conquer above. *)
-let to_string_dc_threshold = ref 40
-let of_string_dc_threshold = ref 512
-
-(* Classic rendering: repeated division by 10^9, least-significant chunk
-   first, then print most-significant first. Quadratic in limbs. *)
-let chunk_loop_string mag =
-  let buf = Buffer.create 16 in
-  let rec chunks mag acc =
-    if Array.length mag = 0 then acc
-    else
-      let q, r = divmod_small_mag mag decimal_chunk in
-      chunks (normalize_mag q) (r :: acc)
-  in
-  (match chunks (normalize_mag mag) [] with
-  | [] -> Buffer.add_char buf '0'
-  | first :: rest ->
-      Buffer.add_string buf (string_of_int first);
-      List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest);
-  Buffer.contents buf
-
-(* Append the decimal digits of [mag], left-padded with zeros to [width]
-   (0 = no padding). Splits at the largest tree power whose limb count
-   is at most half the input's, so both halves shrink geometrically and
-   the divisions run through Algorithm D / Karatsuba. *)
-let rec dc_digits buf mag ~width =
-  let lm = Array.length mag in
-  if lm <= !to_string_dc_threshold then begin
-    let s = chunk_loop_string mag in
-    for _ = String.length s + 1 to width do
-      Buffer.add_char buf '0'
-    done;
-    Buffer.add_string buf s
-  end
-  else begin
-    let rec pick k =
-      if Array.length (tree_level (k + 1)) <= (lm + 1) / 2 then pick (k + 1)
-      else k
-    in
-    let k = pick 0 in
-    let p = tree_level k in
-    let hi, lo = divmod_mag mag p in
-    let lo_digits = chunk_digits * (1 lsl k) in
-    let hw = width - lo_digits in
-    dc_digits buf hi ~width:(if hw > 0 then hw else 0);
-    dc_digits buf lo ~width:lo_digits
-  end
-
+(* Repeated short division by 10^9 yields the chunks least-significant
+   first; print them most-significant first. Quadratic in limbs. *)
 let to_string t =
   match t with
   | Fix n -> string_of_int n
   | Big { sign; mag } ->
+      let rec chunks mag acc =
+        if Array.length mag = 0 then acc
+        else
+          let q, r = divmod_small_mag mag decimal_chunk in
+          chunks (normalize_mag q) (r :: acc)
+      in
       let buf = Buffer.create (4 * Array.length mag) in
       if sign < 0 then Buffer.add_char buf '-';
-      dc_digits buf mag ~width:0;
+      List.iteri
+        (fun i c ->
+          Buffer.add_string buf
+            (if i = 0 then string_of_int c else Printf.sprintf "%09d" c))
+        (chunks mag []);
       Buffer.contents buf
-
-let to_string_classic t =
-  match t with
-  | Fix n -> string_of_int n
-  | Big { sign; mag } ->
-      let digits = chunk_loop_string mag in
-      if sign < 0 then "-" ^ digits else digits
-
-(* Classic parse of s.[lo..hi): fold 9-digit chunks left to right,
-   scaling by the integer power table. Quadratic in the digit count.
-   Digits are pre-validated by [of_string]. *)
-let chunk_loop_parse s lo hi =
-  let mag = ref [||] in
-  let i = ref lo in
-  while !i < hi do
-    let cl = Stdlib.min chunk_digits (hi - !i) in
-    let m = ref 0 in
-    for j = !i to !i + cl - 1 do
-      m := (!m * 10) + (Char.code s.[j] - Char.code '0')
-    done;
-    mag := add_small_mag (mul_small_mag !mag pow10.(cl)) !m;
-    i := !i + cl
-  done;
-  normalize_mag !mag
-
-(* Divide-and-conquer parse: split so the low part is exactly
-   9 * 2^k digits (the tree power's width), recurse, and recombine with
-   one Karatsuba multiply: high * 10^(9*2^k) + low. *)
-let rec dc_parse s lo hi =
-  let len = hi - lo in
-  if len <= !of_string_dc_threshold then chunk_loop_parse s lo hi
-  else begin
-    let rec pick k =
-      if chunk_digits * (1 lsl (k + 1)) < len then pick (k + 1) else k
-    in
-    let k = pick 0 in
-    let split = hi - (chunk_digits * (1 lsl k)) in
-    let hi_mag = dc_parse s lo split in
-    let lo_mag = dc_parse s split hi in
-    normalize_mag (add_mag (mul_mag hi_mag (tree_level k)) lo_mag)
-  end
 
 let parse_sign s len =
   if len = 0 then invalid_arg "Bignum.of_string: empty string";
@@ -704,12 +443,22 @@ let of_string s =
     done;
     of_int (if sign < 0 then - !v else !v)
   end
-  else make sign (dc_parse s start len)
-
-let of_string_classic s =
-  let len = String.length s in
-  let sign, start = parse_sign s len in
-  make sign (chunk_loop_parse s start len)
+  else begin
+    (* fold 9-digit chunks left to right, scaling by the power table;
+       quadratic in the digit count *)
+    let mag = ref [||] in
+    let i = ref start in
+    while !i < len do
+      let cl = Stdlib.min chunk_digits (len - !i) in
+      let m = ref 0 in
+      for j = !i to !i + cl - 1 do
+        m := (!m * 10) + (Char.code s.[j] - Char.code '0')
+      done;
+      mag := add_small_mag (mul_small_mag !mag pow10.(cl)) !m;
+      i := !i + cl
+    done;
+    make sign !mag
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Native-int extraction                                               *)
@@ -724,8 +473,7 @@ let to_int t =
         Some (if sign < 0 then -v else v)
       else if
         (* The one 63-bit magnitude that still fits: |min_int| = 2^62,
-           i.e. limbs [|0; 0; 4|]. The old 62-bit guard rejected it, so
-           [of_int min_int |> to_int] came back [None]. *)
+           i.e. limbs [|0; 0; 4|]. *)
         bl = 63 && sign < 0
         && Array.length mag = 3
         && mag.(0) = 0 && mag.(1) = 0 && mag.(2) = 4
@@ -738,45 +486,3 @@ let to_int_exn t =
   | None -> failwith ("Bignum.to_int_exn: too large: " ^ to_string t)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-(* Representation-independent hash: fold every 30-bit limb of the
-   magnitude (an FNV-style multiply-xor), then mix in the sign. The old
-   [Hashtbl.hash] on the limb array sampled only a bounded prefix, so
-   large magnitudes differing in high limbs all collided; and a [Fix]
-   and a [Big] holding the same number must hash alike. *)
-let hash t =
-  let h = ref 0x811c9dc5 in
-  let mix l = h := ((!h * 0x01000193) lxor l) land Stdlib.max_int in
-  (match t with
-  | Fix n ->
-      let v = ref (Stdlib.abs n) in
-      while !v <> 0 do
-        mix (!v land limb_mask);
-        v := !v lsr limb_bits
-      done
-  | Big b -> Array.iter mix b.mag);
-  ((!h * 31) + sign t) land Stdlib.max_int
-
-(* ------------------------------------------------------------------ *)
-(* Internal surface for differential tests and crossover benchmarks    *)
-
-module Internal = struct
-  let karatsuba_threshold = karatsuba_threshold
-  let to_string_dc_threshold = to_string_dc_threshold
-  let of_string_dc_threshold = of_string_dc_threshold
-
-  let mul_schoolbook a b =
-    if is_zero a || is_zero b then Fix 0
-    else make (sign a * sign b) (mul_mag_school (mag_of a) (mag_of b))
-
-  let divmod_schoolbook a b =
-    if is_zero b then raise Division_by_zero
-    else if is_zero a then (Fix 0, Fix 0)
-    else
-      let qm, rm = divmod_mag_school (mag_of a) (mag_of b) in
-      (make (sign a * sign b) qm, make (sign a) rm)
-
-  let to_string_classic = to_string_classic
-  let of_string_classic = of_string_classic
-  let limbs t = Array.length (mag_of t)
-end

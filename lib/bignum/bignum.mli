@@ -7,19 +7,18 @@
     factorials in the corpus, must neither overflow nor misreport space.
     This module is a self-contained bignum implementation (sign-magnitude,
     base-2{^30} limbs, behind a tagged fixnum fast path) with exactly the
-    operations the Scheme primitives need. Multiplication is Karatsuba
-    above a tuned limb threshold, division is Knuth Algorithm D, and
-    decimal conversion is divide-and-conquer over a power-of-10 tree; the
-    schoolbook reference paths remain reachable through {!Internal} for
-    differential testing and crossover benchmarking.
+    operations the Scheme primitives need, each by one schoolbook path:
+    quadratic multiplication, shift-subtract division and 10{^9}-chunk
+    decimal conversion. The space charge depends on the magnitude alone,
+    so no choice of algorithm can move a measured peak.
 
     All functions are pure; values are immutable and canonical (no
     negative zero, no leading zero limbs), so structural equality agrees
     with numeric equality. Every observer is representation-agnostic: a
     fixnum-tagged value and a limb-array value denoting the same integer
-    are indistinguishable (equal, same hash, same rendering, same
-    [bit_length]) — which is why toggling {!set_fixnums} can never change
-    a machine's answers, step counts, or space charges. *)
+    are indistinguishable (equal, same rendering, same [bit_length]) —
+    which is why toggling {!set_fixnums} can never change a machine's
+    answers, step counts, or space charges. *)
 
 type t
 
@@ -93,17 +92,6 @@ val bit_length : t -> int
 (** Number of bits in the magnitude; [bit_length zero = 0]. This is the
     quantity the space model uses: [space (NUM:z) = 1 + bit_length z]. *)
 
-val shift_left : t -> int -> t
-val shift_right : t -> int -> t
-(** Arithmetic shift of the magnitude (both shifts operate on [abs] and
-    reattach the sign; they are helpers for division and tests, not
-    two's-complement shifts). *)
-
-val hash : t -> int
-(** Representation-independent: folds every limb of the magnitude (large
-    values differing only in high limbs hash apart) and agrees between
-    fixnum-tagged and limb-array values of the same integer. *)
-
 (** {1 Fixnum fast path}
 
     While its magnitude fits in 61 bits, a value is carried as a tagged
@@ -123,37 +111,3 @@ val fixnums_enabled : unit -> bool
 
 val is_fixnum : t -> bool
 (** Whether this particular value is carried as a tagged native int. *)
-
-(** {1 Internal tuning and reference paths}
-
-    Exposed for the differential test-suite and the crossover benchmark
-    ([schemesim bignumbench]); not part of the stable API. *)
-
-module Internal : sig
-  val karatsuba_threshold : int ref
-  (** Limb count at or above which multiplication splits (Karatsuba);
-      default tuned by the committed [BENCH_bignum.json]. *)
-
-  val to_string_dc_threshold : int ref
-  (** Limb count above which [to_string] divides-and-conquers. *)
-
-  val of_string_dc_threshold : int ref
-  (** Digit count above which [of_string] divides-and-conquers. *)
-
-  val mul_schoolbook : t -> t -> t
-  (** O(n²) reference multiplication, threshold-independent. *)
-
-  val divmod_schoolbook : t -> t -> t * t
-  (** Bit-at-a-time reference division, same sign contract as
-      {!divmod}. *)
-
-  val to_string_classic : t -> string
-  (** Quadratic 10⁹-chunk rendering, threshold-independent. *)
-
-  val of_string_classic : string -> t
-  (** Quadratic 10⁹-chunk parsing, threshold-independent. *)
-
-  val limbs : t -> int
-  (** Limb count of the magnitude (fixnums are counted as if expanded);
-      used by the benchmark to size operands. *)
-end

@@ -117,12 +117,6 @@ let test_bit_length () =
   check_int "bits -256" 9 (B.bit_length (bi (-256)));
   check_int "bits 2^100" 101 (B.bit_length (B.pow (bi 2) 100))
 
-let test_shifts () =
-  check_str "1 << 100" (bs (B.pow (bi 2) 100)) (bs (B.shift_left B.one 100));
-  check_str "2^100 >> 99" "2" (bs (B.shift_right (B.pow (bi 2) 100) 99));
-  check_str "shift right past end" "0" (bs (B.shift_right (bi 5) 10));
-  check_str "neg shift" "-4" (bs (B.shift_left (bi (-1)) 2))
-
 let test_to_int_overflow () =
   Alcotest.(check (option int)) "2^80 no fit" None (B.to_int (B.pow (bi 2) 80));
   Alcotest.(check (option int)) "42 fits" (Some 42) (B.to_int (bi 42))
@@ -140,7 +134,7 @@ let test_equal_structural () =
 
 let test_min_int_roundtrip () =
   (* |min_int| = 2^62 is the one 63-bit magnitude that fits a native
-     int; the old 62-bit guard in to_int rejected it *)
+     int *)
   Alcotest.(check (option int))
     "of_int min_int |> to_int" (Some min_int)
     (B.to_int (bi min_int));
@@ -162,14 +156,6 @@ let test_is_even () =
   check_bool "big odd" false
     (B.is_even (B.succ (B.mul (B.pow (bi 10) 40) (bi 2))))
 
-let test_hash_high_limbs () =
-  (* values differing only in high limbs must hash apart (the old
-     Hashtbl.hash sampled a bounded prefix of the limb array) *)
-  let x = B.shift_left B.one 900 in
-  let y = B.shift_left B.one 930 in
-  check_bool "2^900 vs 2^930" true (B.hash x <> B.hash y);
-  check_bool "sign matters" true (B.hash x <> B.hash (B.neg x))
-
 let test_fixnum_representation () =
   check_bool "small is tagged" true (B.is_fixnum (bi 42));
   check_bool "2^100 is limbs" false (B.is_fixnum (B.pow (bi 2) 100));
@@ -182,26 +168,8 @@ let test_fixnum_representation () =
       let z' = B.of_string "12345678901234567890" in
       (* mixed representations of the same number are indistinguishable *)
       check_bool "equal across reprs" true (B.equal z z');
-      check_int "hash across reprs" (B.hash z) (B.hash z');
       check_str "print across reprs" (bs z) (bs z');
       check_int "bit_length across reprs" (B.bit_length z) (B.bit_length z'))
-
-(* Temporarily force the sub-quadratic paths to engage at tiny sizes so
-   QCheck inputs cross every threshold, restoring the tuned defaults
-   afterwards. *)
-let with_thresholds f =
-  let k = !B.Internal.karatsuba_threshold
-  and ts = !B.Internal.to_string_dc_threshold
-  and os = !B.Internal.of_string_dc_threshold in
-  B.Internal.karatsuba_threshold := 4;
-  B.Internal.to_string_dc_threshold := 2;
-  B.Internal.of_string_dc_threshold := 24;
-  Fun.protect
-    ~finally:(fun () ->
-      B.Internal.karatsuba_threshold := k;
-      B.Internal.to_string_dc_threshold := ts;
-      B.Internal.of_string_dc_threshold := os)
-    f
 
 (* --- properties --- *)
 
@@ -226,51 +194,7 @@ let big =
     (fun (a, b, c) -> B.add (B.mul (bi a) (B.pow (bi 2) 80)) (B.mul (bi b) (bi c)))
     (QCheck.triple small_int small_int small_int)
 
-let prop_ring_laws =
-  QCheck.Test.make ~name:"commutativity/associativity/distributivity" ~count:200
-    (QCheck.triple big big big) (fun (a, b, c) ->
-      B.equal (B.add a b) (B.add b a)
-      && B.equal (B.mul a b) (B.mul b a)
-      && B.equal (B.add (B.add a b) c) (B.add a (B.add b c))
-      && B.equal (B.mul (B.mul a b) c) (B.mul a (B.mul b c))
-      && B.equal (B.mul a (B.add b c)) (B.add (B.mul a b) (B.mul a c)))
-
-let prop_divmod_invariant =
-  QCheck.Test.make ~name:"a = q*b + r with |r| < |b|, sign(r) = sign(a)"
-    ~count:300 (QCheck.pair big big) (fun (a, b) ->
-      QCheck.assume (not (B.is_zero b));
-      let q, r = B.divmod a b in
-      B.equal a (B.add (B.mul q b) r)
-      && B.compare (B.abs r) (B.abs b) < 0
-      && (B.is_zero r || B.sign r = B.sign a))
-
-let prop_string_roundtrip =
-  QCheck.Test.make ~name:"to_string/of_string roundtrip" ~count:300 big
-    (fun z -> B.equal z (B.of_string (B.to_string z)))
-
-let prop_compare_total_order =
-  QCheck.Test.make ~name:"compare is antisymmetric and transitive-ish"
-    ~count:300 (QCheck.triple big big big) (fun (a, b, c) ->
-      compare (B.compare a b) (-(B.compare b a)) = 0
-      && (not (B.compare a b <= 0 && B.compare b c <= 0) || B.compare a c <= 0))
-
-let prop_shift_is_pow2 =
-  QCheck.Test.make ~name:"shift_left = multiply by 2^k" ~count:200
-    (QCheck.pair big (QCheck.int_range 0 120)) (fun (z, k) ->
-      B.equal (B.shift_left z k) (B.mul z (B.pow (bi 2) k)))
-
-let prop_bit_length_bound =
-  QCheck.Test.make ~name:"2^(bits-1) <= |z| < 2^bits" ~count:200 big (fun z ->
-      QCheck.assume (not (B.is_zero z));
-      let bits = B.bit_length z in
-      B.compare (B.abs z) (B.pow (bi 2) bits) < 0
-      && B.compare (B.abs z) (B.pow (bi 2) (bits - 1)) >= 0)
-
-(* --- differential properties: the sub-quadratic paths vs schoolbook --- *)
-
-(* decimal strings up to ~360 digits: with the lowered thresholds these
-   land on both sides of every split (Karatsuba, Algorithm D, d&c
-   conversion), including the base cases *)
+(* canonical decimal strings of up to 360 digits, about 40 limbs *)
 let huge =
   QCheck.make
     ~print:(fun s -> s)
@@ -283,33 +207,52 @@ let huge =
       in
       return ((if neg then "-" else "") ^ string_of_int first ^ rest))
 
-let prop_karatsuba_vs_schoolbook =
-  QCheck.Test.make ~name:"karatsuba = schoolbook across the threshold"
-    ~count:200 (QCheck.pair huge huge) (fun (sa, sb) ->
-      with_thresholds (fun () ->
-          let a = B.of_string sa and b = B.of_string sb in
-          B.equal (B.mul a b) (B.Internal.mul_schoolbook a b)))
+(* a [big] value (about four limbs) or a [huge] one, so the laws below
+   reach the schoolbook multiply, shift-subtract division and chunk
+   conversions at multi-limb sizes *)
+let num = QCheck.choose [ big; QCheck.map B.of_string huge ]
 
-let prop_knuth_vs_schoolbook =
-  QCheck.Test.make ~name:"algorithm D = schoolbook division, same contract"
-    ~count:200 (QCheck.pair huge huge) (fun (sa, sb) ->
-      with_thresholds (fun () ->
-          let a = B.of_string sa and b = B.of_string sb in
-          QCheck.assume (not (B.is_zero b));
-          let q, r = B.divmod a b in
-          let q', r' = B.Internal.divmod_schoolbook a b in
-          B.equal q q' && B.equal r r'
-          && B.equal a (B.add (B.mul q b) r)
-          && B.compare (B.abs r) (B.abs b) < 0))
+let prop_ring_laws =
+  QCheck.Test.make ~name:"commutativity/associativity/distributivity" ~count:200
+    (QCheck.triple num num num) (fun (a, b, c) ->
+      B.equal (B.add a b) (B.add b a)
+      && B.equal (B.mul a b) (B.mul b a)
+      && B.equal (B.add (B.add a b) c) (B.add a (B.add b c))
+      && B.equal (B.mul (B.mul a b) c) (B.mul a (B.mul b c))
+      && B.equal (B.mul a (B.add b c)) (B.add (B.mul a b) (B.mul a c)))
 
-let prop_dc_conversion_vs_classic =
-  QCheck.Test.make ~name:"d&c decimal conversion = classic, both directions"
-    ~count:200 huge (fun s ->
-      with_thresholds (fun () ->
-          let z = B.of_string s in
-          String.equal (B.to_string z) (B.Internal.to_string_classic z)
-          && B.equal z (B.Internal.of_string_classic s)
-          && B.equal z (B.of_string (B.to_string z))))
+let prop_divmod_invariant =
+  QCheck.Test.make ~name:"a = q*b + r with |r| < |b|, sign(r) = sign(a)"
+    ~count:300 (QCheck.pair num num) (fun (a, b) ->
+      QCheck.assume (not (B.is_zero b));
+      let q, r = B.divmod a b in
+      B.equal a (B.add (B.mul q b) r)
+      && B.compare (B.abs r) (B.abs b) < 0
+      && (B.is_zero r || B.sign r = B.sign a))
+
+let prop_string_roundtrip =
+  QCheck.Test.make ~name:"to_string/of_string roundtrip" ~count:300 num
+    (fun z -> B.equal z (B.of_string (B.to_string z)))
+
+(* the oracle is the input text, not another path of this module *)
+let prop_text_roundtrip =
+  QCheck.Test.make ~name:"to_string (of_string s) = s on canonical digit strings"
+    ~count:300 huge (fun s -> String.equal (B.to_string (B.of_string s)) s)
+
+let prop_compare_total_order =
+  QCheck.Test.make ~name:"compare is antisymmetric and transitive-ish"
+    ~count:300 (QCheck.triple big big big) (fun (a, b, c) ->
+      compare (B.compare a b) (-(B.compare b a)) = 0
+      && (not (B.compare a b <= 0 && B.compare b c <= 0) || B.compare a c <= 0))
+
+let prop_bit_length_bound =
+  QCheck.Test.make ~name:"2^(bits-1) <= |z| < 2^bits" ~count:200 big (fun z ->
+      QCheck.assume (not (B.is_zero z));
+      let bits = B.bit_length z in
+      B.compare (B.abs z) (B.pow (bi 2) bits) < 0
+      && B.compare (B.abs z) (B.pow (bi 2) (bits - 1)) >= 0)
+
+(* --- differential properties --- *)
 
 let prop_fixnum_invisible =
   QCheck.Test.make ~name:"fixnums on/off produce equal observables"
@@ -319,15 +262,15 @@ let prop_fixnum_invisible =
         let q, r =
           if B.is_zero b then (B.zero, B.zero) else B.divmod a b
         in
-        (B.add a b, B.mul a b, q, r, B.hash a, B.to_string a, B.bit_length a)
+        (B.add a b, B.mul a b, q, r, B.to_string a, B.bit_length a)
       in
-      let s1, m1, q1, r1, h1, t1, l1 = run () in
+      let s1, m1, q1, r1, t1, l1 = run () in
       B.set_fixnums false;
-      let s2, m2, q2, r2, h2, t2, l2 =
+      let s2, m2, q2, r2, t2, l2 =
         Fun.protect ~finally:(fun () -> B.set_fixnums true) run
       in
       B.equal s1 s2 && B.equal m1 m2 && B.equal q1 q2 && B.equal r1 r2
-      && h1 = h2 && String.equal t1 t2 && l1 = l2)
+      && String.equal t1 t2 && l1 = l2)
 
 let prop_is_even_matches_modulo =
   QCheck.Test.make ~name:"is_even = (modulo z 2 = 0), negatives included"
@@ -354,13 +297,11 @@ let () =
           Alcotest.test_case "modulo signs" `Quick test_modulo_signs;
           Alcotest.test_case "compare" `Quick test_compare;
           Alcotest.test_case "bit_length" `Quick test_bit_length;
-          Alcotest.test_case "shifts" `Quick test_shifts;
           Alcotest.test_case "to_int overflow" `Quick test_to_int_overflow;
           Alcotest.test_case "succ/pred" `Quick test_succ_pred;
           Alcotest.test_case "canonical equality" `Quick test_equal_structural;
           Alcotest.test_case "min_int roundtrip" `Quick test_min_int_roundtrip;
           Alcotest.test_case "is_even" `Quick test_is_even;
-          Alcotest.test_case "hash high limbs" `Quick test_hash_high_limbs;
           Alcotest.test_case "fixnum representation" `Quick
             test_fixnum_representation;
         ] );
@@ -372,16 +313,13 @@ let () =
             prop_ring_laws;
             prop_divmod_invariant;
             prop_string_roundtrip;
+            prop_text_roundtrip;
             prop_compare_total_order;
-            prop_shift_is_pow2;
             prop_bit_length_bound;
           ] );
       ( "differential",
         q
           [
-            prop_karatsuba_vs_schoolbook;
-            prop_knuth_vs_schoolbook;
-            prop_dc_conversion_vs_classic;
             prop_fixnum_invisible;
             prop_is_even_matches_modulo;
           ] );
