@@ -368,7 +368,8 @@ let run_cmd =
   let ring_arg =
     let doc =
       "Keep the last $(docv) configurations in a ring buffer, dumped when the \
-       machine gets stuck (0 disables the per-step description cost)."
+       machine gets stuck (0 disables it). A configuration is described \
+       only if the buffer is dumped while it still holds it."
     in
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
@@ -631,7 +632,8 @@ let profile_cmd =
    [peak_space] that OLD has and NEW lacks, and a point whose status
    degrades from [done] or disappears. Wall time is not compared: the
    repo benchmark ([benchmark/]) gates it. A file without a non-empty
-   [points] list is a usage error: there would be nothing to compare. *)
+   [points] list, or two files of different programs or variants, is a
+   usage error: points matched by [n] alone would compare unlike runs. *)
 let compare_baselines old_path new_path =
   let load path =
     match Json.of_string (read_file path) with
@@ -662,6 +664,16 @@ let compare_baselines old_path new_path =
   in
   let old_points = points old_path old_j
   and new_points = points new_path new_j in
+  List.iter
+    (fun key ->
+      let o = str_of key old_j and nw = str_of key new_j in
+      if o <> nw then begin
+        let show = Option.value ~default:"none" in
+        Format.eprintf "schemesim: %s and %s measure different %ss (%s vs %s)@."
+          old_path new_path key (show o) (show nw);
+        exit 2
+      end)
+    [ "program"; "variant" ];
   let regressions = ref [] in
   let reg fmt =
     Printf.ksprintf (fun s -> regressions := s :: !regressions) fmt
@@ -820,7 +832,6 @@ let bench_cmd =
       make_budget ?timeout_s:timeout ?space_words:space_budget
         ?output_bytes:output_cap ()
     in
-    let started = Res.Clock.now () in
     let config =
       M.Config.make ~engine ~variant ~perm ~stack_policy
         ~annotate:(not no_annot) ()
@@ -841,7 +852,6 @@ let bench_cmd =
                  ~opts:(M.Run_opts.make ~fuel ~budget ~measure ())
                  ~collect_telemetry:true ~config ~program ~ns ()))
     in
-    let wall_s = Res.Clock.now () -. started in
     (match baseline_out with
     | None -> ()
     | Some path ->
@@ -862,11 +872,6 @@ let bench_cmd =
               ("program", Json.Str name);
               ("variant", Json.Str (M.variant_name variant));
               ("ns", Json.List (List.map (fun n -> Json.Int n) ns));
-              ( "jobs",
-                Json.Int
-                  (match jobs with Some j -> max 1 j | None -> Pool.default_jobs ())
-              );
-              ("wall_s", Json.Float wall_s);
               ( "points",
                 Json.List
                   (List.map
@@ -939,7 +944,7 @@ let bench_cmd =
   let baseline_out_arg =
     let doc =
       "Write a machine-readable baseline (deterministic per-point results \
-       plus wall-clock, job count, and merged telemetry) to $(docv)."
+       and merged telemetry) to $(docv)."
     in
     Arg.(
       value
@@ -956,8 +961,8 @@ let bench_cmd =
        sweeping: bench --compare OLD NEW. Exits 1 on any growth of a \
        point's space, peak space or per-model peak, on a space or peak \
        space missing from NEW, on a degraded point status, or on a missing \
-       point; exits 2 if either file has no non-empty points list. Wall \
-       time is not compared."
+       point; exits 2 if either file has no non-empty points list or the \
+       two differ in program or variant. Wall time is not compared."
     in
     Arg.(value & flag & info [ "compare" ] ~doc)
   in
@@ -977,179 +982,6 @@ let bench_cmd =
       $ fuel_arg $ timeout_arg $ space_budget_arg $ output_cap_arg
       $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg
       $ baseline_out_arg $ compare_arg $ new_pos_arg)
-
-(* ------------------------------------------------------------------ *)
-(* vmbench                                                             *)
-
-(* Wall-clock comparison of the execution tiers on loop/arith-heavy
-   corpus families, emitting the committed BENCH_vm.json format and
-   optionally gating on the fast tier's speedup over the stepper. Each
-   timing is the best of [reps] runs of the full engine path (for the
-   fast VM that includes compilation — the honest end-to-end cost). *)
-let vmbench_cmd =
-  let default_families =
-    [
-      ("countdown", 100_000);
-      ("even-odd", 50_000);
-      ("fib-naive", 21);
-      ("nqueens", 6);
-      ("find-leftmost", 64);
-      ("ack", 7);
-    ]
-  in
-  let out_arg =
-    let doc = "Write the per-family results as JSON to $(docv)." in
-    Arg.(value & opt string "BENCH_vm.json" & info [ "out" ] ~docv:"FILE" ~doc)
-  in
-  let reps_arg =
-    let doc = "Timing repetitions per (family, engine); best-of wins." in
-    Arg.(value & opt int 3 & info [ "reps" ] ~docv:"K" ~doc)
-  in
-  let check_speedup_arg =
-    let doc =
-      "Fail (exit 1) unless at least --min-families families reach this \
-       fast-tier speedup over the stepper."
-    in
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "check-speedup" ] ~docv:"FACTOR" ~doc)
-  in
-  let min_families_arg =
-    let doc = "How many families must reach --check-speedup." in
-    Arg.(value & opt int 2 & info [ "min-families" ] ~docv:"K" ~doc)
-  in
-  let families_arg =
-    let doc =
-      "Families to measure, as NAME=N corpus entries (default: the shipped \
-       loop/arith-heavy set)."
-    in
-    let cv =
-      let parse s =
-        match String.index_opt s '=' with
-        | Some i -> (
-            let name = String.sub s 0 i in
-            match
-              int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-            with
-            | Some n -> Ok (name, n)
-            | None -> Error (`Msg "expected NAME=N"))
-        | None -> Error (`Msg "expected NAME=N")
-      in
-      Arg.conv
-        (parse, fun ppf (name, n) -> Format.fprintf ppf "%s=%d" name n)
-    in
-    Arg.(
-      value & opt_all cv default_families & info [ "family" ] ~docv:"NAME=N" ~doc)
-  in
-  let vmbench out reps check_speedup min_families families fuel =
-    let time_best f =
-      let rec go best k =
-        if k = 0 then best
-        else begin
-          let t0 = Res.Clock.now () in
-          let r = f () in
-          let dt = Res.Clock.now () -. t0 in
-          go (match best with Some (bt, _) when bt <= dt -> best | _ -> Some (dt, r)) (k - 1)
-        end
-      in
-      match go None (max 1 reps) with
-      | Some (dt, r) -> (dt, r)
-      | None -> assert false
-    in
-    let opts = M.Run_opts.make ~fuel () in
-    let rows =
-      List.map
-        (fun (name, n) ->
-          match Corpus.find name with
-          | None ->
-              Format.eprintf "schemesim: unknown corpus entry %S@." name;
-              exit 2
-          | Some e ->
-              let program = Corpus.program e in
-              let point engine =
-                time_best (fun () ->
-                    R.run_once ~opts
-                      ~config:(M.Config.make ~engine ())
-                      ~program ~n ())
-              in
-              let stepper_s, sm = point M.Stepper in
-              let fast_s, fm = point M.Vm_fast in
-              let status (m : R.measurement) =
-                match m.R.status with
-                | R.Answer a -> "answer:" ^ a
-                | R.Stuck s -> "stuck:" ^ s
-                | R.Aborted r -> "aborted:" ^ Res.abort_reason_name r
-              in
-              let answers_agree = String.equal (status sm) (status fm) in
-              let speedup = stepper_s /. Float.max fast_s 1e-9 in
-              (name, n, stepper_s, fast_s, speedup, sm, answers_agree))
-        families
-    in
-    let json =
-      Json.Obj
-        [
-          ("tool", Json.Str "schemesim vmbench");
-          ("reps", Json.Int reps);
-          ( "families",
-            Json.List
-              (List.map
-                 (fun (name, n, ss, fs, sp, sm, agree) ->
-                   Json.Obj
-                     [
-                       ("name", Json.Str name);
-                       ("n", Json.Int n);
-                       ("stepper_s", Json.Float ss);
-                       ("vm_fast_s", Json.Float fs);
-                       ("speedup_fast", Json.Float sp);
-                       ("steps", Json.Int sm.R.steps);
-                       ("peak_space", Json.Int (R.peak_space sm));
-                       ("answers_agree", Json.Bool agree);
-                     ])
-                 rows) );
-        ]
-    in
-    write_file out (Json.to_string json);
-    Format.printf "%-15s %8s %12s %12s %9s %s@." "family" "n" "stepper"
-      "vm-fast" "speedup" "agree";
-    List.iter
-      (fun (name, n, ss, fs, sp, _, agree) ->
-        Format.printf "%-15s %8d %10.3f s %10.4f s %8.1fx %s@." name n ss fs sp
-          (if agree then "yes" else "NO"))
-      rows;
-    Format.printf "; results -> %s@." out;
-    let disagreements =
-      List.filter (fun (_, _, _, _, _, _, agree) -> not agree) rows
-    in
-    if disagreements <> [] then begin
-      Format.printf "vmbench: FAILED (engine answers disagree)@.";
-      exit 1
-    end;
-    match check_speedup with
-    | None -> ()
-    | Some target ->
-        let at =
-          List.length
-            (List.filter (fun (_, _, _, _, sp, _, _) -> sp >= target) rows)
-        in
-        if at >= min_families then
-          Format.printf "vmbench: OK (%d/%d families at >=%.0fx)@." at
-            (List.length rows) target
-        else begin
-          Format.printf "vmbench: FAILED (only %d families at >=%.0fx, need %d)@."
-            at target min_families;
-          exit 1
-        end
-  in
-  let doc =
-    "Time the execution tiers (stepper, fast VM) on loop/arith-heavy corpus \
-     families, write BENCH_vm.json, and optionally gate on the fast tier's \
-     speedup."
-  in
-  Cmd.v (Cmd.info "vmbench" ~doc)
-    Term.(
-      const vmbench $ out_arg $ reps_arg $ check_speedup_arg $ min_families_arg
-      $ families_arg $ fuel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -1694,7 +1526,6 @@ let () =
             run_cmd;
             profile_cmd;
             bench_cmd;
-            vmbench_cmd;
             analyze_cmd;
             corpus_cmd;
             report_cmd;

@@ -42,7 +42,6 @@ and lambda = {
 
 val lambda : ?rest:ident -> ident list -> expr -> expr
 
-val equal_const : const -> const -> bool
 val equal : expr -> expr -> bool
 
 val size : expr -> int

@@ -5,12 +5,10 @@ module Env = Types.Env
 
 (* The census builder: the run-time half of the provenance layer. A
    [Census.t] rides along one measured run of [Machine.exec]. It is fed
-   from three hooks:
+   from two hooks:
 
    - a store location observer tagging every allocation with the
-     current (site, phase) — the advisory live table is bumped here;
-   - a rescan at every collection, re-deriving the live table from the
-     survivor set (the observer cannot see removals);
+     current (site, phase);
    - a stash at every strict peak increase, keeping the exact peak
      configuration. Every peak update in the measured loop happens
      right after a collection, so a stashed store holds only reachable
@@ -43,7 +41,6 @@ type t = {
       (* locations are never reused (monotone allocator), so this map
          only grows; entries for dead locations are kept because the
          peak stashes may still name them *)
-  live : (int * P.phase, int) Hashtbl.t;
   mutable current_site : int;
   mutable phase_hint : P.phase option;
   mutable flat_stash : stash;
@@ -55,7 +52,6 @@ let create () =
   {
     annot = None;
     site_of_loc = Hashtbl.create 1024;
-    live = Hashtbl.create 64;
     current_site = -1;
     phase_hint = None;
     flat_stash = Nothing;
@@ -65,16 +61,9 @@ let create () =
 
 let set_annot t a = t.annot <- Some a
 
-let site_of_expr t e =
-  match t.annot with
-  | None -> -1
-  | Some a -> ( match Annot.site_id a e with Some s -> s | None -> -1)
-
 let set_alloc_site t ~site ~phase =
   t.current_site <- site;
   t.phase_hint <- phase
-
-let set_phase t phase = t.phase_hint <- phase
 
 let phase_of_value : Types.value -> P.phase = function
   | Pair _ -> P.P_pair
@@ -94,9 +83,7 @@ let on_alloc t l v =
   let phase =
     match t.phase_hint with Some p -> p | None -> phase_of_value v
   in
-  let key = (t.current_site, phase) in
-  Hashtbl.replace t.site_of_loc l key;
-  bump t.live key (1 + Types.value_space v)
+  Hashtbl.replace t.site_of_loc l (t.current_site, phase)
 
 let instrument t store = Store.add_loc_observer store (on_alloc t)
 
@@ -104,18 +91,6 @@ let key_of_loc t l =
   match Hashtbl.find_opt t.site_of_loc l with
   | Some key -> key
   | None -> (-1, P.P_globals)
-
-let rescan t store =
-  Hashtbl.reset t.live;
-  Store.iter
-    (fun l v -> bump t.live (key_of_loc t l) (1 + Types.value_space v))
-    store
-
-let live_rows t =
-  List.sort compare
-    (Hashtbl.fold
-       (fun (site, phase) w acc -> (site, phase, w) :: acc)
-       t.live [])
 
 let stash_flat t ~control ~env ~cont ~store =
   t.flat_stash <- At_config { control; env; cont; store }

@@ -1,14 +1,11 @@
 (** Run-time census builder for the space-provenance profiler.
 
     A [Census.t] accompanies one measured run. The machine feeds it
-    through three hooks:
+    through two hooks:
 
     - {!instrument} attaches a store location observer that tags every
       allocation with the current allocation site and phase
-      ({!set_alloc_site}/{!set_phase}) and bumps an advisory per-site
-      live-word table;
-    - {!rescan} re-derives that table from the survivor set at each
-      reclaiming collection (the observer sees allocations only);
+      ({!set_alloc_site});
     - {!stash_flat}/{!stash_linked}/{!stash_log} capture the exact
       configuration at every strict peak increase (called at points
       where the store has just been collected, so every cell is
@@ -44,25 +41,13 @@ val set_annot : t -> Annot.t -> unit
 (** The annotation table whose site ids name allocation sites. Without
     one, every site resolves to [-1]. *)
 
-val site_of_expr : t -> Ast.expr -> int
-(** The site id of an expression ([-1] if unannotated). *)
-
 val set_alloc_site : t -> site:int -> phase:P.phase option -> unit
 (** Declare the provenance of upcoming allocations: the site id and an
     optional phase override. With [phase = None] the phase is inferred
     from the allocated value's kind. *)
 
-val set_phase : t -> P.phase option -> unit
-(** Change only the phase hint, keeping the current site. *)
-
 val instrument : t -> Store.t -> Store.t
 (** Attach the site-tagging allocation observer. *)
-
-val rescan : t -> Store.t -> unit
-(** Re-derive the advisory live table from a survivor store. *)
-
-val live_rows : t -> (int * P.phase * int) list
-(** Current advisory live words per (site, phase), sorted. *)
 
 (** {1 Peak stashes} *)
 

@@ -904,11 +904,6 @@ let run_measured
   let record_gc reason store reclaimed =
     if reclaimed > 0 then begin
       incr gc_runs;
-      (* the allocation observer only sees additions; re-derive the
-         advisory per-site live table from the survivor set *)
-      (match provenance with
-      | Some c -> Census.rescan c store
-      | None -> ());
       match telemetry with
       | Some tl ->
           Telemetry.record_gc tl ~step:!cur_step ~reason
@@ -1024,10 +1019,9 @@ let run_measured
           ~cont_depth:(cont_depth config.cont)
           ~store_cells:(Store.cardinal config.store);
         if want_config then
+          let annot = if t.track_sites then t.annot else None in
           Telemetry.record_config tl ~step:steps
-            (describe_config
-               ?annot:(if t.track_sites then t.annot else None)
-               config)
+            (lazy (describe_config ?annot config))
   in
   let aborted reason steps =
     (Aborted { reason; steps; peak_space = !peak }, steps)

@@ -139,6 +139,3 @@ let ceil_log2 n =
   if n <= 1 then 0 else go 0 1
 
 let pointer_bits store = max 1 (ceil_log2 (Store.cardinal store))
-
-let log_config_space ~control ~env ~cont ~store =
-  pointer_bits store * linked_config_space ~control ~env ~cont ~store

@@ -32,23 +32,10 @@ val linked_config_space :
     environments share the globals; the figure equals the union of every
     environment's shadow-aware graph. *)
 
-val ceil_log2 : int -> int
-(** [ceil_log2 n] is the least [b] with [2^b >= n] ([0] for [n <= 1]). *)
-
 val pointer_bits : Store.t -> int
 (** The pointer size for the logarithmic model: a pointer into a store of
     [k] live cells needs [ceil(log2 k)] bits, clamped to at least 1. The
     store should be fully garbage collected first, like
-    {!linked_config_space}. *)
-
-val log_config_space :
-  control:[ `Expr of Tailspace_ast.Ast.expr | `Value of Types.value ] ->
-  env:Types.Env.t ->
-  cont:Types.cont ->
-  store:Store.t ->
-  int
-(** The logarithmic (pointer-size) space of a configuration, in
-    bit-units: every linked-model word is charged {!pointer_bits} bits
-    instead of one word, so
-    [log_config_space c = pointer_bits store * linked_config_space c].
-    This is the [Space_model.Log] measure. *)
+    {!linked_config_space}. The [Space_model.Log] measure of a
+    configuration, in bit-units, charges every linked-model word this
+    many bits: [pointer_bits store * linked_config_space c]. *)

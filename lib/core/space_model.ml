@@ -12,7 +12,6 @@ let of_name = function
   | "log" -> Some Log
   | _ -> None
 
-let unit_name = function Flat | Linked -> "words" | Log -> "bits"
 let word_bits = 64
 let to_bits model x = match model with Flat | Linked -> x * word_bits | Log -> x
 let mem m ms = List.exists (equal m) ms

@@ -40,9 +40,6 @@ val name : t -> string
 
 val of_name : string -> t option
 
-val unit_name : t -> string
-(** ["words"] for [Flat]/[Linked], ["bits"] for [Log]. *)
-
 val word_bits : int
 (** The word size used to compare word-denominated models against the
     bit-denominated [Log] model: 64. *)

@@ -124,7 +124,6 @@ let cardinal t = t.count
 let space t = t.space
 let iter f t = Imap.iter (fun l c -> f l c.v) t.cells
 let fold f t init = Imap.fold (fun l c acc -> f l c.v acc) t.cells init
-let next_loc t = t.next
 let start_run t = { t with first = t.next; written = false }
 let first_run_loc t = t.first
 let old_written t = t.written

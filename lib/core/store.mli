@@ -77,14 +77,12 @@ val fold_from :
 (** [fold_from lo f] is {!fold} restricted to locations [>= lo], in
     increasing order, without visiting the cells below [lo]. *)
 
-val next_loc : t -> Types.loc
-(** The next location the allocator will hand out (diagnostics only). *)
-
 (** {1 Old generation} *)
 
 val start_run : t -> t
 (** Make every allocated cell old: the run's first location becomes
-    {!next_loc}, and the write barrier is cleared. *)
+    the next location the allocator will hand out, and the write
+    barrier is cleared. *)
 
 val first_run_loc : t -> Types.loc
 (** The run's first location: the cells below it are old. [0] (no old

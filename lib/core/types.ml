@@ -226,8 +226,6 @@ and cont_locs_acc acc k =
       let acc = List.rev_append dels acc in
       cont_locs_acc (List.rev_append (Env.locations env) acc) next
 
-let cont_locs k = cont_locs_acc [] k
-
 let tag_of_value = function
   | Bool _ -> "boolean"
   | Int _ -> "number"

@@ -144,10 +144,5 @@ val value_locs : value -> loc list
 (** Locations occurring directly in a value (one level; not through the
     store). *)
 
-val cont_locs : cont -> loc list
-(** Locations occurring directly in a continuation: the codomains of its
-    saved environments, locations of its held values, recursively through
-    [next], plus any [Return_stack] deletion sets. *)
-
 val tag_of_value : value -> string
 (** Short constructor name for error messages ("pair", "closure", ...). *)

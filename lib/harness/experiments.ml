@@ -111,11 +111,6 @@ module Thm25 = struct
         { separator = name; ns; cells })
       programs
 
-  let order_of sweep variant =
-    match List.find_opt (fun c -> c.variant = variant) sweep.cells with
-    | Some { fit = Some f; _ } -> Some f.Growth.order
-    | _ -> None
-
   (* Each of Theorem 25's "O(S_X) not included in O(S_Y)" claims is
      operationalized directly: S_X(P, N) / S_Y(P, N) must diverge as N
      grows. The ratio of ratios between the largest and smallest N is

@@ -2,7 +2,7 @@
 
     Each experiment exposes a [run] returning structured data — the test
     suite asserts the paper's claims on it — and a [render] producing the
-    table that [bench/main.exe] prints. The experiment ids match
+    table that [schemesim report] prints. The experiment ids match
     DESIGN.md's per-experiment index. *)
 
 module Machine = Tailspace_core.Machine
@@ -48,8 +48,6 @@ module Thm25 : sig
       [budget] is given every point runs under it; points the governor
       aborts simply drop out of [spaces] (and the fit), so a partial
       sweep still renders. *)
-
-  val order_of : sweep -> Machine.variant -> Growth.order option
 
   val claims : sweep list -> (string * bool) list
   (** The paper's growth claims ("stack/gc: quadratic under stack",
@@ -260,4 +258,4 @@ end
 
 val render_all : ?pool:Pool.t -> unit -> string
 (** Every experiment's table, in order — the paper-reproduction report
-    that [bench/main.exe] prints. *)
+    that [schemesim report all] prints. *)

@@ -54,6 +54,9 @@ let status_text (m : Runner.measurement) =
   | Runner.Stuck s -> "stuck:" ^ s
   | Runner.Aborted r -> "aborted:" ^ Resilience.abort_reason_name r
 
+(* The hostile GC schedules each (program, variant) is re-run under:
+   collect before every step, every third step, and two seeded
+   pseudorandom schedules. *)
 let adversarial_plans =
   [
     Resilience.Fault.make ~label:"gc-every-1" ~gc_every:1 ();

@@ -76,11 +76,6 @@ type report = {
   ok : bool;
 }
 
-val adversarial_plans : Resilience.Fault.plan list
-(** The hostile GC schedules each (program, variant) is re-run under:
-    collect before every step, every third step, and two seeded
-    pseudorandom schedules. *)
-
 val run :
   ?fuel:int ->
   ?programs:(string * Tailspace_ast.Ast.expr * int) list ->

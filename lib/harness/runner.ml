@@ -231,8 +231,5 @@ let spaces_for model ms =
       | _ -> None)
     ms
 
-let linked_spaces ms = spaces_for Space_model.Linked ms
-let log_spaces ms = spaces_for Space_model.Log ms
-
 let all_answered ms =
   List.for_all (fun m -> match m.status with Answer _ -> true | _ -> false) ms

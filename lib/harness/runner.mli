@@ -140,10 +140,4 @@ val spaces_for : Space_model.t -> measurement list -> (int * int) list
     errors): a partially-measured supervised sweep degrades to the
     points that have the data. *)
 
-val linked_spaces : measurement list -> (int * int) list
-(** [spaces_for Linked]. *)
-
-val log_spaces : measurement list -> (int * int) list
-(** [spaces_for Log]. *)
-
 val all_answered : measurement list -> bool

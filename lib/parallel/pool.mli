@@ -13,14 +13,11 @@
 
 type t
 
-val default_jobs : unit -> int
-(** [max 1 (Domain.recommended_domain_count () - 1)]: leave one core for
-    the submitting domain. *)
-
 val create : ?jobs:int -> unit -> t
-(** Spawn [jobs] worker domains (default {!default_jobs}; clamped to at
-    least 1). The pool must eventually be {!shutdown} (or use
-    {!with_pool}). *)
+(** Spawn [jobs] worker domains (default
+    [max 1 (Domain.recommended_domain_count () - 1)], leaving one core
+    for the submitting domain; clamped to at least 1). The pool must
+    eventually be {!shutdown} (or use {!with_pool}). *)
 
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?pool f xs] applies [f] to every element, returning results in
@@ -43,5 +40,5 @@ val shutdown : t -> unit
 val with_pool : ?jobs:int -> (t option -> 'a) -> 'a
 (** [with_pool ~jobs f]: when [jobs <= 1] runs [f None] (serial path,
     no domains spawned); otherwise creates a pool, runs [f (Some pool)],
-    and shuts the pool down even if [f] raises. [jobs] defaults to
-    {!default_jobs}. *)
+    and shuts the pool down even if [f] raises. [jobs] defaults as in
+    {!create}. *)

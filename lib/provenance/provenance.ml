@@ -23,12 +23,6 @@ type phase =
   | P_globals  (** cells allocated before the measured run began *)
   | P_unreachable  (** defensive: cells the retainer walk never reached *)
 
-let all_phases =
-  [
-    P_rib; P_frame; P_pair; P_vector; P_closure; P_escape; P_string; P_bignum;
-    P_atom; P_register_env; P_control; P_halt; P_globals; P_unreachable;
-  ]
-
 let phase_name = function
   | P_rib -> "rib"
   | P_frame -> "frame"
@@ -44,9 +38,6 @@ let phase_name = function
   | P_halt -> "halt"
   | P_globals -> "globals"
   | P_unreachable -> "unreachable"
-
-let phase_of_name s =
-  List.find_opt (fun p -> String.equal (phase_name p) s) all_phases
 
 type measure = Flat | Linked | Log
 
@@ -73,8 +64,7 @@ type t = {
   labels : (int * string) list;
       (** site id -> source span (truncated expression text). Labels
           are advisory: gensym'd identifiers can differ between two
-          machines that agree on every structural field, so census
-          comparisons strip them ({!strip_labels}). *)
+          machines that agree on every structural field. *)
 }
 
 let total c = List.fold_left (fun acc r -> acc + r.words) 0 c.rows
@@ -123,8 +113,6 @@ let to_json ?(with_labels = true) c =
                  ])
              c.stacks) );
     ]
-
-let strip_labels c = { c with labels = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Flamegraph export: one collapsed stack per line, `a;b;c words`,

@@ -33,9 +33,7 @@ type phase =
   | P_globals
   | P_unreachable
 
-val all_phases : phase list
 val phase_name : phase -> string
-val phase_of_name : string -> phase option
 
 type measure = Flat | Linked | Log
 
@@ -62,9 +60,8 @@ type t = {
   rows : row list;
   stacks : stack list;
   labels : (int * string) list;
-      (** advisory site labels (truncated source text); censuses are
-          compared with {!strip_labels} because gensym'd names can
-          differ between machines that agree structurally *)
+      (** advisory site labels (truncated source text); gensym'd names
+          can differ between machines that agree structurally *)
 }
 
 val total : t -> int
@@ -76,7 +73,6 @@ val label_of : t -> int -> phase -> string
     ["s<id>"] when unlabeled, or ["<phase>"] for synthetic rows. *)
 
 val to_json : ?with_labels:bool -> t -> Json.t
-val strip_labels : t -> t
 
 val flamegraph_lines : t -> string list
 (** Collapsed-stack lines ([site;site;... words]) for flamegraph.pl or

@@ -65,8 +65,6 @@ module Clock = struct
      cell itself never matters in practice. *)
   let source = ref real
   let now () = !source ()
-  let set f = source := f
-  let reset () = source := real
 
   let with_source f k =
     let saved = !source in

@@ -58,23 +58,17 @@ val abort_reason_to_json : abort_reason -> Json.t
 (** {1 Wall clock} *)
 
 module Clock : sig
-  (** The one clock everything in the system reads: {!Guard} deadlines
-      and bench wall-clocks. The source is injectable so time-dependent
-      tests advance a fake clock instead of sleeping. *)
+  (** The clock {!Guard} deadlines read; nothing else but the tests
+      reads it. The source is injectable so time-dependent tests
+      advance a fake clock instead of sleeping. *)
 
   val now : unit -> float
   (** Seconds from the current source (default [Unix.gettimeofday]). *)
 
-  val set : (unit -> float) -> unit
-  (** Install a clock source. Install fakes before spawning anything
-      that reads the clock concurrently. *)
-
-  val reset : unit -> unit
-  (** Back to the real wall clock. *)
-
   val with_source : (unit -> float) -> (unit -> 'a) -> 'a
   (** [with_source fake k] runs [k] with [fake] installed, restoring
-      the previous source even if [k] raises. *)
+      the previous source even if [k] raises. Install fakes before
+      spawning anything that reads the clock concurrently. *)
 end
 
 (** {1 Budgets} *)

@@ -325,7 +325,6 @@ let event_to_json event : Json.t =
 
 type sink = event -> unit
 
-let fanout sinks event = List.iter (fun sink -> sink event) sinks
 let jsonl_sink write event = write (Json.to_string (event_to_json event))
 
 (* ------------------------------------------------------------------ *)
@@ -429,7 +428,8 @@ type t = {
   mutable stuck : string option;
   sink : sink option;
   config_sink : (int -> string -> unit) option;
-  ring : (int * string) array;  (* capacity 0 = disabled *)
+  ring : (int * string Lazy.t) array;
+      (* capacity 0 = disabled; descriptions are rendered when read *)
   mutable ring_len : int;
   mutable ring_pos : int;
   profile : Profile.t option;
@@ -453,13 +453,12 @@ let create ?sink ?config_sink ?(ring = 0) ?profile () =
     stuck = None;
     sink;
     config_sink;
-    ring = Array.make (Stdlib.max 0 ring) (0, "");
+    ring = Array.make (Stdlib.max 0 ring) (0, lazy "");
     ring_len = 0;
     ring_pos = 0;
     profile;
   }
 
-let has_sink t = Option.is_some t.sink
 let emit t event = match t.sink with Some sink -> sink event | None -> ()
 
 let record_step t ~step ~space ~cont_depth ~store_cells =
@@ -502,7 +501,9 @@ let wants_config t =
   Array.length t.ring > 0 || Option.is_some t.config_sink
 
 let record_config t ~step description =
-  (match t.config_sink with Some f -> f step description | None -> ());
+  (match t.config_sink with
+  | Some f -> f step (Lazy.force description)
+  | None -> ());
   let cap = Array.length t.ring in
   if cap > 0 then begin
     t.ring.(t.ring_pos) <- (step, description);
@@ -528,7 +529,10 @@ let peak_space t = t.peak_space
 let ring_contents t =
   let cap = Array.length t.ring in
   List.init t.ring_len (fun i ->
-      t.ring.((t.ring_pos - t.ring_len + i + (2 * cap)) mod cap))
+      let step, description =
+        t.ring.((t.ring_pos - t.ring_len + i + (2 * cap)) mod cap)
+      in
+      (step, Lazy.force description))
 
 (* ------------------------------------------------------------------ *)
 (* Summaries                                                           *)

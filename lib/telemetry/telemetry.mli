@@ -65,8 +65,6 @@ type gc_reason =
   | Gc_forced  (** a fault-injection plan forced this collection *)
   | Gc_budget  (** tracked space crossed the run's space budget *)
 
-val gc_reason_name : gc_reason -> string
-
 type event =
   | Step of { step : int; space : int; cont_depth : int; store_cells : int }
       (** one machine transition, observed after any collection *)
@@ -80,13 +78,9 @@ type event =
       (** a collection that freed [freed] locations, leaving [live] *)
   | Stuck of { step : int; message : string }
 
-val event_to_json : event -> Json.t
-
 type sink = event -> unit
 (** Event consumers. A sink sees every event of the categories above the
     moment it is recorded; it must not raise. *)
-
-val fanout : sink list -> sink
 
 val jsonl_sink : (string -> unit) -> sink
 (** [jsonl_sink write] renders each event as one JSON line (no trailing
@@ -134,8 +128,6 @@ val create :
     configuration description) pair the moment it is recorded — the
     streaming analogue of the ring buffer. *)
 
-val has_sink : t -> bool
-
 (** {2 Recording} (called by the machines; cheap) *)
 
 val record_step :
@@ -150,12 +142,15 @@ val record_stuck : t -> step:int -> message:string -> unit
 
 val wants_config : t -> bool
 (** Whether {!record_config} would observe anything (ring enabled or a
-    [config_sink] installed) — lets the machine skip rendering
-    configuration descriptions otherwise. *)
+    [config_sink] installed) — lets the machine skip describing
+    configurations otherwise. *)
 
-val record_config : t -> step:int -> string -> unit
-(** Feeds the [config_sink] (if any) and pushes a one-line configuration
-    description into the ring buffer. *)
+val record_config : t -> step:int -> string Lazy.t -> unit
+(** Records a one-line configuration description. The [config_sink]
+    (if any) gets it rendered at once; the ring buffer keeps it lazy and
+    {!ring_contents} forces it on read, so a ring that is never read
+    renders nothing. The description must therefore depend only on the
+    state at [step]. *)
 
 val note_steps : t -> int -> unit
 (** Force the step counter (the machines call this once at the end so the
@@ -163,9 +158,7 @@ val note_steps : t -> int -> unit
 
 val note_peak : t -> int -> unit
 val note_linked : t -> int -> unit
-val note_peak_linked : t -> int option
 val note_log : t -> int -> unit
-val note_peak_log : t -> int option
 
 (** {2 Reading} *)
 

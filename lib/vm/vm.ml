@@ -1099,10 +1099,6 @@ let run_fast_with ~fuel ~budget ~seed c =
   fast_result ~outcome ~steps:st.steps ~psize:c.psize
     ~output:(Buffer.contents st.fst.out)
 
-let run_fast ?(fuel = 20_000_000) ?budget c =
-  let budget = Option.value budget ~default:Resilience.Budget.unlimited in
-  run_fast_with ~fuel ~budget ~seed:Machine.Config.default.Machine.Config.seed c
-
 (* ================================================================== *)
 (* Entry point                                                         *)
 (* ================================================================== *)

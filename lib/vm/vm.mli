@@ -91,7 +91,3 @@ val disassemble : compiled -> string
     with resolved names, constants, and template boundaries; jump and
     call targets are unit-relative, so the listing is stable under
     prelude and primitive-table changes. Golden-tested. *)
-
-val run_fast :
-  ?fuel:int -> ?budget:Resilience.Budget.t -> compiled -> result
-(** Execute compiled code directly (the engine behind [Vm_fast]). *)

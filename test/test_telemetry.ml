@@ -159,22 +159,40 @@ let test_sinks () =
   Alcotest.(check int)
     "Step spaces reach the peak" (M.peak_space r)
     (List.fold_left (fun m (_, space) -> Stdlib.max m space) 0 events);
-  let traced = ref [] in
-  let t =
-    M.create_with (M.Config.make ~variant:M.Stack ~stack_policy:M.Algol ())
-  in
-  let tl =
-    Tel.create ~ring:1000
-      ~config_sink:(fun step d -> traced := (step, d) :: !traced)
-      ()
+  (* The ring renders its descriptions when read, after the run; the
+     config sink renders each one at its step. Two runs of one expanded
+     program keep the sink from forcing the ring's descriptions early. *)
+  let ring_matches_sink ~name config src =
+    let program = Expand.program_of_string src in
+    let exec tl =
+      M.exec ~opts:(M.Run_opts.make ~telemetry:tl ()) (M.create_with config)
+        program
+    in
+    let ring = Tel.create ~ring:1000 () in
+    let r = exec ring in
+    let traced = ref [] in
+    let sink step d = traced := (step, d) :: !traced in
+    let _ = exec (Tel.create ~config_sink:sink ()) in
+    if r.M.steps >= 1000 then Alcotest.failf "%s: ring too small" name;
+    Alcotest.(check (list (pair int string)))
+      (name ^ ": the ring's late rendering matches the config sink")
+      (List.rev !traced) (Tel.ring_contents ring);
+    r
   in
   let _ =
-    M.exec_string ~opts:(M.Run_opts.make ~telemetry:tl ()) t
+    ring_matches_sink ~name:"algol"
+      (M.Config.make ~variant:M.Stack ~stack_policy:M.Algol ())
       "(define (make n) (lambda () n)) ((make 5))"
   in
-  Alcotest.(check (list (pair int string)))
-    "config_sink sees the ring descriptions" (Tel.ring_contents tl)
-    (List.rev !traced)
+  (* set-car! replaces each pair's contents, so later steps see a
+     different store, and the old contents become garbage *)
+  let r =
+    ring_matches_sink ~name:"set-car!" (M.Config.make ())
+      "(define (churn n p) (if (zero? n) (car p) \
+       (begin (set-car! p (list n n)) (churn (- n 1) p)))) \
+       (churn 20 (cons 0 0))"
+  in
+  if r.M.gc_runs = 0 then Alcotest.fail "set-car!: no reclaiming collection"
 
 (* The profile recorder downsamples by doubling its stride once the
    sample buffer fills, so memory stays bounded. *)
