@@ -191,17 +191,17 @@ let vm_fast_arg =
   let doc =
     "Run on the bytecode VM with accounting compiled out instead of the \
      reference machines: answers only, much faster (tail variant, \
-     left-to-right, flat model)."
+     left-to-right; no space figure is measured or printed)."
   in
   Arg.(value & flag & info [ "vm-fast" ] ~doc)
+
+let usage m =
+  Format.eprintf "schemesim: %s@." m;
+  exit 2
 
 (* The fast VM refuses configurations whose accounting it cannot honor;
    surface that as a usage error (exit 2) before running. *)
 let resolve_engine ~vm_fast ~variant ~perm ~measure =
-  let usage m =
-    Format.eprintf "schemesim: %s@." m;
-    exit 2
-  in
   if not vm_fast then M.Stepper
   else begin
     if variant <> M.Tail then
@@ -209,7 +209,7 @@ let resolve_engine ~vm_fast ~variant ~perm ~measure =
     if perm <> M.Left_to_right then
       usage "--vm-fast evaluates left-to-right only (--perm ltr)";
     if SM.normalize measure <> [ SM.Flat ] then
-      usage "--vm-fast measures only the flat model (drop --linked/--model)";
+      usage "--vm-fast measures no space (drop --linked/--model)";
     M.Vm_fast
   end
 
@@ -417,7 +417,7 @@ let run_cmd =
           ~finally:(fun () -> Option.iter close_out profile_channel)
           (fun () -> Vm.exec_program ~opts config ~program ~input:(R.input_expr n))
       in
-      let space = r.Vm.program_size + Vm.peak_space r in
+      (* The fast tier measures no space: its figures are null or "-". *)
       if json then
         print_endline
           (Json.to_string
@@ -450,11 +450,11 @@ let run_cmd =
                     | Vm.Aborted reason -> Res.abort_reason_to_json reason
                     | _ -> Json.Null );
                   ("program_size", Json.Int r.Vm.program_size);
-                  ("space_consumption", Json.Int space);
+                  ("space_consumption", Json.Null);
                   ("steps", Json.Int r.Vm.steps);
-                  ("peak_space", Json.Int (Vm.peak_space r));
-                  ("gc_runs", Json.Int r.Vm.gc_runs);
-                  ("peaks", peaks_json r.Vm.peaks);
+                  ("peak_space", Json.Null);
+                  ("gc_runs", Json.Null);
+                  ("peaks", Json.Null);
                 ]))
       else begin
         if r.Vm.output <> "" then print_string r.Vm.output;
@@ -464,11 +464,10 @@ let run_cmd =
         | Vm.Aborted reason ->
             Format.printf "aborted: %s@." (Res.abort_reason_message reason));
         Format.printf
-          "; engine=%s variant=%s steps=%d |P|=%d peak=%d S=|P|+peak=%d \
-           gc-runs=%d@."
+          "; engine=%s variant=%s steps=%d |P|=%d peak=- S=|P|+peak=- \
+           gc-runs=-@."
           (M.engine_name engine) (M.variant_name variant) r.Vm.steps
-          r.Vm.program_size (Vm.peak_space r) space r.Vm.gc_runs;
-        print_heavy_peaks ~program_size:r.Vm.program_size r.Vm.peaks
+          r.Vm.program_size
       end;
       match r.Vm.outcome with Vm.Done _ -> exit 0 | _ -> exit 1
     end;
@@ -765,8 +764,11 @@ let bench_cmd =
          ("program", Json.Str name);
          ("variant", Json.Str (M.variant_name variant));
          ("n", Json.Int m.R.n);
-         ("space_consumption", Json.Int m.R.space);
-         ("peaks", peaks_json m.R.peaks);
+         ( "space_consumption",
+           match R.consumption m SM.Flat with
+           | Some s -> Json.Int s
+           | None -> Json.Null );
+         ("peaks", if m.R.peaks = [] then Json.Null else peaks_json m.R.peaks);
          ( "space_consumption_by_model",
            Json.Obj
              (List.filter_map
@@ -805,6 +807,8 @@ let bench_cmd =
     end;
     let measure = measure_of ~linked ~models in
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
+    if engine = M.Vm_fast && Option.is_some baseline_out then
+      usage "--baseline-out records measured space; drop --vm-fast";
     let name, program =
       match name_opt with
       | Some entry_name -> (

@@ -47,10 +47,7 @@ let () =
   let program = Expand.program_of_string solver in
   let show variant n =
     let m =
-      Runner.run_once
-        ~opts:(Machine.Run_opts.make ~gc_policy:`Approximate ())
-        ~config:(Machine.Config.make ~variant ())
-        ~program ~n ()
+      Runner.run_once ~config:(Machine.Config.make ~variant ()) ~program ~n ()
     in
     match m.Runner.status with
     | Runner.Answer a ->

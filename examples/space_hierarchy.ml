@@ -27,10 +27,8 @@ let () =
         List.map
           (fun variant ->
             let ms =
-              Runner.sweep
-                ~opts:(Machine.Run_opts.make ~gc_policy:`Approximate ())
-                ~config:(Machine.Config.make ~variant ())
-                ~program ~ns ()
+              Runner.sweep ~config:(Machine.Config.make ~variant ()) ~program
+                ~ns ()
             in
             Machine.variant_name variant
             :: List.map

@@ -14,28 +14,119 @@ module Env = Types.Env
    the world, built before the run, closed (while the write barrier is
    clear an old cell names only old locations) and, at the start of the
    run, all reachable from the world environment's base. A young-only
-   collection notes old locations without entering them, does not enter
-   the world base (it names only old cells; other bases may name young
-   ones and are entered), and sweeps only the young cells. If the trace
-   met the world base, every old cell is still live and no young cell is
-   reachable only through one, so that is exactly what a full collection
-   frees. Otherwise the same collection continues as a full one from the
-   old locations it noted, and the world is marked lost: a base no root
-   reaches stays unreachable for the rest of the run.
+   collection does not enter old locations or the world base (it names
+   only old cells; other bases may name young ones and are entered), and
+   sweeps only the young cells. If the trace met the world base, every
+   old cell is still live and no young cell is reachable only through
+   one, so that is exactly what a full collection frees. Otherwise the
+   world is marked lost (a base no root reaches stays unreachable for
+   the rest of the run) and the collection starts again as a full one.
 
-   Marks live in a byte table indexed by location: one table per
+   The record: a collection traces the continuation bottom-up, then the
+   registers, and keeps the continuation and, per frame depth d, the
+   cells first reached through that frame (the register-only cells
+   last), with each cell's depth as its mark. Frames are immutable and
+   a cell changes only when written or removed, so at the next
+   collection the cells reachable from the frames at depths <= w are
+   exactly the ones recorded there, where the watermark w is the
+   deepest depth whose frame is physically the recorded one and below
+   every depth a write or removal since has touched (the store's change
+   log). Those cells count as live without being visited; the frames
+   above w and the registers are traced, reaching the recorded cells
+   only as marks. The only cells that can then be dead are the ones
+   allocated since, the ones recorded above w (demoted) and last time's
+   register-only ones, so only they are swept, and not even they when
+   every young cell is marked. A fresh history, a store from another
+   epoch (not the last result, so the log does not cover it), a change
+   between young-only and full, or an overflowed change log give w = 0
+   and a sweep from the first traced location: a collection of the
+   whole continuation.
+
+   Marks live in a table of 16-bit entries indexed by location, one per
    domain, reused by every collection on it and grown on demand, so a
    mark allocates nothing and no collection sizes or clears a table for
-   every location ever allocated. Only locations present in the store
-   and at or above the sweep's first location are marked, and the sweep
-   reads every such cell, so it zeroes each mark it reads; if tracing
-   raises, the table is cleared before the exception escapes. One table
-   per domain is sound because collections never nest: tracing calls
+   every location ever allocated. An entry is 0, a recorded depth
+   (depths past [deep] share it, which only lowers w further than
+   needed), or [reg]. The table holds exactly the marks of its owner's
+   record: a collection through another history (every machine's young
+   locations start at the same number) first zeroes them, and a raising
+   trace zeroes its own before the exception escapes. One table per
+   domain is sound because collections never nest: tracing calls
    nothing that collects. *)
-let mark_table : Bytes.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (Bytes.make 4096 '\000'))
 
-let is_marked marks l = l < Bytes.length marks && Bytes.get marks l <> '\000'
+let reg = 0xFFFF
+let deep = 0xFFFE
+
+type record = {
+  mutable marks : Bytes.t;
+  mutable owner : int;  (* the history the record belongs to; -1 none *)
+  mutable epoch : int;  (* the store epoch the last sweep started *)
+  mutable floor : Types.loc;
+      (* the first location traced and swept: the run's first location
+         in a young-only collection, 0 in a full one *)
+  mutable swept_to : Types.loc;
+      (* cells at or above it are younger than the last collection *)
+  mutable top : Types.cont;  (* the continuation recorded *)
+  mutable ends : int array;
+      (* [ends.(d)]: how many cells were recorded at depths <= d *)
+  mutable cells : Types.loc array;  (* recorded cells, bottom depth first *)
+  mutable ncells : int;
+  mutable bases : (int * Env.t) list;
+      (* bases traced, or the world base met, with the depth they were
+         first reached at; [max_int] for the registers *)
+  mutable demoted : Types.loc array;
+  mutable ndemoted : int;
+}
+
+let records : record Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        marks = Bytes.make 8192 '\000';
+        owner = -1;
+        epoch = -1;
+        floor = 0;
+        swept_to = 0;
+        top = Types.Halt;
+        ends = Array.make 65 0;
+        cells = Array.make 256 0;
+        ncells = 0;
+        bases = [];
+        demoted = Array.make 64 0;
+        ndemoted = 0;
+      })
+
+type history = int
+
+let histories = Atomic.make 0
+let history () = Atomic.fetch_and_add histories 1
+
+let mark r l =
+  let i = 2 * l in
+  if i < Bytes.length r.marks then Bytes.get_uint16_ne r.marks i else 0
+
+let unmark r l = Bytes.set_uint16_ne r.marks (2 * l) 0
+
+let grown a n =
+  let b = Array.make (max n (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Forget every recorded cell: zero its mark. The next sweep starts
+   from [floor]. *)
+let forget r ~floor =
+  for i = 0 to r.ncells - 1 do
+    unmark r r.cells.(i)
+  done;
+  r.ncells <- 0;
+  r.ndemoted <- 0;
+  r.bases <- [];
+  r.floor <- floor;
+  r.swept_to <- floor
+
+(* ... and the recorded continuation too. *)
+let reset r ~floor =
+  forget r ~floor;
+  r.top <- Types.Halt
 
 type world = { genv : Env.t; mutable lost : bool }
 
@@ -45,40 +136,46 @@ type world = { genv : Env.t; mutable lost : bool }
 let world genv = { genv; lost = not (Env.overlay_is_empty genv) }
 
 type tracer = {
-  marks : Bytes.t ref;
-  mutable bases : Env.t list;
+  r : record;
   store : Store.t;
-  mutable floor : Types.loc;
-      (* the first young location; 0 in a full collection *)
-  mutable world_base : Env.t option;
+  floor : Types.loc;
+  world_base : Env.t option;
       (* the world environment, in a young-only collection *)
   mutable met : bool;  (* the trace has met the world base *)
-  mutable noted : Types.loc list;
-      (* old locations reached before the world base was met: where a
-         collection that must go full continues from *)
+  mutable code : int;  (* the mark of a cell first reached now *)
+  mutable at : int;  (* the depth being traced *)
 }
 
-let set_mark tr l =
-  let marks = !(tr.marks) in
-  let len = Bytes.length marks in
-  let marks =
-    if l < len then marks
-    else begin
-      let grown = Bytes.make (max (2 * len) (l + 1)) '\000' in
-      Bytes.blit marks 0 grown 0 len;
-      tr.marks := grown;
-      grown
-    end
-  in
-  Bytes.set marks l '\001'
+let record tr l =
+  let r = tr.r in
+  if 2 * l + 1 >= Bytes.length r.marks then begin
+    let len = Bytes.length r.marks in
+    let b = Bytes.make (max (2 * len) (2 * l + 2)) '\000' in
+    Bytes.blit r.marks 0 b 0 len;
+    r.marks <- b
+  end;
+  Bytes.set_uint16_ne r.marks (2 * l) tr.code;
+  if r.ncells = Array.length r.cells then r.cells <- grown r.cells 0;
+  r.cells.(r.ncells) <- l;
+  r.ncells <- r.ncells + 1
+
+let next_frame (k : Types.cont) =
+  match k with
+  | Halt -> Types.Halt
+  | Select { next; _ }
+  | Assign { next; _ }
+  | Push { next; _ }
+  | Call { next; _ }
+  | Return { next; _ }
+  | Return_stack { next; _ } ->
+      next
 
 let rec visit tr l =
-  if l < tr.floor then (if not tr.met then tr.noted <- l :: tr.noted)
-  else if not (is_marked !(tr.marks) l) then
+  if l >= tr.floor && mark tr.r l = 0 then
     match Store.find_opt tr.store l with
     | None -> ()
     | Some v ->
-        set_mark tr l;
+        record tr l;
         trace_value tr v
 
 and trace_value tr (v : Types.value) =
@@ -99,39 +196,127 @@ and trace_value tr (v : Types.value) =
 
 and trace_env tr env =
   Env.iter_overlay (fun _ l -> visit tr l) env;
-  if Env.has_base env && not (List.exists (Env.base_eq env) tr.bases) then begin
-    tr.bases <- env :: tr.bases;
+  if
+    Env.has_base env
+    && not (List.exists (fun (_, b) -> Env.base_eq env b) tr.r.bases)
+  then begin
+    tr.r.bases <- (tr.at, env) :: tr.r.bases;
     match tr.world_base with
     | Some w when Env.base_eq env w ->
         (* built before the run: it names only old cells *)
-        tr.met <- true;
-        tr.noted <- []
+        tr.met <- true
     | Some _ | None -> Env.iter_base (fun _ l -> visit tr l) env
   end
+
+(* One frame's own roots, without the frames below it. *)
+and trace_frame tr (k : Types.cont) =
+  match k with
+  | Halt -> ()
+  | Select { env; _ } | Assign { env; _ } | Return { env; _ } ->
+      trace_env tr env
+  | Push { evaluated; env; _ } ->
+      trace_env tr env;
+      List.iter (fun (_, v) -> trace_value tr v) evaluated
+  | Call { vals; _ } -> List.iter (trace_value tr) vals
+  | Return_stack { dels; env; _ } ->
+      (* The deletion set counts as an occurrence (§8): stack-allocated
+         locations live until their frame returns, even when garbage. *)
+      List.iter (visit tr) dels;
+      trace_env tr env
 
 and trace_cont tr (k : Types.cont) =
   match k with
   | Halt -> ()
-  | Select { env; next; _ } | Assign { env; next; _ } | Return { env; next; _ }
-    ->
-      trace_env tr env;
-      trace_cont tr next
-  | Push { evaluated; env; next; _ } ->
-      trace_env tr env;
-      List.iter (fun (_, v) -> trace_value tr v) evaluated;
-      trace_cont tr next
-  | Call { vals; next; _ } ->
-      List.iter (trace_value tr) vals;
-      trace_cont tr next
-  | Return_stack { dels; env; next; _ } ->
-      (* The deletion set counts as an occurrence (§8): stack-allocated
-         locations live until their frame returns, even when garbage. *)
-      List.iter (visit tr) dels;
-      trace_env tr env;
-      trace_cont tr next
+  | _ ->
+      trace_frame tr k;
+      trace_cont tr (next_frame k)
 
-let collect ?world ~control_locs ~env ~cont store =
-  let marks = Domain.DLS.get mark_table in
+(* [k]'s frames from depth [d] down to depth [w] + 1, bottom first,
+   before [above]. *)
+let rec frames_down k d w above =
+  if d <= w then above else frames_down (next_frame k) (d - 1) w (k :: above)
+
+(* The deepest depth at which [cont] is physically the recorded
+   continuation (0 when there is none), [cont]'s frame there, and its
+   frames above it, bottom first. Frames are immutable, so below that
+   depth the two are one chain. *)
+let stable_depth (r : record) cont =
+  let rec walk a da b db above =
+    if da = 0 then (0, a, above)
+    else if da > db then walk (next_frame a) (da - 1) b db (a :: above)
+    else if db > da then walk a da (next_frame b) (db - 1) above
+    else if a == b then (da, a, above)
+    else walk (next_frame a) (da - 1) (next_frame b) (db - 1) (a :: above)
+  in
+  walk cont (Types.cont_depth cont) r.top (Types.cont_depth r.top) []
+
+(* Each write or removal since the last collection of a cell recorded
+   at depth d lowers the watermark below d. *)
+let watermark (r : record) store w =
+  match Store.changes store with
+  | None -> 0
+  | Some locs ->
+      List.fold_left
+        (fun w l ->
+          if l < r.floor then w
+          else
+            let d = mark r l in
+            if d > 0 && d - 1 < w then d - 1 else w)
+        w locs
+
+(* Unmark the cells recorded above [w] and keep them for the sweep. *)
+let demote (r : record) w =
+  let from = r.ends.(w) in
+  let n = r.ncells - from in
+  if n > Array.length r.demoted then r.demoted <- grown r.demoted n;
+  for i = 0 to n - 1 do
+    let l = r.cells.(from + i) in
+    unmark r l;
+    r.demoted.(i) <- l
+  done;
+  r.ndemoted <- n;
+  r.ncells <- from;
+  if List.exists (fun (d, _) -> d > w) r.bases then
+    r.bases <- List.filter (fun (d, _) -> d <= w) r.bases
+
+(* Trace [frames], the frames above [w] bottom first, then the
+   registers. *)
+let trace_above tr w frames ~control_locs ~env =
+  let r = tr.r in
+  List.iteri
+    (fun i k ->
+      let d = w + 1 + i in
+      tr.code <- min d deep;
+      tr.at <- d;
+      trace_frame tr k;
+      r.ends.(d) <- r.ncells)
+    frames;
+  tr.code <- reg;
+  tr.at <- max_int;
+  trace_env tr env;
+  List.iter (visit tr) control_locs
+
+(* The unmarked candidates; a demoted cell may have been removed since
+   (Store.sweep ignores it). *)
+let sweep (r : record) store =
+  let young =
+    if r.floor = 0 then Store.cardinal store else Store.young_cardinal store
+  in
+  if r.ncells = young then []
+  else begin
+    let dead = ref [] in
+    for i = 0 to r.ndemoted - 1 do
+      let l = r.demoted.(i) in
+      if mark r l = 0 then dead := l :: !dead
+    done;
+    Store.fold_from r.swept_to
+      (fun l _ dead -> if mark r l = 0 then l :: dead else dead)
+      store !dead
+  end
+
+let collect ?world ?history:h ~control_locs ~env ~cont store =
+  let r = Domain.DLS.get records in
+  let owner = match h with Some h -> h | None -> history () in
   let first = Store.first_run_loc store in
   let world =
     match world with
@@ -139,57 +324,63 @@ let collect ?world ~control_locs ~env ~cont store =
         Some w
     | Some _ | None -> None
   in
-  let tr =
-    {
-      marks;
-      bases = [];
-      store;
-      floor = (if Option.is_none world then 0 else first);
-      world_base = Option.map (fun w -> w.genv) world;
-      met = Option.is_none world;
-      noted = [];
-    }
-  in
-  (* The register environment first: it is where the world base is
-     usually met, and old locations reached after that are not noted. *)
+  let floor = if Option.is_none world then 0 else first in
+  if r.owner <> owner || r.epoch <> Store.epoch store || r.floor <> floor
+  then begin
+    reset r ~floor;
+    r.owner <- owner
+  end;
+  let depth = Types.cont_depth cont in
+  if depth + 1 > Array.length r.ends then r.ends <- grown r.ends (depth + 1);
   let trace () =
-    trace_env tr env;
-    List.iter (visit tr) control_locs;
-    trace_cont tr cont;
-    match world with
+    let stable, at_stable, above = stable_depth r cont in
+    let w = watermark r store stable in
+    demote r w;
+    let world_base = Option.map (fun w -> w.genv) world in
+    let met =
+      match world_base with
+      | Some wb -> List.exists (fun (_, b) -> Env.base_eq wb b) r.bases
+      | None -> true
+    in
+    let tr = { r; store; floor; world_base; met; code = 0; at = 0 } in
+    trace_above tr w
+      (frames_down at_stable stable w above)
+      ~control_locs ~env;
+    (match world with
     | Some w when not tr.met ->
-        (* The world base is unreachable: continue as a full collection
-           from the old locations the trace stopped at. *)
+        (* The world base is unreachable: start again as a full
+           collection, from depth 0. *)
         w.lost <- true;
-        tr.floor <- 0;
-        tr.world_base <- None;
-        List.iter (visit tr) tr.noted
-    | Some _ | None -> ()
+        forget r ~floor:0;
+        trace_above
+          { tr with floor = 0; world_base = None }
+          0
+          (frames_down cont depth 0 [])
+          ~control_locs ~env
+    | Some _ | None -> ());
+    r.top <- cont
   in
   (match trace () with
   | () -> ()
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      Bytes.fill !marks 0 (Bytes.length !marks) '\000';
+      reset r ~floor:0;
+      r.owner <- -1;
       Printexc.raise_with_backtrace e bt);
-  let dead =
-    Store.fold_from tr.floor
-      (fun l _ dead ->
-        if is_marked !marks l then begin
-          Bytes.set !marks l '\000';
-          dead
-        end
-        else l :: dead)
-      store []
-  in
-  (Store.remove_all store dead, List.length dead)
+  let swept = Store.sweep store (sweep r store) in
+  r.epoch <- Store.epoch swept;
+  r.swept_to <- Store.next_loc swept;
+  r.ndemoted <- 0;
+  (swept, Store.cardinal store - Store.cardinal swept)
 
-(* One-level occurrence check for the I_stack return rule. Candidates
-   are locations freshly allocated by a call, so they can never appear
-   in a global base (built before the run), nor, while the write
-   barrier is clear, in an old cell: only overlays and young cells are
-   scanned. *)
-let occurs_in_retained ~candidates ~control_locs ~env ~cont ~retained =
+(* One-level occurrence check for the I_stack return rule. A cell names
+   a location younger than itself only once written, so a candidate can
+   occur only in the control value, in a cell at or above the first
+   candidate,
+   or in a written cell; the caller's environment and continuation were
+   built before the candidates and are not scanned. Environment bases
+   (built before the run) are not scanned either. *)
+let occurs_in_retained ~candidates ~control_locs ~retained =
   let hit : (Types.loc, unit) Hashtbl.t = Hashtbl.create 8 in
   let check l = if Hashtbl.mem candidates l then Hashtbl.replace hit l () in
   let check_env env = Env.iter_overlay (fun _ l -> check l) env in
@@ -228,11 +419,12 @@ let occurs_in_retained ~candidates ~control_locs ~env ~cont ~retained =
         check_env env;
         check_cont next
   in
-  List.iter check control_locs;
-  check_env env;
-  check_cont cont;
-  let young =
-    if Store.old_written retained then 0 else Store.first_run_loc retained
-  in
-  Store.fold_from young (fun _ v () -> check_value v) retained ();
+  let first = Hashtbl.fold (fun l () m -> min l m) candidates max_int in
+  if first < max_int then begin
+    List.iter check control_locs;
+    Store.fold_from first (fun _ v () -> check_value v) retained ();
+    Store.fold_written
+      (fun l v () -> if l < first then check_value v)
+      retained ()
+  end;
   hit

@@ -9,17 +9,28 @@
 
     Tracing is visitor-based, and each distinct environment base (see
     {!Env}) is traced once per collection, so each global binding is
-    traced once. A full collection costs O(marked cells + frames +
-    overlay bindings + distinct bases) plus a sweep over every cell of
-    the store, independent of how many environments share the global
-    bindings. That rests on two invariants: no prelude definition
+    traced once. That rests on two invariants: no prelude definition
     shadows a primitive (so prelude closures keep only prelude names in
     their overlays over the one primitive base), and collections never
     nest within a domain (so one reusable mark table per domain
     suffices; only pool worker domains run machines concurrently). A
     young-only collection (see {!world}) marks and sweeps only the
     cells allocated since the run started: the initial world's cells
-    are neither traced nor swept. *)
+    are neither traced nor swept.
+
+    {b Cost.} A collection through a {!history} costs O(frames above
+    the watermark + cells reached from them and from the registers +
+    cells allocated since the previous collection + cells recorded above
+    the watermark + changes since the previous collection + distinct
+    bases), plus a walk down the continuation to the watermark; the
+    sweep is skipped when every young cell is marked. The watermark is
+    the deepest frame depth at which the continuation is physically the
+    one the previous collection recorded, lowered below every recorded
+    depth a write or removal since has touched, so a growing stack costs
+    each collection only its new frames. A first collection, and every
+    collection without a history, has watermark 0: O(marked cells +
+    frames + overlay bindings + distinct bases) plus a sweep over every
+    cell at or above the first traced location. *)
 
 type world
 (** The old generation's root for one run: the run's initial
@@ -32,8 +43,18 @@ val world : Types.Env.t -> world
     overlay is not empty (a global defined after the machine was
     built) starts lost: its old cells need not all hang off the base. *)
 
+type history
+(** One run's collection history: the frames and cells its previous
+    collection recorded (kept in per-domain buffers, whose marks belong
+    to one history at a time). Successive collections through one handle
+    trace and sweep only what can have changed since the previous one. *)
+
+val history : unit -> history
+(** A fresh handle: its first collection starts an empty record. *)
+
 val collect :
   ?world:world ->
+  ?history:history ->
   control_locs:Types.loc list ->
   env:Types.Env.t ->
   cont:Types.cont ->
@@ -50,25 +71,36 @@ val collect :
     world was closed and fully reachable from its base when the run
     started, no old cell has been written or freed since, so every old
     cell is live and none leads to a young one. Otherwise the same
-    collection continues as a full one from the old locations it noted
-    and marks the world lost, so every later collection of the run is
-    full from the start. Without [world], or once the barrier has
-    tripped, the collection is full. Either way the result is the one
-    a full collection gives. *)
+    collection starts again as a full one and marks the world lost, so
+    every later collection of the run is full from the start. Without
+    [world], or once the barrier has tripped, the collection is full.
+
+    With [history], cells the previous collection through it reached
+    from frames below the watermark count as live without being
+    visited, and only the cells allocated since, the cells recorded
+    above the watermark and the previous register-only cells are swept.
+    A store that does not derive from the previous collection's result
+    (its epoch differs, see {!Store.epoch}), a switch between young-only
+    and full, or another history's collection on the same domain in
+    between make the collection start an empty record.
+
+    Either way the result is the one a full collection gives. *)
 
 val occurs_in_retained :
   candidates:(Types.loc, unit) Hashtbl.t ->
   control_locs:Types.loc list ->
-  env:Types.Env.t ->
-  cont:Types.cont ->
   retained:Store.t ->
   (Types.loc, unit) Hashtbl.t
 (** Support for the [I_stack] return rule's side condition: which of
     [candidates] occur (syntactically, one level deep per store cell)
-    within the value, environment, continuation, or any retained store
-    cell. [retained] must already exclude the cells being deleted.
-    Candidates are assumed to be run-time allocations, so environment
-    bases (prelude-time bindings) are not scanned, and while the write
-    barrier is clear neither are the old cells of [retained] (an
-    unwritten old cell names only old locations): the scan covers the
-    cells at or above the run's first location. *)
+    within the value whose locations are [control_locs], or any
+    retained store cell. [retained] must already exclude the cells
+    being deleted. The environment and continuation of the retained
+    configuration are not scanned: the rule's frame environment and the
+    continuation below the frame were built before the call allocated
+    the candidates, so they cannot name one. Nor is every cell: an
+    unwritten cell names only locations older than itself, so only the
+    cells at or above the first candidate and the written ones
+    ({!Store.fold_written}) are scanned. Environment bases (built before
+    the run) are not scanned either. O(cells allocated since the first
+    candidate + written cells). *)

@@ -409,7 +409,7 @@ let delete_frame t config v dels frame_env next =
   let hits dels =
     let retained = Store.remove_all store dels in
     Gc.occurs_in_retained ~candidates:(table_of dels)
-      ~control_locs:(value_locs v) ~env:frame_env ~cont:next ~retained
+      ~control_locs:(value_locs v) ~retained
   in
   match t.stack_policy with
   | Algol ->
@@ -576,10 +576,10 @@ let flat_space config =
 let control_locs config =
   match config.control with `Expr _ -> [] | `Value v -> value_locs v
 
-let collect ~world config =
+let collect ~world ~history config =
   let store, reclaimed =
-    Gc.collect ~world ~control_locs:(control_locs config) ~env:config.env
-      ~cont:config.cont config.store
+    Gc.collect ~world ~history ~control_locs:(control_locs config)
+      ~env:config.env ~cont:config.cont config.store
   in
   ({ config with store }, reclaimed)
 
@@ -834,7 +834,6 @@ module Run_opts = struct
     budget : Resilience.Budget.t option;
     fault : Resilience.Fault.plan option;
     measure : Space_model.t list;
-    gc_policy : [ `Exact | `Approximate ];
     telemetry : Telemetry.t option;
     provenance : Census.t option;
   }
@@ -845,26 +844,24 @@ module Run_opts = struct
       budget = None;
       fault = None;
       measure = [ Space_model.Flat ];
-      gc_policy = `Exact;
       telemetry = None;
       provenance = None;
     }
 
   let make ?(fuel = default.fuel) ?budget ?fault ?(measure = default.measure)
-      ?(gc_policy = default.gc_policy) ?telemetry ?provenance () =
+      ?telemetry ?provenance () =
     {
       fuel;
       budget;
       fault;
       measure = Space_model.normalize measure;
-      gc_policy;
       telemetry;
       provenance;
     }
 end
 
 let run_measured
-    { Run_opts.fuel; budget; fault; measure; gc_policy; telemetry; provenance }
+    { Run_opts.fuel; budget; fault; measure; telemetry; provenance }
     t expr =
   let measure_models = Space_model.normalize measure in
   let measure_linked = Space_model.mem Space_model.Linked measure_models in
@@ -892,8 +889,10 @@ let run_measured
   let faults = Resilience.Fault.start fault in
   (* The initial world is this run's old generation (see [Gc.collect]):
      [initial_store] below starts the run on the machine's store, and
-     every collection of the run shares this world handle. *)
+     every collection of the run shares this world handle, and this
+     history, so each re-traces only what changed since the last. *)
   let world = Gc.world t.genv in
+  let history = Gc.history () in
   let gc_runs = ref 0 in
   let peak = ref 0 in
   let peak_linked = ref 0 in
@@ -920,7 +919,7 @@ let run_measured
      collections always run: they are the oracle's hostile schedules. *)
   let garbage_free = ref false in
   let collect_as reason config =
-    let config, reclaimed = collect ~world config in
+    let config, reclaimed = collect ~world ~history config in
     record_gc reason config.store reclaimed;
     garbage_free := true;
     config
@@ -984,18 +983,9 @@ let run_measured
     end
     else begin
       (* Lazy schedule: collect only when the tracked figure would raise
-         the peak, so garbage never counts toward it. [`Exact] gives the
-         true sup; [`Approximate] adds slack before collecting, trading
-         a bounded underestimate (at most 12.5% plus 64 words) for far
-         fewer collections on programs whose live space grows
-         monotonically. *)
-      let s = flat_space config in
-      let threshold =
-        match gc_policy with
-        | `Exact -> !peak
-        | `Approximate -> !peak + Stdlib.max 64 (!peak / 8)
-      in
-      if s <= threshold then config
+         the peak, so garbage never counts toward it and the peak is the
+         true sup. *)
+      if flat_space config <= !peak then config
       else begin
         let config = collect_unless_clean Telemetry.Gc_peak config in
         note_flat config;
@@ -1031,10 +1021,10 @@ let run_measured
     (match Resilience.Fault.fuel_drop faults ~step:steps with
     | Some remaining -> Resilience.Guard.cap_fuel guard (steps + remaining)
     | None -> ());
-    (* A forced collection models an adversarial GC schedule: under the
-       [`Exact] policy it must not change the measured peak (the peak is
-       the sup of live space, which collections only reveal), which is
-       exactly what the differential oracle checks. *)
+    (* A forced collection models an adversarial GC schedule: it must
+       not change the measured peak (the peak is the sup of live space,
+       which collections only reveal), which is exactly what the
+       differential oracle checks. *)
     let config =
       if Resilience.Fault.force_gc faults ~step:steps then
         collect_as Telemetry.Gc_forced config

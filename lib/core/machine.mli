@@ -190,23 +190,16 @@ module Run_opts : sig
             output cap bounds [display]/[write] bytes *)
     fault : Tailspace_resilience.Resilience.Fault.plan option;
         (** deterministic fault injection: collections forced at chosen
-            steps (recorded with reason [Gc_forced]; under the [`Exact]
-            policy they cannot change the measured peak), an allocation
+            steps (recorded with reason [Gc_forced]; they cannot change
+            the measured peak), an allocation
             that fails ([Aborted (Injected_fault _)]), and a mid-run
             fuel drop *)
     measure : Space_model.t list;
         (** the space-accounting models to measure (normalized: sorted,
             deduplicated, always containing [Flat]). [Linked] or [Log]
             force a collection at every step not proved garbage-free
-            (slower); [Flat] alone uses the lazy schedule governed by
-            [gc_policy] *)
-    gc_policy : [ `Exact | `Approximate ];
-        (** [`Exact] (default) reports the true [sup space(C_i)];
-            [`Approximate] lets tracked space overshoot the running peak
-            by 12.5% (plus 64 words) before collecting, so the reported
-            peak may underestimate the sup by that much — use it for
-            large parameter sweeps where only the growth shape
-            matters *)
+            (slower); [Flat] alone uses the lazy schedule, which
+            collects only when tracked space would set a new peak *)
     telemetry : Tailspace_telemetry.Telemetry.t option;
         (** observes the whole run: per-step counters and high-water
             marks, collection events with live/freed counts and trigger
@@ -236,7 +229,6 @@ module Run_opts : sig
     ?budget:Tailspace_resilience.Resilience.Budget.t ->
     ?fault:Tailspace_resilience.Resilience.Fault.plan ->
     ?measure:Space_model.t list ->
-    ?gc_policy:[ `Exact | `Approximate ] ->
     ?telemetry:Tailspace_telemetry.Telemetry.t ->
     ?provenance:Census.t ->
     unit ->

@@ -86,7 +86,7 @@ module Thm25 = struct
       Pool.map ?pool
         (fun (_, program, variant, n) ->
           Runner.run_once
-            ~opts:(Machine.Run_opts.make ?budget ~gc_policy:`Approximate ())
+            ~opts:(Machine.Run_opts.make ?budget ())
             ~config:(Machine.Config.make ~variant ())
             ~program ~n ())
         leaves
@@ -596,7 +596,6 @@ module Ablation = struct
       let program = expand source in
       let ms =
         Runner.sweep ?pool
-          ~opts:(Machine.Run_opts.make ~gc_policy:`Approximate ())
           ~config:
             (Machine.Config.make ?return_env ?evlis_drop_at_creation
                ~variant ())

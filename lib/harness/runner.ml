@@ -78,17 +78,11 @@ let measure_with machine ?(opts = Machine.Run_opts.default)
        else None);
   }
 
-(* The fast VM reports the same measurement shape as the stepper; its
-   space columns are 0/absent by construction (the tier compiles the
-   accounting out), which downstream selectors like [spaces] happily
-   carry. *)
-let measure_vm config ?(opts = Machine.Run_opts.default)
-    ?(collect_telemetry = false) ~program ~n () =
-  let telemetry =
-    if collect_telemetry then Some (Telemetry.create ())
-    else opts.Machine.Run_opts.telemetry
-  in
-  let opts = { opts with Machine.Run_opts.telemetry } in
+(* The fast VM reports the same measurement shape as the stepper, with
+   no peak and no telemetry summary: the tier measures no space, so
+   [consumption] is [None] and every printer shows the figure as
+   missing. *)
+let measure_vm config ?(opts = Machine.Run_opts.default) ~program ~n () =
   let r = Vm.exec_program ~opts config ~program ~input:(input_expr n) in
   let status =
     match r.Vm.outcome with
@@ -98,14 +92,12 @@ let measure_vm config ?(opts = Machine.Run_opts.default)
   in
   {
     n;
-    space = r.Vm.program_size + Vm.peak_space r;
-    peaks = r.Vm.peaks;
+    space = r.Vm.program_size;
+    peaks = [];
     steps = r.Vm.steps;
     status;
-    gc_runs = r.Vm.gc_runs;
-    summary =
-      (if collect_telemetry then Option.map Telemetry.summary telemetry
-       else None);
+    gc_runs = 0;
+    summary = None;
   }
 
 let run_once ?opts ?collect_telemetry ?(config = Machine.Config.default)
@@ -115,7 +107,7 @@ let run_once ?opts ?collect_telemetry ?(config = Machine.Config.default)
       let machine = Machine.create_with config in
       measure_with machine ?opts ?collect_telemetry ~program ~n ()
   | Machine.Vm_fast ->
-      measure_vm config ?opts ?collect_telemetry ~program ~n ()
+      measure_vm config ?opts ~program ~n ()
 
 let sweep ?pool ?opts ?collect_telemetry ?(config = Machine.Config.default)
     ~program ~ns () =

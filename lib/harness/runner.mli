@@ -16,11 +16,15 @@ type status =
 
 type measurement = {
   n : int;
-  space : int;  (** [S_X(P, N)] = [|P|] + peak, flat model *)
+  space : int;
+      (** [S_X(P, N)] = [|P|] + peak, flat model; [|P|] alone, or 0,
+          when the point measured no peak (a fast-VM point or a crashed
+          one): print {!consumption} instead, which is [None] there *)
   peaks : (Space_model.t * int) list;
       (** measured peak per requested model (without the [|P|] term),
           in {!Space_model.all} order; models that were not requested
-          for this point are simply absent *)
+          for this point are simply absent, and a fast-VM point has
+          none *)
   steps : int;
   status : status;
   gc_runs : int;  (** collections that actually freed something *)
@@ -33,8 +37,8 @@ val peak_of : measurement -> Space_model.t -> int option
     requested for this point. *)
 
 val peak_space : measurement -> int
-(** The flat peak alone, without the [|P|] term ([0] on the fast VM
-    tier, which compiles accounting out). *)
+(** The flat peak alone, without the [|P|] term ([0] when the point
+    measured none: see {!peak_of}). *)
 
 val peak_linked : measurement -> int option
 val peak_log : measurement -> int option

@@ -42,6 +42,13 @@ let section title =
   let bar = String.make (String.length title + 4) '=' in
   Printf.sprintf "\n%s\n| %s |\n%s\n" bar title bar
 
+(* A figure of a point that measured no peak (a fast-VM point or a
+   crashed one) prints as "-". *)
+let if_measured (m : Runner.measurement) figure =
+  match Runner.peak_of m Tailspace_core.Space_model.Flat with
+  | Some _ -> string_of_int figure
+  | None -> "-"
+
 let measurements ms =
   let status_text (m : Runner.measurement) =
     match m.Runner.status with
@@ -73,9 +80,9 @@ let measurements ms =
   let row (m : Runner.measurement) =
     [
       string_of_int m.Runner.n;
-      string_of_int m.Runner.space;
-      string_of_int (Runner.peak_space m);
-      string_of_int m.Runner.gc_runs;
+      if_measured m m.Runner.space;
+      if_measured m (Runner.peak_space m);
+      if_measured m m.Runner.gc_runs;
       string_of_int m.Runner.steps;
     ]
     @ (if has_linked then [ model_cell m SM.Linked ] else [])
@@ -99,8 +106,8 @@ let supervised (s : Runner.supervised) =
     in
     [
       string_of_int m.Runner.n;
-      string_of_int m.Runner.space;
-      string_of_int (Runner.peak_space m);
+      if_measured m m.Runner.space;
+      if_measured m (Runner.peak_space m);
       string_of_int m.Runner.steps;
       string_of_int p.Runner.attempts;
       status;

@@ -18,14 +18,9 @@ type outcome =
 type result = {
   outcome : outcome;
   steps : int;
-  peaks : (Space_model.t * int) list;
   program_size : int;
-  gc_runs : int;
   output : string;
 }
-
-let peak_space r =
-  Option.value (List.assoc_opt Space_model.Flat r.peaks) ~default:0
 
 (* ================================================================== *)
 (* The fast tier: flat bytecode over an untracked value domain.        *)
@@ -1080,9 +1075,7 @@ let fast_result ~outcome ~steps ~psize ~output =
   {
     outcome;
     steps;
-    peaks = [ (Space_model.Flat, 0) ];
     program_size = psize;
-    gc_runs = 0;
     output;
   }
 
@@ -1137,7 +1130,6 @@ let exec_program ?(opts = Machine.Run_opts.default) (cfg : Machine.Config.t)
   (match opts.Machine.Run_opts.telemetry with
   | Some tl ->
       Telemetry.note_steps tl r.steps;
-      Telemetry.note_peak tl 0;
       (match r.outcome with
       | Stuck msg -> Telemetry.record_stuck tl ~step:r.steps ~message:msg
       | Done _ | Aborted _ -> ())

@@ -8,8 +8,8 @@
     replaces the arguments and jumps without pushing a frame, so the
     callee runs in (reuses) the caller's frame: Clinger's "proper tail
     recursion" realized as frame reuse. It reports answers, output,
-    and an instruction count; peak space is not measured (reported as
-    0). Left-to-right evaluation only, no fault injection, no linked or
+    and an instruction count; it measures no space and runs no
+    collector, so its results carry no peak. Left-to-right evaluation only, no fault injection, no linked or
     log measurement. Every measured figure comes from the stepper,
     [Machine.exec_program].
 
@@ -31,15 +31,9 @@ type outcome =
 type result = {
   outcome : outcome;
   steps : int;  (** executed instructions *)
-  peaks : (Tailspace_core.Space_model.t * int) list;
-      (** always [[(Flat, 0)]]: accounting is compiled out *)
   program_size : int;  (** [|P|], the [Ast.size] of the executed term *)
-  gc_runs : int;  (** always [0] *)
   output : string;
 }
-
-val peak_space : result -> int
-(** The [Flat] entry of [peaks], so always [0]. *)
 
 val exec_program :
   ?opts:Machine.Run_opts.t ->

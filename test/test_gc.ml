@@ -1,8 +1,10 @@
 (* The garbage-collection rule: reachability through the store, the
    once-per-base optimization's transparency and the shared prelude base
    it relies on, the per-domain mark table, Return_stack pinning, the
-   I_stack occurs-check, and the old generation (young-only collections
-   and occurs-checks against their whole-store twins). *)
+   I_stack occurs-check, the old generation (young-only collections
+   and occurs-checks against their whole-store twins), and the
+   collection history (watermark collections against whole-store ones,
+   the scoped occurs-check against the whole-configuration scan). *)
 
 module T = Tailspace_core.Types
 module Env = Tailspace_core.Types.Env
@@ -163,9 +165,10 @@ let test_initial_world_unchanged () =
 (* --- the mark table --- *)
 
 let test_recollect_keeps_everything () =
-  (* The sweep zeroes every mark it reads: collecting a collected
-     configuration again frees nothing, and a cell that has since lost
-     its last root is freed rather than kept by a stale mark. *)
+  (* Marks a collection leaves belong to its record: collecting a
+     collected configuration again frees nothing, and a cell that has
+     since lost its last root is freed rather than kept by a stale
+     mark. *)
   let env, store = M.initial (M.create_with M.Config.default) in
   let store, _garbage = Store.alloc store (T.Sym "garbage") in
   let store, extra = Store.alloc store (T.Sym "extra") in
@@ -285,30 +288,35 @@ let test_occurs_check () =
   (* target occurs in the retained pair cell *)
   let hits =
     Gc.occurs_in_retained ~candidates:(table_of [ target ]) ~control_locs:[]
-      ~env:Env.empty ~cont:T.Halt ~retained
+      ~retained
   in
   check_int "found via store" 1 (Hashtbl.length hits);
   (* but not when the referencing cell is also deleted *)
   let retained2 = Store.remove_all s [ target; referencing ] in
   let hits2 =
     Gc.occurs_in_retained ~candidates:(table_of [ target ]) ~control_locs:[]
-      ~env:Env.empty ~cont:T.Halt ~retained:retained2
+      ~retained:retained2
   in
   check_int "no occurrence" 0 (Hashtbl.length hits2)
 
 let test_occurs_via_env_and_value () =
+  (* The returned value is scanned, a closure's environment included;
+     the frame's environment and continuation are older than the
+     candidates and are not parameters of the check. *)
   let s = Store.empty in
+  let s, tag = Store.alloc s T.Unspecified in
   let s, target = Store.alloc s (T.Sym "t") in
   let env = Env.add "x" target Env.empty in
+  let closure = T.Closure (tag, lam unit_body, env) in
   let hits =
-    Gc.occurs_in_retained ~candidates:(table_of [ target ]) ~control_locs:[]
-      ~env ~cont:T.Halt ~retained:(Store.remove_all s [ target ])
+    Gc.occurs_in_retained ~candidates:(table_of [ target ])
+      ~control_locs:(T.value_locs closure)
+      ~retained:(Store.remove_all s [ target ])
   in
-  check_int "found via env" 1 (Hashtbl.length hits);
+  check_int "found via a closure's env" 1 (Hashtbl.length hits);
   let hits2 =
     Gc.occurs_in_retained ~candidates:(table_of [ target ])
-      ~control_locs:[ target ] ~env:Env.empty ~cont:T.Halt
-      ~retained:(Store.remove_all s [ target ])
+      ~control_locs:[ target ] ~retained:(Store.remove_all s [ target ])
   in
   check_int "found via control value" 1 (Hashtbl.length hits2)
 
@@ -397,19 +405,20 @@ let some_env sc =
 
 let rec some_cont sc depth =
   if depth = 0 || draw sc 3 = 0 then T.Halt
-  else
-    let next = some_cont sc (depth - 1) in
-    match draw sc 5 with
-    | 0 -> T.select ~e1:unit_body ~e2:unit_body ~env:(some_env sc) ~next ()
-    | 1 -> T.return_gc ~env:(some_env sc) ~next ()
-    | 2 ->
-        let dels = List.init (draw sc 3) (fun _ -> some_loc sc) in
-        T.return_stack ~dels ~env:(some_env sc) ~next ()
-    | 3 -> T.call ~vals:[ some_value sc ] ~next ()
-    | _ ->
-        T.push ~pending:0 ~remaining:[]
-          ~evaluated:[ (1, some_value sc) ]
-          ~env:(some_env sc) ~next ()
+  else some_frame sc (some_cont sc (depth - 1))
+
+and some_frame sc next =
+  match draw sc 5 with
+  | 0 -> T.select ~e1:unit_body ~e2:unit_body ~env:(some_env sc) ~next ()
+  | 1 -> T.return_gc ~env:(some_env sc) ~next ()
+  | 2 ->
+      let dels = List.init (draw sc 3) (fun _ -> some_loc sc) in
+      T.return_stack ~dels ~env:(some_env sc) ~next ()
+  | 3 -> T.call ~vals:[ some_value sc ] ~next ()
+  | _ ->
+      T.push ~pending:0 ~remaining:[]
+        ~evaluated:[ (1, some_value sc) ]
+        ~env:(some_env sc) ~next ()
 
 (* A value over existing locations, allocating nothing. *)
 and some_value sc : T.value =
@@ -502,7 +511,7 @@ let generation_run ~old_gen seed =
     let control_locs, env, cont = some_roots sc in
     let dels = List.filter (fun _ -> draw sc 2 = 0) sc.young in
     let hits =
-      Gc.occurs_in_retained ~candidates:(table_of dels) ~control_locs ~env ~cont
+      Gc.occurs_in_retained ~candidates:(table_of dels) ~control_locs
         ~retained:(Store.remove_all sc.st dels)
     in
     let st, freed = Gc.collect ~world ~control_locs ~env ~cont sc.st in
@@ -519,6 +528,274 @@ let prop_young_only_exact =
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
     (fun seed ->
       generation_run ~old_gen:true seed = generation_run ~old_gen:false seed)
+
+(* --- the collection history --- *)
+
+let next_frame (k : T.cont) =
+  match k with
+  | Halt -> T.Halt
+  | Select { next; _ }
+  | Assign { next; _ }
+  | Push { next; _ }
+  | Call { next; _ }
+  | Return { next; _ }
+  | Return_stack { next; _ } ->
+      next
+
+(* A copy of the top [m] frames: the same contents, physically new. *)
+let rec copy_top (k : T.cont) m =
+  if m = 0 then k
+  else
+    let next = copy_top (next_frame k) (m - 1) in
+    match k with
+    | Halt -> T.Halt
+    | Select r -> T.Select { r with next }
+    | Assign r -> T.Assign { r with next }
+    | Push r -> T.Push { r with next }
+    | Call r -> T.Call { r with next }
+    | Return r -> T.Return { r with next }
+    | Return_stack r -> T.Return_stack { r with next }
+
+(* What a whole-store collection frees, by definition: reachability from
+   the roots with a table of its own, bases traced whole (shadowed
+   bindings included, as the collector traces them). *)
+let whole_store_dead ~control_locs ~env ~cont store =
+  let seen = Hashtbl.create 64 in
+  let rec visit l =
+    if not (Hashtbl.mem seen l) then
+      match Store.find_opt store l with
+      | None -> ()
+      | Some v ->
+          Hashtbl.replace seen l ();
+          value v
+  and value (v : T.value) =
+    match v with
+    | Pair (a, d) ->
+        visit a;
+        visit d
+    | Vector locs -> Array.iter visit locs
+    | Closure (tag, _, env) ->
+        visit tag;
+        environment env
+    | Escape (tag, k) ->
+        visit tag;
+        frames k
+    | _ -> ()
+  and environment env =
+    Env.iter_overlay (fun _ l -> visit l) env;
+    Env.iter_base (fun _ l -> visit l) env
+  and frames (k : T.cont) =
+    match k with
+    | Halt -> ()
+    | Select { env; next; _ } | Assign { env; next; _ } | Return { env; next; _ } ->
+        environment env;
+        frames next
+    | Push { evaluated; env; next; _ } ->
+        environment env;
+        List.iter (fun (_, v) -> value v) evaluated;
+        frames next
+    | Call { vals; next; _ } ->
+        List.iter value vals;
+        frames next
+    | Return_stack { dels; env; next; _ } ->
+        List.iter visit dels;
+        environment env;
+        frames next
+  in
+  List.iter visit control_locs;
+  environment env;
+  frames cont;
+  List.filter (fun l -> not (Hashtbl.mem seen l)) (cells store)
+
+(* A machine-shaped run: a continuation that grows, shrinks, regrows
+   with other frames, escapes to a captured chain or to a physically new
+   copy of one, over a store that gains cells, loses young cells as
+   I_stack deletes them and has old, recorded, register-only and new
+   cells written; after every chunk, a collection through one world
+   handle and one history (now and then a fresh history, as a new run
+   would). Between some chunks another store whose locations start at 0
+   is collected through its own history, as another machine on the same
+   domain would. Every collection is checked against
+   [whole_store_dead]. *)
+let history_run seed =
+  let sc =
+    { rng = Random.State.make [| seed |]; st = Store.empty; old = []; young = [];
+      removed = []; bases = [] }
+  in
+  let world_env = build_world sc in
+  sc.st <- Store.start_run sc.st;
+  let world = Gc.world world_env in
+  let history = ref (Gc.history ()) in
+  let cont = ref T.Halt and saved = ref [] in
+  let ok = ref true in
+  let check ?world ~control_locs ~env ~cont ~history st =
+    let dead = whole_store_dead ~control_locs ~env ~cont st in
+    let st', freed = Gc.collect ?world ~history ~control_locs ~env ~cont st in
+    if
+      freed <> List.length dead
+      || cells st' <> List.filter (fun l -> not (List.mem l dead)) (cells st)
+    then ok := false;
+    st'
+  in
+  let foreign () =
+    (* Every location the script has handed out, all live. *)
+    let n = Store.next_loc sc.st in
+    let st, locs = Store.alloc_many Store.empty (List.init n (fun _ -> T.Nil)) in
+    let st, root = Store.alloc st (T.Vector (Array.of_list locs)) in
+    ignore
+      (check ~control_locs:[ root ] ~env:Env.empty ~cont:T.Halt
+         ~history:(Gc.history ()) st)
+  in
+  let present xs = List.filter (Store.mem sc.st) xs in
+  for _ = 1 to 3 + draw sc 6 do
+    for _ = 1 to 1 + draw sc 8 do
+      match draw sc 12 with
+      | 0 | 1 | 2 ->
+          for _ = 1 to 1 + draw sc 4 do
+            cont := some_frame sc !cont
+          done
+      | 3 | 4 ->
+          for _ = 1 to 1 + draw sc 3 do
+            cont := next_frame !cont
+          done
+      | 5 -> saved := !cont :: !saved
+      | 6 -> if !saved <> [] then cont := pick sc !saved
+      | 7 -> cont := copy_top !cont (1 + draw sc 3)
+      | 8 -> sc.young <- sc.young @ alloc_value sc
+      | 9 -> (
+          match present (sc.old @ sc.young) with
+          | [] -> ()
+          | cells -> sc.st <- Store.set sc.st (pick sc cells) (some_value sc))
+      | 10 -> (
+          match present sc.young with
+          | [] -> ()
+          | cells ->
+              let l = pick sc cells in
+              sc.st <- Store.remove_all sc.st [ l ];
+              sc.removed <- l :: sc.removed)
+      | _ ->
+          let some = List.init (1 + draw sc 3) (fun _ -> some_loc sc) in
+          sc.bases <-
+            Env.rebase (Env.add_list (bindings_of some) Env.empty) :: sc.bases
+    done;
+    (match draw sc 8 with
+    | 0 -> history := Gc.history ()
+    | 1 -> foreign ()
+    | _ -> ());
+    let control_locs = List.init (draw sc 3) (fun _ -> some_loc sc) in
+    sc.st <-
+      check ~world ~control_locs ~env:(some_env sc) ~cont:!cont
+        ~history:!history sc.st
+  done;
+  !ok
+
+let prop_history_exact =
+  QCheck.Test.make ~count:2000
+    ~name:"collections through one history = whole-store ones"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    history_run
+
+let test_world_met_below_watermark () =
+  (* An old cell no base reaches breaks the world's invariant on
+     purpose: a young-only collection keeps it, a full one frees it. The
+     world base is met in the bottom frame; once that frame lies below
+     the watermark it is not traced again, and the base must still count
+     as met, or the world would be lost and this collection full. *)
+  let s, kept = Store.alloc Store.empty (T.Sym "kept") in
+  let s, _stray = Store.alloc s (T.Sym "stray") in
+  let world_env = Env.rebase (Env.add "k" kept Env.empty) in
+  let s = Store.start_run s in
+  let world = Gc.world world_env and history = Gc.history () in
+  let bottom = T.return_gc ~env:world_env ~next:T.Halt () in
+  let s, young = Store.alloc s (T.Sym "young") in
+  let collect cont s =
+    Gc.collect ~world ~history ~control_locs:[ young ] ~env:Env.empty ~cont s
+  in
+  let s, freed1 = collect bottom s in
+  check_int "young-only: the stray old cell stays" 0 freed1;
+  let top = T.return_gc ~env:(Env.add "y" young Env.empty) ~next:bottom () in
+  let s, freed2 = collect top s in
+  check_int "still young-only" 0 freed2;
+  let _, freed3 = collect top s in
+  check_int "and again" 0 freed3;
+  let _, full = Gc.collect ~control_locs:[ young ] ~env:Env.empty ~cont:top s in
+  check_int "a full collection frees it" 1 full
+
+(* The I_stack side condition scanned literally: the value, the frame's
+   environment, the whole continuation below it and every retained
+   cell. *)
+let whole_scan ~candidates ~control_locs ~env ~cont ~retained =
+  let hit = Hashtbl.create 8 in
+  let check l = if Hashtbl.mem candidates l then Hashtbl.replace hit l () in
+  let check_env env = Env.iter_overlay (fun _ l -> check l) env in
+  let rec check_value (v : T.value) =
+    match v with
+    | Pair (a, d) ->
+        check a;
+        check d
+    | Vector locs -> Array.iter check locs
+    | Closure (tag, _, env) ->
+        check tag;
+        check_env env
+    | Escape (tag, k) ->
+        check tag;
+        check_cont k
+    | _ -> ()
+  and check_cont (k : T.cont) =
+    match k with
+    | Halt -> ()
+    | Select { env; next; _ } | Assign { env; next; _ } | Return { env; next; _ } ->
+        check_env env;
+        check_cont next
+    | Push { evaluated; env; next; _ } ->
+        check_env env;
+        List.iter (fun (_, v) -> check_value v) evaluated;
+        check_cont next
+    | Call { vals; next; _ } ->
+        List.iter check_value vals;
+        check_cont next
+    | Return_stack { dels; env; next; _ } ->
+        List.iter check dels;
+        check_env env;
+        check_cont next
+  in
+  List.iter check control_locs;
+  check_env env;
+  check_cont cont;
+  Store.iter (fun _ v -> check_value v) retained;
+  hit
+
+(* A call allocates its parameters after its frame's environment and
+   continuation were built; before and after it, cells are allocated,
+   written (old and young, so some older cells come to name a
+   parameter) and removed. *)
+let occurs_run seed =
+  let sc =
+    { rng = Random.State.make [| seed |]; st = Store.empty; old = []; young = [];
+      removed = []; bases = [] }
+  in
+  ignore (build_world sc);
+  sc.st <- Store.start_run sc.st;
+  young_ops sc;
+  let env = some_env sc and cont = some_cont sc 4 in
+  let params = List.init (1 + draw sc 3) (fun _ -> alloc sc (some_value sc)) in
+  sc.young <- sc.young @ params;
+  young_ops sc;
+  let control_locs = T.value_locs (some_value sc) in
+  let dels = List.filter (fun _ -> draw sc 3 > 0) params in
+  let candidates = table_of dels in
+  let retained = Store.remove_all sc.st dels in
+  ( sorted_keys
+      (Gc.occurs_in_retained ~candidates ~control_locs ~retained),
+    sorted_keys (whole_scan ~candidates ~control_locs ~env ~cont ~retained) )
+
+let prop_occurs_exact =
+  QCheck.Test.make ~count:2000
+    ~name:"I_stack occurs-check = whole-configuration scan"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let fast, whole = occurs_run seed in
+      fast = whole)
 
 let test_define_global_world_lost () =
   (* A world environment with an overlay starts lost: its young-only
@@ -580,6 +857,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_young_only_exact;
           Alcotest.test_case "world with an overlay starts lost" `Quick
             test_define_global_world_lost;
+        ] );
+      ( "history",
+        [
+          QCheck_alcotest.to_alcotest prop_history_exact;
+          Alcotest.test_case "world base met below the watermark" `Quick
+            test_world_met_below_watermark;
+          QCheck_alcotest.to_alcotest prop_occurs_exact;
         ] );
       ( "integration",
         [

@@ -157,32 +157,6 @@ let test_fuel () =
   | _ -> Alcotest.fail "expected Aborted (Out_of_fuel)");
   Alcotest.(check int) "result steps" 100 r.M.steps
 
-(* The [`Approximate] policy only collects once tracked space overshoots
-   the running peak by 12.5% plus 64 words, so its reported peak may
-   undershoot the [`Exact] sup by at most that much — and never
-   overshoots it (collections cannot raise live space). *)
-let test_approximate_gc_bound () =
-  let src =
-    "(define (build n) (if (zero? n) '() (cons n (build (- n 1))))) (build 200)"
-  in
-  let peak policy =
-    let t = M.create_with M.Config.default in
-    let r =
-      M.exec_string ~opts:(M.Run_opts.make ~gc_policy:policy ()) t src
-    in
-    match r.M.outcome with
-    | M.Done _ -> M.peak_space r
-    | _ -> Alcotest.fail "build run failed"
-  in
-  let exact = peak `Exact and approx = peak `Approximate in
-  Alcotest.(check bool)
-    (Printf.sprintf "approx %d never above exact %d" approx exact)
-    true (approx <= exact);
-  Alcotest.(check bool)
-    (Printf.sprintf "approx %d within 12.5%%+64 of exact %d" approx exact)
-    true
-    (approx >= exact - (exact / 8) - 64)
-
 let test_perm_policies () =
   (* order-insensitive program: same answer under every policy *)
   let src = "(define (f a b c) (- a (quotient b c))) (f 10 9 3)" in
@@ -520,13 +494,9 @@ let example file =
   in
   In_channel.with_open_text path In_channel.input_all
 
-(* A set! of a prelude global writes a cell built before the run, which
-   can then point at cells the run allocated: the collector must stop
-   treating the initial world as closed. The figures are those of a
-   machine whose every collection is full, at N = 40. *)
-let test_set_prelude_global () =
-  List.iter
-    (fun (file, rows) ->
+(* Each example program at N = 40, on each (variant, models) row. *)
+let check_examples =
+  List.iter (fun (file, rows) ->
       let program = E.program_of_string (example file) in
       List.iter
         (fun (variant, measure, expected) ->
@@ -539,6 +509,13 @@ let test_set_prelude_global () =
             (String.concat " " [ file; M.variant_name variant; models_name measure ])
             expected (figures r))
         rows)
+
+(* A set! of a prelude global writes a cell built before the run, which
+   can then point at cells the run allocated: the collector must stop
+   treating the initial world as closed. The figures are those of a
+   machine whose every collection is full, at N = 40. *)
+let test_set_prelude_global () =
+  check_examples
     [
       ( "redefine-length.scm",
         [
@@ -572,6 +549,45 @@ let test_set_prelude_global () =
         ] );
     ]
 
+(* Writes to cells a collection recorded deep in the continuation, and
+   escapes back to recorded frames, under collections that re-trace
+   only what changed since the last: the figures are those of a machine
+   whose every collection traces the whole continuation, at N = 40. *)
+let test_history_examples () =
+  check_examples
+    [
+      ( "mutate-deep.scm",
+        [
+          (M.Tail, flat, "45 steps=3175 flat=8378 gc_runs=43");
+          (M.Tail, heavy, "45 steps=3175 flat=8378 linked=1192 log=10728 gc_runs=127");
+          (M.Gc, flat, "45 steps=3274 flat=17236 gc_runs=50");
+          (M.Gc, heavy, "45 steps=3274 flat=17236 linked=1280 log=11520 gc_runs=173");
+          (M.Stack, flat, "45 steps=3274 flat=17257 gc_runs=47");
+          (M.Stack, heavy, "45 steps=3274 flat=17257 linked=1297 log=11673 gc_runs=79");
+          (M.Evlis, flat, "45 steps=3175 flat=3622 gc_runs=65");
+          (M.Evlis, heavy, "45 steps=3175 flat=3622 linked=594 log=4752 gc_runs=128");
+          (M.Free, flat, "45 steps=3175 flat=1046 gc_runs=24");
+          (M.Free, heavy, "45 steps=3175 flat=1046 linked=861 log=6888 gc_runs=128");
+          (M.Sfs, flat, "45 steps=3175 flat=488 gc_runs=6");
+          (M.Sfs, heavy, "45 steps=3175 flat=488 linked=366 log=2928 gc_runs=226");
+        ] );
+      ( "escape-middle.scm",
+        [
+          (M.Tail, flat, "5 steps=3573 flat=20771 gc_runs=11");
+          (M.Tail, heavy, "5 steps=3573 flat=20771 linked=1217 log=9736 gc_runs=41");
+          (M.Gc, flat, "5 steps=3598 flat=47167 gc_runs=12");
+          (M.Gc, heavy, "5 steps=3598 flat=47167 linked=1469 log=11752 gc_runs=49");
+          (M.Stack, flat, "5 steps=3598 flat=48869 gc_runs=10");
+          (M.Stack, heavy, "5 steps=3598 flat=48869 linked=1498 log=11984 gc_runs=24");
+          (M.Evlis, flat, "5 steps=3573 flat=3558 gc_runs=99");
+          (M.Evlis, heavy, "5 steps=3573 flat=3558 linked=519 log=4152 gc_runs=146");
+          (M.Free, flat, "5 steps=3573 flat=1784 gc_runs=6");
+          (M.Free, heavy, "5 steps=3573 flat=1784 linked=878 log=6146 gc_runs=42");
+          (M.Sfs, flat, "5 steps=3573 flat=484 gc_runs=9");
+          (M.Sfs, heavy, "5 steps=3573 flat=484 linked=367 log=2936 gc_runs=379");
+        ] );
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -595,8 +611,6 @@ let () =
           Alcotest.test_case "output" `Quick test_output;
           Alcotest.test_case "display vs write" `Quick test_display_vs_write;
           Alcotest.test_case "fuel" `Quick test_fuel;
-          Alcotest.test_case "approximate gc bound" `Quick
-            test_approximate_gc_bound;
           Alcotest.test_case "perm policies" `Quick test_perm_policies;
           Alcotest.test_case "stack policies" `Quick test_stack_policies;
           Alcotest.test_case "all variants run" `Quick test_variant_answers_each;
@@ -608,6 +622,10 @@ let () =
         ] );
       ( "old generation",
         [ Alcotest.test_case "set! of a prelude global" `Quick test_set_prelude_global ] );
+      ( "collection history",
+        [
+          Alcotest.test_case "deep writes and escapes" `Quick test_history_examples;
+        ] );
       ( "skipped collections",
         [
           Alcotest.test_case "drop then grow" `Quick test_skips_drop_then_grow;

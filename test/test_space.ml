@@ -367,19 +367,6 @@ let test_improper_linear_space () =
   Alcotest.(check bool) "gc grows ~4x" true
     (float_of_int s400 >= 2.5 *. float_of_int s100)
 
-let test_exact_vs_approximate_policy () =
-  let t = M.create_with M.Config.default in
-  let src = "(define (build n) (if (zero? n) '() (cons n (build (- n 1))))) (length (build 50))" in
-  let exact = M.exec_string ~opts:(M.Run_opts.make ~gc_policy:`Exact ()) t src in
-  let approx =
-    M.exec_string ~opts:(M.Run_opts.make ~gc_policy:`Approximate ()) t src
-  in
-  Alcotest.(check bool) "approx is a lower bound" true
-    (M.peak_space approx <= M.peak_space exact);
-  Alcotest.(check bool) "within documented slack" true
-    (float_of_int (M.peak_space exact)
-    <= (1.125 *. float_of_int (M.peak_space approx)) +. 200.)
-
 let () =
   Alcotest.run "space"
     [
@@ -412,6 +399,5 @@ let () =
           Alcotest.test_case "tail: constant-space loop" `Quick
             test_proper_tail_recursion_constant_space;
           Alcotest.test_case "gc: linear-space loop" `Quick test_improper_linear_space;
-          Alcotest.test_case "gc policies" `Quick test_exact_vs_approximate_policy;
         ] );
     ]
