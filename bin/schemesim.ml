@@ -301,10 +301,6 @@ let trace_arg =
   let doc = "Print a one-line description of the first $(docv) machine steps." in
   Arg.(value & opt int 0 & info [ "trace" ] ~docv:"STEPS" ~doc)
 
-let profile_arg =
-  let doc = "Write a step,space CSV profile of the run to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for the measurement sweep (default: available cores minus \
@@ -374,8 +370,7 @@ let run_cmd =
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
   let run file expr input variant perm stack_policy no_annot vm_fast fuel
-      timeout space_budget output_cap linked models trace_steps profile json
-      ring =
+      timeout space_budget output_cap linked models trace_steps json ring =
     with_program file expr @@ fun program_name program ->
     let measure = measure_of ~linked ~models in
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
@@ -400,23 +395,10 @@ let run_cmd =
         M.Config.make ~engine ~variant ~perm ~stack_policy
           ~annotate:(not no_annot) ()
       in
-      let profile_channel = Option.map open_out profile in
-      let sink =
-        Option.map
-          (fun oc -> function
-            | Tel.Step { step; space; _ } ->
-                Printf.fprintf oc "%d,%d\n" step space
-            | _ -> ())
-          profile_channel
-      in
-      let telemetry = Tel.create ?sink ~ring () in
+      let telemetry = Tel.create ~ring () in
       let opts = M.Run_opts.make ~fuel ~budget ~measure ~telemetry () in
       let n = Option.get input in
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Option.iter close_out profile_channel)
-          (fun () -> Vm.exec_program ~opts config ~program ~input:(R.input_expr n))
-      in
+      let r = Vm.exec_program ~opts config ~program ~input:(R.input_expr n) in
       (* The fast tier measures no space: its figures are null or "-". *)
       if json then
         print_endline
@@ -483,25 +465,12 @@ let run_cmd =
             if step < trace_steps then
               Format.printf "; %6d %s@." step description)
     in
-    let profile_channel = Option.map open_out profile in
-    (* the step,space CSV profile is fed from the telemetry Step events,
-       which the machine emits once per transition *)
-    let sink =
-      Option.map
-        (fun oc -> function
-          | Tel.Step { step; space; _ } -> Printf.fprintf oc "%d,%d\n" step space
-          | _ -> ())
-        profile_channel
-    in
-    let telemetry = Tel.create ?sink ?config_sink ~ring () in
+    let telemetry = Tel.create ?config_sink ~ring () in
     let opts = M.Run_opts.make ~fuel ~budget ~measure ~telemetry () in
     let result =
-      Fun.protect
-        ~finally:(fun () -> Option.iter close_out profile_channel)
-        (fun () ->
-          match input with
-          | Some n -> M.exec_program ~opts t ~program ~input:(R.input_expr n)
-          | None -> M.exec ~opts t program)
+      match input with
+      | Some n -> M.exec_program ~opts t ~program ~input:(R.input_expr n)
+      | None -> M.exec ~opts t program
     in
     if json then
       print_endline
@@ -531,7 +500,7 @@ let run_cmd =
       const run $ file_pos_arg $ expr_arg $ input_arg $ variant_arg $ perm_arg
       $ stack_policy_arg $ no_annot_arg $ vm_fast_arg $ fuel_arg $ timeout_arg
       $ space_budget_arg $ output_cap_arg $ linked_arg $ model_arg $ trace_arg
-      $ profile_arg $ json_arg $ ring_arg)
+      $ json_arg $ ring_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -625,113 +594,6 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 (* bench                                                               *)
 
-(* [bench --compare OLD NEW] gates on regressions between two baseline
-   files written by [--baseline-out]. Space columns are deterministic
-   word counts, so any growth is a regression, as is a [space] or
-   [peak_space] that OLD has and NEW lacks, and a point whose status
-   degrades from [done] or disappears. Wall time is not compared: the
-   repo benchmark ([benchmark/]) gates it. A file without a non-empty
-   [points] list, or two files of different programs or variants, is a
-   usage error: points matched by [n] alone would compare unlike runs. *)
-let compare_baselines old_path new_path =
-  let load path =
-    match Json.of_string (read_file path) with
-    | Ok j -> j
-    | Error m ->
-        Format.eprintf "schemesim: %s: %s@." path m;
-        exit 2
-    | exception Sys_error m ->
-        Format.eprintf "schemesim: %s@." m;
-        exit 2
-  in
-  let old_j = load old_path and new_j = load new_path in
-  let int_of name j =
-    match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let str_of name j =
-    match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let points path j =
-    match Json.member "points" j with
-    | Some (Json.List (_ :: _ as l)) -> l
-    | _ ->
-        Format.eprintf
-          "schemesim: %s: not a bench baseline (no non-empty \"points\" \
-           list)@."
-          path;
-        exit 2
-  in
-  let old_points = points old_path old_j
-  and new_points = points new_path new_j in
-  List.iter
-    (fun key ->
-      let o = str_of key old_j and nw = str_of key new_j in
-      if o <> nw then begin
-        let show = Option.value ~default:"none" in
-        Format.eprintf "schemesim: %s and %s measure different %ss (%s vs %s)@."
-          old_path new_path key (show o) (show nw);
-        exit 2
-      end)
-    [ "program"; "variant" ];
-  let regressions = ref [] in
-  let reg fmt =
-    Printf.ksprintf (fun s -> regressions := s :: !regressions) fmt
-  in
-  List.iter
-    (fun op ->
-      match int_of "n" op with
-      | None -> ()
-      | Some n -> (
-          match
-            List.find_opt (fun np -> int_of "n" np = Some n) new_points
-          with
-          | None -> reg "point n=%d missing from %s" n new_path
-          | Some np ->
-              (match (str_of "status" op, str_of "status" np) with
-              | Some "done", Some s when s <> "done" ->
-                  reg "point n=%d status degraded: done -> %s" n s
-              | _ -> ());
-              List.iter
-                (fun field ->
-                  match (int_of field op, int_of field np) with
-                  | Some o, Some nn when nn > o ->
-                      reg "point n=%d %s regression: %s -> %s (%+.1f%%)" n
-                        field (Prov.humanize_words o)
-                        (Prov.humanize_words nn)
-                        (Prov.percent_delta ~from:o ~to_:nn)
-                  | Some _, None ->
-                      reg "point n=%d %s missing from %s" n field new_path
-                  | _ -> ())
-                [ "peak_space"; "space" ];
-              (* per-model peaks: gate every model measured in BOTH
-                 baselines; a model present only on one side is a
-                 measurement-set change, not a regression *)
-              let peaks j =
-                match Json.member "peaks" j with
-                | Some (Json.Obj fs) -> fs
-                | _ -> []
-              in
-              List.iter
-                (fun (model, ov) ->
-                  match (ov, List.assoc_opt model (peaks np)) with
-                  | Json.Int o, Some (Json.Int nn) when nn > o ->
-                      reg "point n=%d peak[%s] regression: %d -> %d (%+.1f%%)"
-                        n model o nn
-                        (Prov.percent_delta ~from:o ~to_:nn)
-                  | _ -> ())
-                (peaks op)))
-    old_points;
-  match List.rev !regressions with
-  | [] ->
-      Format.printf "bench compare: %s vs %s: no regressions@." old_path
-        new_path;
-      exit 0
-  | rs ->
-      Format.printf "bench compare: %s vs %s: %d regression(s)@." old_path
-        new_path (List.length rs);
-      List.iter (fun r -> Format.printf "  REGRESSION %s@." r) rs;
-      exit 1
-
 let bench_cmd =
   let ns_arg =
     let doc = "Comma-separated input sizes to sweep." in
@@ -794,21 +656,9 @@ let bench_cmd =
       | None -> [])
   in
   let bench file expr name_opt ns variant perm stack_policy no_annot vm_fast
-      fuel timeout space_budget output_cap linked models json keep_going jobs
-      baseline_out compare new_pos =
-    if compare then begin
-      match (file, new_pos) with
-      | Some old_path, Some new_path -> compare_baselines old_path new_path
-      | _ ->
-          Format.eprintf
-            "schemesim: bench --compare expects two baseline files: bench \
-             --compare OLD NEW@.";
-          exit 2
-    end;
+      fuel timeout space_budget output_cap linked models json keep_going jobs =
     let measure = measure_of ~linked ~models in
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
-    if engine = M.Vm_fast && Option.is_some baseline_out then
-      usage "--baseline-out records measured space; drop --vm-fast";
     let name, program =
       match name_opt with
       | Some entry_name -> (
@@ -856,45 +706,6 @@ let bench_cmd =
                  ~opts:(M.Run_opts.make ~fuel ~budget ~measure ())
                  ~collect_telemetry:true ~config ~program ~ns ()))
     in
-    (match baseline_out with
-    | None -> ()
-    | Some path ->
-        let ms =
-          match outcome with
-          | `Plain ms -> ms
-          | `Supervised s ->
-              List.map (fun (p : R.supervised_point) -> p.R.measurement)
-                s.R.points
-        in
-        let merged =
-          Tel.merge_summaries
-            (List.filter_map (fun (m : R.measurement) -> m.R.summary) ms)
-        in
-        let baseline =
-          Json.Obj
-            [
-              ("program", Json.Str name);
-              ("variant", Json.Str (M.variant_name variant));
-              ("ns", Json.List (List.map (fun n -> Json.Int n) ns));
-              ( "points",
-                Json.List
-                  (List.map
-                     (fun (m : R.measurement) ->
-                       Json.Obj
-                         [
-                           ("n", Json.Int m.R.n);
-                           ("space", Json.Int m.R.space);
-                           ("peak_space", Json.Int (R.peak_space m));
-                           ("peaks", peaks_json m.R.peaks);
-                           ("steps", Json.Int m.R.steps);
-                           ("status", status_json m.R.status);
-                         ])
-                     ms) );
-              ("telemetry", Tel.summary_to_json merged);
-            ]
-        in
-        write_file path (Json.to_string baseline);
-        Format.eprintf "; baseline -> %s@." path);
     let failed =
       match outcome with
       | `Supervised s ->
@@ -945,47 +756,20 @@ let bench_cmd =
     in
     if failed then exit 1
   in
-  let baseline_out_arg =
-    let doc =
-      "Write a machine-readable baseline (deterministic per-point results \
-       and merged telemetry) to $(docv)."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "baseline-out" ] ~docv:"FILE" ~doc)
-  in
   let corpus_name_arg =
     let doc = "Sweep a shipped corpus entry instead of a file." in
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"NAME" ~doc)
   in
-  let compare_arg =
-    let doc =
-      "Compare two baseline files written by --baseline-out instead of \
-       sweeping: bench --compare OLD NEW. Exits 1 on any growth of a \
-       point's space, peak space or per-model peak, on a space or peak \
-       space missing from NEW, on a degraded point status, or on a missing \
-       point; exits 2 if either file has no non-empty points list or the \
-       two differ in program or variant. Wall time is not compared."
-    in
-    Arg.(value & flag & info [ "compare" ] ~doc)
-  in
-  let new_pos_arg =
-    let doc = "The NEW baseline file (with --compare)." in
-    Arg.(value & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-  in
   let doc =
     "Sweep a program over several inputs, reporting space consumption, GC \
-     activity, and telemetry per input; or compare two baselines \
-     (--compare)."
+     activity, and telemetry per input."
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
       const bench $ file_pos_arg $ expr_arg $ corpus_name_arg $ ns_arg
       $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ vm_fast_arg
       $ fuel_arg $ timeout_arg $ space_budget_arg $ output_cap_arg
-      $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg
-      $ baseline_out_arg $ compare_arg $ new_pos_arg)
+      $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)

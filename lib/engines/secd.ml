@@ -131,13 +131,17 @@ type value =
   | Unspecified
   | Undefined
   | Pair of cell
-  | Vector of value array
+  | Vector of vector
   | Closure of closure
   | Prim of string
 
-and cell = { mutable car : value; mutable cdr : value }
-and closure = { template : template; env : env }
-and env = value array list
+(* Each mark field holds the epoch of the last live-space walk that
+   counted the object (see [live_words]). *)
+and cell = { mutable car : value; mutable cdr : value; mutable mark : int }
+and vector = { items : value array; mutable vmark : int }
+and closure = { template : template; env : env; mutable cmark : int }
+and frame = { slots : value array; mutable fmark : int }
+and env = frame list
 
 exception Secd_error of string
 
@@ -154,9 +158,11 @@ let value_of_const (c : Ast.const) =
   | Ast.C_unspecified -> Unspecified
   | Ast.C_undefined -> Undefined
 
+let vector items = Vector { items; vmark = 0 }
+
 let rec list_of_values = function
   | [] -> Nil
-  | v :: rest -> Pair { car = v; cdr = list_of_values rest }
+  | v :: rest -> Pair { car = v; cdr = list_of_values rest; mark = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Primitives (the subset the corpus battery needs)                    *)
@@ -220,7 +226,7 @@ let prim_apply name args =
   | "null?", [ a ] -> Bool (a = Nil)
   | "procedure?", [ a ] ->
       Bool (match a with Closure _ | Prim _ -> true | _ -> false)
-  | "cons", [ a; d ] -> Pair { car = a; cdr = d }
+  | "cons", [ a; d ] -> Pair { car = a; cdr = d; mark = 0 }
   | "car", [ p ] -> (want_pair "car" p).car
   | "cdr", [ p ] -> (want_pair "cdr" p).cdr
   | "set-car!", [ p; v ] ->
@@ -230,15 +236,15 @@ let prim_apply name args =
       (want_pair "set-cdr!" p).cdr <- v;
       Unspecified
   | "list", args -> list_of_values args
-  | "make-vector", [ n ] -> Vector (Array.make (want_index "make-vector" n) Unspecified)
-  | "make-vector", [ n; fill ] -> Vector (Array.make (want_index "make-vector" n) fill)
-  | "vector", args -> Vector (Array.of_list args)
-  | "vector-length", [ Vector a ] -> Int (Bignum.of_int (Array.length a))
-  | "vector-ref", [ Vector a; i ] ->
+  | "make-vector", [ n ] -> vector (Array.make (want_index "make-vector" n) Unspecified)
+  | "make-vector", [ n; fill ] -> vector (Array.make (want_index "make-vector" n) fill)
+  | "vector", args -> vector (Array.of_list args)
+  | "vector-length", [ Vector { items = a; _ } ] -> Int (Bignum.of_int (Array.length a))
+  | "vector-ref", [ Vector { items = a; _ }; i ] ->
       let i = want_index "vector-ref" i in
       if i < 0 || i >= Array.length a then err "vector-ref: out of range";
       a.(i)
-  | "vector-set!", [ Vector a; i; v ] ->
+  | "vector-set!", [ Vector { items = a; _ }; i; v ] ->
       let i = want_index "vector-set!" i in
       if i < 0 || i >= Array.length a then err "vector-set!: out of range";
       a.(i) <- v;
@@ -270,53 +276,64 @@ type state = {
   mutable c : code;
   mutable d : dump_entry list;
   globals : (string, value) Hashtbl.t;
+  mutable epoch : int;  (** of the last [live_words] walk *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Live-space measurement: physical-identity walk, shared structure
-   counted once — actual memory, in the same word units as Figure 7.   *)
-
-module Ptbl = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+   counted once — actual memory, in the same word units as Figure 7.
+   Each walk takes a fresh epoch of its own run's state and marks every
+   object it counts with it; runs on other pool domains have states and
+   objects of their own, so no mark is shared between them.            *)
 
 let live_words st =
-  let seen : unit Ptbl.t = Ptbl.create 64 in
-  let once obj = if Ptbl.mem seen obj then false else (Ptbl.add seen obj (); true) in
+  st.epoch <- st.epoch + 1;
+  let epoch = st.epoch in
   let total = ref 0 in
   let add n = total := !total + n in
+  (* OCaml has one empty array, shared by every empty frame and vector:
+     counted by physical identity, they are one object. *)
+  let empty_counted = ref false in
   let rec value v =
     match v with
     | Int z -> add (1 + Bignum.bit_length z)
     | Str s -> add (1 + String.length s)
     | Bool _ | Sym _ | Char _ | Nil | Unspecified | Undefined | Prim _ -> add 1
     | Pair cell ->
-        if once (Obj.repr cell) then begin
+        if cell.mark <> epoch then begin
+          cell.mark <- epoch;
           add 3;
           value cell.car;
           value cell.cdr
         end
-    | Vector arr ->
-        if once (Obj.repr arr) then begin
-          add (1 + Array.length arr);
-          Array.iter value arr
+    | Vector vec ->
+        if vec.vmark <> epoch then begin
+          vec.vmark <- epoch;
+          array vec.items
         end
     | Closure clo ->
-        if once (Obj.repr clo) then begin
+        if clo.cmark <> epoch then begin
+          clo.cmark <- epoch;
           add 2 (* code pointer + environment pointer *);
           envir clo.env
         end
   and envir e =
     List.iter
       (fun frame ->
-        if once (Obj.repr frame) then begin
-          add (1 + Array.length frame);
-          Array.iter value frame
+        if frame.fmark <> epoch then begin
+          frame.fmark <- epoch;
+          array frame.slots
         end)
       e
+  and array items =
+    if Array.length items > 0 then begin
+      add (1 + Array.length items);
+      Array.iter value items
+    end
+    else if not !empty_counted then begin
+      empty_counted := true;
+      add 1
+    end
   in
   let dump_entry = function
     | DFrame (s, e, _) ->
@@ -353,7 +370,7 @@ let render v =
       | Unspecified -> out "#!unspecified"
       | Undefined -> out "#!undefined"
       | Closure _ | Prim _ -> out "#<PROC>"
-      | Vector arr ->
+      | Vector { items = arr; _ } ->
           out "#(";
           Array.iteri
             (fun i x ->
@@ -398,7 +415,7 @@ let pop_n st n =
 
 let frame_lookup st depth slot =
   match List.nth_opt st.e depth with
-  | Some frame when slot < Array.length frame -> frame.(slot)
+  | Some { slots; _ } when slot < Array.length slots -> slots.(slot)
   | _ -> err "bad lexical address %d/%d" depth slot
 
 let do_return st result =
@@ -421,20 +438,20 @@ let enter_closure st clo args ~push_frame =
       (if t.variadic then "at least " else "")
       t.nparams n;
   let size = t.nparams + if t.variadic then 1 else 0 in
-  let frame = Array.make size Undefined in
+  let slots = Array.make size Undefined in
   let rec fill i = function
     | args when i = t.nparams ->
-        if t.variadic then frame.(i) <- list_of_values args
+        if t.variadic then slots.(i) <- list_of_values args
         else assert (args = [])
     | arg :: rest ->
-        frame.(i) <- arg;
+        slots.(i) <- arg;
         fill (i + 1) rest
     | [] -> assert false
   in
   if size > 0 then fill 0 args;
   if push_frame then st.d <- DFrame (st.s, st.e, st.c) :: st.d;
   st.s <- [];
-  st.e <- frame :: clo.env;
+  st.e <- { slots; fmark = 0 } :: clo.env;
   st.c <- t.body
 
 (* returns Some answer when the program halts *)
@@ -456,7 +473,7 @@ let exec_instr st instr =
           None
       | None -> err "unbound global: %s" x)
   | IClosure t ->
-      st.s <- Closure { template = t; env = st.e } :: st.s;
+      st.s <- Closure { template = t; env = st.e; cmark = 0 } :: st.s;
       None
   | ISel (c1, c2) ->
       let v = pop st in
@@ -477,8 +494,8 @@ let exec_instr st instr =
   | ISetLocal (d, i) -> (
       let v = pop st in
       match List.nth_opt st.e d with
-      | Some frame when i < Array.length frame ->
-          frame.(i) <- v;
+      | Some { slots; _ } when i < Array.length slots ->
+          slots.(i) <- v;
           st.s <- Unspecified :: st.s;
           None
       | _ -> err "bad lexical address %d/%d" d i)
@@ -513,7 +530,7 @@ let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
   let code = compile ~proper_tail_calls ?annot expr in
   let globals = Hashtbl.create 64 in
   List.iter (fun name -> Hashtbl.replace globals name (Prim name)) prim_names;
-  let st = { s = []; e = []; c = code; d = []; globals } in
+  let st = { s = []; e = []; c = code; d = []; globals; epoch = 0 } in
   let peak = ref 0 in
   let steps = ref 0 in
   let measure () =

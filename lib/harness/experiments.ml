@@ -20,6 +20,24 @@ let fit_or_none points =
 
 let variant_column variants = List.map Machine.variant_name variants
 
+(* Each of Theorem 25's "O(S_X) not included in O(S_Y)" claims is
+   operationalized directly: S_X(P, N) / S_Y(P, N) must diverge as N
+   grows. The ratio of ratios between the largest and smallest N is
+   required to reach [divergence_threshold] — robust against the
+   additive constants (the initial environment) that make absolute
+   order fitting noisy at feasible N. *)
+let divergence_threshold = 1.4
+
+let divergence ns xs ys =
+  let ratio n =
+    match (List.assoc_opt n xs, List.assoc_opt n ys) with
+    | Some a, Some b when b > 0 -> Some (float_of_int a /. float_of_int b)
+    | _ -> None
+  in
+  match (ratio (List.hd ns), ratio (List.nth ns (List.length ns - 1))) with
+  | Some lo, Some hi when lo > 0. -> hi /. lo
+  | _ -> 0.
+
 (* ------------------------------------------------------------------ *)
 
 module Fig2 = struct
@@ -111,31 +129,16 @@ module Thm25 = struct
         { separator = name; ns; cells })
       programs
 
-  (* Each of Theorem 25's "O(S_X) not included in O(S_Y)" claims is
-     operationalized directly: S_X(P, N) / S_Y(P, N) must diverge as N
-     grows. The ratio of ratios between the largest and smallest N is
-     required to exceed a threshold — robust against the additive
-     constants (the initial environment) that make absolute order
-     fitting noisy at feasible N. *)
-  let divergence sweep x y =
-    let spaces_of v =
-      match List.find_opt (fun c -> c.variant = v) sweep.cells with
+  let claims sweeps =
+    let find name = List.find (fun s -> s.separator = name) sweeps in
+    let spaces_of s v =
+      match List.find_opt (fun c -> c.variant = v) s.cells with
       | Some c -> c.spaces
       | None -> []
     in
-    let sx = spaces_of x and sy = spaces_of y in
-    let ratio n =
-      match (List.assoc_opt n sx, List.assoc_opt n sy) with
-      | Some a, Some b when b > 0 -> Some (float_of_int a /. float_of_int b)
-      | _ -> None
+    let diverges s x y =
+      divergence s.ns (spaces_of s x) (spaces_of s y) >= divergence_threshold
     in
-    match (ratio (List.hd sweep.ns), ratio (List.nth sweep.ns (List.length sweep.ns - 1))) with
-    | Some lo, Some hi when lo > 0. -> hi /. lo
-    | _ -> 0.
-
-  let claims sweeps =
-    let find name = List.find (fun s -> s.separator = name) sweeps in
-    let diverges s x y = divergence s x y >= 1.4 in
     let s1 = find "stack/gc"
     and s2 = find "gc/tail"
     and s3 = find "tail/evlis"
@@ -144,10 +147,10 @@ module Thm25 = struct
       ("stack/gc: S_stack diverges from S_gc", diverges s1 Machine.Stack Machine.Gc);
       ("gc/tail: S_gc diverges from S_tail", diverges s2 Machine.Gc Machine.Tail);
       ( "gc/tail: S_tail bounded",
-        match List.find_opt (fun c -> c.variant = Machine.Tail) s2.cells with
-        | Some { spaces = (_, s0) :: rest; _ } ->
+        match spaces_of s2 Machine.Tail with
+        | (_, s0) :: rest ->
             List.for_all (fun (_, s) -> float_of_int s <= 1.2 *. float_of_int s0) rest
-        | _ -> false );
+        | [] -> false );
       ("tail/evlis: S_tail diverges from S_evlis", diverges s3 Machine.Tail Machine.Evlis);
       ("tail/evlis: S_free diverges from S_evlis", diverges s3 Machine.Free Machine.Evlis);
       ("tail/evlis: S_free diverges from S_sfs", diverges s3 Machine.Free Machine.Sfs);
@@ -579,18 +582,6 @@ module Ablation = struct
 
   let default_ns = [ 20; 40; 80; 160 ]
 
-  (* how much the ratio of two sweeps grows from the smallest N to the
-     largest: > 1 means the first grows strictly faster *)
-  let divergence ns a b =
-    let ratio n =
-      match (List.assoc_opt n a.spaces, List.assoc_opt n b.spaces) with
-      | Some x, Some y when y > 0 -> Some (float_of_int x /. float_of_int y)
-      | _ -> None
-    in
-    match (ratio (List.hd ns), ratio (List.nth ns (List.length ns - 1))) with
-    | Some lo, Some hi when lo > 0. -> hi /. lo
-    | _ -> 0.
-
   let run ?pool ?(ns = default_ns) () =
     let sweep ?return_env ?evlis_drop_at_creation ~variant label source =
       let program = expand source in
@@ -630,10 +621,11 @@ module Ablation = struct
       ns;
       return_env_rows = [ gc_f; stack_f; gc_l; stack_l ];
       evlis_rows = [ tail_e; evlis_f; evlis_l ];
-      stack_gc_divergence_faithful = divergence ns stack_f gc_f;
-      stack_gc_divergence_literal = divergence ns stack_l gc_l;
-      tail_evlis_divergence_faithful = divergence ns tail_e evlis_f;
-      tail_evlis_divergence_literal = divergence ns tail_e evlis_l;
+      stack_gc_divergence_faithful = divergence ns stack_f.spaces gc_f.spaces;
+      stack_gc_divergence_literal = divergence ns stack_l.spaces gc_l.spaces;
+      tail_evlis_divergence_faithful =
+        divergence ns tail_e.spaces evlis_f.spaces;
+      tail_evlis_divergence_literal = divergence ns tail_e.spaces evlis_l.spaces;
     }
 
   let render r =
@@ -846,7 +838,7 @@ module LogHier = struct
     separation : string;  (** separator family name, "x/y" *)
     flat_div : float;  (** divergence of S_x / S_y, smallest to largest N *)
     log_div : float;  (** the same ratio-of-ratios under Log *)
-    survives : bool;  (** [log_div >= threshold] *)
+    survives : bool;  (** [log_div >= divergence_threshold] *)
   }
 
   type result = {
@@ -860,20 +852,7 @@ module LogHier = struct
     thm26_survives : bool;
   }
 
-  let threshold = 1.4
   let default_ns = Thm25.default_ns
-
-  let divergence ns xs ys =
-    let ratio n =
-      match (List.assoc_opt n xs, List.assoc_opt n ys) with
-      | Some a, Some b when b > 0 -> Some (float_of_int a /. float_of_int b)
-      | _ -> None
-    in
-    match
-      (ratio (List.hd ns), ratio (List.nth ns (List.length ns - 1)))
-    with
-    | Some lo, Some hi when lo > 0. -> hi /. lo
-    | _ -> 0.
 
   (* Each separator family with the pair of variants its strict
      inclusion compares (Theorem 25's four adjacent separations). *)
@@ -928,7 +907,7 @@ module LogHier = struct
             separation = sep;
             flat_div = div Space_model.Flat;
             log_div;
-            survives = log_div >= threshold;
+            survives = log_div >= divergence_threshold;
           })
         separations
     in
@@ -1013,7 +992,7 @@ module LogHier = struct
       pk_ns;
       thm26_flat_div;
       thm26_log_div;
-      thm26_survives = thm26_log_div >= threshold;
+      thm26_survives = thm26_log_div >= divergence_threshold;
     }
 
   let render r =
@@ -1045,10 +1024,12 @@ module LogHier = struct
               (fun (name, ok) ->
                 Printf.sprintf "%s %s" name (if ok then "ok" else "VIOLATED"))
               r.chain_rows))
-    ^ "div: ratio of S_x/S_y between the smallest and largest N (>= 1.4\n\
-       counts as divergence). Log re-prices every linked unit at\n\
-       ceil(log2 |store|) bits, so a polynomial separation survives while\n\
-       the factor only shifts the ratios.\n"
+    ^ Printf.sprintf
+        "div: ratio of S_x/S_y between the smallest and largest N (>= %g\n\
+         counts as divergence). Log re-prices every linked unit at\n\
+         ceil(log2 |store|) bits, so a polynomial separation survives while\n\
+         the factor only shifts the ratios.\n"
+        divergence_threshold
 end
 
 (* ------------------------------------------------------------------ *)

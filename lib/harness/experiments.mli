@@ -16,6 +16,11 @@ module Pool = Tailspace_parallel.Pool
     byte-identical with and without a pool. Program expansion always
     happens in the calling domain. *)
 
+val divergence_threshold : float
+(** The divergence that counts as a separation in E2, E8 and E10
+    (1.4): how much the ratio [S_x / S_y] must grow from the smallest N
+    to the largest. *)
+
 (** {1 E1 — Figure 2: static frequency of tail calls} *)
 module Fig2 : sig
   type row = { name : string; counts : Tail_calls.counts }
@@ -223,7 +228,7 @@ module LogHier : sig
         (** divergence ratio of [S_x / S_y] between the smallest and
             largest N *)
     log_div : float;  (** the same ratio-of-ratios under [Log] *)
-    survives : bool;  (** [log_div >= threshold] *)
+    survives : bool;  (** [log_div >= divergence_threshold] *)
   }
 
   type result = {
@@ -241,10 +246,6 @@ module LogHier : sig
     thm26_log_div : float;  (** [S_sfs] against [Log_tail] *)
     thm26_survives : bool;
   }
-
-  val threshold : float
-  (** Minimum divergence ratio that counts as a separation (1.4, the
-      same bar Thm25's claims use). *)
 
   val run :
     ?pool:Pool.t ->

@@ -150,13 +150,55 @@ let test_ablation_choices_matter () =
   (* E8: the faithful readings separate; the literal readings do not *)
   let r = X.Ablation.run () in
   Alcotest.(check bool) "stack/gc separates (faithful)" true
-    (r.X.Ablation.stack_gc_divergence_faithful >= 1.4);
+    (r.X.Ablation.stack_gc_divergence_faithful >= X.divergence_threshold);
   Alcotest.(check bool) "stack/gc collapses (literal)" true
     (r.X.Ablation.stack_gc_divergence_literal <= 1.1);
   Alcotest.(check bool) "tail/evlis separates (faithful)" true
-    (r.X.Ablation.tail_evlis_divergence_faithful >= 1.4);
+    (r.X.Ablation.tail_evlis_divergence_faithful >= X.divergence_threshold);
   Alcotest.(check bool) "tail/evlis collapses (literal)" true
     (r.X.Ablation.tail_evlis_divergence_literal <= 1.1)
+
+let test_sanity_verdicts () =
+  (* E9 at its default N: only the tail-recursive SECD machine stays
+     within a constant factor of S_tail *)
+  let r = X.Sanity.run () in
+  let verdict engine =
+    match
+      List.find_opt
+        (fun (row : X.Sanity.row) -> row.X.Sanity.engine = engine)
+        r.X.Sanity.rows
+    with
+    | Some row -> row.X.Sanity.properly_tail_recursive
+    | None -> Alcotest.failf "no E9 row %S" engine
+  in
+  Alcotest.(check bool) "tail-recursive SECD is properly tail recursive" true
+    (verdict "secd (tail-recursive)");
+  Alcotest.(check bool) "classic SECD leaks" false (verdict "secd (classic)");
+  Alcotest.(check bool) "I_gc leaks" false (verdict "reference I_gc (control)")
+
+let test_loghier_verdicts () =
+  (* E10 at N = 20, 40, 80, which gives the default N's verdicts. gc/tail
+     is left out: direct runs at N = 1280 to 5120 dispute its collapse
+     under Log (Log_tail stays near-flat while Log_gc triples). *)
+  let r = X.LogHier.run ~ns:[ 20; 40; 80 ] () in
+  List.iter
+    (fun sep ->
+      match
+        List.find_opt
+          (fun (p : X.LogHier.pair) -> p.X.LogHier.separation = sep)
+          r.X.LogHier.pairs
+      with
+      | Some p ->
+          Alcotest.(check bool) (sep ^ " survives under Log") true
+            p.X.LogHier.survives
+      | None -> Alcotest.failf "no E10 row %S" sep)
+    [ "stack/gc"; "tail/evlis"; "evlis/sfs" ];
+  Alcotest.(check bool) "thm26 survives under Log" true
+    r.X.LogHier.thm26_survives;
+  Alcotest.(check (list (pair string bool)))
+    "Theorem 24 chain on Log"
+    [ ("countdown", true); ("fib-iter", true); ("even-odd", true) ]
+    r.X.LogHier.chain_rows
 
 let test_sec4_shapes () =
   let rows = X.Sec4.run ~ns:[ 16; 32; 64 ] () in
@@ -207,5 +249,8 @@ let () =
           Alcotest.test_case "cps shapes" `Quick test_cps_shapes;
           Alcotest.test_case "sec4 shapes" `Quick test_sec4_shapes;
           Alcotest.test_case "ablation (E8)" `Quick test_ablation_choices_matter;
+          Alcotest.test_case "sanity verdicts (E9)" `Quick test_sanity_verdicts;
+          Alcotest.test_case "log hierarchy verdicts (E10)" `Quick
+            test_loghier_verdicts;
         ] );
     ]
