@@ -14,8 +14,8 @@
 
    exit codes (uniform across subcommands, documented in README):
      0  the program ran to completion (Done)
-     1  program-level failure: stuck, aborted by the resource governor,
-        a failed sweep point, or a failed oracle check
+     1  program-level failure: stuck, out of fuel, a failed sweep point,
+        or a failed oracle check
      2  usage error: bad flags, unreadable/unparsable source, unknown
         corpus entry or experiment *)
 
@@ -199,6 +199,22 @@ let usage m =
   Format.eprintf "schemesim: %s@." m;
   exit 2
 
+(* The header's exit-code contract, as every command's --help shows it. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"the program ran to completion.";
+      info 1
+        ~doc:
+          "the program got stuck or ran out of fuel, a sweep point failed, \
+           or an oracle check failed.";
+      info 2
+        ~doc:
+          "usage error: bad flags, unreadable or unparsable source, unknown \
+           corpus entry or experiment.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
 (* The fast VM refuses configurations whose accounting it cannot honor;
    surface that as a usage error (exit 2) before running. *)
 let resolve_engine ~vm_fast ~variant ~perm ~measure =
@@ -209,42 +225,13 @@ let resolve_engine ~vm_fast ~variant ~perm ~measure =
     if perm <> M.Left_to_right then
       usage "--vm-fast evaluates left-to-right only (--perm ltr)";
     if SM.normalize measure <> [ SM.Flat ] then
-      usage "--vm-fast measures no space (drop --linked/--model)";
+      usage "--vm-fast measures no space (drop --model)";
     M.Vm_fast
   end
 
 let fuel_arg =
   let doc = "Maximum number of machine steps." in
   Arg.(value & opt int 20_000_000 & info [ "fuel" ] ~docv:"STEPS" ~doc)
-
-let timeout_arg =
-  let doc =
-    "Wall-clock deadline in seconds; exceeding it aborts the run with a \
-     structured 'deadline' outcome."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
-
-let space_budget_arg =
-  let doc =
-    "Maximum live flat space in words (Definition 21); the machine collects \
-     before judging, so only genuinely live data counts."
-  in
-  Arg.(
-    value & opt (some int) None & info [ "space-budget" ] ~docv:"WORDS" ~doc)
-
-let output_cap_arg =
-  let doc = "Maximum bytes the program may write with display/write." in
-  Arg.(value & opt (some int) None & info [ "output-cap" ] ~docv:"BYTES" ~doc)
-
-let make_budget ?timeout_s ?space_words ?output_bytes () =
-  Res.Budget.make ?timeout_s ?space_words ?output_bytes ()
-
-let linked_arg =
-  let doc =
-    "Also measure the linked-environment space model (Figure 8); shorthand \
-     for --model linked."
-  in
-  Arg.(value & flag & info [ "linked" ] ~doc)
 
 let model_conv =
   let parse s =
@@ -262,16 +249,9 @@ let model_arg =
   let doc =
     "Extra space models to measure, comma-separated: flat (Figure 7, always \
      measured), linked (Figure 8's dedup'd bindings), log (pointer-size \
-     accounting — every linked unit at ceil(log2 |store|) bits). Composes \
-     with --linked."
+     accounting — every linked unit at ceil(log2 |store|) bits)."
   in
   Arg.(value & opt (list model_conv) [] & info [ "model" ] ~docv:"MODELS" ~doc)
-
-(* The measure list a command runs under: --model's list plus the
-   --linked shorthand, normalized (Flat always present, canonical
-   order). *)
-let measure_of ~linked ~models =
-  SM.normalize (models @ if linked then [ SM.Linked ] else [])
 
 (* "; linked peak U=..." / "; log peak Log=..." footer lines of the
    plain-text reports, one per heavy model measured. Definition 23
@@ -370,14 +350,9 @@ let run_cmd =
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
   let run file expr input variant perm stack_policy no_annot vm_fast fuel
-      timeout space_budget output_cap linked models trace_steps json ring =
+      measure trace_steps json ring =
     with_program file expr @@ fun program_name program ->
-    let measure = measure_of ~linked ~models in
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
-    let budget =
-      make_budget ?timeout_s:timeout ?space_words:space_budget
-        ?output_bytes:output_cap ()
-    in
     if engine = M.Vm_fast then begin
       if trace_steps > 0 then begin
         Format.eprintf
@@ -396,7 +371,7 @@ let run_cmd =
           ~annotate:(not no_annot) ()
       in
       let telemetry = Tel.create ~ring () in
-      let opts = M.Run_opts.make ~fuel ~budget ~measure ~telemetry () in
+      let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
       let n = Option.get input in
       let r = Vm.exec_program ~opts config ~program ~input:(R.input_expr n) in
       (* The fast tier measures no space: its figures are null or "-". *)
@@ -466,7 +441,7 @@ let run_cmd =
               Format.printf "; %6d %s@." step description)
     in
     let telemetry = Tel.create ?config_sink ~ring () in
-    let opts = M.Run_opts.make ~fuel ~budget ~measure ~telemetry () in
+    let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
     let result =
       match input with
       | Some n -> M.exec_program ~opts t ~program ~input:(R.input_expr n)
@@ -495,12 +470,11 @@ let run_cmd =
     match result.M.outcome with M.Done _ -> () | _ -> exit 1
   in
   let doc = "Run a Scheme program on a reference machine and measure space." in
-  Cmd.v (Cmd.info "run" ~doc)
+  Cmd.v (Cmd.info "run" ~exits ~doc)
     Term.(
       const run $ file_pos_arg $ expr_arg $ input_arg $ variant_arg $ perm_arg
-      $ stack_policy_arg $ no_annot_arg $ vm_fast_arg $ fuel_arg $ timeout_arg
-      $ space_budget_arg $ output_cap_arg $ linked_arg $ model_arg $ trace_arg
-      $ json_arg $ ring_arg)
+      $ stack_policy_arg $ no_annot_arg $ vm_fast_arg $ fuel_arg $ model_arg
+      $ trace_arg $ json_arg $ ring_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -527,14 +501,9 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
   in
-  let profile file expr input variant perm stack_policy no_annot fuel timeout
-      space_budget output_cap linked models csv stride events =
+  let profile file expr input variant perm stack_policy no_annot fuel measure
+      csv stride events =
     with_program file expr @@ fun program_name program ->
-    let measure = measure_of ~linked ~models in
-    let budget =
-      make_budget ?timeout_s:timeout ?space_words:space_budget
-        ?output_bytes:output_cap ()
-    in
     let t =
       M.create_with
         (M.Config.make ~variant ~perm ~stack_policy ~annotate:(not no_annot) ())
@@ -550,7 +519,7 @@ let profile_cmd =
         events_channel
     in
     let telemetry = Tel.create ?sink ~ring:16 ~profile:prof () in
-    let opts = M.Run_opts.make ~fuel ~budget ~measure ~telemetry () in
+    let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
     let result =
       Fun.protect
         ~finally:(fun () -> Option.iter close_out events_channel)
@@ -584,12 +553,11 @@ let profile_cmd =
     "Run with full telemetry: a JSON summary on stdout and a space-over-time \
      CSV profile on disk."
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  Cmd.v (Cmd.info "profile" ~exits ~doc)
     Term.(
       const profile $ file_pos_arg $ expr_arg $ input_arg $ variant_arg
-      $ perm_arg $ stack_policy_arg $ no_annot_arg $ fuel_arg $ timeout_arg
-      $ space_budget_arg $ output_cap_arg $ linked_arg $ model_arg $ csv_arg
-      $ stride_arg $ events_arg)
+      $ perm_arg $ stack_policy_arg $ no_annot_arg $ fuel_arg $ model_arg
+      $ csv_arg $ stride_arg $ events_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench                                                               *)
@@ -605,14 +573,6 @@ let bench_cmd =
        summary included) instead of an ASCII table."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let keep_going_arg =
-    let doc =
-      "Crash-proof sweep: retry starved points with escalating fuel, keep \
-       going past failed points, and report the partial table with per-point \
-       abort reasons and notes."
-    in
-    Arg.(value & flag & info [ "keep-going" ] ~doc)
   in
   let status_json (s : R.status) =
     match s with
@@ -656,8 +616,7 @@ let bench_cmd =
       | None -> [])
   in
   let bench file expr name_opt ns variant perm stack_policy no_annot vm_fast
-      fuel timeout space_budget output_cap linked models json keep_going jobs =
-    let measure = measure_of ~linked ~models in
+      fuel measure json jobs =
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
     let name, program =
       match name_opt with
@@ -682,79 +641,25 @@ let bench_cmd =
                   exit 2
               | program -> (name, program)))
     in
-    let budget =
-      make_budget ?timeout_s:timeout ?space_words:space_budget
-        ?output_bytes:output_cap ()
-    in
     let config =
       M.Config.make ~engine ~variant ~perm ~stack_policy
         ~annotate:(not no_annot) ()
     in
-    let outcome =
+    let ms =
       Pool.with_pool ?jobs (fun pool ->
-          if keep_going then
-            `Supervised
-              (R.sweep_supervised ?pool
-                 ~opts:
-                   (M.Run_opts.make
-                      ~budget:{ budget with Res.Budget.fuel = Some fuel }
-                      ~measure ())
-                 ~collect_telemetry:true ~config ~program ~ns ())
-          else
-            `Plain
-              (R.sweep ?pool
-                 ~opts:(M.Run_opts.make ~fuel ~budget ~measure ())
-                 ~collect_telemetry:true ~config ~program ~ns ()))
+          R.sweep ?pool
+            ~opts:(M.Run_opts.make ~fuel ~measure ())
+            ~collect_telemetry:true ~config ~program ~ns ())
     in
-    let failed =
-      match outcome with
-      | `Supervised s ->
-        if json then
-          print_endline
-            (Json.to_string
-               (Json.Obj
-                  [
-                    ("program", Json.Str name);
-                    ("variant", Json.Str (M.variant_name variant));
-                    ("answered", Json.Int s.R.answered);
-                    ("degraded", Json.Int s.R.degraded);
-                    ("status",
-                     Json.Str (if s.R.degraded = 0 then "done" else "degraded"));
-                    ( "points",
-                      Json.List
-                        (List.map
-                           (fun (p : R.supervised_point) ->
-                             Json.Obj
-                               [
-                                 ( "measurement",
-                                   measurement_json name variant
-                                     p.R.measurement );
-                                 ("attempts", Json.Int p.R.attempts);
-                                 ( "note",
-                                   match p.R.note with
-                                   | Some n -> Json.Str n
-                                   | None -> Json.Null );
-                               ])
-                           s.R.points) );
-                  ]))
-        else begin
-          Format.printf "%s(n) under %s (supervised):@." name
-            (M.variant_name variant);
-          print_string (Table.supervised s)
-        end;
-        s.R.degraded > 0
-      | `Plain ms ->
-        if json then
-          print_endline
-            (Json.to_string
-               (Json.List (List.map (measurement_json name variant) ms)))
-        else begin
-          Format.printf "%s(n) under %s:@." name (M.variant_name variant);
-          print_string (Table.measurements ms)
-        end;
-        not (R.all_answered ms)
-    in
-    if failed then exit 1
+    if json then
+      print_endline
+        (Json.to_string
+           (Json.List (List.map (measurement_json name variant) ms)))
+    else begin
+      Format.printf "%s(n) under %s:@." name (M.variant_name variant);
+      print_string (Table.measurements ms)
+    end;
+    if not (R.all_answered ms) then exit 1
   in
   let corpus_name_arg =
     let doc = "Sweep a shipped corpus entry instead of a file." in
@@ -764,12 +669,11 @@ let bench_cmd =
     "Sweep a program over several inputs, reporting space consumption, GC \
      activity, and telemetry per input."
   in
-  Cmd.v (Cmd.info "bench" ~doc)
+  Cmd.v (Cmd.info "bench" ~exits ~doc)
     Term.(
       const bench $ file_pos_arg $ expr_arg $ corpus_name_arg $ ns_arg
       $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ vm_fast_arg
-      $ fuel_arg $ timeout_arg $ space_budget_arg $ output_cap_arg
-      $ linked_arg $ model_arg $ json_arg $ keep_going_arg $ jobs_arg)
+      $ fuel_arg $ model_arg $ json_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -797,7 +701,7 @@ let analyze_cmd =
           (TC.percent c.TC.known_calls c.TC.calls)
   in
   let doc = "Static tail-call statistics (the Figure 2 measurement)." in
-  Cmd.v (Cmd.info "analyze" ~doc) Term.(const analyze $ file_arg)
+  Cmd.v (Cmd.info "analyze" ~exits ~doc) Term.(const analyze $ file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* corpus                                                              *)
@@ -845,7 +749,7 @@ let corpus_cmd =
             match m.R.status with R.Answer _ -> () | _ -> exit 1)
   in
   let doc = "List or run the shipped Scheme corpus." in
-  Cmd.v (Cmd.info "corpus" ~doc) Term.(const corpus $ name_arg $ n_arg $ variant_arg)
+  Cmd.v (Cmd.info "corpus" ~exits ~doc) Term.(const corpus $ name_arg $ n_arg $ variant_arg)
 
 (* ------------------------------------------------------------------ *)
 (* report                                                              *)
@@ -882,7 +786,7 @@ let report_cmd =
         exit 2
   in
   let doc = "Print the paper-reproduction tables (see DESIGN.md)." in
-  Cmd.v (Cmd.info "report" ~doc)
+  Cmd.v (Cmd.info "report" ~exits ~doc)
     Term.(const report $ which_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -906,8 +810,6 @@ let faults_cmd =
       Res.Fault.none;
       Res.Fault.make ~label:"gc-every-1" ~gc_every:1 ();
       Res.Fault.make ~label:"gc-seed-7" ~gc_seed:7 ();
-      Res.Fault.make ~label:"fail-alloc-100" ~fail_alloc:100 ();
-      Res.Fault.make ~label:"fuel-drop-500+50" ~fuel_drop:(500, 50) ();
     ]
   in
   let faults json n fuel =
@@ -997,7 +899,7 @@ let faults_cmd =
      adversarial fault plans on all six variants) and the differential \
      oracle, reporting structured outcomes."
   in
-  Cmd.v (Cmd.info "faults" ~doc) Term.(const faults $ json_arg $ n_arg $ fuel_arg)
+  Cmd.v (Cmd.info "faults" ~exits ~doc) Term.(const faults $ json_arg $ n_arg $ fuel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* spaceprof                                                           *)
@@ -1016,8 +918,8 @@ let spaceprof_cmd =
   let json_arg =
     let doc =
       "Print the census as one JSON object (rows, flamegraph stacks, and \
-       labels; the linked and log censuses too with --linked / --model) \
-       instead of tables."
+       labels; the linked and log censuses too with --model) instead of \
+       tables."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
@@ -1046,9 +948,8 @@ let spaceprof_cmd =
     let doc = "Show only the $(docv) largest rows per table (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"K" ~doc)
   in
-  let spaceprof file expr corpus_name input variant vm_fast fuel linked models
-      json flamegraph diff top =
-    let measure = measure_of ~linked ~models in
+  let spaceprof file expr corpus_name input variant vm_fast fuel measure json
+      flamegraph diff top =
     let name, program =
       match corpus_name with
       | Some entry_name -> (
@@ -1295,28 +1196,35 @@ let spaceprof_cmd =
      export collapsed-stack flamegraphs, and diff censuses across machine \
      variants."
   in
-  Cmd.v (Cmd.info "spaceprof" ~doc)
+  Cmd.v (Cmd.info "spaceprof" ~exits ~doc)
     Term.(
       const spaceprof $ file_pos_arg $ expr_arg $ corpus_name_arg $ input_arg
-      $ variant_arg $ vm_fast_arg $ fuel_arg $ linked_arg
-      $ model_arg $ json_arg $ flamegraph_arg $ diff_arg $ top_arg)
+      $ variant_arg $ vm_fast_arg $ fuel_arg $ model_arg $ json_arg
+      $ flamegraph_arg $ diff_arg $ top_arg)
 
 let () =
   let doc =
     "reference implementations for 'Proper Tail Recursion and Space \
      Efficiency' (Clinger, PLDI 1998)"
   in
-  let info = Cmd.info "schemesim" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "schemesim" ~version:"1.0.0" ~exits ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        run_cmd;
+        profile_cmd;
+        bench_cmd;
+        analyze_cmd;
+        corpus_cmd;
+        report_cmd;
+        faults_cmd;
+        spaceprof_cmd;
+      ]
+  in
+  (* Cmdliner's own exit for a command-line error is 124; the contract
+     above says 2. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            run_cmd;
-            profile_cmd;
-            bench_cmd;
-            analyze_cmd;
-            corpus_cmd;
-            report_cmd;
-            faults_cmd;
-            spaceprof_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -831,7 +831,6 @@ let alloc_kind_of_value : value -> Telemetry.alloc_kind = function
 module Run_opts = struct
   type t = {
     fuel : int;
-    budget : Resilience.Budget.t option;
     fault : Resilience.Fault.plan option;
     measure : Space_model.t list;
     telemetry : Telemetry.t option;
@@ -841,18 +840,16 @@ module Run_opts = struct
   let default =
     {
       fuel = 20_000_000;
-      budget = None;
       fault = None;
       measure = [ Space_model.Flat ];
       telemetry = None;
       provenance = None;
     }
 
-  let make ?(fuel = default.fuel) ?budget ?fault ?(measure = default.measure)
+  let make ?(fuel = default.fuel) ?fault ?(measure = default.measure)
       ?telemetry ?provenance () =
     {
       fuel;
-      budget;
       fault;
       measure = Space_model.normalize measure;
       telemetry;
@@ -861,7 +858,7 @@ module Run_opts = struct
 end
 
 let run_measured
-    { Run_opts.fuel; budget; fault; measure; telemetry; provenance }
+    { Run_opts.fuel; fault; measure; telemetry; provenance }
     t expr =
   let measure_models = Space_model.normalize measure in
   let measure_linked = Space_model.mem Space_model.Linked measure_models in
@@ -883,10 +880,9 @@ let run_measured
       | Some a -> Census.set_annot c a);
       t.prov <- Some c;
       t.track_sites <- true);
-  let budget = Option.value budget ~default:Resilience.Budget.unlimited in
-  let guard = Resilience.Guard.start ~default_fuel:fuel budget in
-  let fault = Option.value fault ~default:Resilience.Fault.none in
-  let faults = Resilience.Fault.start fault in
+  let faults =
+    Resilience.Fault.start (Option.value fault ~default:Resilience.Fault.none)
+  in
   (* The initial world is this run's old generation (see [Gc.collect]):
      [initial_store] below starts the run on the machine's store, and
      every collection of the run shares this world handle, and this
@@ -1013,14 +1009,8 @@ let run_measured
           Telemetry.record_config tl ~step:steps
             (lazy (describe_config ?annot config))
   in
-  let aborted reason steps =
-    (Aborted { reason; steps; peak_space = !peak }, steps)
-  in
   let rec loop config steps =
     cur_step := steps;
-    (match Resilience.Fault.fuel_drop faults ~step:steps with
-    | Some remaining -> Resilience.Guard.cap_fuel guard (steps + remaining)
-    | None -> ());
     (* A forced collection models an adversarial GC schedule: it must
        not change the measured peak (the peak is the sup of live space,
        which collections only reveal), which is exactly what the
@@ -1032,32 +1022,11 @@ let run_measured
     in
     let config = measure config in
     observe config steps;
-    let config, space_abort =
-      match Resilience.Guard.space_budget guard with
-      | Some b when flat_space config > b ->
-          (* Over budget with garbage included: collect, then judge the
-             live figure — the budget bounds the space the program needs,
-             not the collector's laziness. *)
-          let config = collect_unless_clean Telemetry.Gc_budget config in
-          let live = flat_space config in
-          note_flat config;
-          if live > b then
-            (config, Some (Resilience.Space_exceeded { budget = b; live }))
-          else (config, None)
-      | _ -> (config, None)
-    in
-    match space_abort with
-    | Some reason -> aborted reason steps
-    | None ->
-    match
-      Resilience.Guard.check guard ~steps
-        ~output_bytes:(Buffer.length t.ctx.output)
-    with
-    | Some reason -> aborted reason steps
-    | None ->
+    if steps >= fuel then
+      let reason = Resilience.Out_of_fuel { limit = fuel } in
+      (Aborted { reason; steps; peak_space = !peak }, steps)
+    else
       match step t config with
-      | exception Resilience.Fault.Injected m ->
-          aborted (Resilience.Injected_fault m) steps
       | Next c ->
           garbage_free := !garbage_free && drops_nothing config c;
           loop c (steps + 1)
@@ -1118,14 +1087,6 @@ let run_measured
                    ~kind:(alloc_kind_of_value v)
                    ~words:(1 + value_space v)))
     in
-    let store =
-      if Resilience.Fault.observes_alloc fault then
-        Store.add_observer store (fun _ -> Resilience.Fault.on_alloc faults)
-      else store
-    in
-    (* Provenance last: location observers already run after every value
-       observer, so a raising fault hook aborts the allocation before it
-       is tagged. *)
     match provenance with
     | Some c -> Census.instrument c store
     | None -> store

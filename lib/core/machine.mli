@@ -136,10 +136,7 @@ type outcome =
       steps : int;
       peak_space : int;
     }
-      (** the resource governor stopped the run: fuel, space budget,
-          deadline, output cap, or an injected fault. The old
-          [Out_of_fuel] outcome is now
-          [Aborted { reason = Out_of_fuel _; _ }]. *)
+      (** the run used up its fuel ({!Run_opts.t.fuel} steps) *)
 
 type result = {
   outcome : outcome;
@@ -179,21 +176,14 @@ val alloc_kind_of_value :
     run-time mirror of {!Config}. *)
 module Run_opts : sig
   type t = {
-    fuel : int;  (** default 20 million steps *)
-    budget : Tailspace_resilience.Resilience.Budget.t option;
-        (** resource governor: any exceeded limit ends the run with
-            [Aborted] — never an exception, never an unbounded loop. Its
-            fuel field overrides [fuel]; the space budget bounds the
-            configuration's live flat space (the machine collects before
-            judging, so the collector's laziness is not charged against
-            the program); the deadline is wall-clock from run start; the
-            output cap bounds [display]/[write] bytes *)
+    fuel : int;
+        (** the run bound: a run that reaches this many steps ends with
+            [Aborted (Out_of_fuel _)], never an unbounded loop (default
+            20 million steps) *)
     fault : Tailspace_resilience.Resilience.Fault.plan option;
-        (** deterministic fault injection: collections forced at chosen
-            steps (recorded with reason [Gc_forced]; they cannot change
-            the measured peak), an allocation
-            that fails ([Aborted (Injected_fault _)]), and a mid-run
-            fuel drop *)
+        (** a forced-collection schedule: collections forced at chosen
+            steps (recorded with reason [Gc_forced]); they cannot change
+            an answer or the measured peak *)
     measure : Space_model.t list;
         (** the space-accounting models to measure (normalized: sorted,
             deduplicated, always containing [Flat]). [Linked] or [Log]
@@ -226,7 +216,6 @@ module Run_opts : sig
 
   val make :
     ?fuel:int ->
-    ?budget:Tailspace_resilience.Resilience.Budget.t ->
     ?fault:Tailspace_resilience.Resilience.Fault.plan ->
     ?measure:Space_model.t list ->
     ?telemetry:Tailspace_telemetry.Telemetry.t ->

@@ -31,9 +31,8 @@ type meta = {
          (the telemetry layer attaches one per measured run) *)
   observe_loc : (Types.loc -> Types.value -> unit) option;
       (* like [observe] but also told the location being allocated;
-         runs after every value observer (so a fault hook that raises
-         abandons the allocation before this fires) — the provenance
-         layer's site-tagging hook *)
+         runs after the value observer — the provenance layer's
+         site-tagging hook *)
 }
 
 type t = {
@@ -75,16 +74,6 @@ let empty =
   }
 
 let with_observer t observe = { t with meta = { t.meta with observe } }
-
-let add_observer t f =
-  match t.meta.observe with
-  | None -> with_observer t (Some f)
-  | Some g ->
-      with_observer t
-        (Some
-           (fun v ->
-             g v;
-             f v))
 
 let add_loc_observer t f =
   let observe_loc =

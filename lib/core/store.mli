@@ -79,18 +79,11 @@ val with_observer : t -> (Types.value -> unit) option -> t
     layer to count allocations by kind; [None] (the default everywhere)
     costs one branch per allocation. *)
 
-val add_observer : t -> (Types.value -> unit) -> t
-(** Chain another observer after any existing one — the machine stacks
-    the telemetry counter and a fault-injection allocation hook on the
-    same run. An observer may raise (the fault hook does); the
-    allocation is then abandoned before the store changes. *)
-
 val add_loc_observer : t -> (Types.loc -> Types.value -> unit) -> t
 (** Chain an observer that is additionally told the location being
-    allocated. Location observers run after every value observer, so a
-    raising fault hook abandons the allocation before any location is
-    reported. Used by the provenance layer to tag each location with
-    its allocation site. *)
+    allocated. Location observers run after the value observer. Used by
+    the provenance layer to tag each location with its allocation
+    site. *)
 
 val iter : (Types.loc -> Types.value -> unit) -> t -> unit
 val fold : (Types.loc -> Types.value -> 'a -> 'a) -> t -> 'a -> 'a

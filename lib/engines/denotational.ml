@@ -30,18 +30,15 @@ type state = {
   escapes : (T.loc, kont) Hashtbl.t;
       (* captured continuations, keyed by the escape's tag location *)
   ctx : Prim.ctx;
-  guard : Resilience.Guard.t;
+  fuel : int;
   mutable spent : int;
 }
 
 let evaluate st expr env0 store0 =
   let spend () =
     st.spent <- st.spent + 1;
-    match
-      Resilience.Guard.check st.guard ~steps:st.spent ~output_bytes:0
-    with
-    | Some reason -> raise (Deno_abort reason)
-    | None -> ()
+    if st.spent >= st.fuel then
+      raise (Deno_abort (Resilience.Out_of_fuel { limit = st.fuel }))
   in
   let rec ev e (rho : Env.t) (kappa : kont) sigma : answer =
     spend ();
@@ -148,7 +145,7 @@ let evaluate st expr env0 store0 =
 
 module Telemetry = Tailspace_telemetry.Telemetry
 
-let eval ?machine ?budget ?telemetry expr =
+let eval ?machine ?(fuel = 50_000_000) ?telemetry expr =
   (* Annotations are N/A here: denotational closures capture the whole
      rho, so there is no free-variable restriction to precompute. *)
   let machine =
@@ -157,15 +154,11 @@ let eval ?machine ?budget ?telemetry expr =
     | None -> Machine.create_with Machine.Config.default
   in
   let env0, store0 = Machine.initial machine in
-  let guard =
-    Resilience.Guard.start ~default_fuel:50_000_000
-      (Option.value budget ~default:Resilience.Budget.unlimited)
-  in
   let st =
-    { escapes = Hashtbl.create 8; ctx = Prim.make_ctx (); guard; spent = 0 }
+    { escapes = Hashtbl.create 8; ctx = Prim.make_ctx (); fuel; spent = 0 }
   in
   (* There are no machine steps here — continuation invocations spend
-     the budget — so allocation events carry the spend count as their
+     the fuel — so allocation events carry the spend count as their
      step, and the summary's step counter is the total spend. *)
   let spent () = st.spent in
   let store0 =
@@ -199,5 +192,5 @@ let eval ?machine ?budget ?telemetry expr =
   | exception Prim.Prim_error m -> finish (Error m)
   | exception Deno_abort r -> finish (Aborted r)
 
-let eval_program ?machine ?budget ?telemetry ~program ~input () =
-  eval ?machine ?budget ?telemetry (Ast.Call (program, [ input ]))
+let eval_program ?machine ?fuel ?telemetry ~program ~input () =
+  eval ?machine ?fuel ?telemetry (Ast.Call (program, [ input ]))

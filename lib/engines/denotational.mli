@@ -30,29 +30,26 @@ type outcome =
   | Done of string
   | Error of string
   | Aborted of Tailspace_resilience.Resilience.abort_reason
-      (** the resource governor stopped the evaluation; continuation
-          invocations play the step role, so fuel bounds those. The old
-          ["out of fuel"] error is now [Aborted (Out_of_fuel _)]. *)
+      (** the evaluation used up its fuel; continuation invocations play
+          the step role, so fuel bounds those *)
 
 val eval :
   ?machine:Tailspace_core.Machine.t ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
+  ?fuel:int ->
   ?telemetry:Tailspace_telemetry.Telemetry.t ->
   Tailspace_ast.Ast.expr ->
   outcome
 (** Evaluate under the standard initial environment. A [machine] may be
     supplied to reuse its initial environment/store (it is not stepped);
-    otherwise a fresh default one is created. [budget]'s fuel and
-    deadline are enforced per continuation invocation (default fuel 50
-    million spends; there is no per-step space walk here, so a space
-    budget is ignored). [telemetry] counts allocations by kind through
-    the shared store observer and records errors as stuck events; there
-    are no machine steps, so the step counter reports continuation
-    invocations (the fuel spent). *)
+    otherwise a fresh default one is created. [fuel] bounds the
+    continuation invocations (default 50 million). [telemetry] counts
+    allocations by kind through the shared store observer and records
+    errors as stuck events; there are no machine steps, so the step
+    counter reports continuation invocations (the fuel spent). *)
 
 val eval_program :
   ?machine:Tailspace_core.Machine.t ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
+  ?fuel:int ->
   ?telemetry:Tailspace_telemetry.Telemetry.t ->
   program:Tailspace_ast.Ast.expr ->
   input:Tailspace_ast.Ast.expr ->

@@ -284,16 +284,15 @@ type state = {
    counted once — actual memory, in the same word units as Figure 7.
    Each walk takes a fresh epoch of its own run's state and marks every
    object it counts with it; runs on other pool domains have states and
-   objects of their own, so no mark is shared between them.            *)
+   objects of their own, so no mark is shared between them. Identity is
+   the record's, not its array's: every empty frame or vector holds
+   OCaml's one shared empty array, yet each is a word of its own.      *)
 
 let live_words st =
   st.epoch <- st.epoch + 1;
   let epoch = st.epoch in
   let total = ref 0 in
   let add n = total := !total + n in
-  (* OCaml has one empty array, shared by every empty frame and vector:
-     counted by physical identity, they are one object. *)
-  let empty_counted = ref false in
   let rec value v =
     match v with
     | Int z -> add (1 + Bignum.bit_length z)
@@ -326,14 +325,8 @@ let live_words st =
         end)
       e
   and array items =
-    if Array.length items > 0 then begin
-      add (1 + Array.length items);
-      Array.iter value items
-    end
-    else if not !empty_counted then begin
-      empty_counted := true;
-      add 1
-    end
+    add (1 + Array.length items);
+    Array.iter value items
   in
   let dump_entry = function
     | DFrame (s, e, _) ->
@@ -523,10 +516,8 @@ let exec_instr st instr =
       | v -> err "attempt to call a non-procedure (%s)" (render v))
   | IReturn -> do_return st (pop st)
 
-let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
-    ?annot expr =
-  let budget = Option.value budget ~default:Resilience.Budget.unlimited in
-  let guard = Resilience.Guard.start ~default_fuel:fuel budget in
+let run ?(fuel = 20_000_000) ?(proper_tail_calls = true) ?telemetry ?annot
+    expr =
   let code = compile ~proper_tail_calls ?annot expr in
   let globals = Hashtbl.create 64 in
   List.iter (fun name -> Hashtbl.replace globals name (Prim name)) prim_names;
@@ -557,17 +548,9 @@ let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
   in
   let rec loop () =
     measure ();
-    (* [measure] just walked the genuinely live words, so the peak is an
-       exact live figure — no collect-first step is needed here *)
-    match
-      match Resilience.Guard.space_budget guard with
-      | Some b when !peak > b ->
-          Some (Resilience.Space_exceeded { budget = b; live = !peak })
-      | _ -> Resilience.Guard.check guard ~steps:!steps ~output_bytes:0
-    with
-    | Some reason -> finish (Aborted reason)
-    | None ->
-    (
+    if !steps >= fuel then
+      finish (Aborted (Resilience.Out_of_fuel { limit = fuel }))
+    else
       match st.c with
       | [] -> (
           (* implicit return at the end of a code sequence *)
@@ -581,11 +564,11 @@ let run ?(fuel = 20_000_000) ?budget ?(proper_tail_calls = true) ?telemetry
           incr steps;
           match exec_instr st instr with
           | Some answer -> finish (Done (render answer))
-          | None -> loop ()))
+          | None -> loop ())
   in
   try loop () with Secd_error m -> finish (Error m)
 
-let run_program ?fuel ?budget ?proper_tail_calls ?telemetry ?annot ~program
-    ~input () =
-  run ?fuel ?budget ?proper_tail_calls ?telemetry ?annot
+let run_program ?fuel ?proper_tail_calls ?telemetry ?annot ~program ~input
+    () =
+  run ?fuel ?proper_tail_calls ?telemetry ?annot
     (Ast.Call (program, [ input ]))

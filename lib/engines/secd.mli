@@ -29,36 +29,30 @@ type outcome =
   | Done of string  (** rendered answer, same conventions as {!Tailspace_core.Answer} *)
   | Error of string
   | Aborted of Tailspace_resilience.Resilience.abort_reason
-      (** the resource governor stopped the run (fuel, space budget,
-          deadline). The old [Out_of_fuel] outcome is now
-          [Aborted (Out_of_fuel _)]. *)
+      (** the run used up its fuel *)
 
 type result = { outcome : outcome; steps : int; peak_words : int }
 
 val run :
   ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
   ?proper_tail_calls:bool ->
   ?telemetry:Tailspace_telemetry.Telemetry.t ->
   ?annot:Tailspace_analysis.Annot.t ->
   Tailspace_ast.Ast.expr ->
   result
 (** Compile and run an expression. [proper_tail_calls] defaults to
-    [true]; [false] selects the classic SECD application rule.
-    [budget] is enforced against this machine's own step counter and
-    live-word walk (the space budget bounds [peak_words]; there is no
-    output channel, so the output cap never fires). [telemetry] observes
-    the run with the same step events as the reference machines: the
-    dump depth plays the continuation-depth role, the measured live
-    words the space role (there is no store, so store-size and
-    allocation channels stay zero). [annot] serves the compiler's
-    tail-position decisions from a precomputed table (see {!compile});
-    the emitted code, and hence the run, is identical without it.
-    Default fuel: 20 million instructions. *)
+    [true]; [false] selects the classic SECD application rule. A run
+    that reaches [fuel] instructions ends with [Aborted (Out_of_fuel _)].
+    [telemetry] observes the run with the same step events as the
+    reference machines: the dump depth plays the continuation-depth
+    role, the measured live words the space role (there is no store, so
+    store-size and allocation channels stay zero). [annot] serves the
+    compiler's tail-position decisions from a precomputed table (see
+    {!compile}); the emitted code, and hence the run, is identical
+    without it. Default fuel: 20 million instructions. *)
 
 val run_program :
   ?fuel:int ->
-  ?budget:Tailspace_resilience.Resilience.Budget.t ->
   ?proper_tail_calls:bool ->
   ?telemetry:Tailspace_telemetry.Telemetry.t ->
   ?annot:Tailspace_analysis.Annot.t ->

@@ -88,7 +88,7 @@ module Thm25 = struct
 
   let default_ns = [ 20; 40; 80; 160 ]
 
-  let run ?pool ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?fuel () =
     let programs =
       List.map (fun (name, source) -> (name, expand source)) Families.separators
     in
@@ -104,7 +104,7 @@ module Thm25 = struct
       Pool.map ?pool
         (fun (_, program, variant, n) ->
           Runner.run_once
-            ~opts:(Machine.Run_opts.make ?budget ())
+            ~opts:(Machine.Run_opts.make ?fuel ())
             ~config:(Machine.Config.make ~variant ())
             ~program ~n ())
         leaves
@@ -288,7 +288,7 @@ module Thm26 = struct
   let answered (m : Runner.measurement) =
     match m.Runner.status with Runner.Answer _ -> true | _ -> false
 
-  let run ?pool ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?fuel () =
     let tasks = List.map (fun n -> (n, expand (Families.pk_program n))) ns in
     let measured =
       Pool.map ?pool
@@ -296,14 +296,14 @@ module Thm26 = struct
           let tail_m =
             Runner.run_once
               ~opts:
-                (Machine.Run_opts.make ?budget
+                (Machine.Run_opts.make ?fuel
                    ~measure:[ Space_model.Flat; Space_model.Linked ] ())
               ~config:(Machine.Config.make ~variant:Machine.Tail ())
               ~program ~n ()
           in
           let sfs_m =
             Runner.run_once
-              ~opts:(Machine.Run_opts.make ?budget ())
+              ~opts:(Machine.Run_opts.make ?fuel ())
               ~config:(Machine.Config.make ~variant:Machine.Sfs ())
               ~program ~n ()
           in
@@ -324,7 +324,7 @@ module Thm26 = struct
         measured
     in
     (* Fits run over the points that actually answered: a starved sweep
-       (tight budget, small ns) degrades to fit [None] and a rendered
+       (tight fuel, small ns) degrades to fit [None] and a rendered
        table instead of Growth.fit's Invalid_argument. *)
     let u_points =
       List.filter_map
@@ -527,9 +527,9 @@ module Cps = struct
 
   let default_ns = [ 32; 64; 128; 256 ]
 
-  let run ?pool ?(ns = default_ns) ?budget () =
+  let run ?pool ?(ns = default_ns) ?fuel () =
     let program = expand Families.cps_loop in
-    let opts = Machine.Run_opts.make ?budget () in
+    let opts = Machine.Run_opts.make ?fuel () in
     let tail =
       Runner.spaces
         (Runner.sweep ?pool ~opts
@@ -866,8 +866,8 @@ module LogHier = struct
 
   let all_models = [ Space_model.Flat; Space_model.Linked; Space_model.Log ]
 
-  let run ?pool ?(ns = default_ns) ?budget () =
-    let opts = Machine.Run_opts.make ?budget ~measure:all_models () in
+  let run ?pool ?(ns = default_ns) ?fuel () =
+    let opts = Machine.Run_opts.make ?fuel ~measure:all_models () in
     (* Only the two variants each inclusion compares are measured: the
        per-step linked walk the heavy models force makes a full
        six-variant sweep needlessly slow here. *)

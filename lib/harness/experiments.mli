@@ -46,13 +46,13 @@ module Thm25 : sig
   val run :
     ?pool:Pool.t ->
     ?ns:int list ->
-    ?budget:Tailspace_resilience.Resilience.Budget.t ->
+    ?fuel:int ->
     unit ->
     sweep list
-  (** One sweep per separating program, all six variants each. When a
-      [budget] is given every point runs under it; points the governor
-      aborts simply drop out of [spaces] (and the fit), so a partial
-      sweep still renders. *)
+  (** One sweep per separating program, all six variants each. When
+      [fuel] is given every point runs under it; points that run out
+      simply drop out of [spaces] (and the fit), so a partial sweep
+      still renders. *)
 
   val claims : sweep list -> (string * bool) list
   (** The paper's growth claims ("stack/gc: quadratic under stack",
@@ -98,7 +98,7 @@ module Thm26 : sig
   val run :
     ?pool:Pool.t ->
     ?ns:int list ->
-    ?budget:Tailspace_resilience.Resilience.Budget.t ->
+    ?fuel:int ->
     unit ->
     result
 
@@ -149,7 +149,7 @@ module Cps : sig
   val run :
     ?pool:Pool.t ->
     ?ns:int list ->
-    ?budget:Tailspace_resilience.Resilience.Budget.t ->
+    ?fuel:int ->
     unit ->
     result
 
@@ -250,7 +250,7 @@ module LogHier : sig
   val run :
     ?pool:Pool.t ->
     ?ns:int list ->
-    ?budget:Tailspace_resilience.Resilience.Budget.t ->
+    ?fuel:int ->
     unit ->
     result
 

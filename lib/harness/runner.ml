@@ -119,102 +119,14 @@ let sweep ?pool ?opts ?collect_telemetry ?(config = Machine.Config.default)
     (fun n -> run_once ?opts ?collect_telemetry ~config ~program ~n ())
     ns
 
-(* {2 The crash-proof sweep supervisor} *)
-
-type supervised_point = {
-  measurement : measurement;
-  attempts : int;
-  note : string option;
-}
-
-type supervised = {
-  points : supervised_point list;
-  answered : int;
-  degraded : int;
-}
-
-let crashed_measurement n message =
-  {
-    n;
-    space = 0;
-    peaks = [];
-    steps = 0;
-    status = Aborted (Resilience.Crashed message);
-    gc_runs = 0;
-    summary = None;
-  }
-
-let sweep_supervised ?pool ?(opts = Machine.Run_opts.default)
-    ?collect_telemetry ?(config = Machine.Config.default) ?(max_attempts = 3)
-    ?(fuel_factor = 4) ?(fuel_cap = 50_000_000) ?(initial_fuel = 1_000_000)
-    ~program ~ns () =
-  let base_budget =
-    Option.value opts.Machine.Run_opts.budget
-      ~default:Resilience.Budget.unlimited
-  in
-  let start_fuel =
-    min fuel_cap
-      (Option.value base_budget.Resilience.Budget.fuel ~default:initial_fuel)
-  in
-  let supervise n =
-    let rec attempt k fuel =
-      let opts =
-        {
-          opts with
-          Machine.Run_opts.budget =
-            Some { base_budget with Resilience.Budget.fuel = Some fuel };
-        }
-      in
-      (* A fresh machine per attempt: retries differ only in their fuel,
-         and points are independent of each other and of ordering. *)
-      let m =
-        match run_once ~opts ?collect_telemetry ~config ~program ~n () with
-        | m -> m
-        | exception e -> crashed_measurement n (Printexc.to_string e)
-      in
-      match m.status with
-      | Aborted (Resilience.Out_of_fuel _)
-        when k < max_attempts && fuel < fuel_cap ->
-          attempt (k + 1) (min fuel_cap (fuel * fuel_factor))
-      | Answer _ ->
-          let note =
-            if k = 1 then None
-            else Some (Printf.sprintf "succeeded on attempt %d (fuel %d)" k fuel)
-          in
-          { measurement = m; attempts = k; note }
-      | status ->
-          let what =
-            match status with
-            | Aborted r -> Resilience.abort_reason_message r
-            | Stuck msg -> "stuck: " ^ msg
-            | Answer _ -> assert false
-          in
-          let note =
-            if k = 1 then Some what
-            else Some (Printf.sprintf "gave up after %d attempts: %s" k what)
-          in
-          { measurement = m; attempts = k; note }
-    in
-    attempt 1 start_fuel
-  in
-  let points = Pool.map ?pool supervise ns in
-  let answered =
-    List.length
-      (List.filter
-         (fun p -> match p.measurement.status with Answer _ -> true | _ -> false)
-         points)
-  in
-  { points; answered; degraded = List.length points - answered }
-
 let spaces ms =
   List.filter_map
     (fun m -> match m.status with Answer _ -> Some (m.n, m.space) | _ -> None)
     ms
 
 (* Per-model selector: answered points where the model was actually
-   measured; anything else is omitted, so a sweep whose points were
-   measured under different model lists (e.g. a supervised sweep with
-   crashed points) degrades to the points that have the data. *)
+   measured; anything else is omitted, so a sweep with a fast-VM or
+   unanswered point degrades to the points that have the data. *)
 let spaces_for model ms =
   List.filter_map
     (fun m ->

@@ -10,16 +10,14 @@ module Pool = Tailspace_parallel.Pool
 type status =
   | Answer of string
   | Stuck of string
-  | Aborted of Resilience.abort_reason
-      (** the resource governor ended the run; the old [Fuel] status is
-          now [Aborted (Out_of_fuel _)] *)
+  | Aborted of Resilience.abort_reason  (** the run used up its fuel *)
 
 type measurement = {
   n : int;
   space : int;
       (** [S_X(P, N)] = [|P|] + peak, flat model; [|P|] alone, or 0,
-          when the point measured no peak (a fast-VM point or a crashed
-          one): print {!consumption} instead, which is [None] there *)
+          when the point measured no peak (a fast-VM point): print
+          {!consumption} instead, which is [None] there *)
   peaks : (Space_model.t * int) list;
       (** measured peak per requested model (without the [|P|] term),
           in {!Space_model.all} order; models that were not requested
@@ -87,61 +85,13 @@ val sweep :
     measured concurrently and returned in input order — the table is
     byte-identical to the serial one. *)
 
-(** {1 The crash-proof sweep supervisor}
-
-    A sweep over a family built to blow up space will hit its limits;
-    the supervisor turns every way a point can fail into a row of the
-    partial table instead of a dead process. *)
-
-type supervised_point = {
-  measurement : measurement;  (** the last attempt's measurement *)
-  attempts : int;
-  note : string option;
-      (** degradation note: why the point failed, or that it needed
-          retries — [None] for a clean first-attempt answer *)
-}
-
-type supervised = {
-  points : supervised_point list;  (** one per requested input, in order *)
-  answered : int;
-  degraded : int;  (** points whose final status is not [Answer] *)
-}
-
-val sweep_supervised :
-  ?pool:Pool.t ->
-  ?opts:Machine.Run_opts.t ->
-  ?collect_telemetry:bool ->
-  ?config:Machine.Config.t ->
-  ?max_attempts:int ->
-  ?fuel_factor:int ->
-  ?fuel_cap:int ->
-  ?initial_fuel:int ->
-  program:Tailspace_ast.Ast.expr ->
-  ns:int list ->
-  unit ->
-  supervised
-(** Run every input under [opts]'s budget. A point that runs out of fuel
-    is retried with the fuel multiplied by [fuel_factor] (default 4), up
-    to [max_attempts] (default 3) attempts or the [fuel_cap] (default
-    50M steps) — capped exponential backoff. Other aborts (space budget,
-    deadline, output cap, injected fault) are terminal for the point:
-    more fuel cannot help. Exceptions escaping a run are caught and
-    recorded as [Aborted (Crashed _)]. The first attempt's fuel is
-    [opts.budget]'s fuel when set, else [initial_fuel] (default 1M
-    steps); [opts.fuel] is ignored (the supervisor owns the fuel
-    schedule). Always returns the full table: failed points carry their
-    abort reason in the measurement status and a human note.
-
-    Points run on fresh machines (one per attempt) and are independent,
-    so [pool] behaves exactly as in {!sweep}. *)
-
 val spaces : measurement list -> (int * int) list
 (** [(n, space)] pairs of the successful measurements. *)
 
 val spaces_for : Space_model.t -> measurement list -> (int * int) list
 (** [(n, consumption)] pairs of the successful measurements under one
     model. Points that did not measure the model are omitted (not
-    errors): a partially-measured supervised sweep degrades to the
-    points that have the data. *)
+    errors), so a partially-measured sweep degrades to the points that
+    have the data. *)
 
 val all_answered : measurement list -> bool

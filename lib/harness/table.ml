@@ -42,8 +42,8 @@ let section title =
   let bar = String.make (String.length title + 4) '=' in
   Printf.sprintf "\n%s\n| %s |\n%s\n" bar title bar
 
-(* A figure of a point that measured no peak (a fast-VM point or a
-   crashed one) prints as "-". *)
+(* A figure of a point that measured no peak (a fast-VM point) prints
+   as "-". *)
 let if_measured (m : Runner.measurement) figure =
   match Runner.peak_of m Tailspace_core.Space_model.Flat with
   | Some _ -> string_of_int figure
@@ -58,7 +58,7 @@ let measurements ms =
     | Runner.Aborted r -> Runner.Resilience.abort_reason_name r
   in
   (* A model gets a column if *any* point measured it; points that did
-     not (mixed sweeps, crashed points) render "-" rather than failing. *)
+     not (fast-VM points) render "-" rather than failing. *)
   let module SM = Tailspace_core.Space_model in
   let has model =
     List.exists
@@ -90,35 +90,6 @@ let measurements ms =
     @ [ status_text m ]
   in
   render ~header (List.map row ms)
-
-let supervised (s : Runner.supervised) =
-  let header =
-    [ "n"; "S=|P|+peak"; "peak"; "steps"; "attempts"; "status"; "note" ]
-  in
-  let row (p : Runner.supervised_point) =
-    let m = p.Runner.measurement in
-    let status =
-      match m.Runner.status with
-      | Runner.Answer a ->
-          if String.length a > 24 then String.sub a 0 21 ^ "..." else a
-      | Runner.Stuck _ -> "stuck"
-      | Runner.Aborted r -> Runner.Resilience.abort_reason_name r
-    in
-    [
-      string_of_int m.Runner.n;
-      if_measured m m.Runner.space;
-      if_measured m (Runner.peak_space m);
-      string_of_int m.Runner.steps;
-      string_of_int p.Runner.attempts;
-      status;
-      Option.value p.Runner.note ~default:"";
-    ]
-  in
-  render ~header (List.map row s.Runner.points)
-  ^ Printf.sprintf "%d/%d answered%s\n" s.Runner.answered
-      (List.length s.Runner.points)
-      (if s.Runner.degraded = 0 then ""
-       else Printf.sprintf ", %d degraded" s.Runner.degraded)
 
 module P = Tailspace_provenance.Provenance
 

@@ -13,11 +13,6 @@ val measurements : Runner.measurement list -> string
     GC runs, steps, linked peak (when measured), and the answer — the
     fields the sweep driver used to discard. *)
 
-val supervised : Runner.supervised -> string
-(** A supervised sweep as a partial table: every requested point gets a
-    row, failed ones carry their abort reason and degradation note; a
-    trailing line summarizes answered/degraded counts. *)
-
 val census : Tailspace_provenance.Provenance.t -> string
 (** A heap census as a table: one row per (site, phase), words, share
     of the peak, store cells, the site's source label, and the roots

@@ -271,14 +271,13 @@ let alloc_kind_name = function
   | K_closure -> "closure"
   | K_escape -> "escape"
 
-type gc_reason = Gc_peak | Gc_linked | Gc_final | Gc_forced | Gc_budget
+type gc_reason = Gc_peak | Gc_linked | Gc_final | Gc_forced
 
 let gc_reason_name = function
   | Gc_peak -> "peak-exceeded"
   | Gc_linked -> "linked-measure"
   | Gc_final -> "final"
   | Gc_forced -> "fault-injected"
-  | Gc_budget -> "space-budget"
 
 type event =
   | Step of { step : int; space : int; cont_depth : int; store_cells : int }

@@ -63,7 +63,6 @@ type gc_reason =
   | Gc_linked  (** pre-observation collection for the linked model *)
   | Gc_final  (** the final configuration's collection *)
   | Gc_forced  (** a fault-injection plan forced this collection *)
-  | Gc_budget  (** tracked space crossed the run's space budget *)
 
 type event =
   | Step of { step : int; space : int; cont_depth : int; store_cells : int }

@@ -731,7 +731,7 @@ let new_rstate ~seed =
     fst = { out = Buffer.create 64; rng = seed };
   }
 
-let run_unit w st ~guard ~entry =
+let run_unit w st ~fuel ~entry =
   st.pc <- entry;
   st.env <- rnil;
   let push v =
@@ -867,19 +867,11 @@ let run_unit w st ~guard ~entry =
             end)
   in
   let code = w.code in
-  let limit = ref (Resilience.Guard.fuel_limit guard) in
   let running = ref true in
   while !running do
     st.steps <- st.steps + 1;
-    if st.steps land 255 = 0 || st.steps >= !limit then begin
-      (match
-         Resilience.Guard.check guard ~steps:st.steps
-           ~output_bytes:(Buffer.length st.fst.out)
-       with
-      | Some reason -> raise (Fabort reason)
-      | None -> ());
-      limit := Resilience.Guard.fuel_limit guard
-    end;
+    if st.steps >= fuel then
+      raise (Fabort (Resilience.Out_of_fuel { limit = fuel }));
     match code.(st.pc) with
     | Const i ->
         push w.pool.(i);
@@ -975,9 +967,6 @@ let prelude_defs =
            | Some (name, expr) -> (name, expr)
            | None -> failwith "vm: prelude: expected only definitions"))
 
-let unlimited_guard () =
-  Resilience.Guard.start ~default_fuel:50_000_000 Resilience.Budget.unlimited
-
 (* A fresh world per run: globals are mutable (top-level [set!]), so
    sharing one across parallel measurement domains would race. Building
    one is a single pass over the prelude (~60 small definitions). *)
@@ -989,14 +978,13 @@ let fresh_world ?annot () =
       w.gvals.(i) <- FPrim name)
     (List.sort compare (Prim.names ()));
   let st = new_rstate ~seed:0 in
-  let guard = unlimited_guard () in
   List.iter
     (fun (name, expr) ->
       (* The slot exists before the body runs, so self- and forward
          references resolve to it (filled by later definitions). *)
       let slot = gslot w name in
       let entry = compile_unit ?annot w expr in
-      match run_unit w st ~guard ~entry with
+      match run_unit w st ~fuel:50_000_000 ~entry with
       | v -> w.gvals.(slot) <- v
       | exception Fstuck m -> failwith (Printf.sprintf "vm: prelude: %s: %s" name m))
     (Lazy.force prelude_defs);
@@ -1079,11 +1067,10 @@ let fast_result ~outcome ~steps ~psize ~output =
     output;
   }
 
-let run_fast_with ~fuel ~budget ~seed c =
-  let guard = Resilience.Guard.start ~default_fuel:fuel budget in
+let run_fast_with ~fuel ~seed c =
   let st = new_rstate ~seed in
   let outcome =
-    match run_unit c.w st ~guard ~entry:c.entry with
+    match run_unit c.w st ~fuel ~entry:c.entry with
     | v -> Done (fwrite v)
     | exception Fstuck m -> Stuck m
     | exception Invalid_argument m -> Stuck m
@@ -1119,12 +1106,8 @@ let exec_program ?(opts = Machine.Run_opts.default) (cfg : Machine.Config.t)
     if cfg.Machine.Config.annotate then Some (Annot.create ()) else None
   in
   let c = compile ?annot (Ast.Call (program, [ input ])) in
-  let budget =
-    Option.value opts.Machine.Run_opts.budget
-      ~default:Resilience.Budget.unlimited
-  in
   let r =
-    run_fast_with ~fuel:opts.Machine.Run_opts.fuel ~budget
+    run_fast_with ~fuel:opts.Machine.Run_opts.fuel
       ~seed:cfg.Machine.Config.seed c
   in
   (match opts.Machine.Run_opts.telemetry with

@@ -162,6 +162,24 @@ let test_secd_tail_recursion_space () =
     true
     (c1600 > 8 * c100)
 
+(* Every empty frame is a word of its own, though all of them hold
+   OCaml's one shared empty array: find-leftmost's nullary failure
+   thunks push one each. Counting them as a single object read 1069 /
+   7568 words on the classic machine; the tail-recursive machine's
+   figures do not move. *)
+let test_secd_empty_frames () =
+  List.iter
+    (fun (n, classic, proper) ->
+      Alcotest.(check int)
+        (Printf.sprintf "classic find-leftmost N=%d" n)
+        classic
+        (secd_peak ~proper:false Families.find_leftmost_right_traverse n);
+      Alcotest.(check int)
+        (Printf.sprintf "proper find-leftmost N=%d" n)
+        proper
+        (secd_peak Families.find_leftmost_right_traverse n))
+    [ (32, 1100, 584); (256, 7823, 4494) ]
+
 let test_secd_join_points () =
   (* non-tail conditionals must restore control correctly *)
   check_secd "nested non-tail ifs"
@@ -283,6 +301,7 @@ let () =
           Alcotest.test_case "matches reference" `Quick test_secd_matches_reference;
           Alcotest.test_case "errors" `Quick test_secd_errors;
           Alcotest.test_case "tail recursion space" `Quick test_secd_tail_recursion_space;
+          Alcotest.test_case "empty frames counted each" `Quick test_secd_empty_frames;
           Alcotest.test_case "join points" `Quick test_secd_join_points;
         ] );
       ( "denotational",

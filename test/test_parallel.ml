@@ -95,13 +95,7 @@ let test_sweep_parallel_equals_serial () =
   let serial = R.sweep ~config:tail ~program:countdown ~ns () in
   with_test_pool ~jobs:4 @@ fun pool ->
   let parallel = R.sweep ~pool ~config:tail ~program:countdown ~ns () in
-  Alcotest.(check bool) "identical measurement lists" true (serial = parallel);
-  let s_serial = R.sweep_supervised ~config:tail ~program:countdown ~ns () in
-  let s_parallel =
-    R.sweep_supervised ~pool ~config:tail ~program:countdown ~ns ()
-  in
-  Alcotest.(check bool) "identical supervised sweeps" true
-    (s_serial = s_parallel)
+  Alcotest.(check bool) "identical measurement lists" true (serial = parallel)
 
 (* ------------------------------------------------------------------ *)
 (* experiment tables byte-identical across job counts *)
@@ -120,24 +114,24 @@ let test_tables_jobs_invariant () =
 (* starved sweeps degrade the table instead of raising *)
 
 let test_starved_fits_degrade () =
-  (* a fuel budget too small for any point to answer: every fit is None
-     and the tables still render *)
-  let budget = Res.Budget.make ~fuel:5 () in
-  let thm26 = X.Thm26.run ~ns:[ 8; 12; 18 ] ~budget () in
+  (* fuel too small for any point to answer: every fit is None and the
+     tables still render *)
+  let fuel = 5 in
+  let thm26 = X.Thm26.run ~ns:[ 8; 12; 18 ] ~fuel () in
   Alcotest.(check bool) "thm26 u_tail fit degrades" true
     (thm26.X.Thm26.u_tail_fit = None);
   Alcotest.(check bool) "thm26 s_sfs fit degrades" true
     (thm26.X.Thm26.s_sfs_fit = None);
   Alcotest.(check bool) "thm26 renders" true
     (String.length (X.Thm26.render thm26) > 50);
-  let cps = X.Cps.run ~ns:[ 16; 32; 64 ] ~budget () in
+  let cps = X.Cps.run ~ns:[ 16; 32; 64 ] ~fuel () in
   Alcotest.(check bool) "cps fits degrade" true
     (cps.X.Cps.tail_fit = None && cps.X.Cps.gc_fit = None);
   Alcotest.(check bool) "cps renders" true
     (String.length (X.Cps.render cps) > 50);
   (* Thm25 under the same starvation: cells lose their fits but the
      sweep still renders *)
-  let sweeps = X.Thm25.run ~ns:[ 8; 12; 18 ] ~budget () in
+  let sweeps = X.Thm25.run ~ns:[ 8; 12; 18 ] ~fuel () in
   Alcotest.(check bool) "thm25 renders under starvation" true
     (String.length (X.Thm25.render sweeps) > 50)
 
