@@ -253,18 +253,20 @@ let model_arg =
   in
   Arg.(value & opt (list model_conv) [] & info [ "model" ] ~docv:"MODELS" ~doc)
 
-(* "; linked peak U=..." / "; log peak Log=..." footer lines of the
-   plain-text reports, one per heavy model measured. Definition 23
-   charges the program term too: |P| words, or word-size bits under
-   Log. *)
+(* "; linked peak=... U=|P|+peak=..." / "; log peak=... Log=|P|+peak=..."
+   footer lines of the plain-text reports, one per heavy model measured,
+   like the flat line's "peak=... S=|P|+peak=...": the peak is the
+   configuration's, and Definition 23 adds the program term, |P| words,
+   or word-size bits under Log. *)
 let print_heavy_peaks ~program_size peaks =
   List.iter
     (fun ((model : SM.t), p) ->
       match model with
       | SM.Flat -> ()
-      | SM.Linked -> Format.printf "; linked peak U=%d@." (p + program_size)
+      | SM.Linked ->
+          Format.printf "; linked peak=%d U=|P|+peak=%d@." p (p + program_size)
       | SM.Log ->
-          Format.printf "; log peak Log=%d bits@."
+          Format.printf "; log peak=%d bits Log=|P|+peak=%d bits@." p
             (p + (SM.word_bits * program_size)))
     peaks
 

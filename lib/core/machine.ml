@@ -1046,31 +1046,8 @@ let run_measured
             | Some c -> Census.stash_flat_final c ~v ~store
             | None -> ()
           end;
-          if measure_heavy then begin
-            let u =
-              Space.linked_config_space ~control:(`Value v) ~env:Env.empty
-                ~cont:Halt ~store
-            in
-            (if measure_linked && u > !peak_linked then begin
-               peak_linked := u;
-               match provenance with
-               | Some c ->
-                   Census.stash_linked c ~control:(`Value v) ~env:Env.empty
-                     ~cont:Halt ~store
-               | None -> ()
-             end);
-            if measure_log then begin
-              let sl = Space.pointer_bits store * u in
-              if sl > !peak_log then begin
-                peak_log := sl;
-                match provenance with
-                | Some c ->
-                    Census.stash_log c ~control:(`Value v) ~env:Env.empty
-                      ~cont:Halt ~store
-                | None -> ()
-              end
-            end
-          end;
+          if measure_heavy then
+            note_heavy { control = `Value v; env = Env.empty; cont = Halt; store };
           (Done { value = v; store; answer = Answer.to_string store v }, steps + 1)
       | Stuck_state m -> (Stuck m, steps)
   in

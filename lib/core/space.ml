@@ -1,5 +1,45 @@
 module Env = Types.Env
 
+(* The binding set of a walk: each (identifier, location) pair counts
+   once per configuration. It lives in a table indexed by location, one
+   per domain, reused by every walk on it and grown on demand to the
+   largest location met, so adding a pair hashes nothing and allocates
+   only for a second name at one location, and no walk sizes a table
+   for every location ever allocated. Entry l holds the identifiers
+   bound at l, and counts only if its stamp is the epoch of the walk at
+   hand: each walk takes a fresh epoch, so the entries of an earlier
+   walk, one that raised included, read as empty. One table per domain
+   is sound because walks never nest. It is not [Gc]'s mark table,
+   whose marks outlive a collection. *)
+type table = {
+  mutable stamps : int array;  (* the epoch of the walk that wrote entry l *)
+  mutable names : string array;  (* the first identifier bound at l *)
+  mutable more : string list array;  (* any other identifiers bound at l *)
+  mutable epoch : int;  (* the last walk's *)
+}
+
+let initial_size = 1024
+
+let tables : table Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        stamps = Array.make initial_size 0;
+        names = Array.make initial_size "";
+        more = Array.make initial_size [];
+        epoch = 0;
+      })
+
+let grow t l =
+  let n = max (l + 1) (2 * Array.length t.stamps) in
+  let grown a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.stamps <- grown t.stamps 0;
+  t.names <- grown t.names "";
+  t.more <- grown t.more []
+
 (* One distinct base (physically) met by the walk, with the exact shadow
    counts that decide which of its bindings the configuration holds. *)
 type base = {
@@ -9,39 +49,53 @@ type base = {
          so every base binding counts and later environments over it
          need no counting *)
   mutable envs : int;  (* environments counted over this base *)
-  shadows : (string, int) Hashtbl.t;
-      (* base identifier -> how many of those environments shadow it *)
+  mutable shadows : (string, int) Hashtbl.t option;
+      (* base identifier -> how many of those environments shadow it;
+         made at the first shadow, so a base no overlay shadows has none *)
 }
 
 type acc = {
-  names_at : (Types.loc, string list) Hashtbl.t;
-      (* the global binding set: each (identifier, location) pair counts
-         once per configuration; keyed by location, with the identifiers
-         bound there *)
-  mutable bindings : int;  (* the set's cardinal *)
+  table : table;
+  epoch : int;  (* this walk's *)
+  mutable bindings : int;  (* the binding set's cardinal *)
   mutable bases : base list;
   mutable words : int; (* all non-binding space *)
 }
 
 let add_binding acc x l =
-  match Hashtbl.find_opt acc.names_at l with
-  | None ->
-      Hashtbl.add acc.names_at l [ x ];
-      acc.bindings <- acc.bindings + 1
-  | Some xs when List.exists (String.equal x) xs -> ()
-  | Some xs ->
-      Hashtbl.replace acc.names_at l (x :: xs);
-      acc.bindings <- acc.bindings + 1
+  let t = acc.table in
+  if l >= Array.length t.stamps then grow t l;
+  if t.stamps.(l) <> acc.epoch then begin
+    t.stamps.(l) <- acc.epoch;
+    t.names.(l) <- x;
+    if t.more.(l) != [] then t.more.(l) <- [];
+    acc.bindings <- acc.bindings + 1
+  end
+  else if
+    not (String.equal t.names.(l) x || List.exists (String.equal x) t.more.(l))
+  then begin
+    t.more.(l) <- x :: t.more.(l);
+    acc.bindings <- acc.bindings + 1
+  end
 
 let base_of acc env =
   match List.find_opt (fun b -> Env.base_eq b.rep env) acc.bases with
   | Some b -> b
   | None ->
-      let b =
-        { rep = env; settled = false; envs = 0; shadows = Hashtbl.create 8 }
-      in
+      let b = { rep = env; settled = false; envs = 0; shadows = None } in
       acc.bases <- b :: acc.bases;
       b
+
+let shadow b x =
+  let h =
+    match b.shadows with
+    | Some h -> h
+    | None ->
+        let h = Hashtbl.create 8 in
+        b.shadows <- Some h;
+        h
+  in
+  Hashtbl.replace h x (1 + Option.value (Hashtbl.find_opt h x) ~default:0)
 
 (* The overlay's pairs join the set now; the base's wait for [add_bases],
    which adds each distinct base once. *)
@@ -55,8 +109,7 @@ let add_env acc env =
         (fun x _ ->
           if Env.mem_base x env then begin
             shadows_any := true;
-            Hashtbl.replace b.shadows x
-              (1 + Option.value (Hashtbl.find_opt b.shadows x) ~default:0)
+            shadow b x
           end)
         env;
       b.envs <- b.envs + 1;
@@ -67,16 +120,20 @@ let add_env acc env =
 (* A base binding (x, B(x)) is in the union of the environments' graphs
    when some environment over B leaves x unshadowed; when every one
    shadows it, it is in the set only if an overlay binds the same pair,
-   which [add_binding] has already seen. *)
+   which [add_binding] has already seen. A settled base leaves every
+   name unshadowed by one environment, so all its pairs count. *)
 let add_bases acc =
   List.iter
     (fun b ->
-      Env.iter_base
-        (fun x l ->
-          match Hashtbl.find_opt b.shadows x with
-          | Some s when s >= b.envs -> ()
-          | _ -> add_binding acc x l)
-        b.rep)
+      match b.shadows with
+      | Some h when not b.settled ->
+          Env.iter_base
+            (fun x l ->
+              match Hashtbl.find_opt h x with
+              | Some s when s >= b.envs -> ()
+              | _ -> add_binding acc x l)
+            b.rep
+      | _ -> Env.iter_base (add_binding acc) b.rep)
     acc.bases
 
 (* A value in the accumulator or in a store cell. Closures cost one word
@@ -119,8 +176,10 @@ and add_cont acc (k : Types.cont) =
       add_cont acc next
 
 let linked_config_space ~control ~env ~cont ~store =
+  let table = Domain.DLS.get tables in
+  table.epoch <- table.epoch + 1;
   let acc =
-    { names_at = Hashtbl.create 256; bindings = 0; bases = []; words = 0 }
+    { table; epoch = table.epoch; bindings = 0; bases = []; words = 0 }
   in
   add_env acc env;
   (match control with `Expr _ -> () | `Value v -> add_value acc v);

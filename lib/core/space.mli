@@ -26,11 +26,16 @@ val linked_config_space :
     Each global binding is visited once per walk: overlays are added as
     they are met, and each distinct environment base (see {!Env}) once
     at the end, a base binding counting unless every environment over
-    that base shadows its name. The binding set is keyed by location,
-    with the names bound there. A walk costs O(cells + frames + overlay
-    bindings + bindings of distinct bases), independent of how many
-    environments share the globals; the figure equals the union of every
-    environment's shadow-aware graph. *)
+    that base shadows its name; a base gets shadow counts only when an
+    overlay over it shadows a name. The binding set is a table indexed
+    by location, with the names bound there, one per domain: it grows
+    to the largest location met, and each walk's fresh epoch empties it,
+    so adding a pair hashes nothing and allocates only for a second name
+    at one location, and a walk that raises (say, on a negative
+    location) leaves nothing behind. A walk costs O(cells + frames +
+    overlay bindings + bindings of distinct bases), independent of how
+    many environments share the globals; the figure equals the union of
+    every environment's shadow-aware graph. *)
 
 val pointer_bits : Store.t -> int
 (** The pointer size for the logarithmic model: a pointer into a store of

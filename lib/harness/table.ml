@@ -116,11 +116,12 @@ let census (c : P.t) =
       retainers r;
     ]
   in
+  let unit = P.unit_name c.P.measure in
   Printf.sprintf "%s census: peak %s\n"
     (P.measure_name c.P.measure)
-    (P.humanize_words c.P.peak)
+    (P.humanize_words ~unit c.P.peak)
   ^ render
-      ~header:[ "site"; "phase"; "words"; "peak%"; "cells"; "label"; "retained-by" ]
+      ~header:[ "site"; "phase"; unit; "peak%"; "cells"; "label"; "retained-by" ]
       (List.map row c.P.rows)
 
 let census_diff ~label_a ~label_b (deltas : P.delta list) =

@@ -42,6 +42,7 @@ let phase_name = function
 type measure = Flat | Linked | Log
 
 let measure_name = function Flat -> "flat" | Linked -> "linked" | Log -> "log"
+let unit_name = function Flat | Linked -> "words" | Log -> "bits"
 
 type row = {
   site : int;
@@ -186,13 +187,13 @@ let diff a b =
 (* Humanized units for log lines: exact word counts are for tables and
    JSON; a regression-gate message wants "1.2M words (+8.3%)".         *)
 
-let humanize_words w =
+let humanize_words ?(unit = "words") w =
   let f = float_of_int (abs w) in
   let sign = if w < 0 then "-" else "" in
-  if abs w < 10_000 then Printf.sprintf "%d words" w
-  else if f < 1e6 then Printf.sprintf "%s%.1fk words" sign (f /. 1e3)
-  else if f < 1e9 then Printf.sprintf "%s%.1fM words" sign (f /. 1e6)
-  else Printf.sprintf "%s%.1fG words" sign (f /. 1e9)
+  if abs w < 10_000 then Printf.sprintf "%d %s" w unit
+  else if f < 1e6 then Printf.sprintf "%s%.1fk %s" sign (f /. 1e3) unit
+  else if f < 1e9 then Printf.sprintf "%s%.1fM %s" sign (f /. 1e6) unit
+  else Printf.sprintf "%s%.1fG %s" sign (f /. 1e9) unit
 
 let percent_delta ~from ~to_ =
   if from = 0 then (if to_ = 0 then 0.0 else infinity)

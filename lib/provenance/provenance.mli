@@ -41,6 +41,10 @@ val measure_name : measure -> string
 (** ["flat"], ["linked"], ["log"]. [Log] rows are in bit-units (every
     linked charge scaled by the pointer size of the measured store). *)
 
+val unit_name : measure -> string
+(** The unit of a census's peak and rows: ["words"], or ["bits"] under
+    [Log]. *)
+
 type row = {
   site : int;
   phase : phase;
@@ -93,8 +97,9 @@ val diff : t -> t -> delta list
     I_stack] view that surfaces where a variant parks its extra
     words. *)
 
-val humanize_words : int -> string
-(** ["482 words"], ["1.2k words"], ["3.4M words"]. *)
+val humanize_words : ?unit:string -> int -> string
+(** ["482 words"], ["1.2k words"], ["3.4M words"]; [~unit] replaces
+    ["words"] (["3.1k bits"]). *)
 
 val percent_delta : from:int -> to_:int -> float
 (** Relative growth in percent; [infinity] when growing from zero. *)

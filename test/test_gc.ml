@@ -13,6 +13,7 @@ module Gc = Tailspace_core.Gc
 module M = Tailspace_core.Machine
 module Prim = Tailspace_core.Prim
 module Pool = Tailspace_parallel.Pool
+module SM = Tailspace_core.Space_model
 
 let check_int = Alcotest.(check int)
 let cells store = List.rev (Store.fold (fun l _ acc -> l :: acc) store [])
@@ -236,13 +237,19 @@ let test_return_stack_dangling_dels () =
   Alcotest.(check (list int)) "same store" (cells s1) (cells s2)
 
 let test_two_domains_agree () =
-  (* One mark table per domain: runs collecting at the same time on two
-     pool domains give the same figures and final stores as serial runs. *)
+  (* One mark table and one Linked/Log binding table per domain: runs
+     collecting and walking at the same time on two pool domains give
+     the same figures and final stores as serial runs. *)
+  let models = [ SM.Flat; SM.Linked; SM.Log ] in
+  let opts = M.Run_opts.make ~measure:models () in
   let run (variant, src) =
-    let r = M.exec_string (M.create_with (M.Config.make ~variant ())) src in
+    let r =
+      M.exec_string ~opts (M.create_with (M.Config.make ~variant ())) src
+    in
     match r.M.outcome with
     | M.Done { answer; store; _ } ->
-        (answer, r.M.steps, M.peak_space r, r.M.gc_runs, cells store)
+        let peaks = List.map (M.peak_of r) models in
+        (answer, r.M.steps, peaks, r.M.gc_runs, cells store)
     | _ -> Alcotest.fail "expected Done"
   in
   let jobs =
@@ -268,7 +275,7 @@ let test_two_domains_agree () =
     (fun (a1, st1, p1, g1, c1) (a2, st2, p2, g2, c2) ->
       Alcotest.(check string) "answer" a1 a2;
       check_int "steps" st1 st2;
-      check_int "peak" p1 p2;
+      Alcotest.(check (list (option int))) "flat, linked and log peaks" p1 p2;
       check_int "collections" g1 g2;
       Alcotest.(check (list int)) "final store" c1 c2)
     serial parallel

@@ -9,6 +9,7 @@ module SM = Tailspace_core.Space_model
 module Census = Tailspace_core.Census
 module P = Tailspace_provenance.Provenance
 module R = Tailspace_harness.Runner
+module Table = Tailspace_harness.Table
 module Corpus = Tailspace_corpus.Corpus
 
 let corpus_program name =
@@ -95,7 +96,12 @@ let test_golden_countdown_tail () =
       (546, "closure", 16);
       (-1, "halt", 8);
     ]
-    log
+    log;
+  (* a census table states its unit: a log census is in bits *)
+  let title c = List.hd (String.split_on_char '\n' (Table.census (Option.get c))) in
+  Alcotest.(check (list string)) "census titles"
+    [ "linked census: peak 380 words"; "log census: peak 3040 bits" ]
+    [ title linked; title log ]
 
 let test_golden_countdown_stack () =
   let _, flat, linked, _ = profile ~variant:M.Stack "countdown" 10 in

@@ -196,17 +196,27 @@ type linked_case = {
   store : Store.t;
 }
 
-(* Random configurations over six names and twelve locations: several
-   environments over one or two physical bases, overlays that shadow
-   base names with the same or another location, base-less and
-   restricted environments, closures and escapes in store cells, the
-   register and frames. *)
+(* Random configurations over six names, twelve low locations and three
+   sparse ones far above the binding table's initial size (1024
+   entries), so a walk grows the table: several environments over one
+   or two physical bases, overlays that shadow base names with the same
+   or another location, several names bound at one location, base-less
+   and restricted environments, closures and escapes in store cells,
+   the register and frames. *)
 let gen_linked_case st =
   let int n = Random.State.int st n in
   let names = [| "a"; "b"; "c"; "d"; "e"; "f" |] in
   let name () = names.(int (Array.length names)) in
-  let loc () = int 12 in
-  let some_bindings n = List.init n (fun _ -> (name (), loc ())) in
+  let far = Array.init 3 (fun _ -> 1024 + int 100_000) in
+  let loc () = if int 5 = 0 then far.(int 3) else int 12 in
+  (* consecutive pairs often share a location under different names *)
+  let some_bindings n =
+    List.fold_left
+      (fun acc _ ->
+        let l = match acc with (_, l) :: _ when int 3 = 0 -> l | _ -> loc () in
+        (name (), l) :: acc)
+      [] (List.init n Fun.id)
+  in
   let new_base () = Env.rebase (Env.add_list (some_bindings (1 + int 6)) Env.empty) in
   let bases = if int 2 = 0 then [| new_base () |] else [| new_base (); new_base () |] in
   let over_base () =
@@ -278,6 +288,46 @@ let prop_linked_matches_reference =
            (reference_of c) (Store.cardinal c.store))
        gen_linked_case)
     (fun c -> linked_of c = reference_of c)
+
+(* --- the binding table --- *)
+
+let test_linked_after_raise () =
+  (* A negative location is one the allocator never hands out; the walk
+     may reject it after adding the pairs before it. Either way the next
+     walk counts from an empty binding set. *)
+  let case env = { control = `Expr (A.Var "a"); env; cont = T.Halt; store = Store.empty } in
+  let bad = case (Env.add_list [ ("a", 3); ("b", 5); ("z", -1) ] Env.empty) in
+  (match linked_of bad with _ -> () | exception Invalid_argument _ -> ());
+  let good = case (Env.add_list [ ("a", 3); ("b", 5); ("c", 5) ] Env.empty) in
+  check_int "next walk" (reference_of good) (linked_of good)
+
+let test_linked_table_grows () =
+  (* A fresh domain starts with a fresh binding table of 1024 entries:
+     walks over locations far above it grow it and stay exact. *)
+  Domain.join
+    (Domain.spawn (fun () ->
+         List.iter
+           (fun far ->
+             let lam = { A.params = []; rest = None; body = A.Var "a" } in
+             let captured = Env.add_list [ ("a", far); ("e", far + 1) ] Env.empty in
+             let store, _ =
+               Store.alloc_many Store.empty
+                 [ T.Closure (0, lam, captured); T.Pair (far, far + 2) ]
+             in
+             let c =
+               {
+                 control = `Expr (A.Var "a");
+                 env = Env.add_list [ ("a", far); ("b", far); ("c", 7) ] Env.empty;
+                 cont =
+                   T.return_gc
+                     ~env:(Env.add_list [ ("d", far / 2); ("b", far) ] Env.empty)
+                     ~next:T.Halt ();
+                 store;
+               }
+             in
+             check_int (Printf.sprintf "locations near %d" far) (reference_of c)
+               (linked_of c))
+           [ 5_000; 60_000; 3_000; 200_000 ]))
 
 let test_linked_leq_flat_on_runs () =
   (* U_X <= S_X pointwise (§13), checked on real measured runs *)
@@ -390,6 +440,12 @@ let () =
             test_linked_counts_shared_bindings_once;
           Alcotest.test_case "U <= S" `Quick test_linked_leq_flat_on_runs;
           QCheck_alcotest.to_alcotest prop_linked_matches_reference;
+        ] );
+      ( "bindings",
+        [
+          Alcotest.test_case "exact after a raise" `Quick test_linked_after_raise;
+          Alcotest.test_case "grows in a fresh domain" `Quick
+            test_linked_table_grows;
         ] );
       ( "hierarchy",
         [
