@@ -11,29 +11,20 @@ type call_info = {
   rtl_rest : Iset.t list;
 }
 
-(* [seen_tail]/[seen_nontail] track which polarities a node has been
-   visited under; [tail] is derived from them. A node flips to [Both] at
-   most once, so each node is walked at most twice and the whole pass
-   stays O(|P|). *)
+(* The walk fills [site] and [tail]; the sets stay [None] until a
+   lookup first asks for them, and are then kept. A node visited in
+   both positions flips to [Both] once, so each node is walked at most
+   twice and the walk stays O(|P|). *)
 type node = {
-  fv : Iset.t;
-  mutable tail : tail_status;
-  mutable seen_tail : bool;
-  mutable seen_nontail : bool;
-  call : call_info option;
-  branch : Iset.t option;
   site : int;
       (* stable node id, assigned in table-insertion (post-)order: two
          machines that record the same programs in the same order agree
          on every id even when gensym'd identifier names differ — the
          provenance layer's cross-engine census key *)
-}
-
-type info = {
-  fv : Iset.t;
-  tail : tail_status;
-  call : call_info option;
-  branch : Iset.t option;
+  mutable tail : tail_status;
+  mutable fv : Iset.t option;
+  mutable branch : Iset.t option;  (* [If] nodes only *)
+  mutable call : call_info option;  (* [Call] nodes only *)
 }
 
 (* Keyed by physical identity: the expander never rebuilds equal nodes
@@ -46,27 +37,35 @@ module Node_table = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* Keyed by the set itself: no encoding of the elements can collide,
+   whatever bytes an identifier holds. *)
+module Set_table = Hashtbl.Make (struct
+  type t = Iset.t
+
+  let equal = Iset.equal
+  let hash s = Iset.fold (fun x h -> Hashtbl.seeded_hash h x) s 0
+end)
+
 type t = {
   table : node Node_table.t;
-  interned : (string, Iset.t) Hashtbl.t;
-  sites : (int, Ast.expr) Hashtbl.t;  (* site id -> the node it names *)
-  mutable next_site : int;
+  interned : Iset.t Set_table.t;
+  mutable sites : Ast.expr array;
+      (* site id -> the node it names; stale whenever its length is not
+         the node count, and then rebuilt by the next [site_expr] *)
 }
 
 let create () =
   {
     table = Node_table.create 256;
-    interned = Hashtbl.create 64;
-    sites = Hashtbl.create 256;
-    next_site = 0;
+    interned = Set_table.create 64;
+    sites = [||];
   }
 
 let intern t s =
-  let key = String.concat "\x00" (Iset.elements s) in
-  match Hashtbl.find_opt t.interned key with
+  match Set_table.find_opt t.interned s with
   | Some canonical -> canonical
   | None ->
-      Hashtbl.add t.interned key s;
+      Set_table.add t.interned s s;
       s
 
 (* Restriction sets for one call: [sets.(k)] = FV of subexpressions
@@ -109,64 +108,23 @@ let seeded_sets ci rest_indices =
 let rec walk t ~tail e =
   match Node_table.find_opt t.table e with
   | Some node ->
-      let fresh = if tail then not node.seen_tail else not node.seen_nontail in
-      if fresh then begin
-        if tail then node.seen_tail <- true else node.seen_nontail <- true;
-        if node.seen_tail && node.seen_nontail then node.tail <- Both;
-        (* The new polarity must reach the subtree: children whose
-           position depends on this node's may flip to [Both]. *)
+      (* A node first met in the other position becomes [Both]; the new
+         polarity must reach its subtree, whose positions follow its. *)
+      let other = if tail then Nontail else Tail in
+      if node.tail = other then begin
+        node.tail <- Both;
         walk_children t ~tail e
       end
   | None ->
       walk_children t ~tail e;
-      let fv_of child =
-        match Node_table.find_opt t.table child with
-        | Some n -> n.fv
-        | None -> assert false
-      in
-      let fv =
-        intern t
-          (match e with
-          | Ast.Quote _ -> Iset.empty
-          | Ast.Var x -> Iset.singleton x
-          | Ast.Lambda { params; rest; body } ->
-              let bound =
-                match rest with Some r -> r :: params | None -> params
-              in
-              Iset.diff (fv_of body) (Iset.of_list bound)
-          | Ast.If (e0, e1, e2) ->
-              Iset.union (fv_of e0) (Iset.union (fv_of e1) (fv_of e2))
-          | Ast.Set (x, e0) -> Iset.add x (fv_of e0)
-          | Ast.Call (f, args) ->
-              List.fold_left
-                (fun acc a -> Iset.union acc (fv_of a))
-                (fv_of f) args)
-      in
-      let branch =
-        match e with
-        | Ast.If (_, e1, e2) ->
-            Some (intern t (Iset.union (fv_of e1) (fv_of e2)))
-        | _ -> None
-      in
-      let call =
-        match e with
-        | Ast.Call (f, args) ->
-            let elems = Array.of_list (List.map fv_of (f :: args)) in
-            Some (make_call_info t elems)
-        | _ -> None
-      in
-      let site = t.next_site in
-      t.next_site <- site + 1;
-      Hashtbl.add t.sites site e;
+      let site = Node_table.length t.table in
       Node_table.add t.table e
         {
-          fv;
-          tail = (if tail then Tail else Nontail);
-          seen_tail = tail;
-          seen_nontail = not tail;
-          call;
-          branch;
           site;
+          tail = (if tail then Tail else Nontail);
+          fv = None;
+          branch = None;
+          call = None;
         }
 
 and walk_children t ~tail e =
@@ -184,15 +142,63 @@ and walk_children t ~tail e =
 
 let record t e = walk t ~tail:false e
 
-let find t e =
-  match Node_table.find_opt t.table e with
-  | None -> None
-  | Some { fv; tail; call; branch; _ } -> Some { fv; tail; call; branch }
+(* Each set is built from the kept sets of the node's children the
+   first time a lookup asks for it. Every descendant of a recorded node
+   is recorded, so [fv_of] never misses below the node a caller
+   found. *)
+
+let rec fv_of t e = fv_node t e (Node_table.find t.table e)
+
+and fv_node t e node =
+  match node.fv with
+  | Some s -> s
+  | None ->
+      let s =
+        intern t
+          (match e with
+          | Ast.Quote _ -> Iset.empty
+          | Ast.Var x -> Iset.singleton x
+          | Ast.Lambda { params; rest; body } ->
+              let bound =
+                match rest with Some r -> r :: params | None -> params
+              in
+              Iset.diff (fv_of t body) (Iset.of_list bound)
+          | Ast.If (e0, e1, e2) ->
+              Iset.union (fv_of t e0) (Iset.union (fv_of t e1) (fv_of t e2))
+          | Ast.Set (x, e0) -> Iset.add x (fv_of t e0)
+          | Ast.Call (f, args) ->
+              List.fold_left
+                (fun acc a -> Iset.union acc (fv_of t a))
+                (fv_of t f) args)
+      in
+      node.fv <- Some s;
+      s
 
 let free_vars t e =
   match Node_table.find_opt t.table e with
   | None -> None
-  | Some n -> Some n.fv
+  | Some node ->
+      (* the kept option itself, so a lookup allocates nothing *)
+      ignore (fv_node t e node);
+      node.fv
+
+let branch t e =
+  match (e, Node_table.find_opt t.table e) with
+  | Ast.If (_, e1, e2), Some node ->
+      if Option.is_none node.branch then
+        node.branch <- Some (intern t (Iset.union (fv_of t e1) (fv_of t e2)));
+      node.branch
+  | _ -> None
+
+let call t e =
+  match (e, Node_table.find_opt t.table e) with
+  | Ast.Call (f, args), Some node ->
+      if Option.is_none node.call then
+        node.call <-
+          Some
+            (make_call_info t (Array.of_list (List.map (fv_of t) (f :: args))));
+      node.call
+  | _ -> None
 
 let tail_status t e =
   match Node_table.find_opt t.table e with
@@ -204,7 +210,14 @@ let site_id t e =
   | None -> None
   | Some n -> Some n.site
 
-let site_expr t site = Hashtbl.find_opt t.sites site
+let site_expr t site =
+  let n = Node_table.length t.table in
+  if Array.length t.sites <> n then begin
+    let sites = Array.make n (Ast.Quote Ast.C_nil) in
+    Node_table.iter (fun e node -> sites.(node.site) <- e) t.table;
+    t.sites <- sites
+  end;
+  if site >= 0 && site < n then Some t.sites.(site) else None
 
 let nodes t = Node_table.length t.table
-let distinct_sets t = Hashtbl.length t.interned
+let distinct_sets t = Set_table.length t.interned

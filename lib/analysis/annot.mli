@@ -1,20 +1,27 @@
-(** Static program annotations: one O(|P|) pre-pass over an expanded
-    program computing, per AST node, everything the reference machines
-    otherwise recompute inside the step loop.
+(** Static program annotations over an expanded program: per AST node,
+    a site id, a tail position, and the free-variable sets the
+    reference machines would otherwise recompute inside the step loop.
 
-    The [I_free]/[I_sfs] rules (§10) restrict environments by
-    free-variable sets, and the [I_sfs] push rule restricts to the union
-    of the free variables of the call's not-yet-evaluated
-    subexpressions. Without this pass the machine recomputes those sets
-    by syntax traversal on a hot path; with it, every set is a table
-    lookup of a {e hash-consed} [Iset.t] — one allocation per distinct
-    set for the whole program, and O(1) physical comparison.
+    {!record} is one eager O(|P|) walk that assigns only what must
+    follow program order: each node's site id (post-order) and its tail
+    position. Every set is computed the first time a lookup
+    ({!free_vars}, {!branch}, {!call}) asks for it, from the children's
+    kept sets, and is then kept in the node. Only [I_free] and [I_sfs]
+    (§10) read sets, so a machine of the other four variants never
+    builds one.
 
-    The pass never changes what a machine observes: it changes {e when}
-    free variables are computed, not {e what} any rule produces, so
-    answers, step counts, and the measured peaks are identical with and
-    without it (the differential oracle re-checks this; see
-    DESIGN.md, "Static annotation pass").
+    The [I_free]/[I_sfs] rules restrict environments by free-variable
+    sets, and the [I_sfs] push rule restricts to the union of the free
+    variables of the call's not-yet-evaluated subexpressions. Every set
+    is a {e hash-consed} [Iset.t]: one allocation per distinct set, and
+    O(1) physical comparison.
+
+    Annotations never change what a machine observes: they change
+    {e when} free variables are computed, not {e what} any rule
+    produces, so answers, step counts, and the measured peaks are
+    identical with and without them (the differential oracle re-checks
+    this; see DESIGN.md, "Static annotation pass"). Lookups write into
+    the table, so a table belongs to one machine on one domain.
 
     Tail positions follow the machine-level reading of the paper's
     Definition 1: tail positions exist only {e inside lambda bodies} —
@@ -33,11 +40,11 @@ module Iset = Ast.Iset
     [Both] and consumers must fall back to their structural context. *)
 type tail_status = Tail | Nontail | Both
 
-(** Precomputed restriction sets for one call site [(e_0 e_1 ... e_k)].
+(** The restriction sets for one call site [(e_0 e_1 ... e_k)].
     [elems.(i)] is the interned free-variable set of the i-th
     subexpression ([e_0] is the operator). For the two deterministic
-    evaluation orders the per-frame [I_sfs] restriction sets are
-    precomputed as immutable shared lists, so pushing an argument frame
+    evaluation orders the per-frame [I_sfs] restriction sets are built
+    once as immutable shared lists, so pushing an argument frame
     allocates nothing:
 
     - [ltr_first] is FV of subexpressions 1..k (the set the first frame
@@ -55,15 +62,6 @@ type call_info = {
   rtl_rest : Iset.t list;
 }
 
-type info = {
-  fv : Iset.t;  (** interned free variables of the node *)
-  tail : tail_status;
-  call : call_info option;  (** [Some] exactly on [Call] nodes *)
-  branch : Iset.t option;
-      (** on [If] nodes: interned FV(e1) ∪ FV(e2), the [I_sfs]
-          restriction for the select frame *)
-}
-
 type t
 
 val create : unit -> t
@@ -72,17 +70,26 @@ val record : t -> Ast.expr -> unit
 (** Annotate [e] and every subterm. Incremental and idempotent: nodes
     already annotated (by physical identity) are skipped, so recording a
     program that shares structure with earlier recordings costs only the
-    new nodes. The root is recorded in non-tail position. *)
-
-val find : t -> Ast.expr -> info option
-(** Table lookup by physical node identity; [None] for nodes never
-    recorded (callers fall back to the dynamic computation). *)
+    new nodes. The root is recorded in non-tail position. Records site
+    ids and tail positions only; no set is computed. *)
 
 val free_vars : t -> Ast.expr -> Iset.t option
+(** The node's interned free variables; [None] for nodes never
+    recorded (callers fall back to the dynamic computation). *)
+
+val branch : t -> Ast.expr -> Iset.t option
+(** On a recorded [If (e0, e1, e2)]: the interned FV(e1) ∪ FV(e2), the
+    [I_sfs] restriction for the select frame. [None] on any other
+    node. *)
+
+val call : t -> Ast.expr -> call_info option
+(** On a recorded [Call]: its restriction sets. [None] on any other
+    node. *)
+
 val tail_status : t -> Ast.expr -> tail_status option
 
 val site_id : t -> Ast.expr -> int option
-(** The node's stable site id, assigned in table-insertion order
+(** The node's stable site id, assigned in table-insertion (post-)order
     starting at 0. Two tables that {!record} the same programs in the
     same order assign identical ids (independent of gensym'd names),
     which is what lets the provenance layer compare per-site censuses
@@ -90,7 +97,8 @@ val site_id : t -> Ast.expr -> int option
 
 val site_expr : t -> int -> Ast.expr option
 (** Inverse of {!site_id}: the node a site id names (for labels and
-    stuck-trace spans). *)
+    stuck-trace spans). The site table behind it is built by the first
+    call after a {!record} that added nodes. *)
 
 val seeded_sets : call_info -> int list -> Iset.t * Iset.t list
 (** [seeded_sets ci rest_indices]: the [I_sfs] restriction sets for a
@@ -108,5 +116,5 @@ val nodes : t -> int
 (** Annotated AST nodes. *)
 
 val distinct_sets : t -> int
-(** Interned free-variable sets — the allocation count the hash-consing
-    bounds. *)
+(** Interned free-variable sets computed so far — the allocation count
+    the hash-consing bounds. *)

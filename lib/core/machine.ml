@@ -145,9 +145,9 @@ let eval_order t n =
 
 (* ------------------------------------------------------------------ *)
 (* Annotation lookups. Every dynamic free-variable computation below
-   has a static twin in [Annot]; each helper falls back to the dynamic
-   computation for nodes the pre-pass never saw, so the machine is
-   total with or without annotations.                                  *)
+   has a static twin in [Annot], computed there on first use; each
+   helper falls back to the dynamic computation for nodes never
+   recorded, so the machine is total with or without annotations.     *)
 
 let fv_lambda t e lam =
   match t.annot with
@@ -161,9 +161,9 @@ let fv_branches t e e1 e2 =
   match t.annot with
   | None -> Ast.Iset.union (Ast.free_vars e1) (Ast.free_vars e2)
   | Some a -> (
-      match Annot.find a e with
-      | Some { Annot.branch = Some s; _ } -> s
-      | _ -> Ast.Iset.union (Ast.free_vars e1) (Ast.free_vars e2))
+      match Annot.branch a e with
+      | Some s -> s
+      | None -> Ast.Iset.union (Ast.free_vars e1) (Ast.free_vars e2))
 
 (* The I_sfs push sets for a call: the restriction for the frame created
    now plus one set per later frame (threaded through the continuation
@@ -172,13 +172,13 @@ let fv_call t e rest_indices =
   match t.annot with
   | None -> None
   | Some a -> (
-      match Annot.find a e with
-      | Some { Annot.call = Some ci; _ } -> (
+      match Annot.call a e with
+      | None -> None
+      | Some ci -> (
           match t.perm with
           | Left_to_right -> Some (ci.Annot.ltr_first, ci.Annot.ltr_rest)
           | Right_to_left -> Some (ci.Annot.rtl_first, ci.Annot.rtl_rest)
-          | Seeded _ -> Some (Annot.seeded_sets ci rest_indices))
-      | _ -> None)
+          | Seeded _ -> Some (Annot.seeded_sets ci rest_indices)))
 
 (* Provenance site of an expression: a table lookup when sites are being
    tracked this run, [-1] (one branch) otherwise. *)

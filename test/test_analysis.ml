@@ -252,6 +252,154 @@ let prop_interned_shared =
       if An.nodes t <> nodes || An.distinct_sets t <> sets then ok := false;
       !ok)
 
+(* A call's restriction sets from [Ast.free_vars]: each subexpression's
+   set, then the left-to-right suffixes and the right-to-left prefixes
+   still unevaluated when each frame is pushed. *)
+let call_reference f args =
+  let exprs = f :: args in
+  let n = List.length exprs in
+  let drop k = A.free_vars_of_list (List.filteri (fun i _ -> i >= k) exprs) in
+  let take k = A.free_vars_of_list (List.filteri (fun i _ -> i < k) exprs) in
+  ( List.map A.free_vars exprs,
+    (drop 1, List.init (n - 1) (fun k -> drop (k + 2))),
+    (take (n - 1), List.init (n - 1) (fun k -> take (n - 2 - k))) )
+
+(* Sets are computed on demand, so no lookup order may change one:
+   every free-variable, branch and call lookup, interleaved in a random
+   order, yields the reference sets, and every set comes back as the
+   interned representative. *)
+let prop_any_lookup_order =
+  QCheck.Test.make ~name:"sets equal in any lookup order, interned" ~count:300
+    QCheck.(pair arb_annot int)
+    (fun (e, seed) ->
+      let t = An.create () in
+      An.record t e;
+      let lookups = ref [] in
+      iter_subterms
+        (fun sub ->
+          lookups := (`Fv, sub) :: (`Branch, sub) :: (`Call, sub) :: !lookups)
+        e;
+      let lookups = Array.of_list !lookups in
+      let rng = Random.State.make [| seed |] in
+      for i = Array.length lookups - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let tmp = lookups.(i) in
+        lookups.(i) <- lookups.(j);
+        lookups.(j) <- tmp
+      done;
+      (* equal elements, and physically the interned representative *)
+      let same got want =
+        A.Iset.equal got want
+        && An.intern t (A.Iset.of_list (A.Iset.elements want)) == got
+      in
+      let all_same gots wants =
+        List.length gots = List.length wants && List.for_all2 same gots wants
+      in
+      Array.for_all
+        (fun (kind, sub) ->
+          match (kind, sub) with
+          | `Fv, _ -> (
+              match An.free_vars t sub with
+              | Some s -> same s (A.free_vars sub)
+              | None -> false)
+          | `Branch, A.If (_, e1, e2) -> (
+              match An.branch t sub with
+              | Some s -> same s (A.Iset.union (A.free_vars e1) (A.free_vars e2))
+              | None -> false)
+          | `Call, A.Call (f, args) -> (
+              match An.call t sub with
+              | Some ci ->
+                  let elems, (ltr_first, ltr_rest), (rtl_first, rtl_rest) =
+                    call_reference f args
+                  in
+                  all_same (Array.to_list ci.An.elems) elems
+                  && same ci.An.ltr_first ltr_first
+                  && all_same ci.An.ltr_rest ltr_rest
+                  && same ci.An.rtl_first rtl_first
+                  && all_same ci.An.rtl_rest rtl_rest
+              | None -> false)
+          | `Branch, _ -> An.branch t sub = None
+          | `Call, _ -> An.call t sub = None)
+        lookups)
+
+(* Site ids round-trip through [site_expr] after a second [record] that
+   adds nodes to a table whose site lookup was already built. *)
+let prop_site_round_trip =
+  QCheck.Test.make ~name:"site_expr (site_id e) == e after two records"
+    ~count:300 QCheck.(pair arb_annot arb_annot)
+    (fun (e1, e2) ->
+      let t = An.create () in
+      An.record t e1;
+      ignore (An.site_expr t 0);
+      ignore (An.free_vars t e1);
+      let both = A.Call (e2, [ e1 ]) in
+      An.record t both;
+      let ok = ref true in
+      iter_subterms
+        (fun sub ->
+          match An.site_id t sub with
+          | Some site -> (
+              match An.site_expr t site with
+              | Some e -> if not (e == sub) then ok := false
+              | None -> ok := false)
+          | None -> ok := false)
+        both;
+      !ok && An.site_expr t (An.nodes t) = None)
+
+(* Only [I_free] and [I_sfs] read free-variable sets, so a machine of
+   any other variant computes none, prelude included. *)
+let test_sets_on_demand () =
+  let entry = Option.get (Tailspace_corpus.Corpus.find "append") in
+  let program = Tailspace_corpus.Corpus.program entry in
+  let sets variant =
+    let m = M.create_with (M.Config.make ~variant ()) in
+    let r =
+      M.exec_program m ~program ~input:(A.Quote (A.C_int (B.of_int 10)))
+    in
+    (match r.M.outcome with
+    | M.Done _ -> ()
+    | _ -> Alcotest.failf "%s: append did not answer" (M.variant_name variant));
+    An.distinct_sets (Option.get (M.annotations m))
+  in
+  List.iter
+    (fun variant ->
+      Alcotest.(check int) (M.variant_name variant ^ ": no set computed") 0
+        (sets variant))
+    [ M.Tail; M.Gc; M.Stack; M.Evlis ];
+  Alcotest.(check bool) "sfs computes sets" true (sets M.Sfs > 0)
+
+(* The reader takes a NUL byte inside an identifier, so an interning
+   key must not be the elements joined with NUL: {a\000b} and {a, b}
+   are two sets, and merging them strips [a] and [b] from the second
+   closure on Free and Sfs. *)
+let nul_program =
+  "(define (f a\000b a b) (list (lambda () a\000b) (lambda () (list a b)))) \
+   (let ((p (f 1 2 3))) (list ((car p)) ((cadr p))))"
+
+let test_intern_nul_identifier () =
+  List.iter
+    (fun variant ->
+      let run annotate =
+        M.exec_string (M.create_with (M.Config.make ~variant ~annotate ()))
+          nul_program
+      in
+      let name = M.variant_name variant in
+      let annotated = run true and plain = run false in
+      let answer (r : M.result) =
+        match r.outcome with
+        | M.Done { answer; _ } -> answer
+        | M.Stuck m -> "stuck: " ^ m
+        | M.Aborted _ -> "aborted"
+      in
+      Alcotest.(check string) (name ^ ": unannotated answer") "(1 (2 3))"
+        (answer plain);
+      Alcotest.(check string) (name ^ ": answer") (answer plain)
+        (answer annotated);
+      Alcotest.(check int) (name ^ ": steps") plain.steps annotated.steps;
+      Alcotest.(check int) (name ^ ": peak") (M.peak_space plain)
+        (M.peak_space annotated))
+    [ M.Free; M.Sfs ]
+
 (* The SECD compiler must emit the same instruction stream whether tail
    positions come from the table or the structural recursion. *)
 let prop_secd_compile_equal =
@@ -319,5 +467,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_secd_compile_equal;
           Alcotest.test_case "sweeps byte-identical, jobs 1 and 4" `Quick
             test_annot_sweep_identical;
+          QCheck_alcotest.to_alcotest prop_any_lookup_order;
+          QCheck_alcotest.to_alcotest prop_site_round_trip;
+          Alcotest.test_case "sets on demand: none off free and sfs" `Quick
+            test_sets_on_demand;
+          Alcotest.test_case "intern keeps a NUL identifier apart" `Quick
+            test_intern_nul_identifier;
         ] );
     ]
