@@ -61,9 +61,9 @@ let rec size e =
 
 (* Free variables, memoized on physical identity: expressions are
    immutable and shared, so a node's set never changes. [Hashtbl.hash] is
-   depth-bounded (O(1)) and physical equality makes lookups exact. The
-   memo is per-domain ([Domain.DLS]): pool workers each get their own
-   table, so concurrent sweeps never race on a shared Hashtbl. *)
+   depth-bounded (O(1)) and physical equality makes lookups exact. A
+   memo belongs to its caller (a machine keeps one for its lifetime) and
+   dies with it; without one, a query computes its sets afresh. *)
 module Node_table = Hashtbl.Make (struct
   type t = expr
 
@@ -71,8 +71,9 @@ module Node_table = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let fv_memo_key : Iset.t Node_table.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Node_table.create 256)
+type fv_memo = Iset.t Node_table.t
+
+let fv_memo () = Node_table.create 256
 
 let rec fv memo e =
   match Node_table.find_opt memo e with
@@ -98,11 +99,13 @@ and fv_lambda memo { params; rest; body } =
   in
   Iset.diff (fv memo body) (Iset.of_list bound)
 
-let free_vars e = fv (Domain.DLS.get fv_memo_key) e
-let free_vars_lambda l = fv_lambda (Domain.DLS.get fv_memo_key) l
+let memo_or_fresh = function Some memo -> memo | None -> Node_table.create 16
+let free_vars ?memo e = fv (memo_or_fresh memo) e
+let free_vars_lambda ?memo l = fv_lambda (memo_or_fresh memo) l
 
-let free_vars_of_list es =
-  List.fold_left (fun acc e -> Iset.union acc (free_vars e)) Iset.empty es
+let free_vars_of_list ?memo es =
+  let memo = memo_or_fresh memo in
+  List.fold_left (fun acc e -> Iset.union acc (fv memo e)) Iset.empty es
 
 let datum_of_const c =
   match c with

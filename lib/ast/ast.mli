@@ -48,13 +48,22 @@ val size : expr -> int
 (** [|P|]: the number of abstract-syntax-tree nodes, the additive term in
     Definition 23's space consumption. *)
 
-val free_vars : expr -> Iset.t
-(** Free variables; memoized on physical node identity, so repeated
-    queries from the [I_free]/[I_sfs] machines are cheap. *)
+type fv_memo
+(** A table of free-variable sets keyed by physical node identity. It
+    only grows, so it should live no longer than the expressions it
+    serves: an unannotated [I_free]/[I_sfs] machine keeps one for its
+    own lifetime. A memo is not safe to share between domains. *)
 
-val free_vars_lambda : lambda -> Iset.t
+val fv_memo : unit -> fv_memo
 
-val free_vars_of_list : expr list -> Iset.t
+val free_vars : ?memo:fv_memo -> expr -> Iset.t
+(** Free variables. With [memo], each node's set is computed once and
+    kept there, so repeated queries are cheap; without, the sets are
+    computed afresh. *)
+
+val free_vars_lambda : ?memo:fv_memo -> lambda -> Iset.t
+
+val free_vars_of_list : ?memo:fv_memo -> expr list -> Iset.t
 (** Union of {!free_vars} over a list (used by the [I_sfs] push rules). *)
 
 val to_datum : expr -> Tailspace_sexp.Datum.t

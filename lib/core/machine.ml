@@ -77,6 +77,12 @@ type t = {
   seed : int;
   engine : engine;
   annot : Annot.t option;
+  fv_memo : Ast.fv_memo option;
+      (* the free-variable sets an unannotated machine computes, kept
+         for the machine's lifetime; [None] when annotated *)
+  mutable order_rng : int;
+      (* the [Seeded] order generator, restarted from the seed at every
+         run; [random] draws from [ctx] instead *)
   mutable prov : Census.t option;
       (* census of the run in progress; installed by [exec] when the
          caller asks for provenance, cleared otherwise *)
@@ -120,28 +126,65 @@ type step_result =
   | Stuck_state of string
 
 (* ------------------------------------------------------------------ *)
-(* Argument evaluation order: the permutation pi.                      *)
+(* Argument evaluation order: the permutation pi. A call's
+   subexpressions are paired with their positions (the operator is 0)
+   and listed in evaluation order.                                     *)
 
-let eval_order t n =
+let rec indexed i = function
+  | [] -> []
+  | e :: es -> (i, e) :: indexed (i + 1) es
+
+let rec rev_indexed i acc = function
+  | [] -> acc
+  | e :: es -> rev_indexed (i + 1) ((i, e) :: acc) es
+
+let restart_order t =
   match t.perm with
-  | Left_to_right -> List.init n (fun i -> i)
-  | Right_to_left -> List.init n (fun i -> n - 1 - i)
+  | Seeded s -> t.order_rng <- s
+  | Left_to_right | Right_to_left -> ()
+
+let next_order t bound =
+  (* The 48-bit LCG of [random] (POSIX drand48's constants). *)
+  t.order_rng <- ((t.order_rng * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
+  t.order_rng mod bound
+
+let eval_order t f args =
+  match t.perm with
+  | Left_to_right -> (0, f) :: indexed 1 args
+  | Right_to_left -> rev_indexed 1 [ (0, f) ] args
   | Seeded _ ->
-      (* Fisher-Yates driven by the machine's LCG, advanced per call
-         site, so each call in a run gets its own order but the whole
-         run is reproducible from the seed. *)
-      let next_random bound =
-        t.ctx.rng <- ((t.ctx.rng * 0x5DEECE66D) + 0xB) land 0xFFFFFFFFFFFF;
-        t.ctx.rng mod bound
-      in
-      let a = Array.init n (fun i -> i) in
-      for i = n - 1 downto 1 do
-        let j = next_random (i + 1) in
+      (* Fisher-Yates driven by the order generator, advanced per call,
+         so each call in a run gets its own order but the whole run is
+         reproducible from the seed. *)
+      let a = Array.of_list ((0, f) :: indexed 1 args) in
+      for i = Array.length a - 1 downto 1 do
+        let j = next_order t (i + 1) in
         let tmp = a.(i) in
         a.(i) <- a.(j);
         a.(j) <- tmp
       done;
       Array.to_list a
+
+(* The operator and the operands, in position order, from a [Push]
+   frame's [evaluated] (newest first) once nothing remains. Under left
+   to right the positions descend to the operator's 0, under right to
+   left they ascend from it; a seeded order is sorted first. *)
+let rec operands_descending vals = function
+  | [ (_, operator) ] -> (operator, vals)
+  | (_, v) :: rest -> operands_descending (v :: vals) rest
+  | [] -> assert false
+
+let operands_ascending = function
+  | (_, operator) :: operands -> (operator, List.map snd operands)
+  | [] -> assert false
+
+let operator_and_operands t evaluated =
+  match t.perm with
+  | Left_to_right -> operands_descending [] evaluated
+  | Right_to_left -> operands_ascending evaluated
+  | Seeded _ ->
+      operands_ascending
+        (List.sort (fun (i, _) (j, _) -> Int.compare i j) evaluated)
 
 (* ------------------------------------------------------------------ *)
 (* Annotation lookups. Every dynamic free-variable computation below
@@ -150,25 +193,27 @@ let eval_order t n =
    recorded, so the machine is total with or without annotations.     *)
 
 let fv_lambda t e lam =
-  match t.annot with
-  | None -> Ast.free_vars_lambda lam
-  | Some a -> (
-      match Annot.free_vars a e with
-      | Some fv -> fv
-      | None -> Ast.free_vars_lambda lam)
+  let static = match t.annot with Some a -> Annot.free_vars a e | None -> None in
+  match static with
+  | Some fv -> fv
+  | None -> Ast.free_vars_lambda ?memo:t.fv_memo lam
 
 let fv_branches t e e1 e2 =
-  match t.annot with
-  | None -> Ast.Iset.union (Ast.free_vars e1) (Ast.free_vars e2)
-  | Some a -> (
-      match Annot.branch a e with
-      | Some s -> s
-      | None -> Ast.Iset.union (Ast.free_vars e1) (Ast.free_vars e2))
+  let static = match t.annot with Some a -> Annot.branch a e | None -> None in
+  match static with
+  | Some s -> s
+  | None ->
+      Ast.Iset.union
+        (Ast.free_vars ?memo:t.fv_memo e1)
+        (Ast.free_vars ?memo:t.fv_memo e2)
+
+let fv_remaining t remaining =
+  Ast.free_vars_of_list ?memo:t.fv_memo (List.map snd remaining)
 
 (* The I_sfs push sets for a call: the restriction for the frame created
    now plus one set per later frame (threaded through the continuation
    as [fv_rest]). [None] means "recompute dynamically". *)
-let fv_call t e rest_indices =
+let fv_call t e remaining =
   match t.annot with
   | None -> None
   | Some a -> (
@@ -178,7 +223,7 @@ let fv_call t e rest_indices =
           match t.perm with
           | Left_to_right -> Some (ci.Annot.ltr_first, ci.Annot.ltr_rest)
           | Right_to_left -> Some (ci.Annot.rtl_first, ci.Annot.rtl_rest)
-          | Seeded _ -> Some (Annot.seeded_sets ci rest_indices)))
+          | Seeded _ -> Some (Annot.seeded_sets ci (List.map fst remaining))))
 
 (* Provenance site of an expression: a table lookup when sites are being
    tracked this run, [-1] (one branch) otherwise. *)
@@ -250,11 +295,9 @@ let step_expr t config e =
           cont = assign ~site:(site_of t e) ~id:i ~env:saved ~next:cont ();
         }
   | Ast.Call (f, args) -> (
-      let exprs = Array.of_list (f :: args) in
-      match eval_order t (Array.length exprs) with
+      match eval_order t f args with
       | [] -> assert false
-      | i0 :: rest_indices ->
-          let remaining = List.map (fun i -> (i, exprs.(i))) rest_indices in
+      | (i0, e0) :: remaining ->
           (* Evlis tail recursion: the environment need not survive the
              evaluation of the call's last subexpression (§9). For a
              single-subexpression call the operator is that last
@@ -264,22 +307,19 @@ let step_expr t config e =
           let frame_env, fv_rest =
             match t.variant with
             | Sfs -> (
-                match fv_call t e rest_indices with
+                match fv_call t e remaining with
                 | Some (first, rest) -> (Env.restrict env first, rest)
-                | None ->
-                    ( Env.restrict env
-                        (Ast.free_vars_of_list (List.map snd remaining)),
-                      [] ))
-            | Evlis ->
-                ( (if remaining = [] && t.evlis_drop_at_creation then Env.empty
-                   else env),
-                  [] )
+                | None -> (Env.restrict env (fv_remaining t remaining), []))
+            | Evlis -> (
+                match remaining with
+                | [] when t.evlis_drop_at_creation -> (Env.empty, [])
+                | _ -> (env, []))
             | Tail | Gc | Stack | Free -> (env, [])
           in
           Next
             {
               config with
-              control = `Expr exprs.(i0);
+              control = `Expr e0;
               cont =
                 push ~fv_rest ~site:(site_of t e) ~pending:i0 ~remaining
                   ~evaluated:[] ~env:frame_env ~next:cont ();
@@ -288,6 +328,19 @@ let step_expr t config e =
 (* ------------------------------------------------------------------ *)
 (* Procedure invocation (the call rules).                              *)
 
+(* Bind each parameter to a fresh cell holding its argument, in order:
+   the callee's store and environment, the cells newest first when
+   [keep_locs] (the I_stack deletion set) and the arguments left for a
+   rest parameter. The caller has checked the arity. *)
+let rec bind_args ~keep_locs store env rev_locs params vals =
+  match (params, vals) with
+  | p :: ps, v :: vs ->
+      let store, l = Store.alloc store v in
+      let rev_locs = if keep_locs then l :: rev_locs else rev_locs in
+      bind_args ~keep_locs store (Env.add p l env) rev_locs ps vs
+  | [], extra -> (store, env, rev_locs, extra)
+  | _ :: _, [] -> assert false
+
 (* [site] is the provenance site of the call expression whose frame we
    just popped: argument ribs, rest lists, escape tags, primitive
    allocations, and any I_gc/I_stack return frame are all charged to the
@@ -295,42 +348,32 @@ let step_expr t config e =
 let rec invoke ?(site = -1) t config v0 vals next =
   let { store; _ } = config in
   match v0 with
-  | Closure (_, lam, captured) -> (
-      let np = List.length lam.params in
-      let nv = List.length vals in
+  | Closure (_, lam, captured) ->
       let arity_ok =
-        match lam.rest with None -> nv = np | Some _ -> nv >= np
+        match lam.rest with
+        | None -> List.compare_lengths lam.params vals = 0
+        | Some _ -> List.compare_lengths lam.params vals <= 0
       in
       if not arity_ok then
         Stuck_state
           (Printf.sprintf "arity: procedure expects %s%d arguments, got %d"
              (match lam.rest with None -> "" | Some _ -> "at least ")
-             np nv)
+             (List.length lam.params) (List.length vals))
       else
-        let rec split k vs =
-          if k = 0 then ([], vs)
-          else
-            match vs with
-            | v :: rest ->
-                let direct, extra = split (k - 1) rest in
-                (v :: direct, extra)
-            | [] -> assert false
-        in
-        let direct, extra = split np vals in
+        let keep_locs = match t.variant with Stack -> true | _ -> false in
         note_alloc_site t ~site ~phase:(Some Prov.P_rib);
-        let store, plocs = Store.alloc_many store direct in
-        let store, rest_binding =
+        let store, callee_env, rev_locs, extra =
+          bind_args ~keep_locs store captured [] lam.params vals
+        in
+        let store, callee_env, rev_locs =
           match lam.rest with
-          | None -> (store, [])
+          | None -> (store, callee_env, rev_locs)
           | Some r ->
               note_alloc_site t ~site ~phase:None;
               let store, lst = Prim.values_to_list store extra in
               note_alloc_site t ~site ~phase:(Some Prov.P_rib);
               let store, rl = Store.alloc store lst in
-              (store, [ (r, rl) ])
-        in
-        let callee_env =
-          Env.add_list (List.combine lam.params plocs @ rest_binding) captured
+              (store, Env.add r rl callee_env, rl :: rev_locs)
         in
         (* I_gc and I_stack return frames capture the callee's closure
            environment (the saved static link), not the caller's dynamic
@@ -350,13 +393,10 @@ let rec invoke ?(site = -1) t config v0 vals next =
           | Tail | Evlis | Free | Sfs -> next
           | Gc -> return_gc ~site ~env:frame_env ~next ()
           | Stack ->
-              let dels = plocs @ List.map snd rest_binding in
-              return_stack ~site ~dels ~env:frame_env ~next ()
+              return_stack ~site ~dels:(List.rev rev_locs) ~env:frame_env
+                ~next ()
         in
-        match () with
-        | () ->
-            Next
-              { control = `Expr lam.body; env = callee_env; cont = cont'; store })
+        Next { control = `Expr lam.body; env = callee_env; cont = cont'; store }
   | Escape (_, saved) -> (
       match vals with
       | [ v ] -> Next { config with control = `Value v; env = Env.empty; cont = saved }
@@ -364,34 +404,34 @@ let rec invoke ?(site = -1) t config v0 vals next =
           Stuck_state
             (Printf.sprintf "continuation expects 1 value, got %d"
                (List.length vals)))
-  | Primop "apply" -> (
-      match vals with
-      | f :: (_ :: _ as rest) -> (
-          let middle, last =
-            let r = List.rev rest in
-            (List.rev (List.tl r), List.hd r)
-          in
-          match Prim.list_to_values store last with
-          | Some flattened -> invoke ~site t config f (middle @ flattened) next
-          | None -> Stuck_state "apply: last argument is not a proper list")
-      | _ -> Stuck_state "apply: expected a procedure and an argument list")
-  | Primop ("call-with-current-continuation" | "call/cc") -> (
-      match vals with
-      | [ f ] ->
-          note_alloc_site t ~site ~phase:(Some Prov.P_escape);
-          let store, tag = Store.alloc store Unspecified in
-          let escape = Escape (tag, next) in
-          invoke ~site t { config with store } f [ escape ] next
-      | _ -> Stuck_state "call/cc: expected exactly 1 argument")
-  | Primop name -> (
-      match Prim.find name with
-      | None -> Stuck_state (Printf.sprintf "unknown primitive: %s" name)
-      | Some fn -> (
+  | Primop code -> (
+      match Prim.kind code with
+      | Prim.Fn fn -> (
           note_alloc_site t ~site ~phase:None;
           match fn t.ctx store vals with
           | store, v -> Next { config with control = `Value v; cont = next; store }
           | exception Prim.Prim_error m -> Stuck_state m
-          | exception Invalid_argument m -> Stuck_state m))
+          | exception Invalid_argument m -> Stuck_state m)
+      | Prim.Apply -> (
+          match vals with
+          | f :: (_ :: _ as rest) -> (
+              let middle, last =
+                let r = List.rev rest in
+                (List.rev (List.tl r), List.hd r)
+              in
+              match Prim.list_to_values store last with
+              | Some flattened ->
+                  invoke ~site t config f (middle @ flattened) next
+              | None -> Stuck_state "apply: last argument is not a proper list")
+          | _ -> Stuck_state "apply: expected a procedure and an argument list")
+      | Prim.Call_cc -> (
+          match vals with
+          | [ f ] ->
+              note_alloc_site t ~site ~phase:(Some Prov.P_escape);
+              let store, tag = Store.alloc store Unspecified in
+              let escape = Escape (tag, next) in
+              invoke ~site t { config with store } f [ escape ] next
+          | _ -> Stuck_state "call/cc: expected exactly 1 argument"))
   | v ->
       Stuck_state
         (Printf.sprintf "attempt to call a non-procedure (%s)" (tag_of_value v))
@@ -454,7 +494,7 @@ let step_value t config v =
   match cont with
   | Halt -> Final (v, store)
   | Select { e1; e2; env; next; _ } ->
-      let branch = if v = Bool false then e2 else e1 in
+      let branch = match v with Bool false -> e2 | _ -> e1 in
       Next { config with control = `Expr branch; env; cont = next }
   | Assign { id; env; next; _ } -> (
       match Env.find_opt id env with
@@ -484,11 +524,8 @@ let step_value t config v =
                    for the frames after it. *)
                 match fv_rest with
                 | s :: srest -> (Env.restrict env s, srest)
-                | [] ->
-                    ( Env.restrict env
-                        (Ast.free_vars_of_list (List.map snd rest)),
-                      [] ))
-            | Evlis -> ((if rest = [] then Env.empty else env), [])
+                | [] -> (Env.restrict env (fv_remaining t rest), []))
+            | Evlis -> ((match rest with [] -> Env.empty | _ -> env), [])
             | Tail | Gc | Stack | Free -> (env, [])
           in
           Next
@@ -500,20 +537,15 @@ let step_value t config v =
                 push ~fv_rest:fv_rest' ~site ~pending:j ~remaining:rest
                   ~evaluated ~env:frame_env ~next ();
             }
-      | [] -> (
-          let in_order =
-            List.sort (fun (i, _) (j, _) -> Int.compare i j) evaluated
-          in
-          match in_order with
-          | (0, operator) :: operands ->
-              Next
-                {
-                  config with
-                  control = `Value operator;
-                  env;
-                  cont = call ~site ~vals:(List.map snd operands) ~next ();
-                }
-          | _ -> assert false))
+      | [] ->
+          let operator, vals = operator_and_operands t evaluated in
+          Next
+            {
+              config with
+              control = `Value operator;
+              env;
+              cont = call ~site ~vals ~next ();
+            })
   | Call { vals; next; site; _ } -> invoke ~site t config v vals next
   | Return { env; next; _ } ->
       Next { config with control = `Value v; env; cont = next }
@@ -591,6 +623,7 @@ let eval_in t ~env ~store expr =
      program (or a fresh [Call] wrapper around one) only annotates the
      genuinely new nodes. *)
   (match t.annot with Some a -> Annot.record a expr | None -> ());
+  restart_order t;
   let rec loop config fuel =
     if fuel <= 0 then Error "out of fuel"
     else
@@ -706,6 +739,8 @@ let create_with (cfg : Config.t) =
       seed = cfg.seed;
       engine = cfg.engine;
       annot = (if cfg.annotate then Some (Annot.create ()) else None);
+      fv_memo = (if cfg.annotate then None else Some (Ast.fv_memo ()));
+      order_rng = 0;
       prov = None;
       track_sites = false;
       ctx = Prim.make_ctx ~seed:cfg.seed ();
@@ -867,6 +902,7 @@ let run_measured
      one forces a collection before every observation. *)
   let measure_heavy = measure_linked || measure_log in
   (match t.annot with Some a -> Annot.record a expr | None -> ());
+  restart_order t;
   Buffer.clear t.ctx.output;
   (match provenance with
   | None ->

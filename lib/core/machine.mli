@@ -27,7 +27,10 @@ val variant_of_name : string -> variant option
 type perm_policy =
   | Left_to_right
   | Right_to_left
-  | Seeded of int  (** a deterministic shuffle per call site *)
+  | Seeded of int
+      (** a Fisher-Yates shuffle per call, drawn from a generator
+          restarted from this seed at every run: the order depends on
+          the seed alone, not on [Config.seed] nor on earlier runs *)
 
 (** How [I_stack] chooses the deletion set [A] at each call.
     [Algol] deletes every location bound by the call and reports a
@@ -69,7 +72,9 @@ module Config : sig
             drops the environment in the printed §9 push rules, so
             nullary calls retain it and the tail/evlis separation
             fails *)
-    seed : int;  (** LCG seed for [random] and [Seeded] permutations *)
+    seed : int;
+        (** LCG seed for [random] only; a [Seeded s] order draws from
+            [s] *)
     annotate : bool;
         (** precompute the {!Tailspace_analysis.Annot} side table and
             serve the [I_free]/[I_sfs] free-variable sets from it;

@@ -70,7 +70,7 @@ let eqv a b =
   | Vector v1, Vector v2 -> v1 == v2 || v1 = v2
   | Closure (t1, _, _), Closure (t2, _, _) -> t1 = t2
   | Escape (t1, _), Escape (t2, _) -> t1 = t2
-  | Primop x, Primop y -> String.equal x y
+  | Primop x, Primop y -> x = y
   | _, _ -> false
 
 let equal_values store a b =
@@ -145,9 +145,11 @@ let compare_chain name cmp _ctx store args =
 (* ------------------------------------------------------------------ *)
 (* The table                                                           *)
 
-let table : (string, fn) Hashtbl.t = Hashtbl.create 97
+type kind = Apply | Call_cc | Fn of fn
 
-let define name fn = Hashtbl.replace table name fn
+let defined = ref []
+
+let define name fn = defined := (name, Fn fn) :: !defined
 
 let () =
   (* numbers *)
@@ -248,7 +250,7 @@ let () =
       let a, b = two "equal?" args in
       (store, bool (equal_values store a b)));
   define "not" (fun _ store args ->
-      (store, bool (one "not" args = Bool false)));
+      (store, bool (match one "not" args with Bool false -> true | _ -> false)));
   let type_pred name p =
     define name (fun _ store args -> (store, bool (p (one name args))))
   in
@@ -392,15 +394,22 @@ let () =
       in
       err "error: %s" (String.concat " " parts))
 
-(* [apply] and [call/cc] are intercepted by the machine; they are in the
-   table only so that [procedure?] and the initial environment see
-   them. *)
-let machine_level = [ "apply"; "call-with-current-continuation"; "call/cc" ]
+(* [apply] and [call/cc] manipulate the continuation, so the machine
+   and the denotational evaluator carry them out; they are in the table
+   only so that [procedure?] and the initial environment see them. A
+   primitive's code is its index in name order. *)
+let table =
+  ("apply", Apply)
+  :: ("call-with-current-continuation", Call_cc)
+  :: ("call/cc", Call_cc)
+  :: !defined
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> Array.of_list
 
-let find name = Hashtbl.find_opt table name
+let kind code = snd table.(code)
+let names () = Array.to_list (Array.map fst table)
 
-let names () =
-  machine_level @ Hashtbl.fold (fun name _ acc -> name :: acc) table []
+let bindings =
+  List.init (Array.length table) (fun code -> (fst table.(code), Primop code))
 
-let initial_bindings () =
-  List.sort compare (names ()) |> List.map (fun name -> (name, Primop name))
+let initial_bindings () = bindings

@@ -8,8 +8,11 @@
     space-neutral apart from what they allocate, in every machine
     variant.
 
-    [apply] and [call-with-current-continuation] are bound in the initial
-    environment but intercepted by {!Machine}, since they manipulate the
+    Every primitive has a code, its index in the name order of
+    {!names}; a [Primop] value carries it. [apply] and
+    [call-with-current-continuation] (also bound as [call/cc]) are
+    bound in the initial environment, but {!Machine} and the
+    denotational evaluator carry them out, since they manipulate the
     continuation itself. *)
 
 exception Prim_error of string
@@ -25,15 +28,24 @@ val make_ctx : ?seed:int -> unit -> ctx
 
 type fn = ctx -> Store.t -> Types.value list -> Store.t * Types.value
 
-val find : string -> fn option
-(** Look up a primitive's transition function by name. *)
+(** What the primitive with a given code is. *)
+type kind =
+  | Apply  (** [apply] *)
+  | Call_cc  (** [call-with-current-continuation], also named [call/cc] *)
+  | Fn of fn  (** any other primitive: its transition function *)
+
+val kind : int -> kind
+(** The kind of the primitive with this code. Every [Primop] value in
+    the initial environment carries a valid code. *)
 
 val names : unit -> string list
-(** All primitive names, including the machine-level ones. *)
+(** All primitive names, including [apply] and [call/cc], sorted: the
+    name at index [i] is the one whose code is [i]. *)
 
 val initial_bindings : unit -> (string * Types.value) list
-(** The [(name, PRIMOP)] pairs for the initial environment [rho_0] /
-    store [sigma_0] (§12). *)
+(** The [(name, PRIMOP code)] pairs for the initial environment
+    [rho_0] / store [sigma_0] (§12), in code order. Built once; every
+    machine shares the list. *)
 
 (** {1 Helpers shared with the machine and tests} *)
 

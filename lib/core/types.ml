@@ -17,7 +17,7 @@ type value =
   | Vector of loc array
   | Closure of loc * Ast.lambda * Env.t
   | Escape of loc * cont
-  | Primop of string
+  | Primop of int
 
 and cont =
   | Halt

@@ -28,7 +28,9 @@ type value =
       (** [CLOSURE:(alpha, L, rho)]; [alpha] is the identity tag the
           lambda rule allocates (the "bug in the design of Scheme") *)
   | Escape of loc * cont  (** [ESCAPE:(alpha, kappa)], from [call/cc] *)
-  | Primop of string  (** looked up in {!Prim}'s table by name *)
+  | Primop of int
+      (** a primitive's code: its index in {!Prim.names}' sorted order;
+          {!Prim.kind} says what it is *)
 
 (** Continuations (Figure 4). [Push] carries original argument positions
     so that any evaluation permutation [pi] can reassemble

@@ -59,8 +59,9 @@ let evaluate st expr env0 store0 =
     | Ast.If (e0, e1, e2) ->
         ev e0 rho
           (fun v sigma ->
-            if v = T.Bool false then ev e2 rho kappa sigma
-            else ev e1 rho kappa sigma)
+            match v with
+            | T.Bool false -> ev e2 rho kappa sigma
+            | _ -> ev e1 rho kappa sigma)
           sigma
     | Ast.Set (i, e0) ->
         ev e0 rho
@@ -114,31 +115,30 @@ let evaluate st expr env0 store0 =
         | [ v ], Some saved -> saved v sigma
         | [ _ ], None -> fail "stale escape procedure"
         | vs, _ -> fail "continuation expects 1 value, got %d" (List.length vs))
-    | T.Primop ("call-with-current-continuation" | "call/cc") -> (
-        match operands with
-        | [ f ] ->
-            let sigma, tag = Store.alloc sigma T.Unspecified in
-            Hashtbl.replace st.escapes tag kappa;
-            apply f [ T.Escape (tag, T.Halt) ] kappa sigma
-        | _ -> fail "call/cc: expected exactly 1 argument")
-    | T.Primop "apply" -> (
-        match operands with
-        | f :: (_ :: _ as rest) -> (
-            let middle, last =
-              let r = List.rev rest in
-              (List.rev (List.tl r), List.hd r)
-            in
-            match Prim.list_to_values sigma last with
-            | Some flattened -> apply f (middle @ flattened) kappa sigma
-            | None -> fail "apply: last argument is not a proper list")
-        | _ -> fail "apply: expected a procedure and an argument list")
-    | T.Primop name -> (
-        match Prim.find name with
-        | None -> fail "unknown primitive: %s" name
-        | Some fn -> (
+    | T.Primop code -> (
+        match Prim.kind code with
+        | Prim.Fn fn -> (
             match fn st.ctx sigma operands with
             | sigma, v -> kappa v sigma
-            | exception Prim.Prim_error m -> fail "%s" m))
+            | exception Prim.Prim_error m -> fail "%s" m)
+        | Prim.Call_cc -> (
+            match operands with
+            | [ f ] ->
+                let sigma, tag = Store.alloc sigma T.Unspecified in
+                Hashtbl.replace st.escapes tag kappa;
+                apply f [ T.Escape (tag, T.Halt) ] kappa sigma
+            | _ -> fail "call/cc: expected exactly 1 argument")
+        | Prim.Apply -> (
+            match operands with
+            | f :: (_ :: _ as rest) -> (
+                let middle, last =
+                  let r = List.rev rest in
+                  (List.rev (List.tl r), List.hd r)
+                in
+                match Prim.list_to_values sigma last with
+                | Some flattened -> apply f (middle @ flattened) kappa sigma
+                | None -> fail "apply: last argument is not a proper list")
+            | _ -> fail "apply: expected a procedure and an argument list"))
     | v -> fail "attempt to call a non-procedure (%s)" (T.tag_of_value v)
   in
   ev expr env0 (fun v sigma -> (v, sigma)) store0

@@ -173,6 +173,26 @@ let test_perm_policies () =
   check "ltr order" effects "(1 2)";
   check ~perm:M.Right_to_left "rtl order" effects "(2 1)"
 
+(* An unannotated I_free/I_sfs machine keeps its free-variable sets for
+   its own lifetime: making and dropping machines leaves the live heap
+   where it was. *)
+let test_unannotated_creations () =
+  let create n =
+    for _ = 1 to n do
+      ignore
+        (Sys.opaque_identity
+           (M.create_with (M.Config.make ~variant:M.Sfs ~annotate:false ())))
+    done;
+    Gc.full_major ();
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let after_50 = create 50 in
+  let after_300 = create 250 in
+  if float_of_int after_300 > 1.05 *. float_of_int after_50 then
+    Alcotest.failf "live words %d after 50 creations, %d after 300" after_50
+      after_300
+
 let test_stack_policies () =
   (* A closure over a stack-allocated variable escapes: Algol deletion
      would dangle (stuck); Safe_deletion keeps the binding. *)
@@ -588,6 +608,167 @@ let test_history_examples () =
         ] );
     ]
 
+(* A [Seeded s] order is drawn from [s] alone: from a generator
+   restarted at every run and separate from [random]'s. *)
+let test_seeded_orders () =
+  let src = example "argument-order.scm" in
+  let order seed = answer ~perm:(M.Seeded seed) src in
+  Alcotest.(check bool) "seeds 1 and 99 differ" true (order 1 <> order 99);
+  Alcotest.(check bool) "seeds 7 and 99 differ" true (order 7 <> order 99);
+  Alcotest.(check string) "fresh machines agree" (order 7) (order 7);
+  (* the order of the default [Config.seed]'s stream, which every seed
+     drew from while the order shared [random]'s generator: figures
+     recorded then under any seed hold under [Seeded 24054] *)
+  Alcotest.(check string) "seed 24054" "(1 5 3 4 2 6 10 8 7 9)" (order 24054);
+  let t = M.create_with (M.Config.make ~perm:(M.Seeded 7) ()) in
+  let run () =
+    match (M.exec_string t src).M.outcome with
+    | M.Done { answer; _ } -> answer
+    | _ -> Alcotest.fail "expected Done"
+  in
+  let first = run () in
+  Alcotest.(check string) "two runs of one machine" first (run ());
+  Alcotest.(check string) "one machine = a fresh one" (order 7) first
+
+(* --- figures under every argument order --- *)
+
+let rtl = M.Right_to_left
+let seeded = M.Seeded 24054
+
+let perm_name = function
+  | M.Left_to_right -> "ltr"
+  | M.Right_to_left -> "rtl"
+  | M.Seeded s -> Printf.sprintf "seeded %d" s
+
+(* Right to left and seeded orders rebuild each call's operands from a
+   permuted frame: answer, steps, all three peaks and reclaiming
+   collections, recorded when every call sorted its operands by
+   position. [append] reaches [apply] through the prelude and
+   callcc-generator reaches [call/cc]. *)
+let test_order_figures () =
+  let corpus name n =
+    (name, applied (Corpus.program (Option.get (Corpus.find name))) n)
+  in
+  let programs =
+    List.map
+      (fun (name, src) -> (name, applied (E.program_of_string src) 8))
+      Families.separators
+    @ [
+        corpus "fib-iter" 10;
+        corpus "mergesort" 12;
+        corpus "callcc-generator" 6;
+        ("append", E.program_of_string "(append '(1) '(2) '(3))");
+      ]
+  in
+  List.iter
+    (fun (perm, name, variant, expected) ->
+      let t = M.create_with (M.Config.make ~variant ~perm ()) in
+      let r =
+        M.exec ~opts:(M.Run_opts.make ~measure:heavy ()) t
+          (List.assoc name programs)
+      in
+      Alcotest.(check string)
+        (String.concat " " [ perm_name perm; name; M.variant_name variant ])
+        expected (figures r))
+    [
+      (rtl, "stack/gc", M.Tail, "0 steps=297 flat=3304 linked=407 log=3256 gc_runs=21");
+      (rtl, "stack/gc", M.Gc, "0 steps=317 flat=5076 linked=437 log=3496 gc_runs=31");
+      (rtl, "stack/gc", M.Stack, "0 steps=317 flat=5200 linked=560 log=4480 gc_runs=20");
+      (rtl, "stack/gc", M.Evlis, "0 steps=297 flat=3246 linked=407 log=3256 gc_runs=21");
+      (rtl, "stack/gc", M.Free, "0 steps=297 flat=677 linked=370 log=2960 gc_runs=22");
+      (rtl, "stack/gc", M.Sfs, "0 steps=297 flat=479 linked=365 log=2920 gc_runs=31");
+      (rtl, "gc/tail", M.Tail, "0 steps=198 flat=3304 linked=380 log=3040 gc_runs=12");
+      (rtl, "gc/tail", M.Gc, "0 steps=209 flat=4116 linked=383 log=3064 gc_runs=13");
+      (rtl, "gc/tail", M.Stack, "0 steps=209 flat=4153 linked=416 log=3328 gc_runs=3");
+      (rtl, "gc/tail", M.Evlis, "0 steps=198 flat=3217 linked=380 log=3040 gc_runs=12");
+      (rtl, "gc/tail", M.Free, "0 steps=198 flat=676 linked=370 log=2960 gc_runs=13");
+      (rtl, "gc/tail", M.Sfs, "0 steps=198 flat=478 linked=365 log=2920 gc_runs=13");
+      (rtl, "tail/evlis", M.Tail, "8 steps=535 flat=6023 linked=646 log=5168 gc_runs=55");
+      (rtl, "tail/evlis", M.Gc, "8 steps=597 flat=10537 linked=690 log=5520 gc_runs=83");
+      (rtl, "tail/evlis", M.Stack, "8 steps=597 flat=10537 linked=690 log=5520 gc_runs=63");
+      (rtl, "tail/evlis", M.Evlis, "8 steps=535 flat=5051 linked=490 log=3920 gc_runs=63");
+      (rtl, "tail/evlis", M.Free, "8 steps=535 flat=677 linked=370 log=2960 gc_runs=64");
+      (rtl, "tail/evlis", M.Sfs, "8 steps=535 flat=479 linked=365 log=2920 gc_runs=98");
+      (rtl, "evlis/sfs", M.Tail, "8 steps=377 flat=4205 linked=566 log=4528 gc_runs=37");
+      (rtl, "evlis/sfs", M.Gc, "8 steps=413 flat=6856 linked=592 log=4736 gc_runs=55");
+      (rtl, "evlis/sfs", M.Stack, "8 steps=413 flat=6856 linked=592 log=4736 gc_runs=36");
+      (rtl, "evlis/sfs", M.Evlis, "8 steps=377 flat=4205 linked=566 log=4528 gc_runs=37");
+      (rtl, "evlis/sfs", M.Free, "8 steps=377 flat=677 linked=370 log=2960 gc_runs=38");
+      (rtl, "evlis/sfs", M.Sfs, "8 steps=377 flat=479 linked=365 log=2920 gc_runs=47");
+      (rtl, "fib-iter", M.Tail, "55 steps=396 flat=3361 linked=414 log=3312 gc_runs=17");
+      (rtl, "fib-iter", M.Gc, "55 steps=412 flat=4796 linked=427 log=3416 gc_runs=20");
+      (rtl, "fib-iter", M.Stack, "55 steps=412 flat=4945 linked=573 log=4584 gc_runs=6");
+      (rtl, "fib-iter", M.Evlis, "55 steps=396 flat=3361 linked=414 log=3312 gc_runs=17");
+      (rtl, "fib-iter", M.Free, "55 steps=396 flat=676 linked=370 log=2960 gc_runs=18");
+      (rtl, "fib-iter", M.Sfs, "55 steps=396 flat=478 linked=365 log=2920 gc_runs=39");
+      (rtl, "mergesort", M.Tail, "0 steps=7201 flat=5588 linked=1165 log=9320 gc_runs=335");
+      (rtl, "mergesort", M.Gc, "0 steps=7481 flat=8437 linked=1177 log=9416 gc_runs=380");
+      (rtl, "mergesort", M.Stack, "0 steps=7481 flat=8437 linked=1189 log=9512 gc_runs=142");
+      (rtl, "mergesort", M.Evlis, "0 steps=7201 flat=5588 linked=1165 log=9320 gc_runs=335");
+      (rtl, "mergesort", M.Free, "0 steps=7201 flat=858 linked=797 log=5579 gc_runs=336");
+      (rtl, "mergesort", M.Sfs, "0 steps=7201 flat=489 linked=445 log=3115 gc_runs=545");
+      (rtl, "callcc-generator", M.Tail, "720 steps=702 flat=4205 linked=485 log=3880 gc_runs=30");
+      (rtl, "callcc-generator", M.Gc, "720 steps=725 flat=5194 linked=498 log=3984 gc_runs=34");
+      (rtl, "callcc-generator", M.Stack, "720 steps=725 flat=5258 linked=564 log=4512 gc_runs=16");
+      (rtl, "callcc-generator", M.Evlis, "720 steps=702 flat=4205 linked=485 log=3880 gc_runs=31");
+      (rtl, "callcc-generator", M.Free, "720 steps=702 flat=685 linked=378 log=3024 gc_runs=31");
+      (rtl, "callcc-generator", M.Sfs, "720 steps=702 flat=485 linked=364 log=2912 gc_runs=59");
+      (rtl, "append", M.Tail, "(1 2 3) steps=235 flat=3112 linked=382 log=3056 gc_runs=8");
+      (rtl, "append", M.Gc, "(1 2 3) steps=242 flat=3112 linked=382 log=3056 gc_runs=9");
+      (rtl, "append", M.Stack, "(1 2 3) steps=242 flat=3112 linked=382 log=3056 gc_runs=5");
+      (rtl, "append", M.Evlis, "(1 2 3) steps=235 flat=3112 linked=382 log=3056 gc_runs=9");
+      (rtl, "append", M.Free, "(1 2 3) steps=235 flat=688 linked=382 log=3056 gc_runs=8");
+      (rtl, "append", M.Sfs, "(1 2 3) steps=235 flat=480 linked=366 log=2928 gc_runs=16");
+      (seeded, "stack/gc", M.Tail, "0 steps=297 flat=3305 linked=407 log=3256 gc_runs=21");
+      (seeded, "stack/gc", M.Gc, "0 steps=317 flat=5076 linked=437 log=3496 gc_runs=31");
+      (seeded, "stack/gc", M.Stack, "0 steps=317 flat=5200 linked=560 log=4480 gc_runs=20");
+      (seeded, "stack/gc", M.Evlis, "0 steps=297 flat=3244 linked=407 log=3256 gc_runs=21");
+      (seeded, "stack/gc", M.Free, "0 steps=297 flat=677 linked=371 log=2968 gc_runs=22");
+      (seeded, "stack/gc", M.Sfs, "0 steps=297 flat=477 linked=363 log=2904 gc_runs=31");
+      (seeded, "gc/tail", M.Tail, "0 steps=198 flat=3305 linked=380 log=3040 gc_runs=12");
+      (seeded, "gc/tail", M.Gc, "0 steps=209 flat=4116 linked=383 log=3064 gc_runs=13");
+      (seeded, "gc/tail", M.Stack, "0 steps=209 flat=4153 linked=416 log=3328 gc_runs=3");
+      (seeded, "gc/tail", M.Evlis, "0 steps=198 flat=3215 linked=380 log=3040 gc_runs=12");
+      (seeded, "gc/tail", M.Free, "0 steps=198 flat=676 linked=371 log=2968 gc_runs=13");
+      (seeded, "gc/tail", M.Sfs, "0 steps=198 flat=476 linked=363 log=2904 gc_runs=13");
+      (seeded, "tail/evlis", M.Tail, "8 steps=535 flat=6031 linked=654 log=5232 gc_runs=55");
+      (seeded, "tail/evlis", M.Gc, "8 steps=597 flat=10545 linked=698 log=5584 gc_runs=83");
+      (seeded, "tail/evlis", M.Stack, "8 steps=597 flat=10545 linked=698 log=5584 gc_runs=63");
+      (seeded, "tail/evlis", M.Evlis, "8 steps=535 flat=4651 linked=498 log=3984 gc_runs=63");
+      (seeded, "tail/evlis", M.Free, "8 steps=535 flat=677 linked=371 log=2968 gc_runs=64");
+      (seeded, "tail/evlis", M.Sfs, "8 steps=535 flat=477 linked=363 log=2904 gc_runs=98");
+      (seeded, "evlis/sfs", M.Tail, "8 steps=377 flat=4213 linked=574 log=4592 gc_runs=37");
+      (seeded, "evlis/sfs", M.Gc, "8 steps=413 flat=6864 linked=600 log=4800 gc_runs=55");
+      (seeded, "evlis/sfs", M.Stack, "8 steps=413 flat=6864 linked=600 log=4800 gc_runs=36");
+      (seeded, "evlis/sfs", M.Evlis, "8 steps=377 flat=3805 linked=566 log=4528 gc_runs=37");
+      (seeded, "evlis/sfs", M.Free, "8 steps=377 flat=677 linked=371 log=2968 gc_runs=38");
+      (seeded, "evlis/sfs", M.Sfs, "8 steps=377 flat=477 linked=363 log=2904 gc_runs=47");
+      (seeded, "fib-iter", M.Tail, "55 steps=396 flat=3361 linked=414 log=3312 gc_runs=17");
+      (seeded, "fib-iter", M.Gc, "55 steps=412 flat=4796 linked=427 log=3416 gc_runs=20");
+      (seeded, "fib-iter", M.Stack, "55 steps=412 flat=4945 linked=573 log=4584 gc_runs=6");
+      (seeded, "fib-iter", M.Evlis, "55 steps=396 flat=3361 linked=414 log=3312 gc_runs=17");
+      (seeded, "fib-iter", M.Free, "55 steps=396 flat=676 linked=371 log=2968 gc_runs=18");
+      (seeded, "fib-iter", M.Sfs, "55 steps=396 flat=476 linked=363 log=2904 gc_runs=39");
+      (seeded, "mergesort", M.Tail, "0 steps=7201 flat=5588 linked=1165 log=9320 gc_runs=335");
+      (seeded, "mergesort", M.Gc, "0 steps=7481 flat=8437 linked=1177 log=9416 gc_runs=380");
+      (seeded, "mergesort", M.Stack, "0 steps=7481 flat=8437 linked=1189 log=9512 gc_runs=142");
+      (seeded, "mergesort", M.Evlis, "0 steps=7201 flat=5308 linked=1147 log=9176 gc_runs=361");
+      (seeded, "mergesort", M.Free, "0 steps=7201 flat=860 linked=797 log=5579 gc_runs=336");
+      (seeded, "mergesort", M.Sfs, "0 steps=7201 flat=668 linked=629 log=4403 gc_runs=565");
+      (seeded, "callcc-generator", M.Tail, "720 steps=702 flat=4205 linked=485 log=3880 gc_runs=30");
+      (seeded, "callcc-generator", M.Gc, "720 steps=725 flat=5194 linked=498 log=3984 gc_runs=34");
+      (seeded, "callcc-generator", M.Stack, "720 steps=725 flat=5258 linked=564 log=4512 gc_runs=16");
+      (seeded, "callcc-generator", M.Evlis, "720 steps=702 flat=4096 linked=485 log=3880 gc_runs=31");
+      (seeded, "callcc-generator", M.Free, "720 steps=702 flat=685 linked=379 log=3032 gc_runs=31");
+      (seeded, "callcc-generator", M.Sfs, "720 steps=702 flat=487 linked=366 log=2928 gc_runs=58");
+      (seeded, "append", M.Tail, "(1 2 3) steps=235 flat=3112 linked=382 log=3056 gc_runs=8");
+      (seeded, "append", M.Gc, "(1 2 3) steps=242 flat=3112 linked=382 log=3056 gc_runs=9");
+      (seeded, "append", M.Stack, "(1 2 3) steps=242 flat=3112 linked=382 log=3056 gc_runs=5");
+      (seeded, "append", M.Evlis, "(1 2 3) steps=235 flat=3107 linked=379 log=3032 gc_runs=11");
+      (seeded, "append", M.Free, "(1 2 3) steps=235 flat=688 linked=382 log=3056 gc_runs=8");
+      (seeded, "append", M.Sfs, "(1 2 3) steps=235 flat=481 linked=363 log=2904 gc_runs=17");
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -619,6 +800,10 @@ let () =
           Alcotest.test_case "random deterministic" `Quick test_random_deterministic;
           Alcotest.test_case "promises" `Quick test_promises;
           Alcotest.test_case "profiling hooks" `Quick test_hooks;
+          Alcotest.test_case "unannotated creations" `Quick
+            test_unannotated_creations;
+          Alcotest.test_case "seeded orders" `Quick test_seeded_orders;
+          Alcotest.test_case "argument order figures" `Quick test_order_figures;
         ] );
       ( "old generation",
         [ Alcotest.test_case "set! of a prelude global" `Quick test_set_prelude_global ] );
