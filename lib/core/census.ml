@@ -226,6 +226,26 @@ let flat_frames acc cont =
   in
   go cont
 
+(* The retainer walk breaks ties between equally deep retainers by the
+   order it meets locations in, so it lists an environment's locations
+   in one fixed order: the unshadowed base bindings, then the overlay's,
+   each by decreasing identifier in [String] order. The stacks then do
+   not depend on the order [Env] keeps its identifiers in. *)
+let env_locations env =
+  let over = ref [] and shadowed = ref Ast.Iset.empty and base = ref [] in
+  Env.iter_overlay
+    (fun x l ->
+      over := (x, l) :: !over;
+      shadowed := Ast.Iset.add x !shadowed)
+    env;
+  Env.iter_base
+    (fun x l -> if not (Ast.Iset.mem x !shadowed) then base := (x, l) :: !base)
+    env;
+  let by_name = List.sort (fun (x, _) (y, _) -> String.compare y x) in
+  List.map snd (by_name !base @ by_name !over)
+
+let value_locs = Types.value_locs_by ~env_locs:env_locations
+
 (* The retainer walk: a first-retainer-wins BFS from the categorized
    roots over the store graph. Each reachable cell's words land on one
    collapsed stack (root first, consecutive duplicate sites merged,
@@ -261,7 +281,7 @@ let walk_store t acc ~roots store =
           bump acc.stacks (List.rev chain) w;
           List.iter
             (fun l' -> Queue.add (l', root, chain) queue)
-            (Types.value_locs v)
+            (value_locs v)
     end
   done;
   (* Post-collection stashes have no unreachable cells; anything left
@@ -291,27 +311,27 @@ let config_roots ~control ~env ~cont =
       | Types.Select { env; next; site; _ }
       | Types.Assign { env; next; site; _ }
       | Types.Return { env; next; site; _ } ->
-          go (((site, P.P_frame), Env.locations env) :: acc) next
+          go (((site, P.P_frame), env_locations env) :: acc) next
       | Types.Push { evaluated; env; next; site; _ } ->
           let locs =
-            Env.locations env
-            @ List.concat_map (fun (_, v) -> Types.value_locs v) evaluated
+            env_locations env
+            @ List.concat_map (fun (_, v) -> value_locs v) evaluated
           in
           go (((site, P.P_frame), locs) :: acc) next
       | Types.Call { vals; next; site; _ } ->
-          go (((site, P.P_frame), List.concat_map Types.value_locs vals) :: acc)
+          go (((site, P.P_frame), List.concat_map value_locs vals) :: acc)
             next
       | Types.Return_stack { dels; env; next; site; _ } ->
-          go (((site, P.P_frame), dels @ Env.locations env) :: acc) next
+          go (((site, P.P_frame), dels @ env_locations env) :: acc) next
     in
     List.rev (go [] cont)
   in
   let control_root =
     match control with
     | `Expr _ -> []
-    | `Value v -> [ (control_key, Types.value_locs v) ]
+    | `Value v -> [ (control_key, value_locs v) ]
   in
-  ((env_key, Env.locations env) :: control_root) @ frame_roots
+  ((env_key, env_locations env) :: control_root) @ frame_roots
 
 let flat_census t ~peak =
   match t.flat_stash with
@@ -320,7 +340,7 @@ let flat_census t ~peak =
       let acc = make_acc () in
       bump acc.words control_key (Types.value_space v);
       bump acc.stacks [ control_key ] (Types.value_space v);
-      walk_store t acc ~roots:[ (control_key, Types.value_locs v) ] store;
+      walk_store t acc ~roots:[ (control_key, value_locs v) ] store;
       Some (finish t acc ~measure:P.Flat ~peak)
   | At_config { control; env; cont; store } ->
       let acc = make_acc () in

@@ -1,5 +1,18 @@
-module Smap = Map.Make (String)
 module Iset = Tailspace_ast.Ast.Iset
+
+(* Identifiers ordered by length, then by bytes. Distinct names mostly
+   differ in length, and then one integer comparison settles them, where
+   [String.compare] scans the shared prefix of names like [cadr] and
+   [caddr] byte by byte. *)
+module Key = struct
+  type t = string
+
+  let compare a b =
+    let la = String.length a and lb = String.length b in
+    if la = lb then String.compare a b else la - lb
+end
+
+module Smap = Map.Make (Key)
 
 type loc = int
 type t = { base : loc Smap.t; over : loc Smap.t; size : int }
@@ -26,23 +39,22 @@ let rebase t =
   { base = merged; over = Smap.empty; size = Smap.cardinal merged }
 
 let restrict t xs =
-  (* Fast path: when [xs] ⊇ Dom rho the restriction is the identity —
-     common for top-level lambdas whose free variables are all
-     primitives. Returning [t] unchanged keeps its base/overlay split,
-     which is observationally equivalent (same domain, same locations,
-     same cardinal) and lets later restrictions of the same env hit this
-     path again. *)
-  let subset m = Smap.for_all (fun x _ -> Iset.mem x xs) m in
-  if subset t.over && subset t.base then t
+  (* When [xs] ⊇ Dom rho the restriction is the identity. Returning [t]
+     unchanged keeps its base/overlay split, which is observationally
+     equivalent (same domain, same locations, same cardinal) and lets
+     later restrictions of the same env hit this path again. [xs] can
+     only cover a domain no larger than itself; any other restriction
+     looks up the members of [xs], so restricting an environment over
+     the global base costs |xs| lookups, not a walk of every global. *)
+  let covered m = Smap.for_all (fun x _ -> Iset.mem x xs) m in
+  if t.size <= Iset.cardinal xs && covered t.over && covered t.base then t
   else
-    let keep m acc =
-      Smap.fold
-        (fun x l acc ->
-          if Iset.mem x xs && not (Smap.mem x acc) then Smap.add x l acc
-          else acc)
-        m acc
+    let over =
+      Iset.fold
+        (fun x acc ->
+          match find_opt x t with Some l -> Smap.add x l acc | None -> acc)
+        xs Smap.empty
     in
-    let over = keep t.base (keep t.over Smap.empty) in
     { base = Smap.empty; over; size = Smap.cardinal over }
 
 let iter f t =

@@ -10,7 +10,19 @@
     space walk visit each global binding once per collection or walk
     instead of once per environment, and so the [I_stack] occurs-check
     can skip the globals. The flat space model's [|Dom rho|] is cached
-    for O(1) access. *)
+    for O(1) access.
+
+    Both parts are balanced trees keyed by identifiers ordered by
+    length, then by bytes, not by [String.compare]: most names that
+    meet in a search differ in length, and one integer comparison then
+    settles them, where [String.compare] scans the shared prefix of
+    names like [cadr] and [caddr]. The iteration functions below follow
+    this order, so a consumer whose output depends on the order must
+    impose its own (the census lists locations by [String] order of
+    their identifiers). Free-variable sets ({!Tailspace_ast.Ast.Iset})
+    keep [String] order: no lookup searches them on the measured path
+    of [I_tail], and building them in another order changed the tree
+    shapes and allocation of every annotation. *)
 
 type loc = int
 
@@ -41,7 +53,9 @@ val restrict : t -> Tailspace_ast.Ast.Iset.t -> t
 (** [restrict rho xs] is [rho | (Dom rho ∩ xs)] — the operation the
     [I_free]/[I_sfs] rules apply. When [xs ⊇ Dom rho] the restriction is
     the identity and [rho] is returned physically unchanged (keeping its
-    base/overlay split); otherwise the result is base-less. *)
+    base/overlay split); otherwise the result is base-less, built by
+    looking up each member of [xs]: O(|xs| log |Dom rho|), however many
+    globals [rho] holds. *)
 
 val bindings : t -> (string * loc) list
 (** Shadow-aware: one pair per identifier in [Dom rho]. *)
@@ -49,7 +63,8 @@ val bindings : t -> (string * loc) list
 val locations : t -> loc list
 
 val iter : (string -> loc -> unit) -> t -> unit
-(** Shadow-aware iteration over [graph(rho)]. *)
+(** Shadow-aware iteration over [graph(rho)]: the overlay, then the
+    unshadowed base, each in the length-first key order. *)
 
 val fold : (string -> loc -> 'a -> 'a) -> t -> 'a -> 'a
 

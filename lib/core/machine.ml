@@ -138,7 +138,11 @@ let rec rev_indexed i acc = function
   | [] -> acc
   | e :: es -> rev_indexed (i + 1) ((i, e) :: acc) es
 
-let restart_order t =
+(* Every run draws its argument order and its [random] numbers afresh
+   from the seeds, so what a run answers does not depend on the runs
+   the machine made before it. *)
+let restart_generators t =
+  t.ctx.rng <- t.seed;
   match t.perm with
   | Seeded s -> t.order_rng <- s
   | Left_to_right | Right_to_left -> ()
@@ -623,7 +627,7 @@ let eval_in t ~env ~store expr =
      program (or a fresh [Call] wrapper around one) only annotates the
      genuinely new nodes. *)
   (match t.annot with Some a -> Annot.record a expr | None -> ());
-  restart_order t;
+  restart_generators t;
   let rec loop config fuel =
     if fuel <= 0 then Error "out of fuel"
     else
@@ -902,7 +906,7 @@ let run_measured
      one forces a collection before every observation. *)
   let measure_heavy = measure_linked || measure_log in
   (match t.annot with Some a -> Annot.record a expr | None -> ());
-  restart_order t;
+  restart_generators t;
   Buffer.clear t.ctx.output;
   (match provenance with
   | None ->

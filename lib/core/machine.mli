@@ -73,8 +73,9 @@ module Config : sig
             nullary calls retain it and the tail/evlis separation
             fails *)
     seed : int;
-        (** LCG seed for [random] only; a [Seeded s] order draws from
-            [s] *)
+        (** LCG seed for [random] only, restarted at every run, so two
+            runs of one machine answer alike; a [Seeded s] order draws
+            from [s] *)
     annotate : bool;
         (** precompute the {!Tailspace_analysis.Annot} side table and
             serve the [I_free]/[I_sfs] free-variable sets from it;

@@ -72,7 +72,10 @@ let add_binding acc x l =
     acc.bindings <- acc.bindings + 1
   end
   else if
-    not (String.equal t.names.(l) x || List.exists (String.equal x) t.more.(l))
+    (* Overlay and base keys are mostly the very strings the expander
+       made, so a physical test settles most repeats without a call. *)
+    let y = t.names.(l) in
+    not (y == x || String.equal y x || List.exists (String.equal x) t.more.(l))
   then begin
     t.more.(l) <- x :: t.more.(l);
     acc.bindings <- acc.bindings + 1

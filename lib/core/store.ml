@@ -1,4 +1,3 @@
-module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
 (* Each cell remembers the flat space of its value so removals and
@@ -36,7 +35,7 @@ type meta = {
 }
 
 type t = {
-  cells : cell Imap.t;
+  cells : cell Locmap.t;
   space : int;
   count : int;
   next : Types.loc;
@@ -58,7 +57,7 @@ let fresh_log =
 
 let empty =
   {
-    cells = Imap.empty;
+    cells = Locmap.empty;
     space = 0;
     count = 0;
     next = 0;
@@ -92,7 +91,7 @@ let alloc t v =
   let sz = Types.value_space v in
   ( {
       t with
-      cells = Imap.add t.next { v; sz } t.cells;
+      cells = Locmap.add t.next { v; sz } t.cells;
       space = t.space + 1 + sz;
       count = t.count + 1;
       next = t.next + 1;
@@ -110,9 +109,9 @@ let alloc_many t vs =
   (t, List.rev rev_locs)
 
 let find_opt t l =
-  match Imap.find_opt l t.cells with Some c -> Some c.v | None -> None
+  match Locmap.find_opt l t.cells with Some c -> Some c.v | None -> None
 
-let mem t l = Imap.mem l t.cells
+let mem t l = Locmap.mem l t.cells
 
 (* A change log longer than the store is worth no more than "everything
    changed", and is not kept. *)
@@ -121,11 +120,11 @@ let note_change ~count changed nchanged l =
   else (l :: changed, nchanged + 1)
 
 let set t l v =
-  match Imap.find_opt l t.cells with
+  match Locmap.find_opt l t.cells with
   | None -> invalid_arg "Store.set: unallocated location"
   | Some old ->
       let sz = Types.value_space v in
-      let cells = Imap.add l { v; sz } t.cells in
+      let cells = Locmap.add l { v; sz } t.cells in
       let space = t.space - old.sz + sz in
       if not t.meta.tracked then { t with cells; space }
       else
@@ -147,35 +146,35 @@ let set t l v =
             };
         }
 
+(* Each dead cell leaves the map in one traversal, [Locmap.remove_found]
+   handing its size to [removed]. *)
 let remove ~note t locs =
   let first = t.meta.first and note = note && t.meta.tracked in
-  let rec go cells space count old written changed nchanged = function
-    | [] ->
-        {
-          t with
-          cells;
-          space;
-          count;
-          log = { t.log with written; changed; nchanged };
-          meta = (if old = t.meta.old then t.meta else { t.meta with old });
-        }
-    | l :: rest -> (
-        match Imap.find_opt l cells with
-        | None -> go cells space count old written changed nchanged rest
-        | Some c ->
-            let changed, nchanged =
-              if note then note_change ~count:t.count changed nchanged l
-              else (changed, nchanged)
-            in
-            go (Imap.remove l cells)
-              (space - 1 - c.sz)
-              (count - 1)
-              (if l < first then old - 1 else old)
-              (if Iset.is_empty written then written else Iset.remove l written)
-              changed nchanged rest)
+  let space = ref t.space and count = ref t.count and old = ref t.meta.old in
+  let written = ref t.log.written in
+  let changed = ref t.log.changed and nchanged = ref t.log.nchanged in
+  let removed l c =
+    if note then begin
+      let ch, n = note_change ~count:t.count !changed !nchanged l in
+      changed := ch;
+      nchanged := n
+    end;
+    space := !space - 1 - c.sz;
+    decr count;
+    if l < first then decr old;
+    if not (Iset.is_empty !written) then written := Iset.remove l !written
   in
-  go t.cells t.space t.count t.meta.old t.log.written t.log.changed
-    t.log.nchanged locs
+  let cells =
+    List.fold_left (fun cells l -> Locmap.remove_found l removed cells) t.cells locs
+  in
+  {
+    t with
+    cells;
+    space = !space;
+    count = !count;
+    log = { t.log with written = !written; changed = !changed; nchanged = !nchanged };
+    meta = (if !old = t.meta.old then t.meta else { t.meta with old = !old });
+  }
 
 let remove_all t locs = remove ~note:true t locs
 
@@ -196,8 +195,8 @@ let cardinal t = t.count
 let young_cardinal t = t.count - t.meta.old
 let space t = t.space
 let next_loc t = t.next
-let iter f t = Imap.iter (fun l c -> f l c.v) t.cells
-let fold f t init = Imap.fold (fun l c acc -> f l c.v acc) t.cells init
+let iter f t = Locmap.iter (fun l c -> f l c.v) t.cells
+let fold f t init = Locmap.fold (fun l c acc -> f l c.v acc) t.cells init
 
 let start_run t =
   {
@@ -217,12 +216,8 @@ let fold_written f t init =
   else
     Iset.fold
       (fun l acc ->
-        match Imap.find_opt l t.cells with Some c -> f l c.v acc | None -> acc)
+        match Locmap.find_opt l t.cells with Some c -> f l c.v acc | None -> acc)
       t.log.written init
 
 let fold_from lo f t init =
-  if lo <= 0 then fold f t init
-  else
-    let _, at, above = Imap.split lo t.cells in
-    let init = match at with Some c -> f lo c.v init | None -> init in
-    Imap.fold (fun l c acc -> f l c.v acc) above init
+  Locmap.fold_from lo (fun l c acc -> f l c.v acc) t.cells init

@@ -10,6 +10,12 @@
     conditions ("alpha does not occur within L, rho, kappa, sigma"); a
     cell's first value can therefore name only older locations.
 
+    The cells live in a {!Locmap}: [Map.Make (Int)]'s AVL tree with the
+    location comparison inlined, so every operation allocates what the
+    functor's would. {!remove_all} and {!sweep} take each present cell
+    out in one traversal, and {!fold_from} skips the subtrees below its
+    bound instead of splitting the map.
+
     {b Old generation.} A measured run calls {!start_run} on the
     machine's initial store: every cell already allocated (the
     primitives and the prelude, the {e world}) becomes old, and the

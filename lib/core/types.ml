@@ -194,37 +194,41 @@ let value_of_const (c : Ast.const) =
   | Ast.C_unspecified -> Unspecified
   | Ast.C_undefined -> Undefined
 
-let rec value_locs = function
+let rec value_locs_by ~env_locs = function
   | Bool _ | Int _ | Sym _ | Str _ | Char _ | Nil | Unspecified | Undefined
   | Primop _ ->
       []
   | Pair (a, d) -> [ a; d ]
   | Vector locs -> Array.to_list locs
-  | Closure (tag, _, env) -> tag :: Env.locations env
-  | Escape (tag, k) -> tag :: cont_locs_acc [] k
+  | Closure (tag, _, env) -> tag :: env_locs env
+  | Escape (tag, k) -> tag :: cont_locs_acc ~env_locs [] k
 
-and cont_locs_acc acc k =
+and cont_locs_acc ~env_locs acc k =
   match k with
   | Halt -> acc
   | Select { env; next; _ } | Assign { env; next; _ } | Return { env; next; _ }
     ->
-      cont_locs_acc (List.rev_append (Env.locations env) acc) next
+      cont_locs_acc ~env_locs (List.rev_append (env_locs env) acc) next
   | Push { evaluated; env; next; _ } ->
-      let acc = List.rev_append (Env.locations env) acc in
+      let acc = List.rev_append (env_locs env) acc in
       let acc =
         List.fold_left
-          (fun acc (_, v) -> List.rev_append (value_locs v) acc)
+          (fun acc (_, v) -> List.rev_append (value_locs_by ~env_locs v) acc)
           acc evaluated
       in
-      cont_locs_acc acc next
+      cont_locs_acc ~env_locs acc next
   | Call { vals; next; _ } ->
       let acc =
-        List.fold_left (fun acc v -> List.rev_append (value_locs v) acc) acc vals
+        List.fold_left
+          (fun acc v -> List.rev_append (value_locs_by ~env_locs v) acc)
+          acc vals
       in
-      cont_locs_acc acc next
+      cont_locs_acc ~env_locs acc next
   | Return_stack { dels; env; next; _ } ->
       let acc = List.rev_append dels acc in
-      cont_locs_acc (List.rev_append (Env.locations env) acc) next
+      cont_locs_acc ~env_locs (List.rev_append (env_locs env) acc) next
+
+let value_locs v = value_locs_by ~env_locs:Env.locations v
 
 let tag_of_value = function
   | Bool _ -> "boolean"

@@ -144,7 +144,11 @@ val value_of_const : Ast.const -> value
 
 val value_locs : value -> loc list
 (** Locations occurring directly in a value (one level; not through the
-    store). *)
+    store), a closure's or a continuation's environments listed by
+    {!Env.locations}. *)
+
+val value_locs_by : env_locs:(Env.t -> loc list) -> value -> loc list
+(** {!value_locs} with each environment listed by [env_locs]. *)
 
 val tag_of_value : value -> string
 (** Short constructor name for error messages ("pair", "closure", ...). *)

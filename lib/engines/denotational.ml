@@ -155,7 +155,12 @@ let eval ?machine ?(fuel = 50_000_000) ?telemetry expr =
   in
   let env0, store0 = Machine.initial machine in
   let st =
-    { escapes = Hashtbl.create 8; ctx = Prim.make_ctx (); fuel; spent = 0 }
+    {
+      escapes = Hashtbl.create 8;
+      ctx = Prim.make_ctx ~seed:(Machine.config machine).seed ();
+      fuel;
+      spent = 0;
+    }
   in
   (* There are no machine steps here — continuation invocations spend
      the fuel — so allocation events carry the spend count as their

@@ -41,7 +41,8 @@ val eval :
   outcome
 (** Evaluate under the standard initial environment. A [machine] may be
     supplied to reuse its initial environment/store (it is not stepped);
-    otherwise a fresh default one is created. [fuel] bounds the
+    otherwise a fresh default one is created. [random] draws from that
+    machine's [Config.seed], as the machine's own runs do. [fuel] bounds the
     continuation invocations (default 50 million). [telemetry] counts
     allocations by kind through the shared store observer and records
     errors as stuck events; there are no machine steps, so the step

@@ -267,6 +267,39 @@ let gen_expr =
 
 let arb = QCheck.make ~print:A.to_string gen_expr
 
+(* Corollary 20 for programs that call [random]: the evaluator draws
+   from the [Config.seed] of the machine it takes its world from, as
+   every machine does. *)
+let test_denotational_random () =
+  let src = "(list (random 1000) (random 1000))" in
+  let machine =
+    match (M.exec_string (M.create_with M.Config.default) src).M.outcome with
+    | M.Done { answer; _ } -> answer
+    | _ -> Alcotest.fail "expected Done"
+  in
+  Alcotest.(check string) "two draws" machine (deno_answer src);
+  let pk = Families.pk_program 2 in
+  let deno =
+    match D.eval_program ~program:(E.program_of_string pk) ~input:(input 6) () with
+    | D.Done a -> a
+    | D.Error m -> "error: " ^ m
+    | D.Aborted _ -> "fuel"
+  in
+  Alcotest.(check string) "P_2 at N = 6" (reference_answer pk 6) deno;
+  let seeded = M.create_with (M.Config.make ~seed:7 ()) in
+  let machine =
+    match (M.exec_string seeded src).M.outcome with
+    | M.Done { answer; _ } -> answer
+    | _ -> Alcotest.fail "expected Done"
+  in
+  let deno =
+    match D.eval ~machine:seeded (E.program_of_string src) with
+    | D.Done a -> a
+    | D.Error m -> "error: " ^ m
+    | D.Aborted _ -> "fuel"
+  in
+  Alcotest.(check string) "a supplied machine's seed" machine deno
+
 let prop_three_implementations_agree =
   QCheck.Test.make ~name:"machine = SECD = denotational on random programs"
     ~count:150 arb (fun e ->
@@ -307,6 +340,7 @@ let () =
       ( "denotational",
         [
           Alcotest.test_case "basics" `Quick test_denotational_basics;
+          Alcotest.test_case "random draws" `Quick test_denotational_random;
           Alcotest.test_case "corpus agreement" `Slow test_denotational_matches_corpus;
           QCheck_alcotest.to_alcotest prop_three_implementations_agree;
         ] );

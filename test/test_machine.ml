@@ -359,6 +359,29 @@ let test_random_deterministic () =
   let one () = answer "(list (random 10) (random 10) (random 10))" in
   Alcotest.(check string) "same seed, same stream" (one ()) (one ())
 
+(* [random] restarts from [Config.seed] at every run, so a machine's
+   second run answers what a fresh machine does. *)
+let test_random_per_run () =
+  let src = "(list (random 1000) (random 1000))" in
+  let fresh = answer src in
+  let t = M.create_with M.Config.default in
+  let run () =
+    match (M.exec_string t src).M.outcome with
+    | M.Done { answer; _ } -> answer
+    | _ -> Alcotest.fail "expected Done"
+  in
+  Alcotest.(check string) "first run = a fresh machine" fresh (run ());
+  Alcotest.(check string) "second run = a fresh machine" fresh (run ());
+  (* an evaluation outside a measured run restarts the stream too *)
+  let draw () =
+    match M.eval_global t (E.expression_of_string "(random 1000000)") with
+    | Ok (T.Int z, _) -> Tailspace_bignum.Bignum.to_string z
+    | Ok _ | Error _ -> Alcotest.fail "expected a number"
+  in
+  let first = draw () in
+  Alcotest.(check string) "two evaluations draw alike" first (draw ());
+  Alcotest.(check string) "a run after them = a fresh machine" fresh (run ())
+
 let test_prelude_procedures () =
   check "length" "(length '(a b c))" "3";
   check "append" "(append '(1 2) '(3) '(4 5))" "(1 2 3 4 5)";
@@ -798,6 +821,7 @@ let () =
           Alcotest.test_case "globals" `Quick test_eval_and_define_global;
           Alcotest.test_case "run_program" `Quick test_run_program_convention;
           Alcotest.test_case "random deterministic" `Quick test_random_deterministic;
+          Alcotest.test_case "random restarts per run" `Quick test_random_per_run;
           Alcotest.test_case "promises" `Quick test_promises;
           Alcotest.test_case "profiling hooks" `Quick test_hooks;
           Alcotest.test_case "unannotated creations" `Quick

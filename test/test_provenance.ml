@@ -245,6 +245,42 @@ let test_diff_surfaces_stack_frames () =
         (List.sort (fun a b -> compare b a) abs_deltas = abs_deltas)
   | _ -> Alcotest.fail "censuses missing"
 
+(* The retainer walk gives a cell that two retainers reach at one depth
+   to the one it meets first. An environment's locations are met by
+   decreasing identifier in [String] order, whatever order the
+   environment keeps its keys in, so in [g]'s frame [b]'s pair retains
+   the shared list before [abc]'s does. *)
+let test_retainer_ties () =
+  let program =
+    Tailspace_expander.Expand.program_of_string
+      "(define (upto k) (if (zero? k) '() (cons k (upto (- k 1)))))\n\
+       (define (g b abc) (car (upto 200)))\n\
+       (define (f n) (let ((s (list n n))) (g (cons 1 s) (cons 2 s))))\n\
+       f"
+  in
+  List.iter
+    (fun variant ->
+      let census = Census.create () in
+      let opts = M.Run_opts.make ~provenance:census () in
+      let m = R.run_once ~opts ~config:(M.Config.make ~variant ()) ~program ~n:3 () in
+      match Census.flat_census census ~peak:(R.peak_space m) with
+      | None -> Alcotest.fail "no census"
+      | Some c ->
+          let label site = List.assoc_opt site c.P.labels in
+          let through text =
+            List.exists
+              (fun (st : P.stack) ->
+                let path = List.map (fun (site, _) -> label site) st.P.path in
+                List.mem (Some text) path && List.mem (Some "(list n n)") path)
+              c.P.stacks
+          in
+          let name = M.variant_name variant in
+          Alcotest.(check bool) (name ^ ": through b's pair") true
+            (through "(cons (quote 1) s)");
+          Alcotest.(check bool) (name ^ ": not through abc's") false
+            (through "(cons (quote 2) s)"))
+    [ M.Tail; M.Gc; M.Free ]
+
 (* --- the sum-to-total invariant, property-checked ------------------ *)
 
 let fast_entries =
@@ -310,5 +346,7 @@ let () =
           Alcotest.test_case "tail vs stack frames" `Quick
             test_diff_surfaces_stack_frames;
         ] );
+      ( "stacks",
+        [ Alcotest.test_case "retainer ties by identifier" `Quick test_retainer_ties ] );
       ( "invariant", [ QCheck_alcotest.to_alcotest prop_census_sums_to_peak ] );
     ]

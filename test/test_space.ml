@@ -113,6 +113,206 @@ let test_env_rebase_transparent () =
   Alcotest.(check int) "two bindings" 2 (List.length !seen);
   Alcotest.(check bool) "a maps to 9" true (List.mem ("a", 9) !seen)
 
+(* --- the store's cell map --- *)
+
+module Locmap = Tailspace_core.Locmap
+module Imap = Map.Make (Int)
+
+type map_op =
+  | M_add of int * int
+  | M_remove of int
+  | M_find of int
+  | M_mem of int
+  | M_fold_from of int
+
+let pp_map_op = function
+  | M_add (k, v) -> Printf.sprintf "add %d %d" k v
+  | M_remove k -> Printf.sprintf "remove %d" k
+  | M_find k -> Printf.sprintf "find_opt %d" k
+  | M_mem k -> Printf.sprintf "mem %d" k
+  | M_fold_from k -> Printf.sprintf "fold_from %d" k
+
+(* Up to about 2 000 bindings over sparse keys, negative ones and the
+   extremes included, with enough repeats that removals and re-adds hit
+   bound keys. *)
+let gen_map_script st =
+  let int n = Random.State.int st n in
+  let range = 1 + int 50_000 in
+  let key () =
+    match int 40 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> -int range
+    | _ -> int range
+  in
+  List.init (int 4_000) (fun _ ->
+      match int 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 -> M_add (key (), int 1_000)
+      | 10 | 11 | 12 | 13 | 14 | 15 -> M_remove (key ())
+      | 16 | 17 -> M_find (key ())
+      | 18 -> M_mem (key ())
+      | _ -> M_fold_from (key ()))
+
+(* Every query answers alike, every update shares the old map exactly
+   when [Map.Make (Int)]'s does, and the final trees are the same node
+   for node (the two node types have one layout, so [Obj.repr] compares
+   them structurally). *)
+let locmap_agrees script =
+  let ok = ref true in
+  let agree b = if not b then ok := false in
+  let lm, im =
+    List.fold_left
+      (fun (lm, im) op ->
+        match op with
+        | M_add (k, v) ->
+            let lm' = Locmap.add k v lm and im' = Imap.add k v im in
+            agree ((lm' == lm) = (im' == im));
+            (lm', im')
+        | M_remove k ->
+            let seen = ref [] in
+            let lm' = Locmap.remove_found k (fun k v -> seen := (k, v) :: !seen) lm in
+            let im' = Imap.remove k im in
+            agree ((lm' == lm) = (im' == im));
+            agree
+              (!seen
+              = match Imap.find_opt k im with Some v -> [ (k, v) ] | None -> []);
+            (lm', im')
+        | M_find k ->
+            agree (Locmap.find_opt k lm = Imap.find_opt k im);
+            (lm, im)
+        | M_mem k ->
+            agree (Locmap.mem k lm = Imap.mem k im);
+            (lm, im)
+        | M_fold_from lo ->
+            let got = Locmap.fold_from lo (fun k v acc -> (k, v) :: acc) lm [] in
+            agree
+              (List.rev got = List.filter (fun (k, _) -> k >= lo) (Imap.bindings im));
+            (lm, im))
+      (Locmap.empty, Imap.empty) script
+  in
+  let iterated = ref [] in
+  Locmap.iter (fun k v -> iterated := (k, v) :: !iterated) lm;
+  agree (List.rev !iterated = Imap.bindings im);
+  agree (List.rev (Locmap.fold (fun k v acc -> (k, v) :: acc) lm []) = Imap.bindings im);
+  agree (Obj.repr lm = Obj.repr im);
+  !ok
+
+let prop_locmap_matches_map =
+  QCheck.Test.make ~count:200
+    ~name:"Locmap = Map.Make (Int) on random scripts"
+    (QCheck.make
+       ~print:(fun script ->
+         Printf.sprintf "%d operations: %s ..." (List.length script)
+           (String.concat "; " (List.map pp_map_op (List.filteri (fun i _ -> i < 20) script))))
+       gen_map_script)
+    locmap_agrees
+
+(* The benchmark's [setup_s] reads the GC work that set-up's allocation
+   leaves behind, so the store's map must allocate exactly what
+   [Map.Make (Int)] does. *)
+let test_locmap_allocation () =
+  let key i = i * 7919 mod 10_007 in
+  let script : 'm. (int -> int -> 'm -> 'm) -> (int -> 'm -> 'm) -> 'm -> 'm =
+   fun add remove empty ->
+    let rec adds i m = if i = 5_000 then m else adds (i + 1) (add (key i) i m) in
+    let rec removes i m = if i >= 5_000 then m else removes (i + 3) (remove (key i) m) in
+    let rec readds i m = if i >= 5_000 then m else readds (i + 2) (add (key i) (-i) m) in
+    readds 0 (removes 0 (adds 0 empty))
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let std = words (fun () -> script Imap.add Imap.remove Imap.empty) in
+  let loc =
+    words (fun () ->
+        script Locmap.add
+          (fun k m -> Locmap.remove_found k (fun _ _ -> ()) m)
+          Locmap.empty)
+  in
+  Alcotest.(check (float 0.)) "minor words" std loc
+
+(* --- the environment's identifier order --- *)
+
+type env_op = E_add of string * int | E_rebase | E_restrict of string list * bool
+
+(* Names that share prefixes and lengths, with the empty name, NUL and
+   bytes at and above 0x80, so that any comparison slip between names
+   of one length shows. *)
+let env_names =
+  [| ""; "\000"; "\000\000"; "a"; "b"; "\127"; "\128"; "\255"; "a\000"; "a\255";
+     "ab"; "ba"; "abc"; "abd"; "abc\000"; "car"; "cdr"; "cadr"; "cddr"; "caddr";
+     "cdddr"; "\128a"; "a\128"; "\255\255" |]
+
+let gen_env_script st =
+  let int n = Random.State.int st n in
+  let name () =
+    if int 4 = 0 then
+      String.init (int 4) (fun _ -> "ab\000\128\255".[int 5])
+    else env_names.(int (Array.length env_names))
+  in
+  List.init (1 + int 60) (fun _ ->
+      match int 10 with
+      | 0 -> E_rebase
+      | 1 | 2 -> E_restrict (List.init (int 12) (fun _ -> name ()), int 2 = 0)
+      | _ -> E_add (name (), int 100))
+
+let pp_env_op = function
+  | E_add (x, l) -> Printf.sprintf "add %S %d" x l
+  | E_rebase -> "rebase"
+  | E_restrict (xs, cover) ->
+      Printf.sprintf "restrict%s {%s}"
+        (if cover then " (covering)" else "")
+        (String.concat " " (List.map (Printf.sprintf "%S") xs))
+
+(* The reference is an association list, most recent binding first. A
+   covering restriction adds the whole domain to its names, so the
+   identity path runs as often as the other. *)
+let env_agrees script =
+  let ok = ref true in
+  let agree b = if not b then ok := false in
+  let dom r = List.sort_uniq compare (List.map fst r) in
+  let check env r =
+    let names = List.sort_uniq compare (Array.to_list env_names @ dom r) in
+    List.iter
+      (fun x ->
+        agree (Env.find_opt x env = List.assoc_opt x r);
+        agree (Env.mem x env = List.mem_assoc x r))
+      names;
+    agree (Env.cardinal env = List.length (dom r));
+    let expect = List.map (fun x -> (x, List.assoc x r)) (dom r) in
+    agree (List.sort compare (Env.bindings env) = expect);
+    agree (List.sort compare (Env.locations env) = List.sort compare (List.map snd expect))
+  in
+  ignore
+    (List.fold_left
+       (fun (env, r) op ->
+         let env, r =
+           match op with
+           | E_add (x, l) -> (Env.add x l env, (x, l) :: r)
+           | E_rebase -> (Env.rebase env, r)
+           | E_restrict (xs, cover) ->
+               let xs = if cover then xs @ dom r else xs in
+               let set = A.Iset.of_list xs in
+               let env' = Env.restrict env set in
+               if List.for_all (fun x -> A.Iset.mem x set) (dom r) then
+                 agree (env' == env);
+               (env', List.filter (fun (x, _) -> A.Iset.mem x set) r)
+         in
+         check env r;
+         (env, r))
+       (Env.empty, []) script);
+  !ok
+
+let prop_env_matches_alist =
+  QCheck.Test.make ~count:500
+    ~name:"Env = association list on add/rebase/restrict scripts"
+    (QCheck.make
+       ~print:(fun script -> String.concat "; " (List.map pp_env_op script))
+       gen_env_script)
+    env_agrees
+
 (* --- linked model (Figure 8) --- *)
 
 let test_linked_counts_shared_bindings_once () =
@@ -433,6 +633,9 @@ let () =
           Alcotest.test_case "store set errors" `Quick test_store_set_unallocated;
           Alcotest.test_case "env cardinal" `Quick test_env_cardinal;
           Alcotest.test_case "env rebase" `Quick test_env_rebase_transparent;
+          QCheck_alcotest.to_alcotest prop_locmap_matches_map;
+          Alcotest.test_case "cell map allocation" `Quick test_locmap_allocation;
+          QCheck_alcotest.to_alcotest prop_env_matches_alist;
         ] );
       ( "figure8",
         [
