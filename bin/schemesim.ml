@@ -270,15 +270,6 @@ let print_heavy_peaks ~program_size peaks =
             (p + (SM.word_bits * program_size)))
     peaks
 
-let no_annot_arg =
-  let doc =
-    "Disable the static annotation pass (precomputed per-node free-variable \
-     sets and tail positions) and fall back to on-the-fly free-variable \
-     computation. Observables are identical either way (oracle-checked); \
-     this is the escape hatch for benchmarking the pass itself."
-  in
-  Arg.(value & flag & info [ "no-annot" ] ~doc)
-
 let trace_arg =
   let doc = "Print a one-line description of the first $(docv) machine steps." in
   Arg.(value & opt int 0 & info [ "trace" ] ~docv:"STEPS" ~doc)
@@ -351,8 +342,8 @@ let run_cmd =
     in
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
-  let run file expr input variant perm stack_policy no_annot vm_fast fuel
-      measure trace_steps json ring =
+  let run file expr input variant perm stack_policy vm_fast fuel measure
+      trace_steps json ring =
     with_program file expr @@ fun program_name program ->
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
     if engine = M.Vm_fast then begin
@@ -368,10 +359,7 @@ let run_cmd =
            procedure-of-one-argument convention)@.";
         exit 2
       end;
-      let config =
-        M.Config.make ~engine ~variant ~perm ~stack_policy
-          ~annotate:(not no_annot) ()
-      in
+      let config = M.Config.make ~engine ~variant ~perm ~stack_policy () in
       let telemetry = Tel.create ~ring () in
       let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
       let n = Option.get input in
@@ -430,10 +418,7 @@ let run_cmd =
       end;
       match r.Vm.outcome with Vm.Done _ -> exit 0 | _ -> exit 1
     end;
-    let t =
-      M.create_with
-        (M.Config.make ~variant ~perm ~stack_policy ~annotate:(not no_annot) ())
-    in
+    let t = M.create_with (M.Config.make ~variant ~perm ~stack_policy ()) in
     let config_sink =
       if trace_steps <= 0 then None
       else
@@ -475,8 +460,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~exits ~doc)
     Term.(
       const run $ file_pos_arg $ expr_arg $ input_arg $ variant_arg $ perm_arg
-      $ stack_policy_arg $ no_annot_arg $ vm_fast_arg $ fuel_arg $ model_arg
-      $ trace_arg $ json_arg $ ring_arg)
+      $ stack_policy_arg $ vm_fast_arg $ fuel_arg $ model_arg $ trace_arg
+      $ json_arg $ ring_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -503,13 +488,10 @@ let profile_cmd =
     in
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
   in
-  let profile file expr input variant perm stack_policy no_annot fuel measure
-      csv stride events =
+  let profile file expr input variant perm stack_policy fuel measure csv
+      stride events =
     with_program file expr @@ fun program_name program ->
-    let t =
-      M.create_with
-        (M.Config.make ~variant ~perm ~stack_policy ~annotate:(not no_annot) ())
-    in
+    let t = M.create_with (M.Config.make ~variant ~perm ~stack_policy ()) in
     let prof = Tel.Profile.create ~stride () in
     let events_channel = Option.map open_out events in
     let sink =
@@ -558,8 +540,8 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~exits ~doc)
     Term.(
       const profile $ file_pos_arg $ expr_arg $ input_arg $ variant_arg
-      $ perm_arg $ stack_policy_arg $ no_annot_arg $ fuel_arg $ model_arg
-      $ csv_arg $ stride_arg $ events_arg)
+      $ perm_arg $ stack_policy_arg $ fuel_arg $ model_arg $ csv_arg
+      $ stride_arg $ events_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench                                                               *)
@@ -617,8 +599,8 @@ let bench_cmd =
           match Tel.summary_to_json s with Json.Obj fs -> fs | _ -> [])
       | None -> [])
   in
-  let bench file expr name_opt ns variant perm stack_policy no_annot vm_fast
-      fuel measure json jobs =
+  let bench file expr name_opt ns variant perm stack_policy vm_fast fuel
+      measure json jobs =
     let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
     let name, program =
       match name_opt with
@@ -643,10 +625,7 @@ let bench_cmd =
                   exit 2
               | program -> (name, program)))
     in
-    let config =
-      M.Config.make ~engine ~variant ~perm ~stack_policy
-        ~annotate:(not no_annot) ()
-    in
+    let config = M.Config.make ~engine ~variant ~perm ~stack_policy () in
     let ms =
       Pool.with_pool ?jobs (fun pool ->
           R.sweep ?pool
@@ -674,8 +653,8 @@ let bench_cmd =
   Cmd.v (Cmd.info "bench" ~exits ~doc)
     Term.(
       const bench $ file_pos_arg $ expr_arg $ corpus_name_arg $ ns_arg
-      $ variant_arg $ perm_arg $ stack_policy_arg $ no_annot_arg $ vm_fast_arg
-      $ fuel_arg $ model_arg $ json_arg $ jobs_arg)
+      $ variant_arg $ perm_arg $ stack_policy_arg $ vm_fast_arg $ fuel_arg
+      $ model_arg $ json_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -833,15 +812,7 @@ let faults_cmd =
                         ~config:(M.Config.make ~variant ())
                         ~program ~n ()
                     with
-                    | m ->
-                        let status =
-                          match m.R.status with
-                          | R.Answer a -> "answer:" ^ a
-                          | R.Stuck s -> "stuck:" ^ s
-                          | R.Aborted r ->
-                              "aborted:" ^ Res.abort_reason_name r
-                        in
-                        (status, m.R.steps, R.peak_space m, true)
+                    | m -> (R.status_text m, m.R.steps, R.peak_space m, true)
                     | exception e ->
                         ("escaped:" ^ Printexc.to_string e, 0, 0, false)
                   in
@@ -950,7 +921,7 @@ let spaceprof_cmd =
     let doc = "Show only the $(docv) largest rows per table (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"K" ~doc)
   in
-  let spaceprof file expr corpus_name input variant vm_fast fuel measure json
+  let spaceprof file expr corpus_name input variant fuel measure json
       flamegraph diff top =
     let name, program =
       match corpus_name with
@@ -981,12 +952,6 @@ let spaceprof_cmd =
              §12's procedure-of-one-argument convention)@.";
           exit 2
     in
-    if vm_fast then begin
-      Format.eprintf
-        "schemesim: the fast tier compiles accounting out and cannot carry a \
-         census; drop --vm-fast@.";
-      exit 2
-    end;
     (* One profiled run: census attached through Run_opts, raw per-model
        peaks recovered from the measurement's [peaks] list (no |P| term
        — the census decomposes the store peak, not the consumption). *)
@@ -1152,13 +1117,7 @@ let spaceprof_cmd =
                     ("n", Json.Int n);
                     ("variant", Json.Str (M.variant_name variant));
                     ("engine", Json.Str (M.engine_name M.Stepper));
-                    ( "status",
-                      Json.Str
-                        (match m.R.status with
-                        | R.Answer a -> "answer:" ^ a
-                        | R.Stuck s -> "stuck:" ^ s
-                        | R.Aborted r -> "aborted:" ^ Res.abort_reason_name r)
-                    );
+                    ("status", Json.Str (R.status_text m));
                     ("space_consumption", Json.Int m.R.space);
                     ("peak_space", Json.Int (R.peak_space m));
                     ("peaks", peaks_json m.R.peaks);
@@ -1201,8 +1160,8 @@ let spaceprof_cmd =
   Cmd.v (Cmd.info "spaceprof" ~exits ~doc)
     Term.(
       const spaceprof $ file_pos_arg $ expr_arg $ corpus_name_arg $ input_arg
-      $ variant_arg $ vm_fast_arg $ fuel_arg $ model_arg $ json_arg
-      $ flamegraph_arg $ diff_arg $ top_arg)
+      $ variant_arg $ fuel_arg $ model_arg $ json_arg $ flamegraph_arg
+      $ diff_arg $ top_arg)
 
 let () =
   let doc =

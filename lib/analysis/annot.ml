@@ -1,8 +1,6 @@
 module Ast = Tailspace_ast.Ast
 module Iset = Ast.Iset
 
-type tail_status = Tail | Nontail | Both
-
 type call_info = {
   elems : Iset.t array;
   ltr_first : Iset.t;
@@ -11,25 +9,22 @@ type call_info = {
   rtl_rest : Iset.t list;
 }
 
-(* The walk fills [site] and [tail]; the sets stay [None] until a
-   lookup first asks for them, and are then kept. A node visited in
-   both positions flips to [Both] once, so each node is walked at most
-   twice and the walk stays O(|P|). *)
+(* The walk fills [site]; the sets stay [None] until a lookup first
+   asks for them, and are then kept. *)
 type node = {
   site : int;
       (* stable node id, assigned in table-insertion (post-)order: two
          machines that record the same programs in the same order agree
          on every id even when gensym'd identifier names differ — the
          provenance layer's cross-engine census key *)
-  mutable tail : tail_status;
   mutable fv : Iset.t option;
   mutable branch : Iset.t option;  (* [If] nodes only *)
   mutable call : call_info option;  (* [Call] nodes only *)
 }
 
 (* Keyed by physical identity: the expander never rebuilds equal nodes
-   it could share, and structural keys would conflate distinct
-   occurrences whose tail positions differ. *)
+   it could share, and structural keys would give distinct occurrences
+   one site id. *)
 module Node_table = Hashtbl.Make (struct
   type t = Ast.expr
 
@@ -105,42 +100,25 @@ let seeded_sets ci rest_indices =
   in
   build rest_indices
 
-let rec walk t ~tail e =
-  match Node_table.find_opt t.table e with
-  | Some node ->
-      (* A node first met in the other position becomes [Both]; the new
-         polarity must reach its subtree, whose positions follow its. *)
-      let other = if tail then Nontail else Tail in
-      if node.tail = other then begin
-        node.tail <- Both;
-        walk_children t ~tail e
-      end
-  | None ->
-      walk_children t ~tail e;
-      let site = Node_table.length t.table in
-      Node_table.add t.table e
-        {
-          site;
-          tail = (if tail then Tail else Nontail);
-          fv = None;
-          branch = None;
-          call = None;
-        }
-
-and walk_children t ~tail e =
-  match e with
-  | Ast.Quote _ | Ast.Var _ -> ()
-  | Ast.Lambda { body; _ } -> walk t ~tail:true body
-  | Ast.If (e0, e1, e2) ->
-      walk t ~tail:false e0;
-      walk t ~tail e1;
-      walk t ~tail e2
-  | Ast.Set (_, e0) -> walk t ~tail:false e0
-  | Ast.Call (f, args) ->
-      walk t ~tail:false f;
-      List.iter (walk t ~tail:false) args
-
-let record t e = walk t ~tail:false e
+(* Post-order: a node's children are numbered before it. A node met
+   again (shared structure, or a program recorded before) is skipped
+   with its whole subtree, which was numbered with it. *)
+let rec record t e =
+  if not (Node_table.mem t.table e) then begin
+    (match e with
+    | Ast.Quote _ | Ast.Var _ -> ()
+    | Ast.Lambda { body; _ } -> record t body
+    | Ast.If (e0, e1, e2) ->
+        record t e0;
+        record t e1;
+        record t e2
+    | Ast.Set (_, e0) -> record t e0
+    | Ast.Call (f, args) ->
+        record t f;
+        List.iter (record t) args);
+    Node_table.add t.table e
+      { site = Node_table.length t.table; fv = None; branch = None; call = None }
+  end
 
 (* Each set is built from the kept sets of the node's children the
    first time a lookup asks for it. Every descendant of a recorded node
@@ -199,11 +177,6 @@ let call t e =
             (make_call_info t (Array.of_list (List.map (fv_of t) (f :: args))));
       node.call
   | _ -> None
-
-let tail_status t e =
-  match Node_table.find_opt t.table e with
-  | None -> None
-  | Some n -> Some n.tail
 
 let site_id t e =
   match Node_table.find_opt t.table e with

@@ -1,44 +1,32 @@
 (** Static program annotations over an expanded program: per AST node,
-    a site id, a tail position, and the free-variable sets the
-    reference machines would otherwise recompute inside the step loop.
+    a site id and the free-variable sets the [I_free] and [I_sfs]
+    machines (§10) restrict environments to.
 
     {!record} is one eager O(|P|) walk that assigns only what must
-    follow program order: each node's site id (post-order) and its tail
-    position. Every set is computed the first time a lookup
-    ({!free_vars}, {!branch}, {!call}) asks for it, from the children's
-    kept sets, and is then kept in the node. Only [I_free] and [I_sfs]
-    (§10) read sets, so a machine of the other four variants never
-    builds one.
+    follow program order: each node's site id (post-order). Every set
+    is computed the first time a lookup ({!free_vars}, {!branch},
+    {!call}) asks for it, from the children's kept sets, and is then
+    kept in the node. Only [I_free] and [I_sfs] read sets, so a machine
+    of the other four variants never builds one.
 
-    The [I_free]/[I_sfs] rules restrict environments by free-variable
-    sets, and the [I_sfs] push rule restricts to the union of the free
-    variables of the call's not-yet-evaluated subexpressions. Every set
-    is a {e hash-consed} [Iset.t]: one allocation per distinct set, and
-    O(1) physical comparison.
+    This table is the machines' only source of free-variable sets and
+    site ids: a machine records every expression before it steps it,
+    so a lookup miss there is a bug. The [I_free]/[I_sfs] rules
+    restrict environments by free-variable sets, and the [I_sfs] push
+    rule restricts to the union of the free variables of the call's
+    not-yet-evaluated subexpressions. Every set is a {e hash-consed}
+    [Iset.t]: one allocation per distinct set, and O(1) physical
+    comparison. Lookups write into the table, so a table belongs to one
+    machine on one domain.
 
-    Annotations never change what a machine observes: they change
-    {e when} free variables are computed, not {e what} any rule
-    produces, so answers, step counts, and the measured peaks are
-    identical with and without them (the differential oracle re-checks
-    this; see DESIGN.md, "Static annotation pass"). Lookups write into
-    the table, so a table belongs to one machine on one domain.
-
-    Tail positions follow the machine-level reading of the paper's
-    Definition 1: tail positions exist only {e inside lambda bodies} —
-    the body of a lambda is in tail position, the branches of an [if]
-    inherit the position of the [if], and everything else (including the
-    whole program, [if] conditions, [set!] right-hand sides, and call
-    operator/operands) is not. This deliberately differs from
-    {!Tail_calls}, whose source-level statistics treat immediately
-    applied lambdas as transparent. *)
+    The tests hold each kind of set to {!Tailspace_ast.Ast.free_vars}
+    computed afresh, in any lookup order, and the figures of every
+    variant and argument order to pinned values (DESIGN.md, "Static
+    annotation pass"). Tail positions are not recorded here: the
+    compilers derive them from the program's structure. *)
 
 module Ast = Tailspace_ast.Ast
 module Iset = Ast.Iset
-
-(** A node's tail position. Physical sharing can put one node in both
-    positions (e.g. a subterm reused by the expander); such nodes are
-    [Both] and consumers must fall back to their structural context. *)
-type tail_status = Tail | Nontail | Both
 
 (** The restriction sets for one call site [(e_0 e_1 ... e_k)].
     [elems.(i)] is the interned free-variable set of the i-th
@@ -70,12 +58,11 @@ val record : t -> Ast.expr -> unit
 (** Annotate [e] and every subterm. Incremental and idempotent: nodes
     already annotated (by physical identity) are skipped, so recording a
     program that shares structure with earlier recordings costs only the
-    new nodes. The root is recorded in non-tail position. Records site
-    ids and tail positions only; no set is computed. *)
+    new nodes. Records site ids only; no set is computed. *)
 
 val free_vars : t -> Ast.expr -> Iset.t option
 (** The node's interned free variables; [None] for nodes never
-    recorded (callers fall back to the dynamic computation). *)
+    recorded. *)
 
 val branch : t -> Ast.expr -> Iset.t option
 (** On a recorded [If (e0, e1, e2)]: the interned FV(e1) ∪ FV(e2), the
@@ -85,8 +72,6 @@ val branch : t -> Ast.expr -> Iset.t option
 val call : t -> Ast.expr -> call_info option
 (** On a recorded [Call]: its restriction sets. [None] on any other
     node. *)
-
-val tail_status : t -> Ast.expr -> tail_status option
 
 val site_id : t -> Ast.expr -> int option
 (** The node's stable site id, assigned in table-insertion (post-)order

@@ -59,53 +59,22 @@ let rec size e =
   | Set (_, e0) -> 1 + size e0
   | Call (f, args) -> List.fold_left (fun acc e -> acc + size e) (1 + size f) args
 
-(* Free variables, memoized on physical identity: expressions are
-   immutable and shared, so a node's set never changes. [Hashtbl.hash] is
-   depth-bounded (O(1)) and physical equality makes lookups exact. A
-   memo belongs to its caller (a machine keeps one for its lifetime) and
-   dies with it; without one, a query computes its sets afresh. *)
-module Node_table = Hashtbl.Make (struct
-  type t = expr
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type fv_memo = Iset.t Node_table.t
-
-let fv_memo () = Node_table.create 256
-
-let rec fv memo e =
-  match Node_table.find_opt memo e with
-  | Some s -> s
-  | None ->
-      let s = compute_fv memo e in
-      Node_table.add memo e s;
-      s
-
-and compute_fv memo e =
+(* Free variables, computed afresh on every call: the reference the
+   annotation pass's kept sets are checked against. *)
+let rec free_vars e =
   match e with
   | Quote _ -> Iset.empty
   | Var i -> Iset.singleton i
-  | Lambda l -> fv_lambda memo l
-  | If (e0, e1, e2) -> Iset.union (fv memo e0) (Iset.union (fv memo e1) (fv memo e2))
-  | Set (i, e0) -> Iset.add i (fv memo e0)
-  | Call (f, args) ->
-      List.fold_left (fun acc e -> Iset.union acc (fv memo e)) (fv memo f) args
+  | Lambda { params; rest; body } ->
+      let bound = match rest with Some r -> r :: params | None -> params in
+      Iset.diff (free_vars body) (Iset.of_list bound)
+  | If (e0, e1, e2) ->
+      Iset.union (free_vars e0) (Iset.union (free_vars e1) (free_vars e2))
+  | Set (i, e0) -> Iset.add i (free_vars e0)
+  | Call (f, args) -> free_vars_of_list (f :: args)
 
-and fv_lambda memo { params; rest; body } =
-  let bound =
-    match rest with Some r -> r :: params | None -> params
-  in
-  Iset.diff (fv memo body) (Iset.of_list bound)
-
-let memo_or_fresh = function Some memo -> memo | None -> Node_table.create 16
-let free_vars ?memo e = fv (memo_or_fresh memo) e
-let free_vars_lambda ?memo l = fv_lambda (memo_or_fresh memo) l
-
-let free_vars_of_list ?memo es =
-  let memo = memo_or_fresh memo in
-  List.fold_left (fun acc e -> Iset.union acc (fv memo e)) Iset.empty es
+and free_vars_of_list es =
+  List.fold_left (fun acc e -> Iset.union acc (free_vars e)) Iset.empty es
 
 let datum_of_const c =
   match c with

@@ -6,7 +6,11 @@
     The expander ({!Tailspace_expander.Expand}) lowers full Scheme into
     this type; the reference machines interpret it directly. Programs
     measured by the space model contain no compound constants (§12), but
-    the constant type is kept rich enough for the standard library. *)
+    the constant type is kept rich enough for the standard library.
+
+    {!free_vars} keeps nothing between calls: the machines read their
+    free-variable sets from {!Tailspace_analysis.Annot}, and the tests
+    hold those to this definition. *)
 
 module Iset : Set.S with type elt = string
 
@@ -48,23 +52,11 @@ val size : expr -> int
 (** [|P|]: the number of abstract-syntax-tree nodes, the additive term in
     Definition 23's space consumption. *)
 
-type fv_memo
-(** A table of free-variable sets keyed by physical node identity. It
-    only grows, so it should live no longer than the expressions it
-    serves: an unannotated [I_free]/[I_sfs] machine keeps one for its
-    own lifetime. A memo is not safe to share between domains. *)
+val free_vars : expr -> Iset.t
+(** Free variables, computed afresh on every call. *)
 
-val fv_memo : unit -> fv_memo
-
-val free_vars : ?memo:fv_memo -> expr -> Iset.t
-(** Free variables. With [memo], each node's set is computed once and
-    kept there, so repeated queries are cheap; without, the sets are
-    computed afresh. *)
-
-val free_vars_lambda : ?memo:fv_memo -> lambda -> Iset.t
-
-val free_vars_of_list : ?memo:fv_memo -> expr list -> Iset.t
-(** Union of {!free_vars} over a list (used by the [I_sfs] push rules). *)
+val free_vars_of_list : expr list -> Iset.t
+(** Union of {!free_vars} over a list. *)
 
 val to_datum : expr -> Tailspace_sexp.Datum.t
 (** Render back to external syntax (for messages and tests). [C_nil] and

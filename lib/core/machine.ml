@@ -43,7 +43,6 @@ module Config = struct
     return_env : return_env;
     evlis_drop_at_creation : bool;
     seed : int;
-    annotate : bool;
     engine : engine;
   }
 
@@ -55,17 +54,15 @@ module Config = struct
       return_env = Closure_env;
       evlis_drop_at_creation = true;
       seed = 24054;
-      annotate = true;
       engine = Stepper;
     }
 
   let make ?(variant = default.variant) ?(perm = default.perm)
       ?(stack_policy = default.stack_policy) ?(return_env = default.return_env)
       ?(evlis_drop_at_creation = default.evlis_drop_at_creation)
-      ?(seed = default.seed) ?(annotate = default.annotate)
-      ?(engine = default.engine) () =
+      ?(seed = default.seed) ?(engine = default.engine) () =
     { variant; perm; stack_policy; return_env; evlis_drop_at_creation; seed;
-      annotate; engine }
+      engine }
 end
 
 type t = {
@@ -76,10 +73,9 @@ type t = {
   evlis_drop_at_creation : bool;
   seed : int;
   engine : engine;
-  annot : Annot.t option;
-  fv_memo : Ast.fv_memo option;
-      (* the free-variable sets an unannotated machine computes, kept
-         for the machine's lifetime; [None] when annotated *)
+  annot : Annot.t;
+      (* the only source of free-variable sets and site ids: every
+         expression is recorded before the machine steps it *)
   mutable order_rng : int;
       (* the [Seeded] order generator, restarted from the seed at every
          run; [random] draws from [ctx] instead *)
@@ -107,11 +103,10 @@ let config t : Config.t =
     return_env = t.return_env;
     evlis_drop_at_creation = t.evlis_drop_at_creation;
     seed = t.seed;
-    annotate = Option.is_some t.annot;
     engine = t.engine;
   }
 
-let annotations t = t.annot
+let annotations t = Some t.annot
 
 type config = {
   control : [ `Expr of Ast.expr | `Value of value ];
@@ -191,52 +186,34 @@ let operator_and_operands t evaluated =
         (List.sort (fun (i, _) (j, _) -> Int.compare i j) evaluated)
 
 (* ------------------------------------------------------------------ *)
-(* Annotation lookups. Every dynamic free-variable computation below
-   has a static twin in [Annot], computed there on first use; each
-   helper falls back to the dynamic computation for nodes never
-   recorded, so the machine is total with or without annotations.     *)
+(* Annotation lookups. [eval_in] and [run_measured] record every
+   expression before the machine steps it, so a lookup never misses.   *)
 
-let fv_lambda t e lam =
-  let static = match t.annot with Some a -> Annot.free_vars a e | None -> None in
-  match static with
-  | Some fv -> fv
-  | None -> Ast.free_vars_lambda ?memo:t.fv_memo lam
+let unrecorded e = invalid_arg ("Machine: unrecorded node " ^ Ast.to_string e)
 
-let fv_branches t e e1 e2 =
-  let static = match t.annot with Some a -> Annot.branch a e | None -> None in
-  match static with
-  | Some s -> s
-  | None ->
-      Ast.Iset.union
-        (Ast.free_vars ?memo:t.fv_memo e1)
-        (Ast.free_vars ?memo:t.fv_memo e2)
+let fv_lambda t e =
+  match Annot.free_vars t.annot e with Some s -> s | None -> unrecorded e
 
-let fv_remaining t remaining =
-  Ast.free_vars_of_list ?memo:t.fv_memo (List.map snd remaining)
+let fv_branches t e =
+  match Annot.branch t.annot e with Some s -> s | None -> unrecorded e
 
 (* The I_sfs push sets for a call: the restriction for the frame created
    now plus one set per later frame (threaded through the continuation
-   as [fv_rest]). [None] means "recompute dynamically". *)
+   as [fv_rest], one set per element of [remaining]). *)
 let fv_call t e remaining =
-  match t.annot with
-  | None -> None
-  | Some a -> (
-      match Annot.call a e with
-      | None -> None
-      | Some ci -> (
-          match t.perm with
-          | Left_to_right -> Some (ci.Annot.ltr_first, ci.Annot.ltr_rest)
-          | Right_to_left -> Some (ci.Annot.rtl_first, ci.Annot.rtl_rest)
-          | Seeded _ -> Some (Annot.seeded_sets ci (List.map fst remaining))))
+  match Annot.call t.annot e with
+  | None -> unrecorded e
+  | Some ci -> (
+      match t.perm with
+      | Left_to_right -> (ci.Annot.ltr_first, ci.Annot.ltr_rest)
+      | Right_to_left -> (ci.Annot.rtl_first, ci.Annot.rtl_rest)
+      | Seeded _ -> Annot.seeded_sets ci (List.map fst remaining))
 
 (* Provenance site of an expression: a table lookup when sites are being
    tracked this run, [-1] (one branch) otherwise. *)
 let site_of t e =
   if not t.track_sites then -1
-  else
-    match t.annot with
-    | None -> -1
-    | Some a -> ( match Annot.site_id a e with Some s -> s | None -> -1)
+  else match Annot.site_id t.annot e with Some s -> s | None -> -1
 
 (* Declare the provenance of the allocations the current rule is about
    to perform. No-op (one branch) when provenance is off. *)
@@ -268,7 +245,7 @@ let step_expr t config e =
   | Ast.Lambda lam ->
       let captured =
         match t.variant with
-        | Free | Sfs -> Env.restrict env (fv_lambda t e lam)
+        | Free | Sfs -> Env.restrict env (fv_lambda t e)
         | Tail | Gc | Stack | Evlis -> env
       in
       note_alloc_site t ~site:(site_of t e) ~phase:(Some Prov.P_closure);
@@ -277,7 +254,7 @@ let step_expr t config e =
   | Ast.If (e0, e1, e2) ->
       let saved =
         match t.variant with
-        | Sfs -> Env.restrict env (fv_branches t e e1 e2)
+        | Sfs -> Env.restrict env (fv_branches t e)
         | Tail | Gc | Stack | Evlis | Free -> env
       in
       Next
@@ -310,10 +287,9 @@ let step_expr t config e =
              what Theorem 25's tail/evlis separator requires. *)
           let frame_env, fv_rest =
             match t.variant with
-            | Sfs -> (
-                match fv_call t e remaining with
-                | Some (first, rest) -> (Env.restrict env first, rest)
-                | None -> (Env.restrict env (fv_remaining t remaining), []))
+            | Sfs ->
+                let first, rest = fv_call t e remaining in
+                (Env.restrict env first, rest)
             | Evlis -> (
                 match remaining with
                 | [] when t.evlis_drop_at_creation -> (Env.empty, [])
@@ -528,7 +504,7 @@ let step_value t config v =
                    for the frames after it. *)
                 match fv_rest with
                 | s :: srest -> (Env.restrict env s, srest)
-                | [] -> (Env.restrict env (fv_remaining t rest), []))
+                | [] -> assert false)
             | Evlis -> ((match rest with [] -> Env.empty | _ -> env), [])
             | Tail | Gc | Stack | Free -> (env, [])
           in
@@ -626,7 +602,7 @@ let eval_in t ~env ~store expr =
   (* Recording is incremental on physical identity, so re-evaluating a
      program (or a fresh [Call] wrapper around one) only annotates the
      genuinely new nodes. *)
-  (match t.annot with Some a -> Annot.record a expr | None -> ());
+  Annot.record t.annot expr;
   restart_generators t;
   let rec loop config fuel =
     if fuel <= 0 then Error "out of fuel"
@@ -742,8 +718,7 @@ let create_with (cfg : Config.t) =
       evlis_drop_at_creation = cfg.evlis_drop_at_creation;
       seed = cfg.seed;
       engine = cfg.engine;
-      annot = (if cfg.annotate then Some (Annot.create ()) else None);
-      fv_memo = (if cfg.annotate then None else Some (Ast.fv_memo ()));
+      annot = Annot.create ();
       order_rng = 0;
       prov = None;
       track_sites = false;
@@ -816,11 +791,11 @@ let peak_log r = peak_of r Space_model.Log
 let space_consumption r = r.program_size + peak_space r
 
 (* A one-line description of a configuration, for tracing and for the
-   telemetry ring buffer. With an annotation table the line names the
-   provenance site of the redex — the expression being reduced, or for
-   value configurations the expression that pushed the top frame — so a
-   stuck-state dump points at source, not just at a frame depth. *)
-let describe_config ?annot config =
+   telemetry ring buffer. The line names the provenance site of the
+   redex — the expression being reduced, or for value configurations
+   the expression that pushed the top frame — so a stuck-state dump
+   points at source, not just at a frame depth. *)
+let describe_config annot config =
   let span e =
     let s = Ast.to_string e in
     if String.length s > 48 then String.sub s 0 45 ^ "..." else s
@@ -837,21 +812,17 @@ let describe_config ?annot config =
   let control =
     match config.control with
     | `Expr e -> (
-        match annot with
-        | Some a when Annot.site_id a e <> None ->
-            Printf.sprintf "E@s%d %s" (Option.get (Annot.site_id a e)) (span e)
-        | _ -> "E " ^ span e)
+        match Annot.site_id annot e with
+        | Some site -> Printf.sprintf "E@s%d %s" site (span e)
+        | None -> "E " ^ span e)
     | `Value v -> (
         let base = "V " ^ tag_of_value v in
-        match annot with
-        | None -> base
-        | Some a -> (
-            let site = top_site config.cont in
-            if site < 0 then base
-            else
-              match Annot.site_expr a site with
-              | Some e -> Printf.sprintf "%s @s%d %s" base site (span e)
-              | None -> Printf.sprintf "%s @s%d" base site))
+        let site = top_site config.cont in
+        if site < 0 then base
+        else
+          match Annot.site_expr annot site with
+          | Some e -> Printf.sprintf "%s @s%d %s" base site (span e)
+          | None -> Printf.sprintf "%s @s%d" base site)
   in
   Printf.sprintf "%-50s |rho|=%-4d k-depth=%-4d space=%d" control
     (Env.cardinal config.env) (cont_depth config.cont) (flat_space config)
@@ -905,7 +876,7 @@ let run_measured
   (* The linked and log models are not tracked incrementally, so either
      one forces a collection before every observation. *)
   let measure_heavy = measure_linked || measure_log in
-  (match t.annot with Some a -> Annot.record a expr | None -> ());
+  Annot.record t.annot expr;
   restart_generators t;
   Buffer.clear t.ctx.output;
   (match provenance with
@@ -913,11 +884,7 @@ let run_measured
       t.prov <- None;
       t.track_sites <- false
   | Some c ->
-      (match t.annot with
-      | None ->
-          invalid_arg
-            "Machine.exec: provenance requires a machine built with annotate"
-      | Some a -> Census.set_annot c a);
+      Census.set_annot c t.annot;
       t.prov <- Some c;
       t.track_sites <- true);
   let faults =
@@ -1036,7 +1003,7 @@ let run_measured
   in
   (* Configuration descriptions should name provenance sites even when
      no census was requested: site threading is free bookkeeping. *)
-  if want_config && Option.is_some t.annot then t.track_sites <- true;
+  if want_config then t.track_sites <- true;
   let observe config steps =
     match telemetry with
     | None -> ()
@@ -1045,9 +1012,8 @@ let run_measured
           ~cont_depth:(cont_depth config.cont)
           ~store_cells:(Store.cardinal config.store);
         if want_config then
-          let annot = if t.track_sites then t.annot else None in
           Telemetry.record_config tl ~step:steps
-            (lazy (describe_config ?annot config))
+            (lazy (describe_config t.annot config))
   in
   let rec loop config steps =
     cur_step := steps;

@@ -12,7 +12,12 @@
     transition rules prove the configuration holds no garbage).
 
     The space consumption of Definition 23 is [|P| + peak]; {!exec}
-    reports both parts. *)
+    reports both parts.
+
+    Each machine keeps one {!Tailspace_analysis.Annot} table: the
+    [I_free]/[I_sfs] rules read their free-variable sets from it, and
+    the provenance census its site ids. Every expression is recorded
+    there before the machine steps it. *)
 
 type variant = Tail | Gc | Stack | Evlis | Free | Sfs
 
@@ -76,11 +81,6 @@ module Config : sig
         (** LCG seed for [random] only, restarted at every run, so two
             runs of one machine answer alike; a [Seeded s] order draws
             from [s] *)
-    annotate : bool;
-        (** precompute the {!Tailspace_analysis.Annot} side table and
-            serve the [I_free]/[I_sfs] free-variable sets from it;
-            observables are identical either way (the differential
-            oracle checks this), only per-step cost changes *)
     engine : engine;
         (** which execution tier the harness should run this config on;
             [create_with] itself always builds the stepper state *)
@@ -88,7 +88,7 @@ module Config : sig
 
   val default : t
   (** [Tail], [Left_to_right], [Safe_deletion], [Closure_env], [true],
-      seed 24054, annotations on, [Stepper] engine. *)
+      seed 24054, [Stepper] engine. *)
 
   val make :
     ?variant:variant ->
@@ -97,7 +97,6 @@ module Config : sig
     ?return_env:return_env ->
     ?evlis_drop_at_creation:bool ->
     ?seed:int ->
-    ?annotate:bool ->
     ?engine:engine ->
     unit ->
     t
@@ -117,9 +116,10 @@ val config : t -> Config.t
 (** The configuration this machine was built with. *)
 
 val annotations : t -> Tailspace_analysis.Annot.t option
-(** The machine's annotation table ([None] when built with
-    [annotate = false]); shared with engines that want the same
-    precomputed facts. *)
+(** The machine's annotation table: always [Some]. It is the only
+    source of the [I_free]/[I_sfs] free-variable sets and of the site
+    ids, and the machine records every expression in it before stepping
+    it. *)
 
 val initial : t -> Types.Env.t * Store.t
 (** The machine's [rho_0] and [sigma_0] (primitives + prelude), e.g. for
@@ -209,10 +209,8 @@ module Run_opts : sig
             allocation site, thread site ids through continuation
             frames, and stash the exact peak configurations so
             {!Census.flat_census}/{!Census.linked_census} can decompose
-            the measured peaks per site afterwards. Requires a machine
-            built with [annotate = true] ([Invalid_argument] otherwise);
-            the linked and log stashes additionally require the
-            corresponding model in [measure].
+            the measured peaks per site afterwards. The linked and log
+            stashes require the corresponding model in [measure].
             Sites are bookkeeping — answers, steps, and peaks are
             unchanged (the differential oracle checks the censuses sum
             to the peaks exactly) *)

@@ -46,10 +46,9 @@ and cont =
       remaining : (int * Ast.expr) list;
       evaluated : (int * value) list;
       fv_rest : Ast.Iset.t list;
-          (* precomputed I_sfs restriction sets, one per element of
-             [remaining] (empty when unannotated or not Sfs); holds no
-             locations and no space — it names variables the machine
-             would otherwise recompute from [remaining] *)
+          (* the I_sfs restriction sets from the annotation table, one
+             per element of [remaining] (empty when not Sfs); holds no
+             locations and no space *)
       env : Env.t;
       next : cont;
       size : int;

@@ -64,11 +64,10 @@ and cont =
       remaining : (int * Ast.expr) list;
       evaluated : (int * value) list;
       fv_rest : Ast.Iset.t list;
-          (** precomputed [I_sfs] restriction sets, one per element of
-              [remaining] ([[]] when unannotated or not Sfs). Pure
-              bookkeeping: holds no locations and contributes no space —
-              it only names the variables the machine would otherwise
-              recompute from [remaining] at each pop. *)
+          (** the [I_sfs] restriction sets from the annotation table,
+              one per element of [remaining] ([[]] when not Sfs). Pure
+              bookkeeping: holds no locations and contributes no
+              space. *)
       env : Env.t;
       next : cont;
       size : int;

@@ -146,8 +146,8 @@ let evaluate st expr env0 store0 =
 module Telemetry = Tailspace_telemetry.Telemetry
 
 let eval ?machine ?(fuel = 50_000_000) ?telemetry expr =
-  (* Annotations are N/A here: denotational closures capture the whole
-     rho, so there is no free-variable restriction to precompute. *)
+  (* Denotational closures capture the whole rho, so no free-variable
+     set is read here. *)
   let machine =
     match machine with
     | Some m -> m

@@ -2,7 +2,6 @@ module Ast = Tailspace_ast.Ast
 module Bignum = Tailspace_bignum.Bignum
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
-module Annot = Tailspace_analysis.Annot
 
 (* ------------------------------------------------------------------ *)
 (* Code                                                                *)
@@ -29,22 +28,7 @@ and template = { nparams : int; variadic : bool; body : code }
 (* Compiler: lexical addressing against a compile-time environment of
    name frames; anything unresolved is a global.                       *)
 
-let compile ?(proper_tail_calls = true) ?annot expr =
-  (* With an annotation table the tail/non-tail decision is a table
-     lookup instead of a structural recursion scheme; nodes the pass
-     marked [Both] (physically shared across positions) or never saw
-     fall back to the structural answer, so the emitted code is
-     identical either way (asserted in the tests). *)
-  (match annot with Some a -> Annot.record a expr | None -> ());
-  let resolve_tail e structural =
-    match annot with
-    | None -> structural
-    | Some a -> (
-        match Annot.tail_status a e with
-        | Some Annot.Tail -> true
-        | Some Annot.Nontail -> false
-        | Some Annot.Both | None -> structural)
-  in
+let compile ?(proper_tail_calls = true) expr =
   let index_of x names =
     let rec go i = function
       | [] -> None
@@ -63,7 +47,6 @@ let compile ?(proper_tail_calls = true) ?annot expr =
     frames 0 cenv
   in
   let rec comp ~tail e cenv =
-    let tail = resolve_tail e tail in
     match (e : Ast.expr) with
     | Ast.If (e0, e1, e2) ->
         if tail then
@@ -516,9 +499,8 @@ let exec_instr st instr =
       | v -> err "attempt to call a non-procedure (%s)" (render v))
   | IReturn -> do_return st (pop st)
 
-let run ?(fuel = 20_000_000) ?(proper_tail_calls = true) ?telemetry ?annot
-    expr =
-  let code = compile ~proper_tail_calls ?annot expr in
+let run ?(fuel = 20_000_000) ?(proper_tail_calls = true) ?telemetry expr =
+  let code = compile ~proper_tail_calls expr in
   let globals = Hashtbl.create 64 in
   List.iter (fun name -> Hashtbl.replace globals name (Prim name)) prim_names;
   let st = { s = []; e = []; c = code; d = []; globals; epoch = 0 } in
@@ -568,7 +550,5 @@ let run ?(fuel = 20_000_000) ?(proper_tail_calls = true) ?telemetry ?annot
   in
   try loop () with Secd_error m -> finish (Error m)
 
-let run_program ?fuel ?proper_tail_calls ?telemetry ?annot ~program ~input
-    () =
-  run ?fuel ?proper_tail_calls ?telemetry ?annot
-    (Ast.Call (program, [ input ]))
+let run_program ?fuel ?proper_tail_calls ?telemetry ~program ~input () =
+  run ?fuel ?proper_tail_calls ?telemetry (Ast.Call (program, [ input ]))

@@ -14,6 +14,9 @@
       recovers the classic SECD machine, which is {e not} properly tail
       recursive.
 
+    The compiler decides tail positions from the program's structure
+    alone (see {!compile}).
+
     The machine reports a measured peak of live words (physical-identity
     walk over stack, environment, dump and reachable data, with shared
     structure counted once — what an actual implementation's memory
@@ -37,7 +40,6 @@ val run :
   ?fuel:int ->
   ?proper_tail_calls:bool ->
   ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?annot:Tailspace_analysis.Annot.t ->
   Tailspace_ast.Ast.expr ->
   result
 (** Compile and run an expression. [proper_tail_calls] defaults to
@@ -46,16 +48,13 @@ val run :
     [telemetry] observes the run with the same step events as the
     reference machines: the dump depth plays the continuation-depth
     role, the measured live words the space role (there is no store, so
-    store-size and allocation channels stay zero). [annot] serves the
-    compiler's tail-position decisions from a precomputed table (see
-    {!compile}); the emitted code, and hence the run, is identical
-    without it. Default fuel: 20 million instructions. *)
+    store-size and allocation channels stay zero). Default fuel: 20
+    million instructions. *)
 
 val run_program :
   ?fuel:int ->
   ?proper_tail_calls:bool ->
   ?telemetry:Tailspace_telemetry.Telemetry.t ->
-  ?annot:Tailspace_analysis.Annot.t ->
   program:Tailspace_ast.Ast.expr ->
   input:Tailspace_ast.Ast.expr ->
   unit ->
@@ -84,13 +83,10 @@ and template = { nparams : int; variadic : bool; body : code }
 
 val compile :
   ?proper_tail_calls:bool ->
-  ?annot:Tailspace_analysis.Annot.t ->
   Tailspace_ast.Ast.expr ->
   code
-(** Compile a closed expression (free identifiers become globals). With
-    [annot], tail positions are decided by the precomputed
-    {!Tailspace_analysis.Annot.tail_status} table lookup instead of the
-    structural recursion scheme; nodes marked [Both] (physically shared
-    across positions) fall back to the structural answer, so the emitted
-    instruction stream is identical with and without [annot] (asserted
-    in the tests). *)
+(** Compile a closed expression (free identifiers become globals). Tail
+    positions are structural: a lambda body is in tail position, the
+    branches of an [if] inherit the position of the [if], and
+    everything else (the whole program, [if] tests, [set!] right-hand
+    sides, operators and operands) is not. *)

@@ -35,8 +35,6 @@ type report = {
   checks : check list;
   cross_variant_agree : bool;
   algol_stuck_on_demand : bool;
-  annot_invariant : bool;
-  annot_failures : string list;
   vm_invariant : bool;
   vm_failures : string list;
   census_invariant : bool;
@@ -47,12 +45,6 @@ type report = {
   log_failures : string list;
   ok : bool;
 }
-
-let status_text (m : Runner.measurement) =
-  match m.Runner.status with
-  | Runner.Answer a -> "answer:" ^ a
-  | Runner.Stuck s -> "stuck:" ^ s
-  | Runner.Aborted r -> "aborted:" ^ Resilience.abort_reason_name r
 
 (* The hostile GC schedules each (program, variant) is re-run under:
    collect before every step, every third step, and two seeded
@@ -103,8 +95,8 @@ let check_point ~fuel ~family ~program ~n variant =
           | Runner.Stuck _, Runner.Stuck _ -> true
           | a, b -> a = b);
         peak_stable = baseline.Runner.peaks = m.Runner.peaks;
-        baseline_status = status_text baseline;
-        status = status_text m;
+        baseline_status = Runner.status_text baseline;
+        status = Runner.status_text m;
         baseline_peak = Runner.peak_space baseline;
         peak = Runner.peak_space m;
       })
@@ -133,7 +125,7 @@ let cross_variant ~fuel programs =
       let answers =
         List.map
           (fun variant ->
-            status_text
+            Runner.status_text
               (Runner.run_once
                  ~opts:(Machine.Run_opts.make ~fuel ())
                  ~config:(Machine.Config.make ~variant ())
@@ -143,43 +135,6 @@ let cross_variant ~fuel programs =
       match answers with
       | first :: rest -> List.for_all (String.equal first) rest
       | [] -> true)
-    programs
-
-(* The static annotation pass changes {e when} free variables are
-   computed, never {e what} a rule produces: annotated and unannotated
-   runs of the same (program, input, variant) must agree exactly on the
-   observable status, the step count, and the measured peak. *)
-let annot_agreement ~fuel programs =
-  List.concat_map
-    (fun (family, program, n) ->
-      List.filter_map
-        (fun variant ->
-          let opts = Machine.Run_opts.make ~fuel () in
-          let on =
-            Runner.run_once ~opts
-              ~config:(Machine.Config.make ~variant ~annotate:true ())
-              ~program ~n ()
-          in
-          let off =
-            Runner.run_once ~opts
-              ~config:(Machine.Config.make ~variant ~annotate:false ())
-              ~program ~n ()
-          in
-          if
-            String.equal (status_text on) (status_text off)
-            && Runner.peak_space on = Runner.peak_space off
-            && on.Runner.steps = off.Runner.steps
-          then None
-          else
-            Some
-              (Printf.sprintf
-                 "%s n=%d %s: annotated %s steps=%d peak=%d vs unannotated %s \
-                  steps=%d peak=%d"
-                 family n
-                 (Machine.variant_name variant)
-                 (status_text on) on.Runner.steps (Runner.peak_space on)
-                 (status_text off) off.Runner.steps (Runner.peak_space off)))
-        Machine.all_variants)
     programs
 
 (* The fast bytecode VM is the seventh engine: on every corpus entry (at
@@ -194,30 +149,30 @@ let vm_agreement ~fuel () =
       | (n, _) :: _ ->
           let program = Corpus.program e in
           let opts = Machine.Run_opts.make ~fuel () in
-          let point engine variant =
-            Runner.run_once ~opts
-              ~config:(Machine.Config.make ~engine ~variant ())
-              ~program ~n ()
+          let status engine variant =
+            Runner.status_text
+              (Runner.run_once ~opts
+                 ~config:(Machine.Config.make ~engine ~variant ())
+                 ~program ~n ())
           in
-          let tail = point Machine.Stepper Machine.Tail in
-          let fast = point Machine.Vm_fast Machine.Tail in
+          let tail = status Machine.Stepper Machine.Tail in
+          let fast = status Machine.Vm_fast Machine.Tail in
           let fails = ref [] in
           let add fmt =
             Printf.ksprintf
               (fun s -> fails := Printf.sprintf "%s n=%d: %s" e.Corpus.name n s :: !fails)
               fmt
           in
-          if not (String.equal (status_text fast) (status_text tail)) then
-            add "fast VM %s vs stepper %s" (status_text fast)
-              (status_text tail);
+          if not (String.equal fast tail) then
+            add "fast VM %s vs stepper %s" fast tail;
           if not e.Corpus.slow then
             List.iter
               (fun variant ->
                 if variant <> Machine.Tail then begin
-                  let m = point Machine.Stepper variant in
-                  if not (String.equal (status_text m) (status_text fast)) then
-                    add "fast VM %s vs %s stepper %s" (status_text fast)
-                      (Machine.variant_name variant) (status_text m)
+                  let m = status Machine.Stepper variant in
+                  if not (String.equal m fast) then
+                    add "fast VM %s vs %s stepper %s" fast
+                      (Machine.variant_name variant) m
                 end)
               Machine.all_variants;
           List.rev !fails)
@@ -328,7 +283,7 @@ let fixnum_agreement ~fuel programs =
                  only (as [vm_agreement] does). *)
               let accounted = engine <> Machine.Vm_fast in
               if
-                String.equal (status_text on) (status_text off)
+                String.equal (Runner.status_text on) (Runner.status_text off)
                 && ((not accounted)
                    || on.Runner.steps = off.Runner.steps
                       && Runner.peak_space on = Runner.peak_space off)
@@ -341,8 +296,9 @@ let fixnum_agreement ~fuel programs =
                      family n
                      (Machine.engine_name engine)
                      (Machine.variant_name variant)
-                     (status_text on) on.Runner.steps (Runner.peak_space on)
-                     (status_text off) off.Runner.steps (Runner.peak_space off)))
+                     (Runner.status_text on) on.Runner.steps
+                     (Runner.peak_space on) (Runner.status_text off)
+                     off.Runner.steps (Runner.peak_space off)))
             engines)
         programs)
 
@@ -399,8 +355,6 @@ let run ?(fuel = 2_000_000) ?programs () =
   in
   let cross_variant_agree = cross_variant ~fuel programs in
   let algol_stuck_on_demand = algol_dangling () in
-  let annot_failures = annot_agreement ~fuel programs in
-  let annot_invariant = annot_failures = [] in
   let vm_failures = vm_agreement ~fuel () in
   let vm_invariant = vm_failures = [] in
   let census_failures = census_agreement ~fuel () in
@@ -410,16 +364,14 @@ let run ?(fuel = 2_000_000) ?programs () =
   let log_failures = log_agreement ~fuel programs in
   let log_invariant = log_failures = [] in
   let ok =
-    cross_variant_agree && algol_stuck_on_demand && annot_invariant
-    && vm_invariant && census_invariant && fixnum_invariant && log_invariant
+    cross_variant_agree && algol_stuck_on_demand && vm_invariant
+    && census_invariant && fixnum_invariant && log_invariant
     && List.for_all (fun c -> c.answer_agrees && c.peak_stable) checks
   in
   {
     checks;
     cross_variant_agree;
     algol_stuck_on_demand;
-    annot_invariant;
-    annot_failures;
     vm_invariant;
     vm_failures;
     census_invariant;
@@ -439,20 +391,15 @@ let render r =
   Buffer.add_string buf
     (Printf.sprintf
        "differential oracle: %d checks, cross-variant agreement %s, algol \
-        dangling-pointer stuck state %s, annotation invariance %s, bytecode \
-        VM agreement %s, census invariance %s, fixnum invariance %s, \
-        log-model laws %s\n"
+        dangling-pointer stuck state %s, bytecode VM agreement %s, census \
+        invariance %s, fixnum invariance %s, log-model laws %s\n"
        (List.length r.checks)
        (if r.cross_variant_agree then "ok" else "FAILED")
        (if r.algol_stuck_on_demand then "reachable" else "NOT REACHABLE")
-       (if r.annot_invariant then "ok" else "FAILED")
        (if r.vm_invariant then "ok" else "FAILED")
        (if r.census_invariant then "ok" else "FAILED")
        (if r.fixnum_invariant then "ok" else "FAILED")
        (if r.log_invariant then "ok" else "FAILED"));
-  List.iter
-    (fun f -> Buffer.add_string buf (Printf.sprintf "ANNOT MISMATCH %s\n" f))
-    r.annot_failures;
   List.iter
     (fun f -> Buffer.add_string buf (Printf.sprintf "VM MISMATCH %s\n" f))
     r.vm_failures;
@@ -501,9 +448,6 @@ let to_json r =
       ("ok", Json.Bool r.ok);
       ("cross_variant_agree", Json.Bool r.cross_variant_agree);
       ("algol_stuck_on_demand", Json.Bool r.algol_stuck_on_demand);
-      ("annot_invariant", Json.Bool r.annot_invariant);
-      ( "annot_failures",
-        Json.List (List.map (fun s -> Json.Str s) r.annot_failures) );
       ("vm_invariant", Json.Bool r.vm_invariant);
       ("vm_failures", Json.List (List.map (fun s -> Json.Str s) r.vm_failures));
       ("census_invariant", Json.Bool r.census_invariant);

@@ -22,6 +22,12 @@ type measurement = {
   summary : Telemetry.summary option;
 }
 
+let status_text m =
+  match m.status with
+  | Answer a -> "answer:" ^ a
+  | Stuck s -> "stuck:" ^ s
+  | Aborted r -> "aborted:" ^ Resilience.abort_reason_name r
+
 let peak_of m model =
   List.find_map
     (fun (mm, p) -> if Space_model.equal mm model then Some p else None)

@@ -30,6 +30,11 @@ type measurement = {
       (** full telemetry summary when [collect_telemetry] was set *)
 }
 
+val status_text : measurement -> string
+(** ["answer:<answer>"], ["stuck:<message>"] or ["aborted:<reason>"]
+    ({!Resilience.abort_reason_name}): the status line of the oracle's
+    comparisons, the [faults] matrix and the [spaceprof] JSON. *)
+
 val peak_of : measurement -> Space_model.t -> int option
 (** The measured peak under one model, [None] when it was not
     requested for this point. *)

@@ -6,7 +6,6 @@ module Expand = Tailspace_expander.Expand
 module Machine = Tailspace_core.Machine
 module Prim = Tailspace_core.Prim
 module Space_model = Tailspace_core.Space_model
-module Annot = Tailspace_analysis.Annot
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
 
@@ -602,21 +601,7 @@ let const_note c = Ast.to_string (Ast.Quote c)
    created by the unit are queued and compiled after its [Halt], so the
    unit's own stream stays contiguous (every template body ends in
    [Return] or [TailCall] — there is no fallthrough). *)
-let compile_unit ?annot w expr =
-  (match annot with Some a -> Annot.record a expr | None -> ());
-  (* The tail/non-tail decision comes from the PR 5 annotation table
-     when available; nodes marked [Both] (physically shared across
-     positions) or never recorded fall back to the structural answer,
-     which emits identical code (golden-tested). *)
-  let resolve_tail e structural =
-    match annot with
-    | None -> structural
-    | Some a -> (
-        match Annot.tail_status a e with
-        | Some Annot.Tail -> true
-        | Some Annot.Nontail -> false
-        | Some Annot.Both | None -> structural)
-  in
+let compile_unit w expr =
   let index_of x names =
     let rec go i = function
       | [] -> None
@@ -636,7 +621,6 @@ let compile_unit ?annot w expr =
   in
   let pending = Queue.create () in
   let rec comp ~tail ~name e cenv =
-    let tail = resolve_tail e tail in
     match (e : Ast.expr) with
     | Ast.Quote c ->
         ignore (emit w ~note:(const_note c) (Const (add_const w (fvalue_of_const c))));
@@ -970,7 +954,7 @@ let prelude_defs =
 (* A fresh world per run: globals are mutable (top-level [set!]), so
    sharing one across parallel measurement domains would race. Building
    one is a single pass over the prelude (~60 small definitions). *)
-let fresh_world ?annot () =
+let fresh_world () =
   let w = new_world () in
   List.iter
     (fun name ->
@@ -983,7 +967,7 @@ let fresh_world ?annot () =
       (* The slot exists before the body runs, so self- and forward
          references resolve to it (filled by later definitions). *)
       let slot = gslot w name in
-      let entry = compile_unit ?annot w expr in
+      let entry = compile_unit w expr in
       match run_unit w st ~fuel:50_000_000 ~entry with
       | v -> w.gvals.(slot) <- v
       | exception Fstuck m -> failwith (Printf.sprintf "vm: prelude: %s: %s" name m))
@@ -999,11 +983,11 @@ type compiled = {
   psize : int;
 }
 
-let compile ?annot expr =
-  let w = fresh_world ?annot () in
+let compile expr =
+  let w = fresh_world () in
   let tmpl_lo = w.tlen in
   let main_lo = w.clen in
-  let entry = compile_unit ?annot w expr in
+  let entry = compile_unit w expr in
   { w; entry; main_lo; main_hi = w.clen; tmpl_lo; psize = Ast.size expr }
 
 let rebase_instr c = function
@@ -1102,10 +1086,7 @@ let exec_program ?(opts = Machine.Run_opts.default) (cfg : Machine.Config.t)
   | Some f when not (Resilience.Fault.is_none f) ->
       invalid_arg "Vm: fault injection requires the stepper"
   | _ -> ());
-  let annot =
-    if cfg.Machine.Config.annotate then Some (Annot.create ()) else None
-  in
-  let c = compile ?annot (Ast.Call (program, [ input ])) in
+  let c = compile (Ast.Call (program, [ input ])) in
   let r =
     run_fast_with ~fuel:opts.Machine.Run_opts.fuel
       ~seed:cfg.Machine.Config.seed c

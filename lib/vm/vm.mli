@@ -7,10 +7,12 @@
     untracked value domain: no store, no space accounting. A tail call
     replaces the arguments and jumps without pushing a frame, so the
     callee runs in (reuses) the caller's frame: Clinger's "proper tail
-    recursion" realized as frame reuse. It reports answers, output,
-    and an instruction count; it measures no space and runs no
-    collector, so its results carry no peak. Left-to-right evaluation only, no fault injection, no linked or
-    log measurement. Every measured figure comes from the stepper,
+    recursion" realized as frame reuse. The compiler decides tail
+    positions from the program's structure alone (see {!compile}). It
+    reports answers, output, and an instruction count; it measures no
+    space and runs no collector, so its results carry no peak.
+    Left-to-right evaluation only, no fault injection, no linked or log
+    measurement. Every measured figure comes from the stepper,
     [Machine.exec_program].
 
     [Tailspace_harness.Oracle] checks its answers against the steppers
@@ -18,7 +20,6 @@
 
 module Ast = Tailspace_ast.Ast
 module Machine = Tailspace_core.Machine
-module Annot = Tailspace_analysis.Annot
 module Resilience = Tailspace_resilience.Resilience
 
 (** {1 Results} *)
@@ -68,12 +69,12 @@ type instr =
 
 type compiled
 
-val compile : ?annot:Annot.t -> Ast.expr -> compiled
+val compile : Ast.expr -> compiled
 (** Compile a closed expression (free names resolve to the primitive
     and prelude globals) together with the shared prelude. Total on any
-    expanded AST. With [annot], tail positions come from the PR 5
-    annotation pass's table (falling back to the structural answer for
-    nodes it never saw — the emitted code is identical either way). *)
+    expanded AST. Tail positions are structural: a lambda body is in
+    tail position and the branches of an [if] inherit the position of
+    the [if]. *)
 
 val main_code : compiled -> instr array
 (** The compiled expression's own instruction stream (prelude excluded):

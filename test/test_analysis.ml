@@ -145,10 +145,6 @@ module An = Tailspace_analysis.Annot
 module A = Tailspace_ast.Ast
 module B = Tailspace_bignum.Bignum
 module M = Tailspace_core.Machine
-module R = Tailspace_harness.Runner
-module Pool = Tailspace_parallel.Pool
-module S = Tailspace_engines.Secd
-module E = Tailspace_expander.Expand
 
 (* possibly-open expressions: free variables are the interesting case,
    so unlike test_engines' generator this one deliberately produces
@@ -241,7 +237,7 @@ let prop_interned_shared =
           match An.free_vars t sub with
           | None -> ok := false
           | Some s ->
-              (* rebuild the set from scratch to defeat Ast's memoizer *)
+              (* a set built afresh, physically distinct from the kept one *)
               let fresh = A.Iset.of_list (A.Iset.elements (A.free_vars sub)) in
               if not (An.intern t fresh == s) then ok := false)
         e;
@@ -264,10 +260,24 @@ let call_reference f args =
     (drop 1, List.init (n - 1) (fun k -> drop (k + 2))),
     (take (n - 1), List.init (n - 1) (fun k -> take (n - 2 - k))) )
 
+(* A Fisher-Yates shuffle of [0 .. n-1]. *)
+let shuffled rng n =
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done;
+  Array.to_list a
+
 (* Sets are computed on demand, so no lookup order may change one:
-   every free-variable, branch and call lookup, interleaved in a random
-   order, yields the reference sets, and every set comes back as the
-   interned representative. *)
+   every free-variable, branch, call and seeded-order lookup,
+   interleaved in a random order, yields the reference sets, and every
+   kept set comes back as the interned representative. A seeded lookup
+   draws a random order of the call's subexpressions and holds
+   [seeded_sets] over the indices after the first to the free variables
+   of the subexpressions still unevaluated at each frame. *)
 let prop_any_lookup_order =
   QCheck.Test.make ~name:"sets equal in any lookup order, interned" ~count:300
     QCheck.(pair arb_annot int)
@@ -277,16 +287,13 @@ let prop_any_lookup_order =
       let lookups = ref [] in
       iter_subterms
         (fun sub ->
-          lookups := (`Fv, sub) :: (`Branch, sub) :: (`Call, sub) :: !lookups)
+          lookups :=
+            (`Fv, sub) :: (`Branch, sub) :: (`Call, sub) :: (`Seeded, sub)
+            :: !lookups)
         e;
       let lookups = Array.of_list !lookups in
       let rng = Random.State.make [| seed |] in
-      for i = Array.length lookups - 1 downto 1 do
-        let j = Random.State.int rng (i + 1) in
-        let tmp = lookups.(i) in
-        lookups.(i) <- lookups.(j);
-        lookups.(j) <- tmp
-      done;
+      let order = shuffled rng (Array.length lookups) in
       (* equal elements, and physically the interned representative *)
       let same got want =
         A.Iset.equal got want
@@ -295,8 +302,9 @@ let prop_any_lookup_order =
       let all_same gots wants =
         List.length gots = List.length wants && List.for_all2 same gots wants
       in
-      Array.for_all
-        (fun (kind, sub) ->
+      List.for_all
+        (fun i ->
+          let kind, sub = lookups.(i) in
           match (kind, sub) with
           | `Fv, _ -> (
               match An.free_vars t sub with
@@ -318,9 +326,26 @@ let prop_any_lookup_order =
                   && same ci.An.rtl_first rtl_first
                   && all_same ci.An.rtl_rest rtl_rest
               | None -> false)
+          | `Seeded, A.Call (f, args) -> (
+              match An.call t sub with
+              | Some ci ->
+                  let exprs = Array.of_list (f :: args) in
+                  let rest = List.tl (shuffled rng (Array.length exprs)) in
+                  let unevaluated is =
+                    A.free_vars_of_list (List.map (Array.get exprs) is)
+                  in
+                  let rec wants = function
+                    | [] -> []
+                    | _ :: later -> unevaluated later :: wants later
+                  in
+                  let first, sets = An.seeded_sets ci rest in
+                  A.Iset.equal first (unevaluated rest)
+                  && List.length sets = List.length rest
+                  && List.for_all2 A.Iset.equal sets (wants rest)
+              | None -> false)
           | `Branch, _ -> An.branch t sub = None
-          | `Call, _ -> An.call t sub = None)
-        lookups)
+          | (`Call | `Seeded), _ -> An.call t sub = None)
+        order)
 
 (* Site ids round-trip through [site_expr] after a second [record] that
    adds nodes to a table whose site lookup was already built. *)
@@ -378,63 +403,21 @@ let nul_program =
 
 let test_intern_nul_identifier () =
   List.iter
-    (fun variant ->
-      let run annotate =
-        M.exec_string (M.create_with (M.Config.make ~variant ~annotate ()))
-          nul_program
+    (fun (variant, peak) ->
+      let r =
+        M.exec_string (M.create_with (M.Config.make ~variant ())) nul_program
       in
       let name = M.variant_name variant in
-      let annotated = run true and plain = run false in
-      let answer (r : M.result) =
+      let answer =
         match r.outcome with
         | M.Done { answer; _ } -> answer
         | M.Stuck m -> "stuck: " ^ m
         | M.Aborted _ -> "aborted"
       in
-      Alcotest.(check string) (name ^ ": unannotated answer") "(1 (2 3))"
-        (answer plain);
-      Alcotest.(check string) (name ^ ": answer") (answer plain)
-        (answer annotated);
-      Alcotest.(check int) (name ^ ": steps") plain.steps annotated.steps;
-      Alcotest.(check int) (name ^ ": peak") (M.peak_space plain)
-        (M.peak_space annotated))
-    [ M.Free; M.Sfs ]
-
-(* The SECD compiler must emit the same instruction stream whether tail
-   positions come from the table or the structural recursion. *)
-let prop_secd_compile_equal =
-  QCheck.Test.make ~name:"SECD compile unchanged by annotations" ~count:300
-    arb_annot (fun e ->
-      let t = An.create () in
-      An.record t e;
-      S.compile e = S.compile ~annot:t e)
-
-(* The end-to-end invariance the oracle enforces, at the sweep level:
-   annotated and unannotated sweeps yield equal measurement lists,
-   serially and through a 4-domain pool. *)
-let test_annot_sweep_identical () =
-  let program =
-    E.program_of_string
-      "(define (count n) (if (zero? n) 0 (count (- n 1)))) count"
-  in
-  let ns = [ 3; 9; 27 ] in
-  List.iter
-    (fun variant ->
-      let sweep ?pool annotate =
-        R.sweep ?pool
-          ~config:(M.Config.make ~variant ~annotate ())
-          ~program ~ns ()
-      in
-      let name = M.variant_name variant in
-      let baseline = sweep true in
-      let same what ms =
-        Alcotest.(check bool) (name ^ ": " ^ what) true (ms = baseline)
-      in
-      same "jobs=1 annotated = unannotated" (sweep false);
-      Pool.with_pool ~jobs:4 (fun pool ->
-          same "jobs=4 annotated" (sweep ?pool true);
-          same "jobs=4 unannotated" (sweep ?pool false)))
-    [ M.Sfs; M.Free; M.Tail ]
+      Alcotest.(check string) (name ^ ": answer") "(1 (2 3))" answer;
+      Alcotest.(check int) (name ^ ": steps") 82 r.steps;
+      Alcotest.(check int) (name ^ ": peak") peak (M.peak_space r))
+    [ (M.Free, 576); (M.Sfs, 477) ]
 
 let () =
   Alcotest.run "analysis"
@@ -464,9 +447,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_fv_agrees;
           QCheck_alcotest.to_alcotest prop_interned_shared;
-          QCheck_alcotest.to_alcotest prop_secd_compile_equal;
-          Alcotest.test_case "sweeps byte-identical, jobs 1 and 4" `Quick
-            test_annot_sweep_identical;
           QCheck_alcotest.to_alcotest prop_any_lookup_order;
           QCheck_alcotest.to_alcotest prop_site_round_trip;
           Alcotest.test_case "sets on demand: none off free and sfs" `Quick

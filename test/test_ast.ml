@@ -16,7 +16,8 @@ let test_free_vars_basic () =
   check_fv "dotted rest" "(lambda (a . rest) (cons a rest))" [ "cons" ];
   check_fv "if" "(if a b c)" [ "a"; "b"; "c" ];
   check_fv "set! target free" "(set! x y)" [ "x"; "y" ];
-  check_fv "call" "(f (g x))" [ "f"; "g"; "x" ]
+  check_fv "call" "(f (g x))" [ "f"; "g"; "x" ];
+  check_fv "nested" "(lambda (x) (f x (g y)))" [ "f"; "g"; "y" ]
 
 let test_free_vars_shadowing () =
   check_fv "inner shadows" "(lambda (x) (lambda (x) x))" [];
@@ -25,13 +26,6 @@ let test_free_vars_shadowing () =
   check_fv "named let loop bound"
     "(let loop ((i n)) (if (zero? i) 0 (loop (- i 1))))"
     [ "-"; "n"; "zero?" ]
-
-let test_free_vars_memo_consistency () =
-  let e = expr "(lambda (x) (f x (g y)))" in
-  let a = A.free_vars e in
-  let b = A.free_vars e in
-  Alcotest.(check bool) "memoized result stable" true (A.Iset.equal a b);
-  Alcotest.(check (list string)) "contents" [ "f"; "g"; "y" ] (A.Iset.elements a)
 
 let test_size () =
   let check name s n = Alcotest.(check int) name n (A.size (expr s)) in
@@ -90,7 +84,6 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_free_vars_basic;
           Alcotest.test_case "shadowing" `Quick test_free_vars_shadowing;
-          Alcotest.test_case "memo consistency" `Quick test_free_vars_memo_consistency;
           Alcotest.test_case "of list" `Quick test_free_vars_of_list;
         ] );
       ( "size-equal-print",

@@ -173,15 +173,15 @@ let test_perm_policies () =
   check "ltr order" effects "(1 2)";
   check ~perm:M.Right_to_left "rtl order" effects "(2 1)"
 
-(* An unannotated I_free/I_sfs machine keeps its free-variable sets for
-   its own lifetime: making and dropping machines leaves the live heap
-   where it was. *)
-let test_unannotated_creations () =
+(* An I_sfs machine keeps its annotation table, with every
+   free-variable set it computed, for its own lifetime only: making and
+   dropping machines leaves the live heap where it was. *)
+let test_creations_leave_no_heap () =
   let create n =
     for _ = 1 to n do
       ignore
         (Sys.opaque_identity
-           (M.create_with (M.Config.make ~variant:M.Sfs ~annotate:false ())))
+           (M.create_with (M.Config.make ~variant:M.Sfs ())))
     done;
     Gc.full_major ();
     Gc.full_major ();
@@ -824,8 +824,8 @@ let () =
           Alcotest.test_case "random restarts per run" `Quick test_random_per_run;
           Alcotest.test_case "promises" `Quick test_promises;
           Alcotest.test_case "profiling hooks" `Quick test_hooks;
-          Alcotest.test_case "unannotated creations" `Quick
-            test_unannotated_creations;
+          Alcotest.test_case "creations leave no heap" `Quick
+            test_creations_leave_no_heap;
           Alcotest.test_case "seeded orders" `Quick test_seeded_orders;
           Alcotest.test_case "argument order figures" `Quick test_order_figures;
         ] );

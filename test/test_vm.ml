@@ -79,13 +79,7 @@ let test_golden_disassembly () =
   let program = E.program_of_string countdown_src in
   let c = Vm.compile (A.Call (program, [ input 3 ])) in
   Alcotest.(check string) "instruction stream" countdown_golden
-    (Vm.disassemble c);
-  (* The same stream must come out when tail positions are read from the
-     PR 5 annotation table instead of derived structurally. *)
-  let annot = Tailspace_analysis.Annot.create () in
-  let c' = Vm.compile ~annot (A.Call (program, [ input 3 ])) in
-  Alcotest.(check string) "annot-driven stream identical" countdown_golden
-    (Vm.disassemble c')
+    (Vm.disassemble c)
 
 let test_frame_reuse_depth () =
   (* A million tail iterations: with frame reuse this runs in constant
