@@ -8,16 +8,15 @@
      analyze     static tail-call statistics (Figure 2) for a file
      corpus      list the shipped corpus, or run one entry
      report      print the paper-reproduction experiment tables
-     faults      fault-injection matrix + differential oracle (JSON)
      spaceprof   space-provenance profiler: per-site heap census at the
                  peak, flamegraph export, and per-variant census diffs
 
    exit codes (uniform across subcommands, documented in README):
      0  the program ran to completion (Done)
-     1  program-level failure: stuck, out of fuel, a failed sweep point,
-        or a failed oracle check
-     2  usage error: bad flags, unreadable/unparsable source, unknown
-        corpus entry or experiment *)
+     1  program-level failure: stuck, out of fuel, or a failed sweep
+        point
+     2  usage error: bad flags, unreadable/unparsable source, unwritable
+        output file, unknown corpus entry or experiment *)
 
 open Cmdliner
 module M = Tailspace_core.Machine
@@ -32,13 +31,15 @@ module Corpus = Tailspace_corpus.Corpus
 module Tel = Tailspace_telemetry.Telemetry
 module Json = Tailspace_telemetry.Telemetry.Json
 module Res = Tailspace_resilience.Resilience
-module Oracle = Tailspace_harness.Oracle
-module Families = Tailspace_corpus.Families
 module Pool = Tailspace_parallel.Pool
 module Vm = Tailspace_vm.Vm
 module Ast = Tailspace_ast.Ast
 module Census = Tailspace_core.Census
 module Prov = Tailspace_provenance.Provenance
+
+let usage m =
+  Format.eprintf "schemesim: %s@." m;
+  exit 2
 
 let read_file path =
   let ic = open_in_bin path in
@@ -46,8 +47,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* An output file that cannot be opened is a usage error, as an
+   unreadable source is. *)
+let open_output path = try open_out path with Sys_error m -> usage m
+
 let write_file path contents =
-  let oc = open_out path in
+  let oc = open_output path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
@@ -195,10 +200,6 @@ let vm_fast_arg =
   in
   Arg.(value & flag & info [ "vm-fast" ] ~doc)
 
-let usage m =
-  Format.eprintf "schemesim: %s@." m;
-  exit 2
-
 (* The header's exit-code contract, as every command's --help shows it. *)
 let exits =
   Cmd.Exit.
@@ -206,12 +207,12 @@ let exits =
       info 0 ~doc:"the program ran to completion.";
       info 1
         ~doc:
-          "the program got stuck or ran out of fuel, a sweep point failed, \
-           or an oracle check failed.";
+          "the program got stuck or ran out of fuel, or a sweep point \
+           failed.";
       info 2
         ~doc:
-          "usage error: bad flags, unreadable or unparsable source, unknown \
-           corpus entry or experiment.";
+          "usage error: bad flags, unreadable or unparsable source, \
+           unwritable output file, unknown corpus entry or experiment.";
       info internal_error ~doc:"on unexpected internal errors (bugs).";
     ]
 
@@ -491,9 +492,22 @@ let profile_cmd =
   let profile file expr input variant perm stack_policy fuel measure csv
       stride events =
     with_program file expr @@ fun program_name program ->
+    let csv_path =
+      match csv with
+      | Some p -> p
+      | None ->
+          let base =
+            match file with
+            | Some f when f <> "-" ->
+                Filename.remove_extension (Filename.basename f)
+            | _ -> "profile"
+          in
+          base ^ ".space.csv"
+    in
+    let events_channel = Option.map open_output events in
+    let csv_channel = open_output csv_path in
     let t = M.create_with (M.Config.make ~variant ~perm ~stack_policy ()) in
     let prof = Tel.Profile.create ~stride () in
-    let events_channel = Option.map open_out events in
     let sink =
       Option.map
         (fun oc ->
@@ -512,19 +526,8 @@ let profile_cmd =
           | Some n -> M.exec_program ~opts t ~program ~input:(R.input_expr n)
           | None -> M.exec ~opts t program)
     in
-    let csv_path =
-      match csv with
-      | Some p -> p
-      | None ->
-          let base =
-            match file with
-            | Some f when f <> "-" ->
-                Filename.remove_extension (Filename.basename f)
-            | _ -> "profile"
-          in
-          base ^ ".space.csv"
-    in
-    write_file csv_path (Tel.Profile.to_csv prof);
+    output_string csv_channel (Tel.Profile.to_csv prof);
+    close_out csv_channel;
     if result.M.output <> "" then prerr_string result.M.output;
     print_endline
       (Json.to_string (result_json ~program_name ~variant result telemetry));
@@ -769,110 +772,6 @@ let report_cmd =
   let doc = "Print the paper-reproduction tables (see DESIGN.md)." in
   Cmd.v (Cmd.info "report" ~exits ~doc)
     Term.(const report $ which_arg $ jobs_arg)
-
-(* ------------------------------------------------------------------ *)
-(* faults                                                              *)
-
-let faults_cmd =
-  let json_arg =
-    let doc = "Print the matrix and oracle report as one JSON object." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let n_arg =
-    let doc = "Input N for the separating programs." in
-    Arg.(value & opt int 12 & info [ "n" ] ~docv:"N" ~doc)
-  in
-  let fuel_arg =
-    let doc = "Fuel bound for each matrix run." in
-    Arg.(value & opt int 2_000_000 & info [ "fuel" ] ~docv:"STEPS" ~doc)
-  in
-  let matrix_plans =
-    [
-      Res.Fault.none;
-      Res.Fault.make ~label:"gc-every-1" ~gc_every:1 ();
-      Res.Fault.make ~label:"gc-seed-7" ~gc_seed:7 ();
-    ]
-  in
-  let faults json n fuel =
-    (* every (separator, variant, plan) cell must end in a structured
-       outcome — the run may answer, get stuck, or abort, but it must
-       not escape as an exception or hang past the fuel bound *)
-    let matrix =
-      List.concat_map
-        (fun (family, source) ->
-          let program = Expand.program_of_string source in
-          List.concat_map
-            (fun variant ->
-              List.map
-                (fun plan ->
-                  let cell =
-                    match
-                      R.run_once
-                        ~opts:(M.Run_opts.make ~fuel ~fault:plan ())
-                        ~config:(M.Config.make ~variant ())
-                        ~program ~n ()
-                    with
-                    | m -> (R.status_text m, m.R.steps, R.peak_space m, true)
-                    | exception e ->
-                        ("escaped:" ^ Printexc.to_string e, 0, 0, false)
-                  in
-                  (family, variant, plan, cell))
-                matrix_plans)
-            M.all_variants)
-        Families.separators
-    in
-    let matrix_ok =
-      List.for_all (fun (_, _, _, (_, _, _, structured)) -> structured) matrix
-    in
-    let oracle = Oracle.run ~fuel () in
-    let ok = matrix_ok && oracle.Oracle.ok in
-    if json then
-      print_endline
-        (Json.to_string
-           (Json.Obj
-              [
-                ("ok", Json.Bool ok);
-                ("matrix_ok", Json.Bool matrix_ok);
-                ( "matrix",
-                  Json.List
-                    (List.map
-                       (fun (family, variant, plan, (status, steps, peak, _)) ->
-                         Json.Obj
-                           [
-                             ("family", Json.Str family);
-                             ("variant", Json.Str (M.variant_name variant));
-                             ("plan", Json.Str (Res.Fault.label plan));
-                             ("status", Json.Str status);
-                             ("steps", Json.Int steps);
-                             ("peak", Json.Int peak);
-                           ])
-                       matrix) );
-                ("oracle", Oracle.to_json oracle);
-              ]))
-    else begin
-      Format.printf
-        "fault matrix: %d cells (%d families x %d variants x %d plans), %s@."
-        (List.length matrix)
-        (List.length Families.separators)
-        (List.length M.all_variants)
-        (List.length matrix_plans)
-        (if matrix_ok then "all structured" else "ESCAPED EXCEPTIONS");
-      List.iter
-        (fun (family, variant, plan, (status, _, _, structured)) ->
-          if not structured then
-            Format.printf "  ESCAPE %s/%s/%s: %s@." family
-              (M.variant_name variant) (Res.Fault.label plan) status)
-        matrix;
-      print_string (Oracle.render oracle)
-    end;
-    if not ok then exit 1
-  in
-  let doc =
-    "Run the fault-injection matrix (Theorem 25's separating programs under \
-     adversarial fault plans on all six variants) and the differential \
-     oracle, reporting structured outcomes."
-  in
-  Cmd.v (Cmd.info "faults" ~exits ~doc) Term.(const faults $ json_arg $ n_arg $ fuel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* spaceprof                                                           *)
@@ -1178,7 +1077,6 @@ let () =
         analyze_cmd;
         corpus_cmd;
         report_cmd;
-        faults_cmd;
         spaceprof_cmd;
       ]
   in

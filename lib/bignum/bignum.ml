@@ -9,8 +9,9 @@
    through [make], so a [Big] never holds a fixnum-range magnitude and
    structural equality coincides with numeric equality.
 
-   The fixnum toggle ([set_fixnums false]) exists so the differential
-   oracle can force the all-limbs regime: every observer below (compare,
+   The fixnum toggle ([set_fixnums false]) exists so tests can force the
+   all-limbs regime (test_machine "fixnums", test_vm "fixnums on and
+   off", test_bignum's differential): every observer below (compare,
    to_string, bit_length, arithmetic) is representation-agnostic, so a
    [Fix] and a [Big] holding the same number are indistinguishable to
    callers — which is exactly the paper's point that the space *charge*

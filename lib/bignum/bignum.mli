@@ -100,12 +100,13 @@ val bit_length : t -> int
     how new values are {e constructed}; mixed-representation values
     remain sound because every observer above is representation-agnostic.
     The space charge ([1 + bit_length]) is a function of magnitude alone,
-    so the oracle checks answers, steps, and peaks are bit-identical with
-    the fast path on and off. *)
+    so test_machine "fixnums" checks that answers, steps, and flat peaks
+    are bit-identical with the fast path on and off on all six variants,
+    and test_vm "fixnums on and off" checks the fast VM's answers. *)
 
 val set_fixnums : bool -> unit
 (** Enable/disable fixnum tagging for subsequently constructed values.
-    Defaults to enabled. Intended for differential testing. *)
+    Defaults to enabled. The tests' all-limbs reference. *)
 
 val fixnums_enabled : unit -> bool
 

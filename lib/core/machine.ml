@@ -841,7 +841,7 @@ let alloc_kind_of_value : value -> Telemetry.alloc_kind = function
 module Run_opts = struct
   type t = {
     fuel : int;
-    fault : Resilience.Fault.plan option;
+    collect_every_step : bool;
     measure : Space_model.t list;
     telemetry : Telemetry.t option;
     provenance : Census.t option;
@@ -850,17 +850,18 @@ module Run_opts = struct
   let default =
     {
       fuel = 20_000_000;
-      fault = None;
+      collect_every_step = false;
       measure = [ Space_model.Flat ];
       telemetry = None;
       provenance = None;
     }
 
-  let make ?(fuel = default.fuel) ?fault ?(measure = default.measure)
-      ?telemetry ?provenance () =
+  let make ?(fuel = default.fuel)
+      ?(collect_every_step = default.collect_every_step)
+      ?(measure = default.measure) ?telemetry ?provenance () =
     {
       fuel;
-      fault;
+      collect_every_step;
       measure = Space_model.normalize measure;
       telemetry;
       provenance;
@@ -868,7 +869,7 @@ module Run_opts = struct
 end
 
 let run_measured
-    { Run_opts.fuel; fault; measure; telemetry; provenance }
+    { Run_opts.fuel; collect_every_step; measure; telemetry; provenance }
     t expr =
   let measure_models = Space_model.normalize measure in
   let measure_linked = Space_model.mem Space_model.Linked measure_models in
@@ -887,9 +888,6 @@ let run_measured
       Census.set_annot c t.annot;
       t.prov <- Some c;
       t.track_sites <- true);
-  let faults =
-    Resilience.Fault.start (Option.value fault ~default:Resilience.Fault.none)
-  in
   (* The initial world is this run's old generation (see [Gc.collect]):
      [initial_store] below starts the run on the machine's store, and
      every collection of the run shares this world handle, and this
@@ -918,8 +916,9 @@ let run_measured
      keeps it only when [drops_nothing] proves the step left no garbage.
      Where the schedule calls for a collection on a garbage-free
      configuration, the peaks are recorded from that configuration
-     unchanged — exactly what the collection would have left. Forced
-     collections always run: they are the oracle's hostile schedules. *)
+     unchanged — exactly what the collection would have left. Under
+     [collect_every_step] every collection runs: that run is the
+     reference the lazy schedule is tested against. *)
   let garbage_free = ref false in
   let collect_as reason config =
     let config, reclaimed = collect ~world ~history config in
@@ -1017,13 +1016,8 @@ let run_measured
   in
   let rec loop config steps =
     cur_step := steps;
-    (* A forced collection models an adversarial GC schedule: it must
-       not change the measured peak (the peak is the sup of live space,
-       which collections only reveal), which is exactly what the
-       differential oracle checks. *)
     let config =
-      if Resilience.Fault.force_gc faults ~step:steps then
-        collect_as Telemetry.Gc_forced config
+      if collect_every_step then collect_as Telemetry.Gc_forced config
       else config
     in
     let config = measure config in

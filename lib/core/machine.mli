@@ -10,6 +10,9 @@
     schedule never lets garbage inflate the peak (a collection runs
     whenever the tracked space would exceed the running peak, unless the
     transition rules prove the configuration holds no garbage).
+    [Run_opts.collect_every_step] runs Definition 21 literally instead,
+    collecting before every step; tier-1 holds the lazy schedule's
+    figures to that run.
 
     The space consumption of Definition 23 is [|P| + peak]; {!exec}
     reports both parts.
@@ -186,10 +189,12 @@ module Run_opts : sig
         (** the run bound: a run that reaches this many steps ends with
             [Aborted (Out_of_fuel _)], never an unbounded loop (default
             20 million steps) *)
-    fault : Tailspace_resilience.Resilience.Fault.plan option;
-        (** a forced-collection schedule: collections forced at chosen
-            steps (recorded with reason [Gc_forced]); they cannot change
-            an answer or the measured peak *)
+    collect_every_step : bool;
+        (** Definition 21's literal schedule: collect before every step,
+            whether or not the lazy schedule would (recorded with reason
+            [Gc_forced]). The figures must equal the lazy schedule's;
+            tier-1 runs it as the reference (test_machine "skipped
+            collections"). Default [false] *)
     measure : Space_model.t list;
         (** the space-accounting models to measure (normalized: sorted,
             deduplicated, always containing [Flat]). [Linked] or [Log]
@@ -212,15 +217,15 @@ module Run_opts : sig
             the measured peaks per site afterwards. The linked and log
             stashes require the corresponding model in [measure].
             Sites are bookkeeping — answers, steps, and peaks are
-            unchanged (the differential oracle checks the censuses sum
-            to the peaks exactly) *)
+            unchanged (test_provenance "census sums to measured peak"
+            checks the censuses sum to the peaks exactly) *)
   }
 
   val default : t
 
   val make :
     ?fuel:int ->
-    ?fault:Tailspace_resilience.Resilience.Fault.plan ->
+    ?collect_every_step:bool ->
     ?measure:Space_model.t list ->
     ?telemetry:Tailspace_telemetry.Telemetry.t ->
     ?provenance:Census.t ->

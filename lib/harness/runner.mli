@@ -32,8 +32,8 @@ type measurement = {
 
 val status_text : measurement -> string
 (** ["answer:<answer>"], ["stuck:<message>"] or ["aborted:<reason>"]
-    ({!Resilience.abort_reason_name}): the status line of the oracle's
-    comparisons, the [faults] matrix and the [spaceprof] JSON. *)
+    ({!Resilience.abort_reason_name}): the status field of the
+    [spaceprof] JSON. *)
 
 val peak_of : measurement -> Space_model.t -> int option
 (** The measured peak under one model, [None] when it was not

@@ -277,7 +277,7 @@ let gc_reason_name = function
   | Gc_peak -> "peak-exceeded"
   | Gc_linked -> "linked-measure"
   | Gc_final -> "final"
-  | Gc_forced -> "fault-injected"
+  | Gc_forced -> "forced"
 
 type event =
   | Step of { step : int; space : int; cont_depth : int; store_cells : int }

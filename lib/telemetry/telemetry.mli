@@ -62,7 +62,9 @@ type gc_reason =
   | Gc_peak  (** tracked space exceeded the running peak (lazy schedule) *)
   | Gc_linked  (** pre-observation collection for the linked model *)
   | Gc_final  (** the final configuration's collection *)
-  | Gc_forced  (** a fault-injection plan forced this collection *)
+  | Gc_forced
+      (** the reference schedule, [Run_opts.collect_every_step], ran this
+          collection *)
 
 type event =
   | Step of { step : int; space : int; cont_depth : int; store_cells : int }

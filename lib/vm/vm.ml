@@ -1082,10 +1082,8 @@ let exec_program ?(opts = Machine.Run_opts.default) (cfg : Machine.Config.t)
       invalid_arg "Vm: linked- and log-space measurement requires the stepper");
   if Option.is_some opts.Machine.Run_opts.provenance then
     invalid_arg "Vm: the provenance census requires the stepper";
-  (match opts.Machine.Run_opts.fault with
-  | Some f when not (Resilience.Fault.is_none f) ->
-      invalid_arg "Vm: fault injection requires the stepper"
-  | _ -> ());
+  if opts.Machine.Run_opts.collect_every_step then
+    invalid_arg "Vm: collecting every step requires the stepper";
   let c = compile (Ast.Call (program, [ input ])) in
   let r =
     run_fast_with ~fuel:opts.Machine.Run_opts.fuel

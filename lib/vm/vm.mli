@@ -11,12 +11,13 @@
     positions from the program's structure alone (see {!compile}). It
     reports answers, output, and an instruction count; it measures no
     space and runs no collector, so its results carry no peak.
-    Left-to-right evaluation only, no fault injection, no linked or log
+    Left-to-right evaluation only, no collections, no linked or log
     measurement. Every measured figure comes from the stepper,
     [Machine.exec_program].
 
-    [Tailspace_harness.Oracle] checks its answers against the steppers
-    on the whole corpus. *)
+    test_vm "corpus answers" checks its answers on every corpus entry,
+    "fixnums on and off" with the fixnum fast path off, and "division
+    signs, string-append order" its own primitive table. *)
 
 module Ast = Tailspace_ast.Ast
 module Machine = Tailspace_core.Machine
@@ -47,7 +48,7 @@ val exec_program :
     @raise Invalid_argument if [config.engine <> Vm_fast], or if the
     config/opts demand accounting the fast tier compiles out
     ([variant <> Tail], a non-left-to-right [perm], a [measure] list
-    beyond [[Flat]], a provenance census, or a fault plan). *)
+    beyond [[Flat]], a provenance census, or [collect_every_step]). *)
 
 (** {1 The fast tier's code, exposed for tests and disassembly} *)
 

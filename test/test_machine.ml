@@ -11,6 +11,7 @@ module Tel = Tailspace_telemetry.Telemetry
 module Corpus = Tailspace_corpus.Corpus
 module Families = Tailspace_corpus.Families
 module Runner = Tailspace_harness.Runner
+module B = Tailspace_bignum.Bignum
 
 let answer ?(variant = M.Tail) ?perm ?stack_policy ?fuel src =
   let t = M.create_with (M.Config.make ~variant ?perm ?stack_policy ()) in
@@ -41,6 +42,17 @@ let check_stuck ?variant ?stack_policy name src fragment =
 let test_basics () =
   check "arith" "(+ 1 (* 2 3))" "7";
   check "nested" "(- 10 (quotient 7 2))" "7";
+  (* all four sign combinations: remainder takes the dividend's sign,
+     modulo the divisor's *)
+  check "quotient signs"
+    "(list (quotient 7 2) (quotient -7 2) (quotient 7 -2) (quotient -7 -2))"
+    "(3 -3 -3 3)";
+  check "remainder signs"
+    "(list (remainder 7 2) (remainder -7 2) (remainder 7 -2) (remainder -7 -2))"
+    "(1 -1 1 -1)";
+  check "modulo signs"
+    "(list (modulo 7 2) (modulo -7 2) (modulo 7 -2) (modulo -7 -2))"
+    "(1 1 -1 -1)";
   check "booleans" "(if #f 'a 'b)" "b";
   check "only #f is false" "(if 0 'a 'b)" "a";
   check "empty list truthy" "(if '() 'a 'b)" "a";
@@ -73,7 +85,9 @@ let test_data () =
   check "vector" "(vector 1 'a #t)" "#(1 a #t)";
   check "mutation" "(define p (cons 1 2)) (set-car! p 'x) p" "(x . 2)";
   check "vector mutation" "(define v (make-vector 2 0)) (vector-set! v 1 9) v" "#(0 9)";
-  check "nested data" "(list (vector 1) (cons 'a '()))" "(#(1) (a))"
+  check "nested data" "(list (vector 1) (cons 'a '()))" "(#(1) (a))";
+  (* three distinct strings, one empty: joined in order *)
+  check "string-append order" "(string-append \"ab\" \"\" \"cd\")" "\"abcd\""
 
 let test_cyclic_answer_is_finite () =
   (* Definition 11 allows infinite answers; rendering is fuel-bounded *)
@@ -415,16 +429,15 @@ let test_equivalence_predicates () =
 (* --- Skipped collections ---------------------------------------------
 
    The measured loop skips a scheduled collection when the transition
-   rules prove the configuration garbage-free. A [gc_every:1] plan
-   collects before every step, so its run never depends on that proof:
-   each run below is compared with one under that plan. Answers, steps
-   and every model's peak must agree, and so must the flat space at every
-   step that raises the running maximum — a figure inflated by garbage
-   that a wrongly skipped collection left behind shows there first. *)
+   rules prove the configuration garbage-free. [collect_every_step],
+   Definition 21's literal schedule, collects before every step, so its
+   run never depends on that proof: each run below is compared with one
+   under it. Answers, steps and every model's peak must agree, and so
+   must the flat space at every step that raises the running maximum — a
+   figure inflated by garbage that a wrongly skipped collection left
+   behind shows there first. *)
 
-let collect_every_step = Res.Fault.make ~label:"gc-every-1" ~gc_every:1 ()
-
-let run_rising ?fault ~variant ~measure expr =
+let run_rising ?collect_every_step ~variant ~measure expr =
   let rising = ref [] and top = ref (-1) in
   let sink = function
     | Tel.Step { step; space; _ } when space > !top ->
@@ -433,7 +446,7 @@ let run_rising ?fault ~variant ~measure expr =
     | _ -> ()
   in
   let opts =
-    M.Run_opts.make ~fuel:2_000_000 ?fault ~measure
+    M.Run_opts.make ~fuel:2_000_000 ?collect_every_step ~measure
       ~telemetry:(Tel.create ~sink ()) ()
   in
   let r = M.exec ~opts (M.create_with (M.Config.make ~variant ())) expr in
@@ -456,7 +469,7 @@ let check_schedule_free name expr =
           in
           let r, rising = run_rising ~variant ~measure expr in
           let forced, forced_rising =
-            run_rising ~fault:collect_every_step ~variant ~measure expr
+            run_rising ~collect_every_step:true ~variant ~measure expr
           in
           Alcotest.(check string)
             (what ^ " answer") (outcome_text forced) (outcome_text r);
@@ -518,7 +531,12 @@ let applied program n = Tailspace_ast.Ast.Call (program, [ Runner.input_expr n ]
 let test_skips_separators () =
   List.iter
     (fun (name, src) ->
-      check_schedule_free name (applied (E.program_of_string src) 6))
+      List.iter
+        (fun n ->
+          check_schedule_free
+            (Printf.sprintf "%s n=%d" name n)
+            (applied (E.program_of_string src) n))
+        [ 6; 12 ])
     Families.separators
 
 let test_skips_corpus () =
@@ -527,6 +545,53 @@ let test_skips_corpus () =
       if not e.Corpus.slow then
         check_schedule_free e.Corpus.name (applied (Corpus.program e) 1))
     Corpus.all
+
+(* --- the fixnum fast path ---------------------------------------------
+
+   Figure 7 charges an integer by its magnitude (1 + log2 z words),
+   never by its representation, so turning [Bignum]'s fixnums off, which
+   puts every integer in limbs, must change no answer, step count or
+   flat peak. fact at its last check crosses the fixnum/limb boundary
+   both ways. *)
+
+let fixnum_inputs () =
+  let corpus pick name =
+    match Corpus.find name with
+    | Some ({ Corpus.checks = _ :: _ as checks; _ } as e) ->
+        (name, Corpus.program e, fst (pick checks))
+    | _ -> Alcotest.failf "corpus entry %s has no checks" name
+  in
+  List.map
+    (fun (name, src) -> (name, E.program_of_string src, 12))
+    Families.separators
+  @ List.map (corpus List.hd) [ "countdown"; "fib-iter"; "even-odd" ]
+  @ [ corpus (fun checks -> List.hd (List.rev checks)) "fact" ]
+
+let test_fixnums_invisible () =
+  List.iter
+    (fun (name, program, n) ->
+      List.iter
+        (fun variant ->
+          let run fixnums =
+            B.set_fixnums fixnums;
+            Fun.protect
+              ~finally:(fun () -> B.set_fixnums true)
+              (fun () ->
+                Runner.run_once
+                  ~opts:(M.Run_opts.make ~fuel:2_000_000 ())
+                  ~config:(M.Config.make ~variant ())
+                  ~program ~n ())
+          in
+          let on = run true in
+          let off = run false in
+          let what = Printf.sprintf "%s n=%d %s" name n (M.variant_name variant) in
+          Alcotest.(check string)
+            (what ^ " answer") (Runner.status_text on) (Runner.status_text off);
+          Alcotest.(check int) (what ^ " steps") on.Runner.steps off.Runner.steps;
+          Alcotest.(check int)
+            (what ^ " flat peak") (Runner.peak_space on) (Runner.peak_space off))
+        M.all_variants)
+    (fixnum_inputs ())
 
 (* --- writes to the initial world --- *)
 
@@ -840,5 +905,10 @@ let () =
           Alcotest.test_case "drop then grow" `Quick test_skips_drop_then_grow;
           Alcotest.test_case "separators" `Quick test_skips_separators;
           Alcotest.test_case "corpus" `Slow test_skips_corpus;
+        ] );
+      ( "fixnums",
+        [
+          Alcotest.test_case "on and off: same answers, steps and peaks" `Quick
+            test_fixnums_invisible;
         ] );
     ]

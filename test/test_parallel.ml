@@ -1,11 +1,10 @@
 (* The parallel measurement engine: the domain pool's ordering and
    failure contract, sweep determinism across job counts (tables must
    be byte-identical), the profile downsampler's alignment invariant,
-   summary merging, and the fault-plan periodic-GC fencepost. *)
+   and summary merging. *)
 
 module M = Tailspace_core.Machine
 module Tel = Tailspace_telemetry.Telemetry
-module Res = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
 module R = Tailspace_harness.Runner
 module X = Tailspace_harness.Experiments
@@ -208,34 +207,6 @@ let test_merge_summaries () =
     ((Tel.merge_summaries [ stuck; stuck2 ]).Tel.stuck = Some "first")
 
 (* ------------------------------------------------------------------ *)
-(* fault-plan fenceposts *)
-
-let test_gc_every_fencepost () =
-  (* gc_every:5 over steps 0..24 fires at 5,10,15,20 — exactly 4 times,
-     never at step 0 *)
-  let cursor = Res.Fault.start (Res.Fault.make ~gc_every:5 ()) in
-  let fired = ref [] in
-  for step = 0 to 24 do
-    if Res.Fault.force_gc cursor ~step then fired := step :: !fired
-  done;
-  Alcotest.(check (list int)) "fires at k, 2k, ..." [ 5; 10; 15; 20 ]
-    (List.rev !fired)
-
-let test_gc_seed_zero_not_degenerate () =
-  (* seed 0 must normalize to a nonzero LCG state and still produce a
-     schedule (roughly one step in eight) *)
-  let fires seed =
-    let cursor = Res.Fault.start (Res.Fault.make ~gc_seed:seed ()) in
-    let n = ref 0 in
-    for step = 0 to 799 do
-      if Res.Fault.force_gc cursor ~step then incr n
-    done;
-    !n
-  in
-  Alcotest.(check bool) "seed 0 fires" true (fires 0 > 10);
-  Alcotest.(check bool) "seed 7 fires" true (fires 7 > 10)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "parallel"
@@ -265,12 +236,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_profile_invariant;
           Alcotest.test_case "merge summaries" `Quick test_merge_summaries;
-        ] );
-      ( "faults",
-        [
-          Alcotest.test_case "gc_every fencepost" `Quick
-            test_gc_every_fencepost;
-          Alcotest.test_case "gc_seed 0 not degenerate" `Quick
-            test_gc_seed_zero_not_degenerate;
         ] );
     ]

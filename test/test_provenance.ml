@@ -1,8 +1,9 @@
 (* The space-provenance profiler: golden per-site censuses for the
    countdown and append families on I_tail vs I_stack (exact word
-   counts pinned — the census is deterministic), plus the QCheck
-   invariant that per-site live words sum exactly to the measured peak
-   under the flat, linked, and log measures. *)
+   counts pinned — the census is deterministic), plus the invariant
+   that per-site live words sum exactly to the measured peak under the
+   flat, linked, and log measures, on fixed inputs and on QCheck
+   draws. *)
 
 module M = Tailspace_core.Machine
 module SM = Tailspace_core.Space_model
@@ -287,6 +288,40 @@ let fast_entries =
   Corpus.all
   |> List.filter (fun (e : Corpus.entry) -> (not e.Corpus.slow) && e.Corpus.checks <> [])
 
+let census_sums_to_peak (e : Corpus.entry) variant n =
+  let census = Census.create () in
+  let opts =
+    M.Run_opts.make ~fuel:2_000_000 ~measure:all_models
+      ~provenance:census ()
+  in
+  let m =
+    R.run_once ~opts
+      ~config:(M.Config.make ~variant ())
+      ~program:(Corpus.program e) ~n ()
+  in
+  let flat_ok =
+    match Census.flat_census census ~peak:(R.peak_space m) with
+    | None -> m.R.steps = 0
+    | Some c ->
+        P.total c = c.P.peak
+        && c.P.peak = R.peak_space m
+        && List.fold_left
+             (fun a (s : P.stack) -> a + s.P.swords)
+             0 c.P.stacks
+           = c.P.peak
+  in
+  let heavy_ok census_of peak_of =
+    match peak_of m with
+    | None -> false
+    | Some p -> (
+        match census_of census ~peak:p with
+        | None -> m.R.steps = 0
+        | Some c -> P.total c = c.P.peak && c.P.peak = p)
+  in
+  flat_ok
+  && heavy_ok Census.linked_census R.peak_linked
+  && heavy_ok Census.log_census R.peak_log
+
 let prop_census_sums_to_peak =
   QCheck.Test.make ~count:40 ~name:"census sums to measured peak (all measures)"
     QCheck.(
@@ -295,40 +330,31 @@ let prop_census_sums_to_peak =
         (int_bound (List.length M.all_variants - 1))
         (int_range 1 8))
     (fun (ei, vi, n) ->
-      let e = List.nth fast_entries ei in
-      let variant = List.nth M.all_variants vi in
-      let census = Census.create () in
-      let opts =
-        M.Run_opts.make ~fuel:2_000_000 ~measure:all_models
-          ~provenance:census ()
-      in
-      let m =
-        R.run_once ~opts
-          ~config:(M.Config.make ~variant ())
-          ~program:(Corpus.program e) ~n ()
-      in
-      let flat_ok =
-        match Census.flat_census census ~peak:(R.peak_space m) with
-        | None -> m.R.steps = 0
-        | Some c ->
-            P.total c = c.P.peak
-            && c.P.peak = R.peak_space m
-            && List.fold_left
-                 (fun a (s : P.stack) -> a + s.P.swords)
-                 0 c.P.stacks
-               = c.P.peak
-      in
-      let heavy_ok census_of peak_of =
-        match peak_of m with
-        | None -> false
-        | Some p -> (
-            match census_of census ~peak:p with
-            | None -> m.R.steps = 0
-            | Some c -> P.total c = c.P.peak && c.P.peak = p)
-      in
-      flat_ok
-      && heavy_ok Census.linked_census R.peak_linked
-      && heavy_ok Census.log_census R.peak_log)
+      census_sums_to_peak (List.nth fast_entries ei)
+        (List.nth M.all_variants vi)
+        n)
+
+(* The property's fixed inputs, run before its random draws: countdown
+   and append at their first check, on every variant. *)
+let test_census_sums_to_peak =
+  let name, speed, draws = QCheck_alcotest.to_alcotest prop_census_sums_to_peak in
+  ( name,
+    speed,
+    fun () ->
+      List.iter
+        (fun entry ->
+          match Corpus.find entry with
+          | Some ({ Corpus.checks = (n, _) :: _; _ } as e) ->
+              List.iter
+                (fun variant ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s n=%d %s" entry n (M.variant_name variant))
+                    true
+                    (census_sums_to_peak e variant n))
+                M.all_variants
+          | _ -> Alcotest.failf "corpus entry %s has no checks" entry)
+        [ "countdown"; "append" ];
+      draws () )
 
 let () =
   Alcotest.run "provenance"
@@ -348,5 +374,5 @@ let () =
         ] );
       ( "stacks",
         [ Alcotest.test_case "retainer ties by identifier" `Quick test_retainer_ties ] );
-      ( "invariant", [ QCheck_alcotest.to_alcotest prop_census_sums_to_peak ] );
+      ( "invariant", [ test_census_sums_to_peak ] );
     ]

@@ -1,13 +1,12 @@
-(* Fuel, the one run bound, and the forced-collection fault plans:
-   every engine must end a run that reaches its fuel with the same
-   structured outcome — never an escaped exception, never an unbounded
-   loop — and adversarial GC schedules must change neither answers nor
+(* Fuel, the one run bound, and the collect-every-step schedule: every
+   engine must end a run that reaches its fuel with the same structured
+   outcome — never an escaped exception, never an unbounded loop — and
+   collecting before every step must change neither answers nor
    [`Exact] peaks. *)
 
 module M = Tailspace_core.Machine
 module E = Tailspace_expander.Expand
 module R = Tailspace_harness.Runner
-module Oracle = Tailspace_harness.Oracle
 module Corpus = Tailspace_corpus.Corpus
 module Res = Tailspace_resilience.Resilience
 module S = Tailspace_engines.Secd
@@ -19,8 +18,6 @@ let spin = E.program_of_string "(define (spin n) (spin n)) spin"
 
 let build =
   "(define (build n) (if (zero? n) '() (cons n (build (- n 1))))) build"
-
-let countdown = "(define (count n) (if (zero? n) 0 (count (- n 1)))) count"
 
 (* --- fuel stops every engine the same way --- *)
 
@@ -71,43 +68,23 @@ let test_forced_gc_invariance () =
     (fun variant ->
       let config = M.Config.make ~variant () in
       let base = R.run_once ~config ~program ~n:50 () in
-      List.iter
-        (fun fault ->
-          let m =
-            R.run_once ~opts:(M.Run_opts.make ~fault ()) ~config ~program
-              ~n:50 ()
-          in
-          (match (base.R.status, m.R.status) with
-          | R.Answer a, R.Answer b ->
-              Alcotest.(check string)
-                (M.variant_name variant ^ " answer under forced gc") a b
-          | _ -> Alcotest.fail "both runs should answer");
-          Alcotest.(check int)
-            (M.variant_name variant ^ " exact peak under forced gc")
-            (R.peak_space base) (R.peak_space m))
-        [
-          Res.Fault.make ~gc_every:1 ();
-          Res.Fault.make ~gc_every:7 ();
-          Res.Fault.make ~gc_seed:3 ();
-        ])
+      let m =
+        R.run_once
+          ~opts:(M.Run_opts.make ~collect_every_step:true ())
+          ~config ~program ~n:50 ()
+      in
+      (match (base.R.status, m.R.status) with
+      | R.Answer a, R.Answer b ->
+          Alcotest.(check string)
+            (M.variant_name variant ^ " answer under forced gc") a b
+      | _ -> Alcotest.fail "both runs should answer");
+      Alcotest.(check int)
+        (M.variant_name variant ^ " exact peak under forced gc")
+        (R.peak_space base) (R.peak_space m))
     M.all_variants
 
-let test_oracle_small () =
-  let programs =
-    [
-      ("build", E.program_of_string build, 30);
-      ("countdown", E.program_of_string countdown, 40);
-    ]
-  in
-  let report = Oracle.run ~programs () in
-  Alcotest.(check bool) "oracle ok" true report.Oracle.ok;
-  Alcotest.(check bool)
-    "algol dangling reachable" true report.Oracle.algol_stuck_on_demand;
-  Alcotest.(check bool)
-    "render mentions OK" true
-    (String.length (Oracle.render report) > 0)
-
-(* --- property: tiny fuel and hostile schedules never escape --- *)
+(* --- property: tiny fuel, with or without forced collections, never
+   escapes --- *)
 
 let fast_entries =
   List.filter (fun (e : Corpus.entry) -> not e.Corpus.slow) Corpus.all
@@ -118,19 +95,15 @@ let prop_budgets_never_escape =
     QCheck.(
       quad (int_bound (List.length fast_entries - 1)) (int_bound 5)
         (int_bound 400) bool)
-    (fun (ei, vi, fuel, seeded) ->
+    (fun (ei, vi, fuel, collect_every_step) ->
       let entry = List.nth fast_entries ei in
       let variant = List.nth M.all_variants vi in
       let n =
         match entry.Corpus.checks with (n, _) :: _ -> n | [] -> 3
       in
-      let fault =
-        if seeded then Res.Fault.make ~gc_seed:fuel ()
-        else Res.Fault.make ~gc_every:(1 + (fuel mod 7)) ()
-      in
       match
         R.run_once
-          ~opts:(M.Run_opts.make ~fuel:(1 + fuel) ~fault ())
+          ~opts:(M.Run_opts.make ~fuel:(1 + fuel) ~collect_every_step ())
           ~config:(M.Config.make ~variant ())
           ~program:(Corpus.program entry) ~n ()
       with
@@ -160,7 +133,6 @@ let () =
         [
           Alcotest.test_case "forced gc invariance" `Quick
             test_forced_gc_invariance;
-          Alcotest.test_case "oracle (small)" `Quick test_oracle_small;
         ] );
       ( "taxonomy",
         [ Alcotest.test_case "reason codec" `Quick test_reason_codec ] );

@@ -3,7 +3,8 @@
    - Unit: name/of_name round-trip, [normalize] is canonical and
      always includes Flat, [to_bits] scales words to bits, and a run
      under the default [Run_opts] measures the flat model only.
-   - QCheck: on random (corpus entry, variant, input) the measured raw
+   - Laws: on the four separators at N = 12 and on random (corpus
+     entry, variant, input) draws, on every variant, the measured raw
      peaks obey the pointwise model laws — [U <= S] (deduplication
      only removes words), [Log >= U] (a pointer costs at least one
      bit), and [Log <= word_bits * S] (a pointer never costs more than
@@ -13,6 +14,8 @@ module SM = Tailspace_core.Space_model
 module M = Tailspace_core.Machine
 module R = Tailspace_harness.Runner
 module Corpus = Tailspace_corpus.Corpus
+module Families = Tailspace_corpus.Families
+module E = Tailspace_expander.Expand
 
 let model_t =
   Alcotest.testable
@@ -62,6 +65,17 @@ let fast_entries =
   |> List.filter (fun (e : Corpus.entry) ->
          (not e.Corpus.slow) && e.Corpus.checks <> [])
 
+let laws_hold variant program n =
+  let opts =
+    M.Run_opts.make ~fuel:2_000_000 ~measure:[ SM.Flat; SM.Linked; SM.Log ] ()
+  in
+  let m = R.run_once ~opts ~config:(M.Config.make ~variant ()) ~program ~n () in
+  match (R.peak_linked m, R.peak_log m) with
+  | Some u, Some l ->
+      let s = R.peak_space m in
+      u <= s && u <= l && l <= SM.word_bits * s
+  | _ -> false
+
 let prop_model_laws =
   QCheck.Test.make ~count:60
     ~name:"peak laws: U <= S, U <= Log <= word_bits * S"
@@ -71,23 +85,29 @@ let prop_model_laws =
         (int_bound (List.length M.all_variants - 1))
         (int_range 1 8))
     (fun (ei, vi, n) ->
-      let e = List.nth fast_entries ei in
-      let variant = List.nth M.all_variants vi in
-      let opts =
-        M.Run_opts.make ~fuel:2_000_000
-          ~measure:[ SM.Flat; SM.Linked; SM.Log ]
-          ()
-      in
-      let m =
-        R.run_once ~opts
-          ~config:(M.Config.make ~variant ())
-          ~program:(Corpus.program e) ~n ()
-      in
-      match (R.peak_linked m, R.peak_log m) with
-      | Some u, Some l ->
-          let s = R.peak_space m in
-          u <= s && u <= l && l <= SM.word_bits * s
-      | _ -> false)
+      laws_hold
+        (List.nth M.all_variants vi)
+        (Corpus.program (List.nth fast_entries ei))
+        n)
+
+(* The property's fixed inputs, run before its random draws: the four
+   separators at N = 12 on every variant. *)
+let test_model_laws =
+  let name, speed, draws = QCheck_alcotest.to_alcotest prop_model_laws in
+  ( name,
+    speed,
+    fun () ->
+      List.iter
+        (fun (family, src) ->
+          let program = E.program_of_string src in
+          List.iter
+            (fun variant ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s n=12 %s" family (M.variant_name variant))
+                true (laws_hold variant program 12))
+            M.all_variants)
+        Families.separators;
+      draws () )
 
 let () =
   Alcotest.run "space_model"
@@ -100,5 +120,5 @@ let () =
           Alcotest.test_case "default measures flat only" `Quick
             test_default_measures_flat;
         ] );
-      ("laws", [ QCheck_alcotest.to_alcotest prop_model_laws ]);
+      ("laws", [ test_model_laws ]);
     ]

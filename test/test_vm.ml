@@ -6,7 +6,10 @@
      in [CONST done; RETURN].
    - QCheck: compilation is total on generated closed programs and the
      fast tier's answers agree with the Tail stepper's.
-   - Every corpus entry answers as its checks say.
+   - Every corpus entry answers as its checks say, and the fixnum fast
+     path changes no answer.
+   - The VM's own primitive table keeps operand order and sign
+     conventions.
    - The tier runs only the vm-fast engine, and rejects configurations
      whose accounting it compiles out. *)
 
@@ -17,6 +20,7 @@ module B = Tailspace_bignum.Bignum
 module E = Tailspace_expander.Expand
 module Vm = Tailspace_vm.Vm
 module Corpus = Tailspace_corpus.Corpus
+module Families = Tailspace_corpus.Families
 
 let input n = A.Quote (A.C_int (B.of_int n))
 
@@ -173,6 +177,50 @@ let test_corpus_answers () =
       Alcotest.(check string) name expected (vm_answer program n))
     corpus_programs
 
+(* The fixnum inputs of test_machine "fixnums": the separators at 12,
+   three entries at their first check and fact at its last, whose
+   intermediates cross the fixnum/limb boundary both ways. *)
+let test_fixnums_invisible () =
+  let corpus pick name =
+    match Corpus.find name with
+    | Some ({ Corpus.checks = _ :: _ as checks; _ } as e) ->
+        (name, Corpus.program e, fst (pick checks))
+    | _ -> Alcotest.failf "corpus entry %s has no checks" name
+  in
+  List.iter
+    (fun (name, program, n) ->
+      let on = vm_answer program n in
+      B.set_fixnums false;
+      let off =
+        Fun.protect
+          ~finally:(fun () -> B.set_fixnums true)
+          (fun () -> vm_answer program n)
+      in
+      Alcotest.(check string) (Printf.sprintf "%s n=%d" name n) on off)
+    (List.map
+       (fun (name, src) -> (name, E.program_of_string src, 12))
+       Families.separators
+    @ List.map (corpus List.hd) [ "countdown"; "fib-iter"; "even-odd" ]
+    @ [ corpus (fun checks -> List.hd (List.rev checks)) "fact" ])
+
+(* test_machine's division-sign and string-append cases ("basics",
+   "data"), against the VM's own primitive table. *)
+let test_prim_operands () =
+  let check name body expected =
+    Alcotest.(check string) name expected
+      (vm_answer (E.program_of_string ("(lambda (n) " ^ body ^ ")")) 0)
+  in
+  check "string-append order" "(string-append \"ab\" \"\" \"cd\")" "\"abcd\"";
+  check "quotient signs"
+    "(list (quotient 7 2) (quotient -7 2) (quotient 7 -2) (quotient -7 -2))"
+    "(3 -3 -3 3)";
+  check "remainder signs"
+    "(list (remainder 7 2) (remainder -7 2) (remainder 7 -2) (remainder -7 -2))"
+    "(1 -1 1 -1)";
+  check "modulo signs"
+    "(list (modulo 7 2) (modulo -7 2) (modulo 7 -2) (modulo -7 -2))"
+    "(1 1 -1 -1)"
+
 let test_fast_rejects_accounting () =
   let program = E.program_of_string countdown_src in
   let check_rejects what cfg opts =
@@ -182,13 +230,17 @@ let test_fast_rejects_accounting () =
          | "rtl" -> "Vm: the fast VM tier evaluates left-to-right only"
          | "linked" ->
              "Vm: linked- and log-space measurement requires the stepper"
+         | "collect every step" ->
+             "Vm: collecting every step requires the stepper"
          | _ -> assert false))
       (fun () ->
         ignore (Vm.exec_program ?opts cfg ~program ~input:(input 1)))
   in
   check_rejects "rtl" { fast with M.Config.perm = M.Right_to_left } None;
   check_rejects "linked" fast
-    (Some (M.Run_opts.make ~measure:[ SM.Flat; SM.Linked ] ()))
+    (Some (M.Run_opts.make ~measure:[ SM.Flat; SM.Linked ] ()));
+  check_rejects "collect every step" fast
+    (Some (M.Run_opts.make ~collect_every_step:true ()))
 
 (* Space is measured only by [Machine]: handed the stepper engine, the
    VM refuses rather than quietly running its own tier. *)
@@ -214,6 +266,9 @@ let () =
           Alcotest.test_case "frame reuse at depth 1e6" `Quick
             test_frame_reuse_depth;
           Alcotest.test_case "corpus answers" `Quick test_corpus_answers;
+          Alcotest.test_case "fixnums on and off" `Quick test_fixnums_invisible;
+          Alcotest.test_case "division signs, string-append order" `Quick
+            test_prim_operands;
           Alcotest.test_case "fast tier rejects accounting configs" `Quick
             test_fast_rejects_accounting;
           Alcotest.test_case "rejects the stepper engine" `Quick
