@@ -31,9 +31,6 @@ type stash =
       cont : Types.cont;
       store : Store.t;
     }
-  | At_final of { v : Types.value; store : Store.t }
-      (* the Done configuration: Definition 21's final measurement has
-         no environment and no Halt word in the flat model *)
 
 type t = {
   mutable annot : Annot.t option;
@@ -94,8 +91,6 @@ let key_of_loc t l =
 
 let stash_flat t ~control ~env ~cont ~store =
   t.flat_stash <- At_config { control; env; cont; store }
-
-let stash_flat_final t ~v ~store = t.flat_stash <- At_final { v; store }
 
 let stash_linked t ~control ~env ~cont ~store =
   t.linked_stash <- At_config { control; env; cont; store }
@@ -336,12 +331,6 @@ let config_roots ~control ~env ~cont =
 let flat_census t ~peak =
   match t.flat_stash with
   | Nothing -> None
-  | At_final { v; store } ->
-      let acc = make_acc () in
-      bump acc.words control_key (Types.value_space v);
-      bump acc.stacks [ control_key ] (Types.value_space v);
-      walk_store t acc ~roots:[ (control_key, value_locs v) ] store;
-      Some (finish t acc ~measure:P.Flat ~peak)
   | At_config { control; env; cont; store } ->
       let acc = make_acc () in
       let rho = Env.cardinal env in
@@ -371,7 +360,7 @@ let flat_census t ~peak =
 
 let linked_like_census t stash ~measure ~scale_of_store ~peak =
   match (stash : stash) with
-  | Nothing | At_final _ -> None
+  | Nothing -> None
   | At_config { control; env; cont; store } ->
       let b = scale_of_store store in
       let acc = make_acc () in
@@ -384,6 +373,28 @@ let linked_like_census t stash ~measure ~scale_of_store ~peak =
       let add_env env =
         Env.iter (fun x l -> Hashtbl.replace bindings (x, l) ()) env
       in
+      (* A frame costs its non-environment words; its environment's
+         bindings join the shared set. Shared by the configuration's
+         continuation and every escape's. *)
+      let rec frames (k : Types.cont) =
+        match k with
+        | Types.Halt -> bump acc.words halt_key 1
+        | Types.Select { env; next; site; _ }
+        | Types.Assign { env; next; site; _ }
+        | Types.Return { env; next; site; _ }
+        | Types.Return_stack { env; next; site; _ } ->
+            add_env env;
+            bump acc.words (site, P.P_frame) 1;
+            frames next
+        | Types.Push { remaining; evaluated; env; next; site; _ } ->
+            add_env env;
+            bump acc.words (site, P.P_frame)
+              (1 + List.length remaining + List.length evaluated);
+            frames next
+        | Types.Call { vals; next; site; _ } ->
+            bump acc.words (site, P.P_frame) (1 + List.length vals);
+            frames next
+      in
       let add_value key (v : Types.value) =
         match v with
         | Types.Closure (_, _, cenv) ->
@@ -391,25 +402,6 @@ let linked_like_census t stash ~measure ~scale_of_store ~peak =
             bump acc.words key 1
         | Types.Escape (_, k) ->
             bump acc.words key 1;
-            let rec frames (k : Types.cont) =
-              match k with
-              | Types.Halt -> bump acc.words halt_key 1
-              | Types.Select { env; next; site; _ }
-              | Types.Assign { env; next; site; _ }
-              | Types.Return { env; next; site; _ }
-              | Types.Return_stack { env; next; site; _ } ->
-                  add_env env;
-                  bump acc.words (site, P.P_frame) 1;
-                  frames next
-              | Types.Push { remaining; evaluated; env; next; site; _ } ->
-                  add_env env;
-                  bump acc.words (site, P.P_frame)
-                    (1 + List.length remaining + List.length evaluated);
-                  frames next
-              | Types.Call { vals; next; site; _ } ->
-                  bump acc.words (site, P.P_frame) (1 + List.length vals);
-                  frames next
-            in
             frames k
         | v -> bump acc.words key (Types.value_space v)
       in
@@ -417,26 +409,7 @@ let linked_like_census t stash ~measure ~scale_of_store ~peak =
       (match control with
       | `Expr _ -> ()
       | `Value v -> add_value control_key v);
-      (let rec frames (k : Types.cont) =
-         match k with
-         | Types.Halt -> bump acc.words halt_key 1
-         | Types.Select { env; next; site; _ }
-         | Types.Assign { env; next; site; _ }
-         | Types.Return { env; next; site; _ }
-         | Types.Return_stack { env; next; site; _ } ->
-             add_env env;
-             bump acc.words (site, P.P_frame) 1;
-             frames next
-         | Types.Push { remaining; evaluated; env; next; site; _ } ->
-             add_env env;
-             bump acc.words (site, P.P_frame)
-               (1 + List.length remaining + List.length evaluated);
-             frames next
-         | Types.Call { vals; next; site; _ } ->
-             bump acc.words (site, P.P_frame) (1 + List.length vals);
-             frames next
-       in
-       frames cont);
+      frames cont;
       Store.iter
         (fun l v ->
           let key = key_of_loc t l in

@@ -54,10 +54,6 @@ val instrument : t -> Store.t -> Store.t
 val stash_flat :
   t -> control:control -> env:Types.Env.t -> cont:Types.cont -> store:Store.t -> unit
 
-val stash_flat_final : t -> v:Types.value -> store:Store.t -> unit
-(** The final-answer measurement (Definition 21): no environment, no
-    [Halt] word in the flat model. *)
-
 val stash_linked :
   t -> control:control -> env:Types.Env.t -> cont:Types.cont -> store:Store.t -> unit
 

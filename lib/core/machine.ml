@@ -1031,23 +1031,19 @@ let run_measured
           garbage_free := !garbage_free && drops_nothing config c;
           loop c (steps + 1)
       | Final (v, store) ->
-          (* The final configuration (v, sigma): collect, then measure. *)
+          (* The final configuration (v, sigma) is collected but never
+             measured: it can set no peak. The configuration before it
+             holds the same v and sigma plus an environment and the Halt
+             word, and was measured exactly whenever it could raise a
+             peak; this collection's roots are a subset of its roots, so
+             the final figure is at least one word smaller under Flat
+             and no larger under Linked and Log. The collection stays
+             for the answer's store, and counts in [gc_runs]. *)
           let store, reclaimed =
             Gc.collect ~control_locs:(value_locs v) ~env:Env.empty ~cont:Halt
               store
           in
           record_gc Telemetry.Gc_final store reclaimed;
-          (* Definition 21's final measurement has no environment and no
-             Halt word in the flat model — a distinct stash shape. *)
-          let s = value_space v + Store.space store in
-          if s > !peak then begin
-            peak := s;
-            match provenance with
-            | Some c -> Census.stash_flat_final c ~v ~store
-            | None -> ()
-          end;
-          if measure_heavy then
-            note_heavy { control = `Value v; env = Env.empty; cont = Halt; store };
           (Done { value = v; store; answer = Answer.to_string store v }, steps + 1)
       | Stuck_state m -> (Stuck m, steps)
   in

@@ -15,28 +15,22 @@ let pct = Tail_calls.percent
    regrouped in submission order — so tables are byte-identical whatever
    the job count. Tasks never touch the pool themselves. *)
 
-let fit_or_none points =
-  if List.length points >= 3 then Some (Growth.fit points) else None
-
 let variant_column variants = List.map Machine.variant_name variants
 
-(* Each of Theorem 25's "O(S_X) not included in O(S_Y)" claims is
-   operationalized directly: S_X(P, N) / S_Y(P, N) must diverge as N
-   grows. The ratio of ratios between the largest and smallest N is
-   required to reach [divergence_threshold] — robust against the
-   additive constants (the initial environment) that make absolute
-   order fitting noisy at feasible N. *)
-let divergence_threshold = 1.4
+(* Every verdict below is one comparison of two growth exponents
+   ([Growth.separates]): S_x separates from S_y when its increments over
+   the top doubling grow at least half a class faster. A verdict keeps
+   both exponents, so the report shows what it was decided on. *)
+type verdict = {
+  claim : string;
+  x : float option;
+  y : float option;
+  holds : bool;
+}
 
-let divergence ns xs ys =
-  let ratio n =
-    match (List.assoc_opt n xs, List.assoc_opt n ys) with
-    | Some a, Some b when b > 0 -> Some (float_of_int a /. float_of_int b)
-    | _ -> None
-  in
-  match (ratio (List.hd ns), ratio (List.nth ns (List.length ns - 1))) with
-  | Some lo, Some hi when lo > 0. -> hi /. lo
-  | _ -> 0.
+let separation claim x y = { claim; x; y; holds = Growth.separates x y }
+
+let versus v = Printf.sprintf "%s vs %s" (Growth.show v.x) (Growth.show v.y)
 
 (* ------------------------------------------------------------------ *)
 
@@ -81,12 +75,12 @@ module Thm25 = struct
   type cell = {
     variant : Machine.variant;
     spaces : (int * int) list;
-    fit : Growth.fit option;
+    exponent : float option;
   }
 
   type sweep = { separator : string; ns : int list; cells : cell list }
 
-  let default_ns = [ 20; 40; 80; 160 ]
+  let default_ns = [ 20; 40; 80; 160; 320 ]
 
   let run ?pool ?(ns = default_ns) ?fuel () =
     let programs =
@@ -123,40 +117,41 @@ module Thm25 = struct
                   tagged
               in
               let spaces = Runner.spaces ms in
-              { variant; spaces; fit = fit_or_none spaces })
+              { variant; spaces; exponent = Growth.exponent spaces })
             Machine.all_variants
         in
         { separator = name; ns; cells })
       programs
 
   let claims sweeps =
-    let find name = List.find (fun s -> s.separator = name) sweeps in
-    let spaces_of s v =
+    let exponent name v =
+      let s = List.find (fun s -> s.separator = name) sweeps in
       match List.find_opt (fun c -> c.variant = v) s.cells with
-      | Some c -> c.spaces
-      | None -> []
+      | Some c -> c.exponent
+      | None -> None
     in
-    let diverges s x y =
-      divergence s.ns (spaces_of s x) (spaces_of s y) >= divergence_threshold
+    let separates name x y =
+      separation
+        (Printf.sprintf "%s: S_%s separates from S_%s" name
+           (Machine.variant_name x) (Machine.variant_name y))
+        (exponent name x) (exponent name y)
     in
-    let s1 = find "stack/gc"
-    and s2 = find "gc/tail"
-    and s3 = find "tail/evlis"
-    and s4 = find "evlis/sfs" in
+    let tail = exponent "gc/tail" Machine.Tail in
     [
-      ("stack/gc: S_stack diverges from S_gc", diverges s1 Machine.Stack Machine.Gc);
-      ("gc/tail: S_gc diverges from S_tail", diverges s2 Machine.Gc Machine.Tail);
-      ( "gc/tail: S_tail bounded",
-        match spaces_of s2 Machine.Tail with
-        | (_, s0) :: rest ->
-            List.for_all (fun (_, s) -> float_of_int s <= 1.2 *. float_of_int s0) rest
-        | [] -> false );
-      ("tail/evlis: S_tail diverges from S_evlis", diverges s3 Machine.Tail Machine.Evlis);
-      ("tail/evlis: S_free diverges from S_evlis", diverges s3 Machine.Free Machine.Evlis);
-      ("tail/evlis: S_free diverges from S_sfs", diverges s3 Machine.Free Machine.Sfs);
-      ("evlis/sfs: S_tail diverges from S_free", diverges s4 Machine.Tail Machine.Free);
-      ("evlis/sfs: S_evlis diverges from S_free", diverges s4 Machine.Evlis Machine.Free);
-      ("evlis/sfs: S_evlis diverges from S_sfs", diverges s4 Machine.Evlis Machine.Sfs);
+      separates "stack/gc" Machine.Stack Machine.Gc;
+      separates "gc/tail" Machine.Gc Machine.Tail;
+      {
+        claim = "gc/tail: S_tail bounded";
+        x = tail;
+        y = Some 0.;
+        holds = Growth.bounded tail;
+      };
+      separates "tail/evlis" Machine.Tail Machine.Evlis;
+      separates "tail/evlis" Machine.Free Machine.Evlis;
+      separates "tail/evlis" Machine.Free Machine.Sfs;
+      separates "evlis/sfs" Machine.Tail Machine.Free;
+      separates "evlis/sfs" Machine.Evlis Machine.Free;
+      separates "evlis/sfs" Machine.Evlis Machine.Sfs;
     ]
 
   let render sweeps =
@@ -168,9 +163,7 @@ module Thm25 = struct
     List.iter
       (fun sweep ->
         Buffer.add_string buf (Printf.sprintf "\nseparator %s:\n" sweep.separator);
-        let header =
-          "variant" :: List.map string_of_int sweep.ns @ [ "fitted" ]
-        in
+        let header = "variant" :: List.map string_of_int sweep.ns @ [ "p" ] in
         let rows =
           List.map
             (fun c ->
@@ -181,20 +174,22 @@ module Thm25 = struct
                      | Some s -> string_of_int s
                      | None -> "stuck")
                    sweep.ns
-              @ [
-                  (match c.fit with
-                  | Some f -> Growth.order_name f.Growth.order
-                  | None -> "-");
-                ])
+              @ [ Growth.show c.exponent ])
             sweep.cells
         in
         Buffer.add_string buf (Table.render ~header rows))
       sweeps;
-    Buffer.add_string buf "\npaper claims:\n";
+    Buffer.add_string buf
+      "\np: growth exponent of S over the top doubling. S_x separates from \
+       S_y when\n\
+       p_x >= p_y + 0.5; S is bounded when p < 0.5.\n\
+       \npaper claims:\n";
     List.iter
-      (fun (claim, ok) ->
+      (fun v ->
         Buffer.add_string buf
-          (Printf.sprintf "  [%s] %s\n" (if ok then "ok" else "FAIL") claim))
+          (Printf.sprintf "  [%s] %s  (%s)\n"
+             (if v.holds then "ok" else "FAIL")
+             v.claim (versus v)))
       (claims sweeps);
     Buffer.contents buf
 end
@@ -277,11 +272,11 @@ module Thm26 = struct
 
   type result = {
     rows : row list;
-    u_tail_fit : Growth.fit option;
-    s_sfs_fit : Growth.fit option;
+    u_tail_exponent : float option;
+    s_sfs_exponent : float option;
   }
 
-  let default_ns = [ 8; 12; 18; 27; 40 ]
+  let default_ns = [ 10; 20; 40; 80 ]
 
   let space_of (m : Runner.measurement) = m.Runner.space
 
@@ -323,9 +318,8 @@ module Thm26 = struct
           })
         measured
     in
-    (* Fits run over the points that actually answered: a starved sweep
-       (tight fuel, small ns) degrades to fit [None] and a rendered
-       table instead of Growth.fit's Invalid_argument. *)
+    (* Exponents are read over the points that actually answered: a
+       starved sweep (tight fuel, small ns) leaves them unresolved. *)
     let u_points =
       List.filter_map
         (fun (n, tail_m, _) ->
@@ -342,11 +336,11 @@ module Thm26 = struct
           if answered sfs_m then Some (n, space_of sfs_m) else None)
         measured
     in
-    { rows; u_tail_fit = fit_or_none u_points; s_sfs_fit = fit_or_none s_points }
-
-  let fit_name = function
-    | Some f -> Growth.order_name f.Growth.order
-    | None -> "-"
+    {
+      rows;
+      u_tail_exponent = Growth.exponent u_points;
+      s_sfs_exponent = Growth.exponent s_points;
+    }
 
   let render result =
     Table.section
@@ -362,8 +356,13 @@ module Thm26 = struct
                string_of_int r.s_sfs;
              ])
            result.rows)
-    ^ Printf.sprintf "U_tail fits %s; S_sfs fits %s  (paper: O(N log N) vs O(N^2))\n"
-        (fit_name result.u_tail_fit) (fit_name result.s_sfs_fit)
+    ^ Printf.sprintf
+        "S_sfs %s from U_tail  (p = %s vs %s; paper: O(N^2) vs O(N log N))\n"
+        (if Growth.separates result.s_sfs_exponent result.u_tail_exponent
+         then "separates"
+         else "does NOT separate")
+        (Growth.show result.s_sfs_exponent)
+        (Growth.show result.u_tail_exponent)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -373,7 +372,7 @@ module Sec4 = struct
     spine : string;
     variant : Machine.variant;
     deltas : (int * int) list;
-    fit : Growth.fit option;
+    exponent : float option;
   }
 
   let default_ns = [ 24; 48; 96; 192 ]
@@ -407,7 +406,7 @@ module Sec4 = struct
                   | _ -> None)
                 ns
             in
-            { spine; variant; deltas; fit = fit_or_none deltas })
+            { spine; variant; deltas; exponent = Growth.exponent deltas })
           [ Machine.Tail; Machine.Gc; Machine.Stack ])
       programs
 
@@ -419,17 +418,13 @@ module Sec4 = struct
           ("spine" :: "variant"
           :: List.map string_of_int
                (match rows with r :: _ -> List.map fst r.deltas | [] -> [])
-          @ [ "fitted" ])
+          @ [ "p" ])
         (List.map
            (fun r ->
              r.spine
              :: Machine.variant_name r.variant
              :: List.map (fun (_, d) -> string_of_int d) r.deltas
-             @ [
-                 (match r.fit with
-                 | Some f -> Growth.order_name f.Growth.order
-                 | None -> "-");
-               ])
+             @ [ Growth.show r.exponent ])
            rows)
     ^ "paper: right spine is O(1) under I_tail but grows under I_gc/I_stack;\n\
        left spine grows under every variant.\n"
@@ -521,8 +516,8 @@ module Cps = struct
     ns : int list;
     tail : (int * int) list;
     gc : (int * int) list;
-    tail_fit : Growth.fit option;
-    gc_fit : Growth.fit option;
+    tail_exponent : float option;
+    gc_exponent : float option;
   }
 
   let default_ns = [ 32; 64; 128; 256 ]
@@ -543,8 +538,14 @@ module Cps = struct
            ~program ~ns ())
     in
     (* [Runner.spaces] keeps only answered points, so a starved sweep
-       can leave fewer than three: fit [None] rather than raise. *)
-    { ns; tail; gc; tail_fit = fit_or_none tail; gc_fit = fit_or_none gc }
+       leaves its exponents unresolved. *)
+    {
+      ns;
+      tail;
+      gc;
+      tail_exponent = Growth.exponent tail;
+      gc_exponent = Growth.exponent gc;
+    }
 
   let render r =
     let cell spaces n =
@@ -552,35 +553,33 @@ module Cps = struct
       | Some s -> string_of_int s
       | None -> "-"
     in
-    let fit_name = function
-      | Some f -> Growth.order_name f.Growth.order
-      | None -> "-"
-    in
     Table.section "E7 / §1: pure CPS needs bounded space only if properly tail recursive"
     ^ Table.render
-        ~header:("variant" :: List.map string_of_int r.ns @ [ "fitted" ])
+        ~header:("variant" :: List.map string_of_int r.ns @ [ "p" ])
         [
-          ("tail" :: List.map (cell r.tail) r.ns) @ [ fit_name r.tail_fit ];
-          ("gc" :: List.map (cell r.gc) r.ns) @ [ fit_name r.gc_fit ];
+          ("tail" :: List.map (cell r.tail) r.ns) @ [ Growth.show r.tail_exponent ];
+          ("gc" :: List.map (cell r.gc) r.ns) @ [ Growth.show r.gc_exponent ];
         ]
 end
 
 (* ------------------------------------------------------------------ *)
 
 module Ablation = struct
-  type sweep = { label : string; spaces : (int * int) list }
+  type sweep = {
+    label : string;
+    spaces : (int * int) list;
+    exponent : float option;
+  }
 
   type result = {
     ns : int list;
     return_env_rows : sweep list;
+    return_env_verdicts : verdict list;
     evlis_rows : sweep list;
-    stack_gc_divergence_faithful : float;
-    stack_gc_divergence_literal : float;
-    tail_evlis_divergence_faithful : float;
-    tail_evlis_divergence_literal : float;
+    evlis_verdicts : verdict list;
   }
 
-  let default_ns = [ 20; 40; 80; 160 ]
+  let default_ns = [ 20; 40; 80; 160; 320 ]
 
   let run ?pool ?(ns = default_ns) () =
     let sweep ?return_env ?evlis_drop_at_creation ~variant label source =
@@ -592,7 +591,8 @@ module Ablation = struct
                ~variant ())
           ~program ~ns ()
       in
-      { label; spaces = Runner.spaces ms }
+      let spaces = Runner.spaces ms in
+      { label; spaces; exponent = Growth.exponent spaces }
     in
     let gc_f =
       sweep ~variant:Machine.Gc "gc, closure-env frames (faithful)"
@@ -617,21 +617,31 @@ module Ablation = struct
       sweep ~evlis_drop_at_creation:false ~variant:Machine.Evlis
         "evlis, printed rules only (literal)" Families.separator_tail_evlis
     in
+    let separates reading x y x_sweep y_sweep =
+      separation
+        (Printf.sprintf "%s: S_%s separates from S_%s" reading x y)
+        x_sweep.exponent y_sweep.exponent
+    in
     {
       ns;
       return_env_rows = [ gc_f; stack_f; gc_l; stack_l ];
+      return_env_verdicts =
+        [
+          separates "faithful" "stack" "gc" stack_f gc_f;
+          separates "literal" "stack" "gc" stack_l gc_l;
+        ];
       evlis_rows = [ tail_e; evlis_f; evlis_l ];
-      stack_gc_divergence_faithful = divergence ns stack_f.spaces gc_f.spaces;
-      stack_gc_divergence_literal = divergence ns stack_l.spaces gc_l.spaces;
-      tail_evlis_divergence_faithful =
-        divergence ns tail_e.spaces evlis_f.spaces;
-      tail_evlis_divergence_literal = divergence ns tail_e.spaces evlis_l.spaces;
+      evlis_verdicts =
+        [
+          separates "faithful" "tail" "evlis" tail_e evlis_f;
+          separates "literal" "tail" "evlis" tail_e evlis_l;
+        ];
     }
 
   let render r =
-    let table rows =
+    let table rows verdicts =
       Table.render
-        ~header:("S(P,N)" :: List.map string_of_int r.ns)
+        ~header:("S(P,N)" :: List.map string_of_int r.ns @ [ "p" ])
         (List.map
            (fun s ->
              s.label
@@ -640,29 +650,31 @@ module Ablation = struct
                     match List.assoc_opt n s.spaces with
                     | Some v -> string_of_int v
                     | None -> "stuck")
-                  r.ns)
+                  r.ns
+             @ [ Growth.show s.exponent ])
            rows)
+      ^ String.concat ""
+          (List.map
+             (fun v ->
+               Printf.sprintf "  [%s] %s  (%s)\n"
+                 (if v.holds then "yes" else "no")
+                 v.claim (versus v))
+             verdicts)
     in
     Table.section
       "E8 / ablation: literal readings of two ambiguous rules break Theorem 25"
     ^ "
 return frames (separator stack/gc):
 "
-    ^ table r.return_env_rows
-    ^ Printf.sprintf
-        "S_stack/S_gc divergence: %.2f faithful vs %.2f literal — the\n\
-         separation needs frames that do not capture the caller's\n\
-         register environment.\n"
-        r.stack_gc_divergence_faithful r.stack_gc_divergence_literal
+    ^ table r.return_env_rows r.return_env_verdicts
+    ^ "The separation needs frames that do not capture the caller's\n\
+       register environment.\n"
     ^ "
 evlis and nullary calls (separator tail/evlis):
 "
-    ^ table r.evlis_rows
-    ^ Printf.sprintf
-        "S_tail/S_evlis divergence: %.2f faithful vs %.2f literal — evlis\n\
-         must drop the environment when a frame is created with no\n\
-         remaining subexpressions.\n"
-        r.tail_evlis_divergence_faithful r.tail_evlis_divergence_literal
+    ^ table r.evlis_rows r.evlis_verdicts
+    ^ "Evlis must drop the environment when a frame is created with no\n\
+       remaining subexpressions.\n"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -672,9 +684,9 @@ module Sanity = struct
 
   type cell = {
     program : string;
-    engine_order : Growth.order;
-    tail_order : Growth.order;
-    ok : bool;
+    failed : bool;
+    engine_exponent : float option;
+    tail_exponent : float option;
   }
 
   type row = {
@@ -688,8 +700,8 @@ module Sanity = struct
   let default_ns = [ 32; 64; 128; 256 ]
 
   (* iteration-shaped programs the SECD subset can run (no prelude, no
-     call/cc) whose S_tail is bounded, so any frame leak shows up as
-     divergence *)
+     call/cc); on the three loops S_tail is bounded, so a frame leaked
+     per call separates the implementation from it *)
   let battery =
     [
       ("countdown", Families.separator_gc_tail);
@@ -728,6 +740,14 @@ module Sanity = struct
       machine_engine Machine.Gc "reference I_gc (control)";
     ]
 
+  (* Definition 5 on one program: both sweeps answered, both exponents
+     resolved, and the implementation does not separate from S_tail. *)
+  let passes c =
+    (not c.failed)
+    && c.engine_exponent <> None
+    && c.tail_exponent <> None
+    && not (Growth.separates c.engine_exponent c.tail_exponent)
+
   let run ?pool ?(ns = default_ns) () =
     let programs =
       List.map (fun (name, src) -> (name, expand src)) battery
@@ -755,40 +775,20 @@ module Sanity = struct
                   |> List.filter_map (fun (n, e) ->
                          Option.map (fun e -> (n, e)) e)
                 in
-                if List.length engine_points >= 3 && List.length tails >= 3
-                then begin
-                  let engine_order = Growth.classify engine_points in
-                  let tail_order = Growth.classify tails in
-                  {
-                    program = name;
-                    engine_order;
-                    tail_order;
-                    (* up-to-logarithmic slack: the bignum loop counter
-                       costs 1 + log2 N words, visible over the engine's
-                       small constant but hidden under the reference
-                       machine's initial-store constant — the same
-                       caveat Theorem 25's proof notes for unlimited
-                       precision arithmetic *)
-                    ok =
-                      engine_order = tail_order
-                      || (not (Growth.at_least engine_order tail_order))
-                      || not (Growth.at_least engine_order Growth.Linear);
-                  }
-                end
-                else
-                  (* a run failed: flag conservatively *)
-                  {
-                    program = name;
-                    engine_order = Growth.Quadratic;
-                    tail_order = Growth.Constant;
-                    ok = false;
-                  })
+                {
+                  program = name;
+                  failed =
+                    List.length engine_points < List.length ns
+                    || List.length tails < List.length ns;
+                  engine_exponent = Growth.exponent engine_points;
+                  tail_exponent = Growth.exponent tails;
+                })
               programs
           in
           {
             engine;
             cells;
-            properly_tail_recursive = List.for_all (fun c -> c.ok) cells;
+            properly_tail_recursive = List.for_all passes cells;
           })
         engines
     in
@@ -807,19 +807,22 @@ module Sanity = struct
              row.engine
              :: List.map
                   (fun c ->
-                    Printf.sprintf "%s vs %s"
-                      (Growth.order_name c.engine_order)
-                      (Growth.order_name c.tail_order))
+                    if c.failed then "failed"
+                    else
+                      Printf.sprintf "%s vs %s"
+                        (Growth.show c.engine_exponent)
+                        (Growth.show c.tail_exponent))
                   row.cells
              @ [
                  (if row.properly_tail_recursive then "properly tail recursive"
                   else "SPACE LEAK");
                ])
            r.rows)
-    ^ "cells: fitted growth of the implementation's live space vs S_tail's.\n"
-    ^ "An implementation is flagged when it grows strictly faster than S_tail\n"
-    ^ "on some program (Definition 5). The tail-recursive SECD machine passes;\n"
-    ^ "the classic SECD machine and I_gc leak a frame per call, as \xc2\xa714 expects.\n"
+    ^ "cells: growth exponent p of the implementation's live space vs S_tail's.\n"
+    ^ "An implementation is flagged when it separates from S_tail (p >= p_tail\n"
+    ^ "+ 0.5) on some program (Definition 5), or a run fails. The tail-recursive\n"
+    ^ "SECD machine passes; the classic SECD machine and I_gc leak a frame per\n"
+    ^ "call, as \xc2\xa714 expects.\n"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -829,30 +832,22 @@ module LogHier = struct
      logarithmic model re-prices every linked unit at ceil(log2 |store|)
      bits, a factor that itself grows with the live store. This
      experiment re-runs each separation with all three models measured
-     and reports, per strict inclusion, whether the divergence survives
-     the re-pricing: a pointer-size factor of O(log S) cannot close a
-     polynomial gap, but it can (and does, on the N log N families)
-     shift where feasible-N divergence ratios land. *)
-
-  type pair = {
-    separation : string;  (** separator family name, "x/y" *)
-    flat_div : float;  (** divergence of S_x / S_y, smallest to largest N *)
-    log_div : float;  (** the same ratio-of-ratios under Log *)
-    survives : bool;  (** [log_div >= divergence_threshold] *)
-  }
+     and reports, per strict inclusion, whether Log_x still separates
+     from Log_y: a pointer-size factor of O(log S) cannot close a
+     polynomial gap. The flat separations are E2's. *)
 
   type result = {
     ns : int list;
-    pairs : pair list;
+    pairs : verdict list;
     chain_rows : (string * bool) list;
         (** Theorem 24's pointwise chain re-checked on Log consumption *)
     pk_ns : int list;
-    thm26_flat_div : float;  (** S_sfs against U_tail on P_N (the paper's) *)
-    thm26_log_div : float;  (** S_sfs against Log_tail *)
-    thm26_survives : bool;
+    thm26 : verdict;  (** S_sfs against Log_tail on P_N *)
   }
 
-  let default_ns = Thm25.default_ns
+  (* Every point measures Linked and Log, whose walk runs on every step:
+     at N = 320 the four pairs would take about half a minute. *)
+  let default_ns = [ 20; 40; 80; 160 ]
 
   (* Each separator family with the pair of variants its strict
      inclusion compares (Theorem 25's four adjacent separations). *)
@@ -899,16 +894,8 @@ module LogHier = struct
     let pairs =
       List.map
         (fun (sep, x, y) ->
-          let div model =
-            divergence ns (spaces_of model sep x) (spaces_of model sep y)
-          in
-          let log_div = div Space_model.Log in
-          {
-            separation = sep;
-            flat_div = div Space_model.Flat;
-            log_div;
-            survives = log_div >= divergence_threshold;
-          })
+          let exponent v = Growth.exponent (spaces_of Space_model.Log sep v) in
+          separation sep (exponent x) (exponent y))
         separations
     in
     (* Theorem 24's chain, re-checked pointwise on Log consumption. It
@@ -957,8 +944,8 @@ module LogHier = struct
         chain_entries
     in
     (* Theorem 26 on P_N: the paper separates flat S_sfs from linked
-       U_tail; under the log model the tail side is re-priced to
-       Log_tail (bit-units — the ratio-of-ratios cancels the unit). *)
+       U_tail (E4); under the log model the tail side is re-priced to
+       Log_tail (bit-units: an exponent does not depend on the unit). *)
     let pk_ns = Thm26.default_ns in
     let pk =
       Pool.map ?pool
@@ -976,60 +963,37 @@ module LogHier = struct
           (tail_m, sfs_m))
         (List.map (fun n -> (n, expand (Families.pk_program n))) pk_ns)
     in
-    let tails = List.map fst pk and sfss = List.map snd pk in
-    let thm26_flat_div =
-      divergence pk_ns (Runner.spaces sfss)
-        (Runner.spaces_for Space_model.Linked tails)
+    let thm26 =
+      separation "thm26 sfs(flat)/tail"
+        (Growth.exponent (Runner.spaces (List.map snd pk)))
+        (Growth.exponent (Runner.spaces_for Space_model.Log (List.map fst pk)))
     in
-    let thm26_log_div =
-      divergence pk_ns (Runner.spaces sfss)
-        (Runner.spaces_for Space_model.Log tails)
-    in
-    {
-      ns;
-      pairs;
-      chain_rows;
-      pk_ns;
-      thm26_flat_div;
-      thm26_log_div;
-      thm26_survives = thm26_log_div >= divergence_threshold;
-    }
+    { ns; pairs; chain_rows; pk_ns; thm26 }
 
   let render r =
-    let fmt = Printf.sprintf "%.2f" in
     Table.section
       "E10 / log model: the space hierarchy under pointer-size accounting"
     ^ Table.render
-        ~header:[ "separation"; "flat div"; "log div"; "under Log" ]
+        ~header:[ "separation"; "p_x"; "p_y"; "under Log" ]
         (List.map
-           (fun p ->
+           (fun v ->
              [
-               p.separation;
-               fmt p.flat_div;
-               fmt p.log_div;
-               (if p.survives then "survives" else "COLLAPSES");
+               v.claim;
+               Growth.show v.x;
+               Growth.show v.y;
+               (if v.holds then "survives" else "COLLAPSES");
              ])
-           r.pairs
-        @ [
-            [
-              "thm26 sfs(flat)/tail";
-              fmt r.thm26_flat_div;
-              fmt r.thm26_log_div;
-              (if r.thm26_survives then "survives" else "COLLAPSES");
-            ];
-          ])
+           (r.pairs @ [ r.thm26 ]))
     ^ Printf.sprintf "Theorem 24 chain on Log consumption: %s\n"
         (String.concat ", "
            (List.map
               (fun (name, ok) ->
                 Printf.sprintf "%s %s" name (if ok then "ok" else "VIOLATED"))
               r.chain_rows))
-    ^ Printf.sprintf
-        "div: ratio of S_x/S_y between the smallest and largest N (>= %g\n\
-         counts as divergence). Log re-prices every linked unit at\n\
-         ceil(log2 |store|) bits, so a polynomial separation survives while\n\
-         the factor only shifts the ratios.\n"
-        divergence_threshold
+    ^ "p: growth exponent of Log_x and Log_y (thm26: flat S_sfs and Log_tail)\n\
+       over the top doubling; a separation survives when p_x >= p_y + 0.5.\n\
+       Log re-prices every linked unit at ceil(log2 |store|) bits, a factor\n\
+       that cannot close a polynomial gap.\n"
 end
 
 (* ------------------------------------------------------------------ *)

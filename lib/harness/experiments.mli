@@ -16,10 +16,14 @@ module Pool = Tailspace_parallel.Pool
     byte-identical with and without a pool. Program expansion always
     happens in the calling domain. *)
 
-val divergence_threshold : float
-(** The divergence that counts as a separation in E2, E8 and E10
-    (1.4): how much the ratio [S_x / S_y] must grow from the smallest N
-    to the largest. *)
+type verdict = {
+  claim : string;
+  x : float option;  (** growth exponent of the series claimed to grow faster *)
+  y : float option;  (** growth exponent of the series it is compared with *)
+  holds : bool;  (** [Growth.separates x y]; for a bound, [Growth.bounded x] *)
+}
+(** One separation verdict of E2, E8 or E10, with the two exponents it
+    was decided on. *)
 
 (** {1 E1 — Figure 2: static frequency of tail calls} *)
 module Fig2 : sig
@@ -38,7 +42,9 @@ module Thm25 : sig
   type cell = {
     variant : Machine.variant;
     spaces : (int * int) list;  (** (N, S) for successful runs *)
-    fit : Growth.fit option;  (** [None] when runs got stuck or starved *)
+    exponent : float option;
+        (** {!Growth.exponent} of [spaces]; [None] when unresolved, as
+            when runs got stuck or starved *)
   }
 
   type sweep = { separator : string; ns : int list; cells : cell list }
@@ -49,14 +55,15 @@ module Thm25 : sig
     ?fuel:int ->
     unit ->
     sweep list
-  (** One sweep per separating program, all six variants each. When
-      [fuel] is given every point runs under it; points that run out
-      simply drop out of [spaces] (and the fit), so a partial sweep
-      still renders. *)
+  (** One sweep per separating program, all six variants each, at N =
+      20 to 320 by default. When [fuel] is given every point runs under
+      it; points that run out simply drop out of [spaces] (and the
+      exponent), so a partial sweep still renders. *)
 
-  val claims : sweep list -> (string * bool) list
-  (** The paper's growth claims ("stack/gc: quadratic under stack",
-      ...), each evaluated against the fits. *)
+  val claims : sweep list -> verdict list
+  (** Theorem 25's nine claims: eight separations ("stack/gc: S_stack
+      separates from S_gc", ...) and "gc/tail: S_tail bounded", whose
+      [y] is 0. *)
 
   val render : sweep list -> string
 end
@@ -89,10 +96,11 @@ module Thm26 : sig
 
   type result = {
     rows : row list;
-    u_tail_fit : Growth.fit option;
-        (** [None] when fewer than three points answered — a starved
-            sweep degrades the table instead of raising *)
-    s_sfs_fit : Growth.fit option;
+    u_tail_exponent : float option;
+        (** [None] when unresolved, as when fewer than three points
+            answered: a starved sweep degrades the table instead of
+            raising *)
+    s_sfs_exponent : float option;
   }
 
   val run :
@@ -101,8 +109,10 @@ module Thm26 : sig
     ?fuel:int ->
     unit ->
     result
+  (** At N = 10, 20, 40, 80 by default. *)
 
   val render : result -> string
+  (** The table, and whether S_sfs separates from U_tail. *)
 end
 
 (** {1 E5 — §4: find-leftmost} *)
@@ -113,7 +123,7 @@ module Sec4 : sig
     deltas : (int * int) list;
         (** (N, S_traverse - S_build): traversal overhead net of the
             tree data *)
-    fit : Growth.fit option;
+    exponent : float option;  (** {!Growth.exponent} of [deltas] *)
   }
 
   val run : ?pool:Pool.t -> ?ns:int list -> unit -> row list
@@ -141,9 +151,10 @@ module Cps : sig
     ns : int list;
     tail : (int * int) list;
     gc : (int * int) list;
-    tail_fit : Growth.fit option;
-        (** [None] when fewer than three points answered *)
-    gc_fit : Growth.fit option;
+    tail_exponent : float option;
+        (** [None] when unresolved, as when fewer than three points
+            answered *)
+    gc_exponent : float option;
   }
 
   val run :
@@ -161,22 +172,25 @@ module Ablation : sig
   type sweep = {
     label : string;
     spaces : (int * int) list;  (** (N, S) *)
+    exponent : float option;  (** {!Growth.exponent} of [spaces] *)
   }
 
   type result = {
     ns : int list;
     return_env_rows : sweep list;
         (** separator 1 under I_gc/I_stack, faithful vs literal frames *)
+    return_env_verdicts : verdict list;
+        (** S_stack against S_gc: faithful frames, then literal *)
     evlis_rows : sweep list;
         (** separator 3 under I_tail/I_evlis, with and without the
             drop-at-creation rule *)
-    stack_gc_divergence_faithful : float;
-    stack_gc_divergence_literal : float;
-    tail_evlis_divergence_faithful : float;
-    tail_evlis_divergence_literal : float;
+    evlis_verdicts : verdict list;
+        (** S_tail against S_evlis: faithful evlis, then literal *)
   }
 
   val run : ?pool:Pool.t -> ?ns:int list -> unit -> result
+  (** At N = 20 to 320 by default. *)
+
   val render : result -> string
 end
 
@@ -188,24 +202,24 @@ module Sanity : sig
       executable implementations that are {e not} reference machines —
       the tail-recursive SECD machine and the classic SECD machine
       (lib/engines) — plus the reference [I_gc] as a known-improper
-      control: an implementation passes iff its live space stays within
-      a constant factor of [S_tail] across a battery of programs. *)
+      control: an implementation passes iff no program of a battery
+      separates its live space from [S_tail] ({!Growth.separates}). *)
 
   type cell = {
     program : string;
-    engine_order : Growth.order;
-        (** fitted growth of the implementation's live space *)
-    tail_order : Growth.order;  (** fitted growth of [S_tail] *)
-    ok : bool;
-        (** the implementation does not grow strictly faster than
-            [S_tail] on this program, up to a logarithmic slack for the
-            bignum loop counter *)
+    failed : bool;  (** some run of either sweep did not answer *)
+    engine_exponent : float option;
+        (** growth exponent of the implementation's live space over the
+            runs that answered *)
+    tail_exponent : float option;  (** growth exponent of [S_tail] *)
   }
 
   type row = {
     engine : string;
     cells : cell list;
-    properly_tail_recursive : bool;  (** all cells ok *)
+    properly_tail_recursive : bool;
+        (** every cell passes: not [failed], both exponents resolved,
+            and the implementation does not separate from [S_tail] *)
   }
 
   type result = { ns : int list; rows : row list }
@@ -222,29 +236,21 @@ module LogHier : sig
       re-prices every linked unit at [ceil(log2 |store|)] bits, a
       factor that grows with the live store. *)
 
-  type pair = {
-    separation : string;  (** separator family name, ["x/y"] *)
-    flat_div : float;
-        (** divergence ratio of [S_x / S_y] between the smallest and
-            largest N *)
-    log_div : float;  (** the same ratio-of-ratios under [Log] *)
-    survives : bool;  (** [log_div >= divergence_threshold] *)
-  }
-
   type result = {
     ns : int list;
-    pairs : pair list;  (** Theorem 25's four adjacent separations *)
+    pairs : verdict list;
+        (** Theorem 25's four adjacent separations, each claimed by its
+            separator family's name (["x/y"]) and decided on [Log_x]
+            against [Log_y]; [holds] reads "survives" *)
     chain_rows : (string * bool) list;
         (** Theorem 24's pointwise chain re-checked on Log consumption
             per corpus program — not implied by the flat chain, since
             each variant's figures are scaled by its own store's
             pointer size *)
-    pk_ns : int list;
-    thm26_flat_div : float;
-        (** Theorem 26's own separation: [S_sfs] against [U_tail] on
-            [P_N] *)
-    thm26_log_div : float;  (** [S_sfs] against [Log_tail] *)
-    thm26_survives : bool;
+    pk_ns : int list;  (** {!Thm26}'s default N *)
+    thm26 : verdict;
+        (** Theorem 26's own separation on [P_N]: flat [S_sfs] against
+            [Log_tail] *)
   }
 
   val run :
@@ -253,6 +259,8 @@ module LogHier : sig
     ?fuel:int ->
     unit ->
     result
+  (** At N = 20 to 160 by default: every point measures Linked and Log,
+      whose walk runs on every step. *)
 
   val render : result -> string
 end

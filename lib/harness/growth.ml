@@ -1,82 +1,22 @@
-type order = Constant | Logarithmic | Linear | Linearithmic | Quadratic
+let exponent points =
+  match List.rev points with
+  | (nk, sk) :: (nj, sj) :: (ni, si) :: _
+    when 0 < ni && ni < nj && nk * ni = nj * nj ->
+      let top = sk - sj and prev = sj - si in
+      if top <= 0 then Some 0.
+      else if prev <= 0 then None
+      else
+        Some
+          (Float.log2 (float_of_int top /. float_of_int prev)
+          /. Float.log2 (float_of_int nk /. float_of_int nj))
+  | _ -> None
 
-let order_name = function
-  | Constant -> "O(1)"
-  | Logarithmic -> "O(log N)"
-  | Linear -> "O(N)"
-  | Linearithmic -> "O(N log N)"
-  | Quadratic -> "O(N^2)"
+(* Half the distance between adjacent classes: bounded (0), linear (1,
+   N log N included) and quadratic (2). *)
+let margin = 0.5
 
-let order_rank = function
-  | Constant -> 0
-  | Logarithmic -> 1
-  | Linear -> 2
-  | Linearithmic -> 3
-  | Quadratic -> 4
+let separates px py =
+  match (px, py) with Some x, Some y -> x >= y +. margin | _ -> false
 
-let at_least o1 o2 = order_rank o1 >= order_rank o2
-
-type fit = {
-  order : order;
-  coefficient : float;
-  intercept : float;
-  relative_error : float;
-}
-
-let basis = function
-  | Constant -> fun _ -> 1.
-  | Logarithmic -> fun n -> log (n +. 1.)
-  | Linear -> fun n -> n
-  | Linearithmic -> fun n -> n *. log (n +. 1.)
-  | Quadratic -> fun n -> n *. n
-
-(* Least squares for y = a*g(x) + b. For the Constant model g is the
-   constant 1, which is collinear with the intercept; fit y = b alone. *)
-let fit_model order points =
-  let g = basis order in
-  let xs = List.map (fun (n, _) -> g (float_of_int n)) points in
-  let ys = List.map (fun (_, s) -> float_of_int s) points in
-  let len = float_of_int (List.length points) in
-  let sum = List.fold_left ( +. ) 0. in
-  let sx = sum xs and sy = sum ys in
-  let sxx = sum (List.map (fun x -> x *. x) xs) in
-  let sxy = sum (List.map2 ( *. ) xs ys) in
-  let a, b =
-    match order with
-    | Constant -> (0., sy /. len)
-    | _ ->
-        let denom = (len *. sxx) -. (sx *. sx) in
-        if abs_float denom < 1e-9 then (0., sy /. len)
-        else
-          let a = Stdlib.max 0. (((len *. sxy) -. (sx *. sy)) /. denom) in
-          (a, (sy -. (a *. sx)) /. len)
-  in
-  let residuals =
-    List.map2 (fun x y -> y -. ((a *. x) +. b)) xs ys
-  in
-  let rms =
-    sqrt (sum (List.map (fun r -> r *. r) residuals) /. len)
-  in
-  let mean = Stdlib.max 1. (sy /. len) in
-  { order; coefficient = a; intercept = b; relative_error = rms /. mean }
-
-(* Prefer the simplest model whose error is within a whisker of the best:
-   on noiseless linear data the quadratic model also fits well, and the
-   tie must break toward the true (smaller) order. *)
-let fit points =
-  if List.length points < 3 then
-    invalid_arg "Growth.fit: need at least 3 measurements";
-  let fits =
-    List.map
-      (fun o -> fit_model o points)
-      [ Constant; Logarithmic; Linear; Linearithmic; Quadratic ]
-  in
-  let best =
-    List.fold_left
-      (fun acc f -> if f.relative_error < acc.relative_error then f else acc)
-      (List.hd fits) (List.tl fits)
-  in
-  let threshold = Stdlib.max (best.relative_error *. 1.5) 0.01 in
-  List.find (fun f -> f.relative_error <= threshold) fits
-
-let classify points = (fit points).order
+let bounded p = p <> None && not (separates p (Some 0.))
+let show = function Some p -> Printf.sprintf "%.2f" p | None -> "-"

@@ -1,4 +1,4 @@
-(* Harness: growth fitting on synthetic data, table rendering, the
+(* Harness: growth exponents on synthetic data, table rendering, the
    runner, and smoke runs of the experiment drivers at reduced sizes. *)
 
 module G = Tailspace_harness.Growth
@@ -10,47 +10,82 @@ module E = Tailspace_expander.Expand
 
 let synth f ns = List.map (fun n -> (n, f n)) ns
 let ns = [ 8; 16; 32; 64; 128; 256 ]
+let exponent f = G.exponent (synth f ns)
+let log2 n = int_of_float (Float.log2 (float_of_int n))
 
-let check_order name f expected =
-  Alcotest.(check string) name
-    (G.order_name expected)
-    (G.order_name (G.classify (synth f ns)))
+(* Exponents of exact series are exact: the increments over a doubling
+   of a N^p + c stand in the ratio 2^p. *)
+let exact = Alcotest.(option (float 0.))
 
-let test_classify_constant () = check_order "constant" (fun _ -> 3000) G.Constant
+let test_constant () =
+  Alcotest.check exact "constant" (Some 0.) (exponent (fun _ -> 3000));
+  Alcotest.check exact "falling top increment" (Some 0.)
+    (G.exponent [ (10, 500); (20, 520); (40, 510) ])
 
-let test_classify_log () =
-  check_order "log" (fun n -> 500 + (40 * int_of_float (log (float_of_int n)))) G.Logarithmic
+let test_logarithmic () =
+  Alcotest.check exact "c + k log2 N" (Some 0.)
+    (exponent (fun n -> 4400 + (16 * log2 n)))
 
-let test_classify_linear () = check_order "linear" (fun n -> 1000 + (17 * n)) G.Linear
+let test_linear () =
+  Alcotest.check exact "a N + c" (Some 1.) (exponent (fun n -> 1000 + (17 * n)))
 
-let test_classify_linearithmic () =
-  check_order "n log n"
-    (fun n -> 200 + int_of_float (7.0 *. float_of_int n *. log (float_of_int n)))
-    G.Linearithmic
+let test_linearithmic () =
+  (* N log N is in the paper's linear class: above 1, but not separated
+     from a linear series *)
+  let p = exponent (fun n -> 200 + (7 * n * log2 n)) in
+  Alcotest.(check bool) "above linear" true (Option.get p > 1.);
+  Alcotest.(check bool) "not separated from linear" false
+    (G.separates p (Some 1.))
 
-let test_classify_quadratic () =
-  check_order "quadratic" (fun n -> 100 + (3 * n * n)) G.Quadratic
+let test_quadratic () =
+  Alcotest.check exact "a N^2 + c" (Some 2.)
+    (exponent (fun n -> 100 + (3 * n * n)))
 
-let test_fit_params () =
-  let f = G.fit (synth (fun n -> 50 + (7 * n)) ns) in
-  Alcotest.(check bool) "slope near 7" true (abs_float (f.G.coefficient -. 7.) < 0.5);
-  Alcotest.(check bool) "intercept near 50" true (abs_float (f.G.intercept -. 50.) < 20.)
+let test_constants_cancel () =
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun c ->
+          Alcotest.check exact
+            (Printf.sprintf "%s + %d" name c)
+            (exponent f)
+            (exponent (fun n -> f n + c)))
+        [ -1000; 1; 4400; 1_000_000 ])
+    [
+      ("constant", fun _ -> 7);
+      ("log", fun n -> 16 * log2 n);
+      ("linear", fun n -> 101 * n);
+      ("n log n", fun n -> n * log2 n);
+      ("quadratic", fun n -> 3 * n * n);
+      ("onset in the top step", fun n -> if n < 256 then 0 else n);
+    ]
 
-let test_fit_prefers_simpler () =
-  (* noiseless linear data also fits the quadratic model; the simpler
-     order must win the tie *)
-  let f = G.fit (synth (fun n -> 10 * n) ns) in
-  Alcotest.(check string) "linear not quadratic" "O(N)" (G.order_name f.G.order)
+let test_unresolved () =
+  Alcotest.check exact "top not geometric" None
+    (G.exponent [ (10, 1); (20, 2); (30, 3) ]);
+  Alcotest.check exact "growth starts inside the top step" None
+    (G.exponent [ (20, 505); (40, 505); (80, 505); (160, 546) ]);
+  Alcotest.check exact "previous increment falls" None
+    (G.exponent [ (20, 444); (40, 420); (80, 600) ])
 
-let test_fit_requires_points () =
-  Alcotest.check_raises "too few"
-    (Invalid_argument "Growth.fit: need at least 3 measurements") (fun () ->
-      ignore (G.fit [ (1, 1); (2, 2) ]))
+let test_needs_points () =
+  List.iter
+    (fun points ->
+      Alcotest.check exact
+        (Printf.sprintf "%d points" (List.length points))
+        None (G.exponent points))
+    [ []; [ (8, 1) ]; [ (8, 1); (16, 2) ] ]
 
-let test_at_least () =
-  Alcotest.(check bool) "quad >= linear" true (G.at_least G.Quadratic G.Linear);
-  Alcotest.(check bool) "log < linear" false (G.at_least G.Logarithmic G.Linear);
-  Alcotest.(check bool) "reflexive" true (G.at_least G.Linear G.Linear)
+let test_separates () =
+  Alcotest.(check bool) "half a class apart" true
+    (G.separates (Some 1.5) (Some 1.));
+  Alcotest.(check bool) "just under half" false
+    (G.separates (Some 1.49) (Some 1.));
+  Alcotest.(check bool) "unresolved x" false (G.separates None (Some 0.));
+  Alcotest.(check bool) "unresolved y" false (G.separates (Some 2.) None);
+  Alcotest.(check bool) "bounded below half" true (G.bounded (Some 0.49));
+  Alcotest.(check bool) "not bounded at half" false (G.bounded (Some 0.5));
+  Alcotest.(check bool) "unresolved is not bounded" false (G.bounded None)
 
 let test_table_render () =
   let s = T.render ~header:[ "name"; "n" ] [ [ "alpha"; "12" ]; [ "b"; "3" ] ] in
@@ -106,7 +141,7 @@ let test_thm25_claims_full () =
   (* the paper's separations at full default sizes *)
   let sweeps = X.Thm25.run () in
   List.iter
-    (fun (claim, ok) -> Alcotest.(check bool) claim true ok)
+    (fun (v : X.verdict) -> Alcotest.(check bool) v.X.claim true v.X.holds)
     (X.Thm25.claims sweeps)
 
 let test_thm24_chain () =
@@ -137,26 +172,26 @@ let test_cor20_agreement () =
 
 let test_cps_shapes () =
   let r = X.Cps.run ~ns:[ 16; 32; 64; 128 ] () in
-  let order = function
-    | Some (f : G.fit) -> f.G.order
-    | None -> Alcotest.fail "CPS sweep starved: no fit"
-  in
-  Alcotest.(check string) "tail bounded" "O(1)"
-    (G.order_name (order r.X.Cps.tail_fit));
-  Alcotest.(check bool) "gc at least linear" true
-    (G.at_least (order r.X.Cps.gc_fit) G.Linear)
+  Alcotest.(check bool) "tail bounded" true (G.bounded r.X.Cps.tail_exponent);
+  Alcotest.(check bool) "gc separates from tail" true
+    (G.separates r.X.Cps.gc_exponent r.X.Cps.tail_exponent)
 
 let test_ablation_choices_matter () =
   (* E8: the faithful readings separate; the literal readings do not *)
   let r = X.Ablation.run () in
-  Alcotest.(check bool) "stack/gc separates (faithful)" true
-    (r.X.Ablation.stack_gc_divergence_faithful >= X.divergence_threshold);
-  Alcotest.(check bool) "stack/gc collapses (literal)" true
-    (r.X.Ablation.stack_gc_divergence_literal <= 1.1);
-  Alcotest.(check bool) "tail/evlis separates (faithful)" true
-    (r.X.Ablation.tail_evlis_divergence_faithful >= X.divergence_threshold);
-  Alcotest.(check bool) "tail/evlis collapses (literal)" true
-    (r.X.Ablation.tail_evlis_divergence_literal <= 1.1)
+  let check expected (v : X.verdict) =
+    Alcotest.(check bool) (v.X.claim ^ ": resolved") true
+      (v.X.x <> None && v.X.y <> None);
+    Alcotest.(check bool) v.X.claim expected (G.separates v.X.x v.X.y)
+  in
+  List.iter
+    (fun verdicts ->
+      match verdicts with
+      | [ faithful; literal ] ->
+          check true faithful;
+          check false literal
+      | _ -> Alcotest.fail "E8: expected a faithful and a literal verdict")
+    [ r.X.Ablation.return_env_verdicts; r.X.Ablation.evlis_verdicts ]
 
 let test_sanity_verdicts () =
   (* E9 at its default N: only the tail-recursive SECD machine stays
@@ -177,24 +212,18 @@ let test_sanity_verdicts () =
   Alcotest.(check bool) "I_gc leaks" false (verdict "reference I_gc (control)")
 
 let test_loghier_verdicts () =
-  (* E10 at N = 20, 40, 80, which gives the default N's verdicts. gc/tail
-     is left out: direct runs at N = 1280 to 5120 dispute its collapse
-     under Log (Log_tail stays near-flat while Log_gc triples). *)
-  let r = X.LogHier.run ~ns:[ 20; 40; 80 ] () in
+  (* E10 at its default N (20 to 160): every separation survives the
+     log model, gc/tail included (Log_gc grows by one frame's bits per
+     iteration over a constant of about 4 400 bits). *)
+  let r = X.LogHier.run () in
+  Alcotest.(check (list string)) "the four separations"
+    [ "stack/gc"; "gc/tail"; "tail/evlis"; "evlis/sfs" ]
+    (List.map (fun (v : X.verdict) -> v.X.claim) r.X.LogHier.pairs);
   List.iter
-    (fun sep ->
-      match
-        List.find_opt
-          (fun (p : X.LogHier.pair) -> p.X.LogHier.separation = sep)
-          r.X.LogHier.pairs
-      with
-      | Some p ->
-          Alcotest.(check bool) (sep ^ " survives under Log") true
-            p.X.LogHier.survives
-      | None -> Alcotest.failf "no E10 row %S" sep)
-    [ "stack/gc"; "tail/evlis"; "evlis/sfs" ];
-  Alcotest.(check bool) "thm26 survives under Log" true
-    r.X.LogHier.thm26_survives;
+    (fun (v : X.verdict) ->
+      Alcotest.(check bool) (v.X.claim ^ " survives under Log") true
+        (G.separates v.X.x v.X.y))
+    (r.X.LogHier.pairs @ [ r.X.LogHier.thm26 ]);
   Alcotest.(check (list (pair string bool)))
     "Theorem 24 chain on Log"
     [ ("countdown", true); ("fib-iter", true); ("even-odd", true) ]
@@ -222,15 +251,15 @@ let () =
     [
       ( "growth",
         [
-          Alcotest.test_case "constant" `Quick test_classify_constant;
-          Alcotest.test_case "logarithmic" `Quick test_classify_log;
-          Alcotest.test_case "linear" `Quick test_classify_linear;
-          Alcotest.test_case "linearithmic" `Quick test_classify_linearithmic;
-          Alcotest.test_case "quadratic" `Quick test_classify_quadratic;
-          Alcotest.test_case "fit parameters" `Quick test_fit_params;
-          Alcotest.test_case "prefers simpler" `Quick test_fit_prefers_simpler;
-          Alcotest.test_case "needs 3 points" `Quick test_fit_requires_points;
-          Alcotest.test_case "at_least" `Quick test_at_least;
+          Alcotest.test_case "constant" `Quick test_constant;
+          Alcotest.test_case "logarithmic" `Quick test_logarithmic;
+          Alcotest.test_case "linear" `Quick test_linear;
+          Alcotest.test_case "linearithmic" `Quick test_linearithmic;
+          Alcotest.test_case "quadratic" `Quick test_quadratic;
+          Alcotest.test_case "constants cancel" `Quick test_constants_cancel;
+          Alcotest.test_case "unresolved" `Quick test_unresolved;
+          Alcotest.test_case "needs 3 points" `Quick test_needs_points;
+          Alcotest.test_case "separates" `Quick test_separates;
         ] );
       ( "infrastructure",
         [

@@ -8,7 +8,6 @@ module Tel = Tailspace_telemetry.Telemetry
 module Pool = Tailspace_parallel.Pool
 module R = Tailspace_harness.Runner
 module X = Tailspace_harness.Experiments
-module G = Tailspace_harness.Growth
 module Expand = Tailspace_expander.Expand
 module Json = Tel.Json
 
@@ -121,23 +120,23 @@ let test_tables_jobs_invariant () =
 (* starved sweeps degrade the table instead of raising *)
 
 let test_starved_fits_degrade () =
-  (* fuel too small for any point to answer: every fit is None and the
-     tables still render *)
+  (* fuel too small for any point to answer: every exponent is
+     unresolved and the tables still render *)
   let fuel = 5 in
   let thm26 = X.Thm26.run ~ns:[ 8; 12; 18 ] ~fuel () in
-  Alcotest.(check bool) "thm26 u_tail fit degrades" true
-    (thm26.X.Thm26.u_tail_fit = None);
-  Alcotest.(check bool) "thm26 s_sfs fit degrades" true
-    (thm26.X.Thm26.s_sfs_fit = None);
+  Alcotest.(check bool) "thm26 u_tail exponent unresolved" true
+    (thm26.X.Thm26.u_tail_exponent = None);
+  Alcotest.(check bool) "thm26 s_sfs exponent unresolved" true
+    (thm26.X.Thm26.s_sfs_exponent = None);
   Alcotest.(check bool) "thm26 renders" true
     (String.length (X.Thm26.render thm26) > 50);
   let cps = X.Cps.run ~ns:[ 16; 32; 64 ] ~fuel () in
-  Alcotest.(check bool) "cps fits degrade" true
-    (cps.X.Cps.tail_fit = None && cps.X.Cps.gc_fit = None);
+  Alcotest.(check bool) "cps exponents unresolved" true
+    (cps.X.Cps.tail_exponent = None && cps.X.Cps.gc_exponent = None);
   Alcotest.(check bool) "cps renders" true
     (String.length (X.Cps.render cps) > 50);
-  (* Thm25 under the same starvation: cells lose their fits but the
-     sweep still renders *)
+  (* Thm25 under the same starvation: cells lose their exponents but
+     the sweep still renders *)
   let sweeps = X.Thm25.run ~ns:[ 8; 12; 18 ] ~fuel () in
   Alcotest.(check bool) "thm25 renders under starvation" true
     (String.length (X.Thm25.render sweeps) > 50)

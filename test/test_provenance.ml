@@ -12,6 +12,11 @@ module P = Tailspace_provenance.Provenance
 module R = Tailspace_harness.Runner
 module Table = Tailspace_harness.Table
 module Corpus = Tailspace_corpus.Corpus
+module T = Tailspace_core.Types
+module Env = Tailspace_core.Types.Env
+module Store = Tailspace_core.Store
+module Space = Tailspace_core.Space
+module B = Tailspace_bignum.Bignum
 
 let corpus_program name =
   match Corpus.find name with
@@ -282,6 +287,44 @@ let test_retainer_ties () =
             (through "(cons (quote 2) s)"))
     [ M.Tail; M.Gc; M.Free ]
 
+(* --- hand-built configurations --------------------------------------- *)
+
+(* A call frame lives for one step, and a push frame's held values for
+   a few: no measured input need have its linked peak on one. So the
+   linked and log censuses are checked on configurations built by hand,
+   each continuation holding values in a frame, against the figure
+   [Space] computes for the same configuration. *)
+let test_frames_with_values () =
+  let store, l1 = Store.alloc Store.empty (T.Int (B.of_int 1000)) in
+  let store, l2 = Store.alloc store T.Nil in
+  let store, l3 = Store.alloc store (T.Pair (l1, l2)) in
+  let env = Env.add "x" l1 (Env.add "y" l3 Env.empty) in
+  let held = [ T.Int (B.of_int 7); T.Pair (l1, l2); T.Bool true ] in
+  let control = `Value (T.Int (B.of_int 3)) in
+  List.iter
+    (fun (what, cont) ->
+      let census = Census.create () in
+      Census.stash_linked census ~control ~env ~cont ~store;
+      Census.stash_log census ~control ~env ~cont ~store;
+      let u = Space.linked_config_space ~control ~env ~cont ~store in
+      let total name = function
+        | Some c -> P.total c
+        | None -> Alcotest.failf "%s: no %s census" what name
+      in
+      Alcotest.(check int) (what ^ ": linked census sums to U") u
+        (total "linked" (Census.linked_census census ~peak:u));
+      let l = Space.pointer_bits store * u in
+      Alcotest.(check int) (what ^ ": log census sums to bits * U") l
+        (total "log" (Census.log_census census ~peak:l)))
+    [
+      ("call frame", T.call ~vals:held ~next:T.Halt ());
+      ( "push frame",
+        T.push ~pending:1
+          ~remaining:[ (2, Tailspace_ast.Ast.Var "x"); (3, Tailspace_ast.Ast.Var "y") ]
+          ~evaluated:(List.mapi (fun i v -> (i, v)) held)
+          ~env ~next:T.Halt () );
+    ]
+
 (* --- the sum-to-total invariant, property-checked ------------------ *)
 
 let fast_entries =
@@ -374,5 +417,10 @@ let () =
         ] );
       ( "stacks",
         [ Alcotest.test_case "retainer ties by identifier" `Quick test_retainer_ties ] );
-      ( "invariant", [ test_census_sums_to_peak ] );
+      ( "invariant",
+        [
+          test_census_sums_to_peak;
+          Alcotest.test_case "frames holding values" `Quick
+            test_frames_with_values;
+        ] );
     ]
