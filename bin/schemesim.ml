@@ -1,15 +1,20 @@
 (* schemesim — run Scheme programs on the paper's reference machines.
 
    subcommands:
-     run         evaluate a file or expression on a chosen variant,
-                 reporting the answer and the measured space consumption
-     profile     run with full telemetry: JSON summary + CSV space profile
+     run         run a file, an expression or a corpus entry once on a
+                 chosen variant, reporting the answer and the measured
+                 space consumption; --json, --csv and --events add the
+                 telemetry summary, the space-over-time profile and the
+                 event stream
      bench       sweep a program over several inputs, tabulating space
      analyze     static tail-call statistics (Figure 2) for a file
-     corpus      list the shipped corpus, or run one entry
+     corpus      list the shipped corpus
      report      print the paper-reproduction experiment tables
      spaceprof   space-provenance profiler: per-site heap census at the
                  peak, flamegraph export, and per-variant census diffs
+
+   run, bench and spaceprof take their program the same way: FILE, -e
+   EXPR or --corpus NAME.
 
    exit codes (uniform across subcommands, documented in README):
      0  the program ran to completion (Done)
@@ -32,7 +37,6 @@ module Tel = Tailspace_telemetry.Telemetry
 module Json = Tailspace_telemetry.Telemetry.Json
 module Res = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
-module Vm = Tailspace_vm.Vm
 module Ast = Tailspace_ast.Ast
 module Census = Tailspace_core.Census
 module Prov = Tailspace_provenance.Provenance
@@ -57,7 +61,7 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* JSON pieces shared by [run --json], [profile], and [bench --json]. *)
+(* JSON pieces shared by [run --json] and [bench --json]. *)
 
 let peaks_json peaks =
   Json.Obj (List.map (fun (m, p) -> (SM.name m, Json.Int p)) peaks)
@@ -192,14 +196,6 @@ let stack_policy_arg =
   in
   Arg.(value & opt cv M.Safe_deletion & info [ "stack-policy" ] ~docv:"POLICY" ~doc)
 
-let vm_fast_arg =
-  let doc =
-    "Run on the bytecode VM with accounting compiled out instead of the \
-     reference machines: answers only, much faster (tail variant, \
-     left-to-right; no space figure is measured or printed)."
-  in
-  Arg.(value & flag & info [ "vm-fast" ] ~doc)
-
 (* The header's exit-code contract, as every command's --help shows it. *)
 let exits =
   Cmd.Exit.
@@ -215,20 +211,6 @@ let exits =
            unwritable output file, unknown corpus entry or experiment.";
       info internal_error ~doc:"on unexpected internal errors (bugs).";
     ]
-
-(* The fast VM refuses configurations whose accounting it cannot honor;
-   surface that as a usage error (exit 2) before running. *)
-let resolve_engine ~vm_fast ~variant ~perm ~measure =
-  if not vm_fast then M.Stepper
-  else begin
-    if variant <> M.Tail then
-      usage "--vm-fast supports only the tail variant (-v tail)";
-    if perm <> M.Left_to_right then
-      usage "--vm-fast evaluates left-to-right only (--perm ltr)";
-    if SM.normalize measure <> [ SM.Flat ] then
-      usage "--vm-fast measures no space (drop --model)";
-    M.Vm_fast
-  end
 
 let fuel_arg =
   let doc = "Maximum number of machine steps." in
@@ -284,7 +266,7 @@ let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* ------------------------------------------------------------------ *)
-(* run / profile shared plumbing                                       *)
+(* the program: FILE, -e or --corpus                                   *)
 
 let file_pos_arg =
   let doc = "Scheme source file (use - for stdin)." in
@@ -294,6 +276,14 @@ let expr_arg =
   let doc = "Evaluate an inline program instead of a file." in
   Arg.(value & opt (some string) None & info [ "e"; "expr" ] ~docv:"PROGRAM" ~doc)
 
+let corpus_arg =
+  let doc =
+    "Use a shipped corpus entry (see $(b,schemesim corpus)) instead of a \
+     file; where the command takes $(b,--input), the entry's first checked \
+     input is its default."
+  in
+  Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"NAME" ~doc)
+
 let input_arg =
   let doc =
     "Treat the program as §12's procedure-of-one-argument and apply it to \
@@ -301,28 +291,41 @@ let input_arg =
   in
   Arg.(value & opt (some int) None & info [ "n"; "input" ] ~docv:"N" ~doc)
 
-(* (display name, source text) or an error message. *)
-let load_source file expr =
-  match (file, expr) with
-  | _, Some e -> Ok ("<expr>", e)
-  | Some "-", None -> Ok ("<stdin>", In_channel.input_all stdin)
-  | Some f, None -> ( try Ok (f, read_file f) with Sys_error m -> Error m)
-  | None, None -> Error "expected a FILE argument or --expr"
+(* A loaded program: its display name, its expansion, and the input a
+   corpus entry is first checked at. *)
+type source = { name : string; program : Ast.expr; checked_n : int option }
 
-let with_program file expr k =
-  match load_source file expr with
-  | Error m ->
-      Format.eprintf "schemesim: %s@." m;
-      exit 2
-  | Ok (name, source) -> (
-      match Expand.program_of_string source with
+let load_source corpus file expr =
+  match corpus with
+  | Some name -> (
+      match Corpus.find name with
+      | None -> usage (Printf.sprintf "unknown corpus entry %S" name)
+      | Some e ->
+          let checked_n =
+            match e.Corpus.checks with (n, _) :: _ -> Some n | [] -> None
+          in
+          { name; program = Corpus.program e; checked_n })
+  | None -> (
+      let name, text =
+        match (file, expr) with
+        | _, Some e -> ("<expr>", e)
+        | Some "-", None -> ("<stdin>", In_channel.input_all stdin)
+        | Some f, None -> (f, try read_file f with Sys_error m -> usage m)
+        | None, None -> usage "expected a FILE argument, --expr or --corpus"
+      in
+      match Expand.program_of_string text with
       | exception Reader.Parse_error e ->
-          Format.eprintf "schemesim: %a@." Reader.pp_error e;
-          exit 2
+          usage (Format.asprintf "%a" Reader.pp_error e)
       | exception Expand.Expand_error e ->
-          Format.eprintf "schemesim: %a@." Expand.pp_error e;
-          exit 2
-      | program -> k name program)
+          usage (Format.asprintf "%a" Expand.pp_error e)
+      | program -> { name; program; checked_n = None })
+
+let source_arg = Term.(const load_source $ corpus_arg $ file_pos_arg $ expr_arg)
+
+(* The input to apply the program to: [-n] when given, else a corpus
+   entry's first checked input. *)
+let input_of (src : source) input =
+  match input with None -> src.checked_n | Some _ -> input
 
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
@@ -331,7 +334,8 @@ let run_cmd =
   let json_arg =
     let doc =
       "Print a single JSON object (answer, space, telemetry summary, and the \
-       ring-buffer trace when stuck) instead of the plain-text report."
+       ring-buffer trace when stuck) instead of the plain-text report; the \
+       program's own output goes to stderr."
     in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
@@ -343,83 +347,39 @@ let run_cmd =
     in
     Arg.(value & opt int 16 & info [ "ring" ] ~docv:"K" ~doc)
   in
-  let run file expr input variant perm stack_policy vm_fast fuel measure
-      trace_steps json ring =
-    with_program file expr @@ fun program_name program ->
-    let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
-    if engine = M.Vm_fast then begin
-      if trace_steps > 0 then begin
-        Format.eprintf
-          "schemesim: --trace requires the stepper engine (the VM does not \
-           describe per-step configurations)@.";
-        exit 2
-      end;
-      if input = None then begin
-        Format.eprintf
-          "schemesim: --vm-fast requires --input N (the VM runs §12's \
-           procedure-of-one-argument convention)@.";
-        exit 2
-      end;
-      let config = M.Config.make ~engine ~variant ~perm ~stack_policy () in
-      let telemetry = Tel.create ~ring () in
-      let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
-      let n = Option.get input in
-      let r = Vm.exec_program ~opts config ~program ~input:(R.input_expr n) in
-      (* The fast tier measures no space: its figures are null or "-". *)
-      if json then
-        print_endline
-          (Json.to_string
-             (Json.Obj
-                [
-                  ("program", Json.Str program_name);
-                  ("engine", Json.Str (M.engine_name engine));
-                  ("variant", Json.Str (M.variant_name variant));
-                  ( "outcome",
-                    Json.Str
-                      (match r.Vm.outcome with
-                      | Vm.Done _ -> "done"
-                      | Vm.Stuck _ -> "stuck"
-                      | Vm.Aborted _ -> "aborted") );
-                  ( "exit_code",
-                    Json.Int
-                      (match r.Vm.outcome with Vm.Done _ -> 0 | _ -> 1) );
-                  ( "answer",
-                    match r.Vm.outcome with
-                    | Vm.Done a -> Json.Str a
-                    | _ -> Json.Null );
-                  ( "error",
-                    match r.Vm.outcome with
-                    | Vm.Stuck m -> Json.Str m
-                    | Vm.Aborted reason ->
-                        Json.Str (Res.abort_reason_message reason)
-                    | Vm.Done _ -> Json.Null );
-                  ( "abort",
-                    match r.Vm.outcome with
-                    | Vm.Aborted reason -> Res.abort_reason_to_json reason
-                    | _ -> Json.Null );
-                  ("program_size", Json.Int r.Vm.program_size);
-                  ("space_consumption", Json.Null);
-                  ("steps", Json.Int r.Vm.steps);
-                  ("peak_space", Json.Null);
-                  ("gc_runs", Json.Null);
-                  ("peaks", Json.Null);
-                ]))
-      else begin
-        if r.Vm.output <> "" then print_string r.Vm.output;
-        (match r.Vm.outcome with
-        | Vm.Done answer -> Format.printf "%s@." answer
-        | Vm.Stuck m -> Format.printf "stuck: %s@." m
-        | Vm.Aborted reason ->
-            Format.printf "aborted: %s@." (Res.abort_reason_message reason));
-        Format.printf
-          "; engine=%s variant=%s steps=%d |P|=%d peak=- S=|P|+peak=- \
-           gc-runs=-@."
-          (M.engine_name engine) (M.variant_name variant) r.Vm.steps
-          r.Vm.program_size
-      end;
-      match r.Vm.outcome with Vm.Done _ -> exit 0 | _ -> exit 1
-    end;
-    let t = M.create_with (M.Config.make ~variant ~perm ~stack_policy ()) in
+  let csv_arg =
+    let doc =
+      "Write the space-over-time profile to $(docv) as step,space CSV (one \
+       sample per step; the stride doubles whenever the sample buffer \
+       fills)."
+    in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+  in
+  let events_arg =
+    let doc =
+      "Stream every telemetry event (steps, continuation pushes/pops, \
+       allocations, collections) to $(docv) as JSON lines."
+    in
+    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
+  in
+  let run (src : source) input variant perm stack_policy fuel measure
+      trace_steps json ring csv events =
+    (* Both outputs are opened before the run, so an unwritable path is
+       a usage error that costs no run. *)
+    let events_channel = Option.map open_output events in
+    let csv =
+      Option.map
+        (fun path -> (path, open_output path, Tel.Profile.create ()))
+        csv
+    in
+    let sink =
+      Option.map
+        (fun oc ->
+          Tel.jsonl_sink (fun line ->
+              output_string oc line;
+              output_char oc '\n'))
+        events_channel
+    in
     let config_sink =
       if trace_steps <= 0 then None
       else
@@ -428,16 +388,34 @@ let run_cmd =
             if step < trace_steps then
               Format.printf "; %6d %s@." step description)
     in
-    let telemetry = Tel.create ?config_sink ~ring () in
+    let profile = Option.map (fun (_, _, prof) -> prof) csv in
+    let telemetry = Tel.create ?sink ?config_sink ~ring ?profile () in
     let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
+    let t = M.create_with (M.Config.make ~variant ~perm ~stack_policy ()) in
     let result =
-      match input with
-      | Some n -> M.exec_program ~opts t ~program ~input:(R.input_expr n)
-      | None -> M.exec ~opts t program
+      Fun.protect
+        ~finally:(fun () -> Option.iter close_out events_channel)
+        (fun () ->
+          match input_of src input with
+          | Some n ->
+              M.exec_program ~opts t ~program:src.program
+                ~input:(R.input_expr n)
+          | None -> M.exec ~opts t src.program)
     in
-    if json then
+    Option.iter
+      (fun (path, oc, prof) ->
+        output_string oc (Tel.Profile.to_csv prof);
+        close_out oc;
+        Format.eprintf "; space profile (%d samples, stride %d) -> %s@."
+          (List.length (Tel.Profile.samples prof))
+          (Tel.Profile.stride prof) path)
+      csv;
+    if json then begin
+      if result.M.output <> "" then prerr_string result.M.output;
       print_endline
-        (Json.to_string (result_json ~program_name ~variant result telemetry))
+        (Json.to_string
+           (result_json ~program_name:src.name ~variant result telemetry))
+    end
     else begin
       if result.M.output <> "" then print_string result.M.output;
       (match result.M.outcome with
@@ -457,94 +435,15 @@ let run_cmd =
     end;
     match result.M.outcome with M.Done _ -> () | _ -> exit 1
   in
-  let doc = "Run a Scheme program on a reference machine and measure space." in
+  let doc =
+    "Run a Scheme program once on a reference machine and measure its space; \
+     optionally write its space profile and event stream."
+  in
   Cmd.v (Cmd.info "run" ~exits ~doc)
     Term.(
-      const run $ file_pos_arg $ expr_arg $ input_arg $ variant_arg $ perm_arg
-      $ stack_policy_arg $ vm_fast_arg $ fuel_arg $ model_arg $ trace_arg
-      $ json_arg $ ring_arg)
-
-(* ------------------------------------------------------------------ *)
-(* profile                                                             *)
-
-let profile_cmd =
-  let csv_arg =
-    let doc =
-      "Write the step,space CSV profile to $(docv) (default: the source \
-       basename with a .space.csv suffix)."
-    in
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
-  in
-  let stride_arg =
-    let doc =
-      "Sample the space profile every $(docv) steps (the stride doubles \
-       automatically if the sample buffer fills)."
-    in
-    Arg.(value & opt int 1 & info [ "stride" ] ~docv:"STEPS" ~doc)
-  in
-  let events_arg =
-    let doc =
-      "Also stream every telemetry event (steps, continuation pushes/pops, \
-       allocations, collections) to $(docv) as JSON lines."
-    in
-    Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
-  in
-  let profile file expr input variant perm stack_policy fuel measure csv
-      stride events =
-    with_program file expr @@ fun program_name program ->
-    let csv_path =
-      match csv with
-      | Some p -> p
-      | None ->
-          let base =
-            match file with
-            | Some f when f <> "-" ->
-                Filename.remove_extension (Filename.basename f)
-            | _ -> "profile"
-          in
-          base ^ ".space.csv"
-    in
-    let events_channel = Option.map open_output events in
-    let csv_channel = open_output csv_path in
-    let t = M.create_with (M.Config.make ~variant ~perm ~stack_policy ()) in
-    let prof = Tel.Profile.create ~stride () in
-    let sink =
-      Option.map
-        (fun oc ->
-          Tel.jsonl_sink (fun line ->
-              output_string oc line;
-              output_char oc '\n'))
-        events_channel
-    in
-    let telemetry = Tel.create ?sink ~ring:16 ~profile:prof () in
-    let opts = M.Run_opts.make ~fuel ~measure ~telemetry () in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> Option.iter close_out events_channel)
-        (fun () ->
-          match input with
-          | Some n -> M.exec_program ~opts t ~program ~input:(R.input_expr n)
-          | None -> M.exec ~opts t program)
-    in
-    output_string csv_channel (Tel.Profile.to_csv prof);
-    close_out csv_channel;
-    if result.M.output <> "" then prerr_string result.M.output;
-    print_endline
-      (Json.to_string (result_json ~program_name ~variant result telemetry));
-    Format.eprintf "; space profile (%d samples, stride %d) -> %s@."
-      (List.length (Tel.Profile.samples prof))
-      (Tel.Profile.stride prof) csv_path;
-    match result.M.outcome with M.Done _ -> () | _ -> exit 1
-  in
-  let doc =
-    "Run with full telemetry: a JSON summary on stdout and a space-over-time \
-     CSV profile on disk."
-  in
-  Cmd.v (Cmd.info "profile" ~exits ~doc)
-    Term.(
-      const profile $ file_pos_arg $ expr_arg $ input_arg $ variant_arg
-      $ perm_arg $ stack_policy_arg $ fuel_arg $ model_arg $ csv_arg
-      $ stride_arg $ events_arg)
+      const run $ source_arg $ input_arg $ variant_arg $ perm_arg
+      $ stack_policy_arg $ fuel_arg $ model_arg $ trace_arg $ json_arg
+      $ ring_arg $ csv_arg $ events_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench                                                               *)
@@ -573,11 +472,8 @@ let bench_cmd =
          ("program", Json.Str name);
          ("variant", Json.Str (M.variant_name variant));
          ("n", Json.Int m.R.n);
-         ( "space_consumption",
-           match R.consumption m SM.Flat with
-           | Some s -> Json.Int s
-           | None -> Json.Null );
-         ("peaks", if m.R.peaks = [] then Json.Null else peaks_json m.R.peaks);
+         ("space_consumption", Json.Int m.R.space);
+         ("peaks", peaks_json m.R.peaks);
          ( "space_consumption_by_model",
            Json.Obj
              (List.filter_map
@@ -602,52 +498,24 @@ let bench_cmd =
           match Tel.summary_to_json s with Json.Obj fs -> fs | _ -> [])
       | None -> [])
   in
-  let bench file expr name_opt ns variant perm stack_policy vm_fast fuel
-      measure json jobs =
-    let engine = resolve_engine ~vm_fast ~variant ~perm ~measure in
-    let name, program =
-      match name_opt with
-      | Some entry_name -> (
-          match Corpus.find entry_name with
-          | None ->
-              Format.eprintf "schemesim: unknown corpus entry %S@." entry_name;
-              exit 2
-          | Some e -> (entry_name, Corpus.program e))
-      | None -> (
-          match load_source file expr with
-          | Error m ->
-              Format.eprintf "schemesim: %s@." m;
-              exit 2
-          | Ok (name, source) -> (
-              match Expand.program_of_string source with
-              | exception Reader.Parse_error e ->
-                  Format.eprintf "schemesim: %a@." Reader.pp_error e;
-                  exit 2
-              | exception Expand.Expand_error e ->
-                  Format.eprintf "schemesim: %a@." Expand.pp_error e;
-                  exit 2
-              | program -> (name, program)))
-    in
-    let config = M.Config.make ~engine ~variant ~perm ~stack_policy () in
+  let bench (src : source) ns variant perm stack_policy fuel measure json
+      jobs =
+    let config = M.Config.make ~variant ~perm ~stack_policy () in
     let ms =
       Pool.with_pool ?jobs (fun pool ->
           R.sweep ?pool
             ~opts:(M.Run_opts.make ~fuel ~measure ())
-            ~collect_telemetry:true ~config ~program ~ns ())
+            ~collect_telemetry:true ~config ~program:src.program ~ns ())
     in
     if json then
       print_endline
         (Json.to_string
-           (Json.List (List.map (measurement_json name variant) ms)))
+           (Json.List (List.map (measurement_json src.name variant) ms)))
     else begin
-      Format.printf "%s(n) under %s:@." name (M.variant_name variant);
+      Format.printf "%s(n) under %s:@." src.name (M.variant_name variant);
       print_string (Table.measurements ms)
     end;
     if not (R.all_answered ms) then exit 1
-  in
-  let corpus_name_arg =
-    let doc = "Sweep a shipped corpus entry instead of a file." in
-    Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"NAME" ~doc)
   in
   let doc =
     "Sweep a program over several inputs, reporting space consumption, GC \
@@ -655,9 +523,8 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~exits ~doc)
     Term.(
-      const bench $ file_pos_arg $ expr_arg $ corpus_name_arg $ ns_arg
-      $ variant_arg $ perm_arg $ stack_policy_arg $ vm_fast_arg $ fuel_arg
-      $ model_arg $ json_arg $ jobs_arg)
+      const bench $ source_arg $ ns_arg $ variant_arg $ perm_arg
+      $ stack_policy_arg $ fuel_arg $ model_arg $ json_arg $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -691,49 +558,16 @@ let analyze_cmd =
 (* corpus                                                              *)
 
 let corpus_cmd =
-  let name_arg =
-    let doc = "Corpus entry to run (omit to list all entries)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"NAME" ~doc)
+  let corpus () =
+    List.iter
+      (fun (e : Corpus.entry) ->
+        Format.printf "%-18s %s@." e.Corpus.name e.Corpus.description)
+      Corpus.all
   in
-  let n_arg =
-    let doc = "Input N for the chosen entry." in
-    Arg.(value & opt (some int) None & info [ "n" ] ~docv:"N" ~doc)
+  let doc =
+    "List the shipped Scheme corpus; $(b,run --corpus NAME) runs an entry."
   in
-  let corpus name n variant =
-    match name with
-    | None ->
-        List.iter
-          (fun (e : Corpus.entry) ->
-            Format.printf "%-18s %s@." e.Corpus.name e.Corpus.description)
-          Corpus.all
-    | Some name -> (
-        match Corpus.find name with
-        | None ->
-            Format.eprintf "schemesim: unknown corpus entry %S@." name;
-            exit 2
-        | Some e ->
-            let n =
-              match (n, e.Corpus.checks) with
-              | Some n, _ -> n
-              | None, (n, _) :: _ -> n
-              | None, [] -> 0
-            in
-            let m =
-              R.run_once
-                ~config:(M.Config.make ~variant ())
-                ~program:(Corpus.program e) ~n ()
-            in
-            (match m.R.status with
-            | R.Answer a -> Format.printf "%s@." a
-            | R.Stuck msg -> Format.printf "stuck: %s@." msg
-            | R.Aborted r ->
-                Format.printf "aborted: %s@." (Res.abort_reason_message r));
-            Format.printf "; %s(%d) under %s: S=%d steps=%d@." name n
-              (M.variant_name variant) m.R.space m.R.steps;
-            match m.R.status with R.Answer _ -> () | _ -> exit 1)
-  in
-  let doc = "List or run the shipped Scheme corpus." in
-  Cmd.v (Cmd.info "corpus" ~exits ~doc) Term.(const corpus $ name_arg $ n_arg $ variant_arg)
+  Cmd.v (Cmd.info "corpus" ~exits ~doc) Term.(const corpus $ const ())
 
 (* ------------------------------------------------------------------ *)
 (* report                                                              *)
@@ -783,10 +617,6 @@ let report_cmd =
    here and a mismatch is a reportable bug (exit 1), never silently
    truncated output. *)
 let spaceprof_cmd =
-  let corpus_name_arg =
-    let doc = "Profile a shipped corpus entry instead of a file." in
-    Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"NAME" ~doc)
-  in
   let json_arg =
     let doc =
       "Print the census as one JSON object (rows, flamegraph stacks, and \
@@ -820,36 +650,16 @@ let spaceprof_cmd =
     let doc = "Show only the $(docv) largest rows per table (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"K" ~doc)
   in
-  let spaceprof file expr corpus_name input variant fuel measure json
-      flamegraph diff top =
-    let name, program =
-      match corpus_name with
-      | Some entry_name -> (
-          match Corpus.find entry_name with
-          | None ->
-              Format.eprintf "schemesim: unknown corpus entry %S@." entry_name;
-              exit 2
-          | Some e -> (entry_name, Corpus.program e))
-      | None ->
-          with_program file expr (fun name program -> (name, program))
-    in
+  let spaceprof (src : source) input variant fuel measure json flamegraph diff
+      top =
+    let name = src.name and program = src.program in
     let n =
-      match (input, corpus_name) with
-      | Some n, _ -> n
-      | None, Some entry_name -> (
-          match Corpus.find entry_name with
-          | Some { Corpus.checks = (n, _) :: _; _ } -> n
-          | _ ->
-              Format.eprintf
-                "schemesim: corpus entry %S has no default input; pass \
-                 --input N@."
-                entry_name;
-              exit 2)
-      | None, None ->
-          Format.eprintf
-            "schemesim: spaceprof needs --input N (the program runs under \
-             §12's procedure-of-one-argument convention)@.";
-          exit 2
+      match input_of src input with
+      | Some n -> n
+      | None ->
+          usage
+            "spaceprof needs --input N (the program runs under §12's \
+             procedure-of-one-argument convention)"
     in
     (* One profiled run: census attached through Run_opts, raw per-model
        peaks recovered from the measurement's [peaks] list (no |P| term
@@ -896,9 +706,8 @@ let spaceprof_cmd =
           end
     in
     let status_line variant (m : R.measurement) =
-      Format.printf "; %s(%d) under %s (%s): S=%d peak=%d steps=%d%s%s@." name
-        n
-        (M.variant_name variant) (M.engine_name M.Stepper) m.R.space
+      Format.printf "; %s(%d) under %s (stepper): S=%d peak=%d steps=%d%s%s@."
+        name n (M.variant_name variant) m.R.space
         (R.peak_space m) m.R.steps
         (match R.consumption m SM.Linked with
         | Some u -> Printf.sprintf " U=%d" u
@@ -1015,7 +824,7 @@ let spaceprof_cmd =
                     ("program", Json.Str name);
                     ("n", Json.Int n);
                     ("variant", Json.Str (M.variant_name variant));
-                    ("engine", Json.Str (M.engine_name M.Stepper));
+                    ("engine", Json.Str "stepper");
                     ("status", Json.Str (R.status_text m));
                     ("space_consumption", Json.Int m.R.space);
                     ("peak_space", Json.Int (R.peak_space m));
@@ -1058,9 +867,8 @@ let spaceprof_cmd =
   in
   Cmd.v (Cmd.info "spaceprof" ~exits ~doc)
     Term.(
-      const spaceprof $ file_pos_arg $ expr_arg $ corpus_name_arg $ input_arg
-      $ variant_arg $ fuel_arg $ model_arg $ json_arg $ flamegraph_arg
-      $ diff_arg $ top_arg)
+      const spaceprof $ source_arg $ input_arg $ variant_arg $ fuel_arg
+      $ model_arg $ json_arg $ flamegraph_arg $ diff_arg $ top_arg)
 
 let () =
   let doc =
@@ -1072,7 +880,6 @@ let () =
     Cmd.group info
       [
         run_cmd;
-        profile_cmd;
         bench_cmd;
         analyze_cmd;
         corpus_cmd;

@@ -7,7 +7,7 @@ module Env = Types.Env
    [Census.t] rides along one measured run of [Machine.exec]. It is fed
    from two hooks:
 
-   - a store location observer tagging every allocation with the
+   - a store allocation hook tagging every allocation with the
      current (site, phase);
    - a stash at every strict peak increase, keeping the exact peak
      configuration. Every peak update in the measured loop happens
@@ -82,7 +82,7 @@ let on_alloc t l v =
   in
   Hashtbl.replace t.site_of_loc l (t.current_site, phase)
 
-let instrument t store = Store.add_loc_observer store (on_alloc t)
+let instrument t store = Store.on_alloc store (on_alloc t)
 
 let key_of_loc t l =
   match Hashtbl.find_opt t.site_of_loc l with

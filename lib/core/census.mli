@@ -3,7 +3,7 @@
     A [Census.t] accompanies one measured run. The machine feeds it
     through two hooks:
 
-    - {!instrument} attaches a store location observer that tags every
+    - {!instrument} adds a store allocation hook that tags every
       allocation with the current allocation site and phase
       ({!set_alloc_site});
     - {!stash_flat}/{!stash_linked}/{!stash_log} capture the exact
@@ -47,7 +47,7 @@ val set_alloc_site : t -> site:int -> phase:P.phase option -> unit
     from the allocated value's kind. *)
 
 val instrument : t -> Store.t -> Store.t
-(** Attach the site-tagging allocation observer. *)
+(** Add the site-tagging allocation hook ({!Store.on_alloc}). *)
 
 (** {1 Peak stashes} *)
 

@@ -33,8 +33,6 @@ type stack_policy = Algol | Safe_deletion
 type return_env = Closure_env | Register_env
 type engine = Stepper | Vm_fast
 
-let engine_name = function Stepper -> "stepper" | Vm_fast -> "vm-fast"
-
 module Config = struct
   type t = {
     variant : variant;
@@ -898,7 +896,7 @@ let run_measured
   let peak = ref 0 in
   let peak_linked = ref 0 in
   let peak_log = ref 0 in
-  (* The step the machine is currently at, for the allocation observer
+  (* The step the machine is currently at, for the allocation hook
      and the collection events. *)
   let cur_step = ref 0 in
   let record_gc reason store reclaimed =
@@ -1053,12 +1051,10 @@ let run_measured
       match telemetry with
       | None -> gstore
       | Some tl ->
-          Store.with_observer gstore
-            (Some
-               (fun v ->
-                 Telemetry.record_alloc tl ~step:!cur_step
-                   ~kind:(alloc_kind_of_value v)
-                   ~words:(1 + value_space v)))
+          Store.on_alloc gstore (fun _ v ->
+              Telemetry.record_alloc tl ~step:!cur_step
+                ~kind:(alloc_kind_of_value v)
+                ~words:(1 + value_space v))
     in
     match provenance with
     | Some c -> Census.instrument c store

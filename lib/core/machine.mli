@@ -57,14 +57,11 @@ type return_env = Closure_env | Register_env
 
 (** Which execution tier runs the program. [Stepper] is the small-step
     reference interpreter (this module's {!exec}), the only engine that
-    measures space; [Vm_fast] is the bytecode VM with accounting
-    compiled out (answers only), which lives in [Tailspace_vm.Vm]. The
-    config field just names the choice so the harness can route a point
-    to it. *)
+    measures space, and the only one the CLI and the harness run;
+    [Vm_fast] is the bytecode VM with accounting compiled out (answers
+    only), which lives in [Tailspace_vm.Vm] and which only the repo
+    benchmark's answer reference selects. *)
 type engine = Stepper | Vm_fast
-
-val engine_name : engine -> string
-(** ["stepper"], ["vm-fast"]. *)
 
 (** The full identity of a machine: every knob {!create_with} consumes,
     as one first-class record. Two machines built from equal configs
@@ -85,8 +82,9 @@ module Config : sig
             runs of one machine answer alike; a [Seeded s] order draws
             from [s] *)
     engine : engine;
-        (** which execution tier the harness should run this config on;
-            [create_with] itself always builds the stepper state *)
+        (** which execution tier runs this config: [Tailspace_vm.Vm]
+            requires [Vm_fast], and [create_with] always builds the
+            stepper state *)
   }
 
   val default : t

@@ -24,14 +24,9 @@ type meta = {
       (* the run's first location: the cells below it are the old
          generation (0 when there is none) *)
   old : int;  (* how many cells lie below [first] *)
-  observe : (Types.value -> unit) option;
-      (* allocation observer; survives the persistent updates so every
-         store derived from an instrumented one reports its allocations
-         (the telemetry layer attaches one per measured run) *)
-  observe_loc : (Types.loc -> Types.value -> unit) option;
-      (* like [observe] but also told the location being allocated;
-         runs after the value observer — the provenance layer's
-         site-tagging hook *)
+  hook : (Types.loc -> Types.value -> unit) option;
+      (* the allocation hook; survives the persistent updates so every
+         store derived from an instrumented one reports its allocations *)
 }
 
 type t = {
@@ -67,27 +62,23 @@ let empty =
         tracked = false;
         first = 0;
         old = 0;
-        observe = None;
-        observe_loc = None;
+        hook = None;
       };
   }
 
-let with_observer t observe = { t with meta = { t.meta with observe } }
-
-let add_loc_observer t f =
-  let observe_loc =
-    match t.meta.observe_loc with
+let on_alloc t f =
+  let hook =
+    match t.meta.hook with
     | None -> f
     | Some g ->
         fun l v ->
           g l v;
           f l v
   in
-  { t with meta = { t.meta with observe_loc = Some observe_loc } }
+  { t with meta = { t.meta with hook = Some hook } }
 
 let alloc t v =
-  (match t.meta.observe with Some f -> f v | None -> ());
-  (match t.meta.observe_loc with Some f -> f t.next v | None -> ());
+  (match t.meta.hook with Some f -> f t.next v | None -> ());
   let sz = Types.value_space v in
   ( {
       t with

@@ -78,18 +78,14 @@ val next_loc : t -> Types.loc
 
 val space : t -> int  (** O(1). *)
 
-val with_observer : t -> (Types.value -> unit) option -> t
-(** Attach (or remove) an allocation observer: every subsequent [alloc]
-    on this store, or on any store derived from it, calls the observer
-    with the allocated value before installing it. Used by the telemetry
-    layer to count allocations by kind; [None] (the default everywhere)
-    costs one branch per allocation. *)
-
-val add_loc_observer : t -> (Types.loc -> Types.value -> unit) -> t
-(** Chain an observer that is additionally told the location being
-    allocated. Location observers run after the value observer. Used by
-    the provenance layer to tag each location with its allocation
-    site. *)
+val on_alloc : t -> (Types.loc -> Types.value -> unit) -> t
+(** Add an allocation hook: every subsequent [alloc] on this store, or
+    on any store derived from it, calls it with the location handed out
+    and the value, before installing the value. Hooks compose: each runs
+    after those added before it. Telemetry counts allocations by kind
+    through one, the provenance census tags each location with its
+    allocation site through another; a store with none pays one branch
+    per allocation. *)
 
 val iter : (Types.loc -> Types.value -> unit) -> t -> unit
 val fold : (Types.loc -> Types.value -> 'a -> 'a) -> t -> 'a -> 'a

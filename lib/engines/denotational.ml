@@ -170,12 +170,10 @@ let eval ?machine ?(fuel = 50_000_000) ?telemetry expr =
     match telemetry with
     | None -> store0
     | Some tl ->
-        Store.with_observer store0
-          (Some
-             (fun v ->
-               Telemetry.record_alloc tl ~step:(spent ())
-                 ~kind:(Machine.alloc_kind_of_value v)
-                 ~words:(1 + T.value_space v)))
+        Store.on_alloc store0 (fun _ v ->
+            Telemetry.record_alloc tl ~step:(spent ())
+              ~kind:(Machine.alloc_kind_of_value v)
+              ~words:(1 + T.value_space v))
   in
   let finish outcome =
     (match telemetry with

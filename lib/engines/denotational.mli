@@ -44,7 +44,7 @@ val eval :
     otherwise a fresh default one is created. [random] draws from that
     machine's [Config.seed], as the machine's own runs do. [fuel] bounds the
     continuation invocations (default 50 million). [telemetry] counts
-    allocations by kind through the shared store observer and records
+    allocations by kind through a store allocation hook and records
     errors as stuck events; there are no machine steps, so the step
     counter reports continuation invocations (the fuel spent). *)
 

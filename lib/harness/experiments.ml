@@ -32,6 +32,10 @@ let separation claim x y = { claim; x; y; holds = Growth.separates x y }
 
 let versus v = Printf.sprintf "%s vs %s" (Growth.show v.x) (Growth.show v.y)
 
+(* A table cell: the figure of a point that answered ([Runner.answered]),
+   or "-" for a point that got stuck or ran out of fuel. *)
+let figure = function Some s -> string_of_int s | None -> "-"
+
 (* ------------------------------------------------------------------ *)
 
 module Fig2 = struct
@@ -117,7 +121,7 @@ module Thm25 = struct
                   tagged
               in
               let spaces = Runner.spaces ms in
-              { variant; spaces; exponent = Growth.exponent spaces })
+              { variant; spaces; exponent = Growth.exponent_over ns spaces })
             Machine.all_variants
         in
         { separator = name; ns; cells })
@@ -169,10 +173,7 @@ module Thm25 = struct
             (fun c ->
               Machine.variant_name c.variant
               :: List.map
-                   (fun n ->
-                     match List.assoc_opt n c.spaces with
-                     | Some s -> string_of_int s
-                     | None -> "stuck")
+                   (fun n -> figure (List.assoc_opt n c.spaces))
                    sweep.ns
               @ [ Growth.show c.exponent ])
             sweep.cells
@@ -204,14 +205,21 @@ module Thm24 = struct
     chain_ok : bool;
   }
 
+  (* [s] holds the figures of the variants that answered; every variant
+     appears in some inequality, so a point that did not answer fails
+     the chain. *)
   let chain_holds s =
-    let v x = List.assoc x s in
-    v Machine.Tail <= v Machine.Gc
-    && v Machine.Gc <= v Machine.Stack
-    && v Machine.Sfs <= v Machine.Evlis
-    && v Machine.Evlis <= v Machine.Tail
-    && v Machine.Sfs <= v Machine.Free
-    && v Machine.Free <= v Machine.Tail
+    let le x y =
+      match (List.assoc_opt x s, List.assoc_opt y s) with
+      | Some a, Some b -> a <= b
+      | _ -> false
+    in
+    le Machine.Tail Machine.Gc
+    && le Machine.Gc Machine.Stack
+    && le Machine.Sfs Machine.Evlis
+    && le Machine.Evlis Machine.Tail
+    && le Machine.Sfs Machine.Free
+    && le Machine.Free Machine.Tail
 
   let run ?pool ?(include_slow = false) () =
     let entries =
@@ -231,12 +239,9 @@ module Thm24 = struct
     let measured =
       Pool.map ?pool
         (fun (_, n, program, variant) ->
-          let m =
-            Runner.run_once
-              ~config:(Machine.Config.make ~variant ())
-              ~program ~n ()
-          in
-          m.Runner.space)
+          Runner.run_once
+            ~config:(Machine.Config.make ~variant ())
+            ~program ~n ())
         leaves
     in
     let tagged = List.combine leaves measured in
@@ -244,8 +249,12 @@ module Thm24 = struct
       (fun (name, n, _) ->
         let s =
           List.filter_map
-            (fun ((name', _, _, v), space) ->
-              if String.equal name' name then Some (v, space) else None)
+            (fun ((name', _, _, v), m) ->
+              if String.equal name' name then
+                Option.map
+                  (fun s -> (v, s))
+                  (Runner.answered m Space_model.Flat)
+              else None)
             tagged
         in
         { name; n; s; chain_ok = chain_holds s })
@@ -260,7 +269,9 @@ module Thm24 = struct
         (List.map
            (fun r ->
              r.name :: string_of_int r.n
-             :: List.map (fun v -> string_of_int (List.assoc v r.s)) Machine.all_variants
+             :: List.map
+                  (fun v -> figure (List.assoc_opt v r.s))
+                  Machine.all_variants
              @ [ (if r.chain_ok then "ok" else "VIOLATED") ])
            rows)
 end
@@ -268,7 +279,12 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Thm26 = struct
-  type row = { n : int; u_tail : int; s_tail : int; s_sfs : int }
+  type row = {
+    n : int;
+    u_tail : int option;
+    s_tail : int option;
+    s_sfs : int option;
+  }
 
   type result = {
     rows : row list;
@@ -277,11 +293,6 @@ module Thm26 = struct
   }
 
   let default_ns = [ 10; 20; 40; 80 ]
-
-  let space_of (m : Runner.measurement) = m.Runner.space
-
-  let answered (m : Runner.measurement) =
-    match m.Runner.status with Runner.Answer _ -> true | _ -> false
 
   let run ?pool ?(ns = default_ns) ?fuel () =
     let tasks = List.map (fun n -> (n, expand (Families.pk_program n))) ns in
@@ -310,36 +321,22 @@ module Thm26 = struct
         (fun (n, tail_m, sfs_m) ->
           {
             n;
-            u_tail =
-              Option.value ~default:0
-                (Runner.consumption tail_m Space_model.Linked);
-            s_tail = space_of tail_m;
-            s_sfs = space_of sfs_m;
+            u_tail = Runner.answered tail_m Space_model.Linked;
+            s_tail = Runner.answered tail_m Space_model.Flat;
+            s_sfs = Runner.answered sfs_m Space_model.Flat;
           })
         measured
     in
-    (* Exponents are read over the points that actually answered: a
-       starved sweep (tight fuel, small ns) leaves them unresolved. *)
-    let u_points =
-      List.filter_map
-        (fun (n, tail_m, _) ->
-          if answered tail_m then
-            Option.map
-              (fun l -> (n, l))
-              (Runner.consumption tail_m Space_model.Linked)
-          else None)
-        measured
-    in
-    let s_points =
-      List.filter_map
-        (fun (n, _, sfs_m) ->
-          if answered sfs_m then Some (n, space_of sfs_m) else None)
-        measured
+    let exponent figure =
+      Growth.exponent_over ns
+        (List.filter_map
+           (fun r -> Option.map (fun s -> (r.n, s)) (figure r))
+           rows)
     in
     {
       rows;
-      u_tail_exponent = Growth.exponent u_points;
-      s_sfs_exponent = Growth.exponent s_points;
+      u_tail_exponent = exponent (fun r -> r.u_tail);
+      s_sfs_exponent = exponent (fun r -> r.s_sfs);
     }
 
   let render result =
@@ -351,9 +348,9 @@ module Thm26 = struct
            (fun r ->
              [
                string_of_int r.n;
-               string_of_int r.u_tail;
-               string_of_int r.s_tail;
-               string_of_int r.s_sfs;
+               figure r.u_tail;
+               figure r.s_tail;
+               figure r.s_sfs;
              ])
            result.rows)
     ^ Printf.sprintf
@@ -406,7 +403,8 @@ module Sec4 = struct
                   | _ -> None)
                 ns
             in
-            { spine; variant; deltas; exponent = Growth.exponent deltas })
+            let exponent = Growth.exponent_over ns deltas in
+            { spine; variant; deltas; exponent })
           [ Machine.Tail; Machine.Gc; Machine.Stack ])
       programs
 
@@ -537,22 +535,16 @@ module Cps = struct
            ~config:(Machine.Config.make ~variant:Machine.Gc ())
            ~program ~ns ())
     in
-    (* [Runner.spaces] keeps only answered points, so a starved sweep
-       leaves its exponents unresolved. *)
     {
       ns;
       tail;
       gc;
-      tail_exponent = Growth.exponent tail;
-      gc_exponent = Growth.exponent gc;
+      tail_exponent = Growth.exponent_over ns tail;
+      gc_exponent = Growth.exponent_over ns gc;
     }
 
   let render r =
-    let cell spaces n =
-      match List.assoc_opt n spaces with
-      | Some s -> string_of_int s
-      | None -> "-"
-    in
+    let cell spaces n = figure (List.assoc_opt n spaces) in
     Table.section "E7 / §1: pure CPS needs bounded space only if properly tail recursive"
     ^ Table.render
         ~header:("variant" :: List.map string_of_int r.ns @ [ "p" ])
@@ -592,7 +584,7 @@ module Ablation = struct
           ~program ~ns ()
       in
       let spaces = Runner.spaces ms in
-      { label; spaces; exponent = Growth.exponent spaces }
+      { label; spaces; exponent = Growth.exponent_over ns spaces }
     in
     let gc_f =
       sweep ~variant:Machine.Gc "gc, closure-env frames (faithful)"
@@ -645,12 +637,7 @@ module Ablation = struct
         (List.map
            (fun s ->
              s.label
-             :: List.map
-                  (fun n ->
-                    match List.assoc_opt n s.spaces with
-                    | Some v -> string_of_int v
-                    | None -> "stuck")
-                  r.ns
+             :: List.map (fun n -> figure (List.assoc_opt n s.spaces)) r.ns
              @ [ Growth.show s.exponent ])
            rows)
       ^ String.concat ""
@@ -740,11 +727,11 @@ module Sanity = struct
       machine_engine Machine.Gc "reference I_gc (control)";
     ]
 
-  (* Definition 5 on one program: both sweeps answered, both exponents
-     resolved, and the implementation does not separate from S_tail. *)
+  (* Definition 5 on one program: both exponents resolved (so both
+     sweeps answered), and the implementation does not separate from
+     S_tail. *)
   let passes c =
-    (not c.failed)
-    && c.engine_exponent <> None
+    c.engine_exponent <> None
     && c.tail_exponent <> None
     && not (Growth.separates c.engine_exponent c.tail_exponent)
 
@@ -780,8 +767,8 @@ module Sanity = struct
                   failed =
                     List.length engine_points < List.length ns
                     || List.length tails < List.length ns;
-                  engine_exponent = Growth.exponent engine_points;
-                  tail_exponent = Growth.exponent tails;
+                  engine_exponent = Growth.exponent_over ns engine_points;
+                  tail_exponent = Growth.exponent_over ns tails;
                 })
               programs
           in
@@ -894,7 +881,9 @@ module LogHier = struct
     let pairs =
       List.map
         (fun (sep, x, y) ->
-          let exponent v = Growth.exponent (spaces_of Space_model.Log sep v) in
+          let exponent v =
+            Growth.exponent_over ns (spaces_of Space_model.Log sep v)
+          in
           separation sep (exponent x) (exponent y))
         separations
     in
@@ -922,12 +911,9 @@ module LogHier = struct
     let chain_measured =
       Pool.map ?pool
         (fun (_, n, program, variant) ->
-          let m =
-            Runner.run_once ~opts
-              ~config:(Machine.Config.make ~variant ())
-              ~program ~n ()
-          in
-          Option.value ~default:0 (Runner.consumption m Space_model.Log))
+          Runner.run_once ~opts
+            ~config:(Machine.Config.make ~variant ())
+            ~program ~n ())
         chain_leaves
     in
     let chain_tagged = List.combine chain_leaves chain_measured in
@@ -936,8 +922,12 @@ module LogHier = struct
         (fun (name, _, _) ->
           let s =
             List.filter_map
-              (fun ((name', _, _, v), l) ->
-                if String.equal name' name then Some (v, l) else None)
+              (fun ((name', _, _, v), m) ->
+                if String.equal name' name then
+                  Option.map
+                    (fun l -> (v, l))
+                    (Runner.answered m Space_model.Log)
+                else None)
               chain_tagged
           in
           (name, Thm24.chain_holds s))
@@ -965,8 +955,9 @@ module LogHier = struct
     in
     let thm26 =
       separation "thm26 sfs(flat)/tail"
-        (Growth.exponent (Runner.spaces (List.map snd pk)))
-        (Growth.exponent (Runner.spaces_for Space_model.Log (List.map fst pk)))
+        (Growth.exponent_over pk_ns (Runner.spaces (List.map snd pk)))
+        (Growth.exponent_over pk_ns
+           (Runner.spaces_for Space_model.Log (List.map fst pk)))
     in
     { ns; pairs; chain_rows; pk_ns; thm26 }
 

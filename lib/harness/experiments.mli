@@ -43,8 +43,8 @@ module Thm25 : sig
     variant : Machine.variant;
     spaces : (int * int) list;  (** (N, S) for successful runs *)
     exponent : float option;
-        (** {!Growth.exponent} of [spaces]; [None] when unresolved, as
-            when runs got stuck or starved *)
+        (** {!Growth.exponent_over} the grid: [None] when unresolved,
+            or when some point did not answer *)
   }
 
   type sweep = { separator : string; ns : int list; cells : cell list }
@@ -57,8 +57,9 @@ module Thm25 : sig
     sweep list
   (** One sweep per separating program, all six variants each, at N =
       20 to 320 by default. When [fuel] is given every point runs under
-      it; points that run out simply drop out of [spaces] (and the
-      exponent), so a partial sweep still renders. *)
+      it; a point that runs out drops out of [spaces], prints as ["-"]
+      and leaves its cell's exponent unresolved, so no claim on that
+      cell holds. *)
 
   val claims : sweep list -> verdict list
   (** Theorem 25's nine claims: eight separations ("stack/gc: S_stack
@@ -73,10 +74,11 @@ module Thm24 : sig
   type row = {
     name : string;
     n : int;
-    s : (Machine.variant * int) list;  (** S_X per variant *)
+    s : (Machine.variant * int) list;  (** S_X per variant that answered *)
     chain_ok : bool;
         (** S_tail <= S_gc <= S_stack, S_sfs <= S_evlis <= S_tail,
-            S_sfs <= S_free <= S_tail *)
+            S_sfs <= S_free <= S_tail; false when some variant did not
+            answer *)
   }
 
   val run :
@@ -89,17 +91,19 @@ end
 module Thm26 : sig
   type row = {
     n : int;
-    u_tail : int;  (** U_tail(P_N, N): linked model on I_tail *)
-    s_tail : int;  (** S_tail(P_N, N): flat model on I_tail *)
-    s_sfs : int;  (** S_sfs(P_N, N) *)
+    u_tail : int option;  (** U_tail(P_N, N): linked model on I_tail *)
+    s_tail : int option;  (** S_tail(P_N, N): flat model on I_tail *)
+    s_sfs : int option;
+        (** S_sfs(P_N, N); each figure [None] when its run did not
+            answer ({!Runner.answered}) *)
   }
 
   type result = {
     rows : row list;
     u_tail_exponent : float option;
-        (** [None] when unresolved, as when fewer than three points
-            answered: a starved sweep degrades the table instead of
-            raising *)
+        (** {!Growth.exponent_over} the grid: [None] when unresolved, or
+            when some point did not answer, so a starved sweep degrades
+            the table instead of raising *)
     s_sfs_exponent : float option;
   }
 
@@ -123,7 +127,9 @@ module Sec4 : sig
     deltas : (int * int) list;
         (** (N, S_traverse - S_build): traversal overhead net of the
             tree data *)
-    exponent : float option;  (** {!Growth.exponent} of [deltas] *)
+    exponent : float option;
+        (** {!Growth.exponent_over} the grid: [None] when some point of
+            either sweep did not answer *)
   }
 
   val run : ?pool:Pool.t -> ?ns:int list -> unit -> row list
@@ -152,8 +158,8 @@ module Cps : sig
     tail : (int * int) list;
     gc : (int * int) list;
     tail_exponent : float option;
-        (** [None] when unresolved, as when fewer than three points
-            answered *)
+        (** {!Growth.exponent_over} the grid: [None] when unresolved, or
+            when some point did not answer *)
     gc_exponent : float option;
   }
 
@@ -172,7 +178,7 @@ module Ablation : sig
   type sweep = {
     label : string;
     spaces : (int * int) list;  (** (N, S) *)
-    exponent : float option;  (** {!Growth.exponent} of [spaces] *)
+    exponent : float option;  (** {!Growth.exponent_over} the grid *)
   }
 
   type result = {
@@ -209,17 +215,18 @@ module Sanity : sig
     program : string;
     failed : bool;  (** some run of either sweep did not answer *)
     engine_exponent : float option;
-        (** growth exponent of the implementation's live space over the
-            runs that answered *)
-    tail_exponent : float option;  (** growth exponent of [S_tail] *)
+        (** growth exponent of the implementation's live space, [None]
+            when some run did not answer ({!Growth.exponent_over}) *)
+    tail_exponent : float option;  (** likewise, of [S_tail] *)
   }
 
   type row = {
     engine : string;
     cells : cell list;
     properly_tail_recursive : bool;
-        (** every cell passes: not [failed], both exponents resolved,
-            and the implementation does not separate from [S_tail] *)
+        (** every cell passes: both exponents resolved (so no run
+            failed), and the implementation does not separate from
+            [S_tail] *)
   }
 
   type result = { ns : int list; rows : row list }
@@ -246,7 +253,7 @@ module LogHier : sig
         (** Theorem 24's pointwise chain re-checked on Log consumption
             per corpus program — not implied by the flat chain, since
             each variant's figures are scaled by its own store's
-            pointer size *)
+            pointer size; a point that did not answer fails its row *)
     pk_ns : int list;  (** {!Thm26}'s default N *)
     thm26 : verdict;
         (** Theorem 26's own separation on [P_N]: flat [S_sfs] against

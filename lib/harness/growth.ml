@@ -11,6 +11,9 @@ let exponent points =
           /. Float.log2 (float_of_int nk /. float_of_int nj))
   | _ -> None
 
+let exponent_over ns points =
+  if List.map fst points = ns then exponent points else None
+
 (* Half the distance between adjacent classes: bounded (0), linear (1,
    N log N included) and quadratic (2). *)
 let margin = 0.5

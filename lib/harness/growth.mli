@@ -19,6 +19,12 @@ val exponent : (int * int) list -> float option
     top step (a previous increment of zero or less). [S = a N^p + c]
     reads exactly [p]; [c + k log N] reads 0. *)
 
+val exponent_over : int list -> (int * int) list -> float option
+(** [exponent_over ns points]: the exponent of a sweep over the grid
+    [ns] whose answered points are [points]. {!exponent} when every N
+    of [ns] answered, [None] (unresolved) otherwise: no verdict is read
+    over a shorter range than the grid its table prints. *)
+
 val separates : float option -> float option -> bool
 (** [separates p_x p_y]: [S_x] grows faster than [S_y] by at least half
     the gap between the paper's classes (bounded 0, linear 1, quadratic

@@ -5,7 +5,6 @@ module Bignum = Tailspace_bignum.Bignum
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
-module Vm = Tailspace_vm.Vm
 
 type status =
   | Answer of string
@@ -44,19 +43,16 @@ let peak_log m = peak_of m Space_model.Log
 let consumption m model =
   let psize = m.space - peak_space m in
   match (model : Space_model.t) with
-  | Space_model.Flat -> (
-      match peak_of m Space_model.Flat with
-      | Some _ -> Some m.space
-      | None -> None)
+  | Space_model.Flat -> Some m.space
   | Space_model.Linked -> Option.map (fun p -> p + psize) (peak_linked m)
   | Space_model.Log ->
       Option.map (fun p -> p + (Space_model.word_bits * psize)) (peak_log m)
 
-
 let input_expr n = Ast.Quote (Ast.C_int (Bignum.of_int n))
 
-let measure_with machine ?(opts = Machine.Run_opts.default)
-    ?(collect_telemetry = false) ~program ~n () =
+let run_once ?(opts = Machine.Run_opts.default)
+    ?(collect_telemetry = false) ?(config = Machine.Config.default)
+    ~program ~n () =
   (* [collect_telemetry] attaches a fresh telemetry instance per point
      (never shared through [opts]), so parallel sweeps stay
      deterministic. *)
@@ -65,6 +61,7 @@ let measure_with machine ?(opts = Machine.Run_opts.default)
     else opts.Machine.Run_opts.telemetry
   in
   let opts = { opts with Machine.Run_opts.telemetry } in
+  let machine = Machine.create_with config in
   let r = Machine.exec_program ~opts machine ~program ~input:(input_expr n) in
   let status =
     match r.Machine.outcome with
@@ -84,37 +81,6 @@ let measure_with machine ?(opts = Machine.Run_opts.default)
        else None);
   }
 
-(* The fast VM reports the same measurement shape as the stepper, with
-   no peak and no telemetry summary: the tier measures no space, so
-   [consumption] is [None] and every printer shows the figure as
-   missing. *)
-let measure_vm config ?(opts = Machine.Run_opts.default) ~program ~n () =
-  let r = Vm.exec_program ~opts config ~program ~input:(input_expr n) in
-  let status =
-    match r.Vm.outcome with
-    | Vm.Done answer -> Answer answer
-    | Vm.Stuck m -> Stuck m
-    | Vm.Aborted reason -> Aborted reason
-  in
-  {
-    n;
-    space = r.Vm.program_size;
-    peaks = [];
-    steps = r.Vm.steps;
-    status;
-    gc_runs = 0;
-    summary = None;
-  }
-
-let run_once ?opts ?collect_telemetry ?(config = Machine.Config.default)
-    ~program ~n () =
-  match config.Machine.Config.engine with
-  | Machine.Stepper ->
-      let machine = Machine.create_with config in
-      measure_with machine ?opts ?collect_telemetry ~program ~n ()
-  | Machine.Vm_fast ->
-      measure_vm config ?opts ~program ~n ()
-
 let sweep ?pool ?opts ?collect_telemetry ?(config = Machine.Config.default)
     ~program ~ns () =
   (* Each point runs on a fresh machine so results depend only on the
@@ -125,21 +91,15 @@ let sweep ?pool ?opts ?collect_telemetry ?(config = Machine.Config.default)
     (fun n -> run_once ?opts ?collect_telemetry ~config ~program ~n ())
     ns
 
-let spaces ms =
-  List.filter_map
-    (fun m -> match m.status with Answer _ -> Some (m.n, m.space) | _ -> None)
-    ms
+let answered m model =
+  match m.status with Answer _ -> consumption m model | _ -> None
 
-(* Per-model selector: answered points where the model was actually
-   measured; anything else is omitted, so a sweep with a fast-VM or
-   unanswered point degrades to the points that have the data. *)
 let spaces_for model ms =
   List.filter_map
-    (fun m ->
-      match (m.status, consumption m model) with
-      | Answer _, Some c -> Some (m.n, c)
-      | _ -> None)
+    (fun m -> Option.map (fun c -> (m.n, c)) (answered m model))
     ms
+
+let spaces ms = spaces_for Space_model.Flat ms
 
 let all_answered ms =
   List.for_all (fun m -> match m.status with Answer _ -> true | _ -> false) ms

@@ -15,14 +15,12 @@ type status =
 type measurement = {
   n : int;
   space : int;
-      (** [S_X(P, N)] = [|P|] + peak, flat model; [|P|] alone, or 0,
-          when the point measured no peak (a fast-VM point): print
-          {!consumption} instead, which is [None] there *)
+      (** [S_X(P, N)] = [|P|] + peak, flat model; for a point that did
+          not answer, the peak so far (see {!answered}) *)
   peaks : (Space_model.t * int) list;
       (** measured peak per requested model (without the [|P|] term),
-          in {!Space_model.all} order; models that were not requested
-          for this point are simply absent, and a fast-VM point has
-          none *)
+          in {!Space_model.all} order: [Flat] always, and the models
+          that were not requested for this point are absent *)
   steps : int;
   status : status;
   gc_runs : int;  (** collections that actually freed something *)
@@ -40,8 +38,7 @@ val peak_of : measurement -> Space_model.t -> int option
     requested for this point. *)
 
 val peak_space : measurement -> int
-(** The flat peak alone, without the [|P|] term ([0] when the point
-    measured none: see {!peak_of}). *)
+(** The flat peak alone, without the [|P|] term. *)
 
 val peak_linked : measurement -> int option
 val peak_log : measurement -> int option
@@ -51,7 +48,7 @@ val consumption : measurement -> Space_model.t -> int option
     [Flat] gives [space] itself; [Linked] gives [U_X] = linked peak +
     [|P|]; [Log] gives the log peak + [64·|P|] (the static program is
     charged at full machine words). [None] when the model was not
-    measured. *)
+    measured; never for [Flat]. *)
 
 val input_expr : int -> Tailspace_ast.Ast.expr
 (** [(quote N)]. *)
@@ -64,15 +61,13 @@ val run_once :
   n:int ->
   unit ->
   measurement
-(** Build a fresh engine from [config] (default
+(** Build a fresh machine from [config] (default
     {!Machine.Config.default}) and measure one (program, input) point
-    under [opts] (default {!Machine.Run_opts.default}). The engine is
-    [config.engine]: the stepper, or the fast VM, whose space columns
-    are [0]/absent — the tier compiles accounting out.
-    [collect_telemetry] (default [false]) attaches a fresh telemetry
-    instance to the run — overriding any instance in [opts], which must
-    not be shared across parallel points — and stores its summary in the
-    measurement. *)
+    under [opts] (default {!Machine.Run_opts.default}) on the stepper,
+    {!Machine.exec_program}. [collect_telemetry] (default [false])
+    attaches a fresh telemetry instance to the run — overriding any
+    instance in [opts], which must not be shared across parallel points
+    — and stores its summary in the measurement. *)
 
 val sweep :
   ?pool:Pool.t ->
@@ -90,13 +85,15 @@ val sweep :
     measured concurrently and returned in input order — the table is
     byte-identical to the serial one. *)
 
-val spaces : measurement list -> (int * int) list
-(** [(n, space)] pairs of the successful measurements. *)
+val answered : measurement -> Space_model.t -> int option
+(** {!consumption} of a point that answered; [None] when the point got
+    stuck or ran out of fuel, since its partial peak is no [S_X(P, N)].
+    The only figure a table or a verdict reads from a point. *)
 
 val spaces_for : Space_model.t -> measurement list -> (int * int) list
-(** [(n, consumption)] pairs of the successful measurements under one
-    model. Points that did not measure the model are omitted (not
-    errors), so a partially-measured sweep degrades to the points that
-    have the data. *)
+(** [(n, c)] for each point with [answered m model = Some c]. *)
+
+val spaces : measurement list -> (int * int) list
+(** [spaces_for Flat]. *)
 
 val all_answered : measurement list -> bool

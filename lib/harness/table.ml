@@ -42,13 +42,6 @@ let section title =
   let bar = String.make (String.length title + 4) '=' in
   Printf.sprintf "\n%s\n| %s |\n%s\n" bar title bar
 
-(* A figure of a point that measured no peak (a fast-VM point) prints
-   as "-". *)
-let if_measured (m : Runner.measurement) figure =
-  match Runner.peak_of m Tailspace_core.Space_model.Flat with
-  | Some _ -> string_of_int figure
-  | None -> "-"
-
 let measurements ms =
   let status_text (m : Runner.measurement) =
     match m.Runner.status with
@@ -57,8 +50,7 @@ let measurements ms =
     | Runner.Stuck _ -> "stuck"
     | Runner.Aborted r -> Runner.Resilience.abort_reason_name r
   in
-  (* A model gets a column if *any* point measured it; points that did
-     not (fast-VM points) render "-" rather than failing. *)
+  (* A model gets a column if any point measured it. *)
   let module SM = Tailspace_core.Space_model in
   let has model =
     List.exists
@@ -80,9 +72,9 @@ let measurements ms =
   let row (m : Runner.measurement) =
     [
       string_of_int m.Runner.n;
-      if_measured m m.Runner.space;
-      if_measured m (Runner.peak_space m);
-      if_measured m m.Runner.gc_runs;
+      string_of_int m.Runner.space;
+      string_of_int (Runner.peak_space m);
+      string_of_int m.Runner.gc_runs;
       string_of_int m.Runner.steps;
     ]
     @ (if has_linked then [ model_cell m SM.Linked ] else [])

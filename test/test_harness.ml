@@ -158,7 +158,8 @@ let test_thm26_shape () =
   let last = List.nth result.X.Thm26.rows 3 in
   let first = List.hd result.X.Thm26.rows in
   let ratio (r : X.Thm26.row) =
-    float_of_int r.X.Thm26.s_sfs /. float_of_int r.X.Thm26.u_tail
+    float_of_int (Option.get r.X.Thm26.s_sfs)
+    /. float_of_int (Option.get r.X.Thm26.u_tail)
   in
   Alcotest.(check bool) "S_sfs/U_tail grows" true (ratio last > ratio first);
   Alcotest.(check bool) "renders" true (String.length (X.Thm26.render result) > 100)
@@ -229,6 +230,32 @@ let test_loghier_verdicts () =
     [ ("countdown", true); ("fib-iter", true); ("even-odd", true) ]
     r.X.LogHier.chain_rows
 
+(* A point that did not answer leaves its series without an exponent,
+   so no verdict or chain row can pass on it. At fuel 8000 stack/gc
+   loses every N = 320 point and tail/evlis its N = 160 and 320 points,
+   and only gc/tail answers everywhere. *)
+let test_thm25_failed_points () =
+  let sweeps = X.Thm25.run ~fuel:8000 () in
+  Alcotest.(check (list string))
+    "claims that hold"
+    [ "gc/tail: S_gc separates from S_tail"; "gc/tail: S_tail bounded" ]
+    (List.filter_map
+       (fun (v : X.verdict) -> if v.X.holds then Some v.X.claim else None)
+       (X.Thm25.claims sweeps))
+
+(* At fuel 5 no point answers: every E10 row and chain entry fails,
+   rather than reading a missing Log figure as 0. *)
+let test_loghier_failed_points () =
+  let r = X.LogHier.run ~fuel:5 () in
+  List.iter
+    (fun (v : X.verdict) ->
+      Alcotest.(check bool) (v.X.claim ^ " fails") false v.X.holds)
+    (r.X.LogHier.pairs @ [ r.X.LogHier.thm26 ]);
+  Alcotest.(check (list (pair string bool)))
+    "Theorem 24 chain on Log"
+    [ ("countdown", false); ("fib-iter", false); ("even-odd", false) ]
+    r.X.LogHier.chain_rows
+
 let test_sec4_shapes () =
   let rows = X.Sec4.run ~ns:[ 16; 32; 64 ] () in
   let find spine variant =
@@ -281,5 +308,9 @@ let () =
           Alcotest.test_case "sanity verdicts (E9)" `Quick test_sanity_verdicts;
           Alcotest.test_case "log hierarchy verdicts (E10)" `Quick
             test_loghier_verdicts;
+          Alcotest.test_case "failed points fail E2 claims" `Quick
+            test_thm25_failed_points;
+          Alcotest.test_case "failed points fail E10 rows" `Quick
+            test_loghier_failed_points;
         ] );
     ]

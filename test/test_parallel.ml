@@ -128,6 +128,12 @@ let test_starved_fits_degrade () =
     (thm26.X.Thm26.u_tail_exponent = None);
   Alcotest.(check bool) "thm26 s_sfs exponent unresolved" true
     (thm26.X.Thm26.s_sfs_exponent = None);
+  Alcotest.(check bool) "thm26 rows hold no figure of an unanswered run" true
+    (List.for_all
+       (fun (r : X.Thm26.row) ->
+         r.X.Thm26.u_tail = None && r.X.Thm26.s_tail = None
+         && r.X.Thm26.s_sfs = None)
+       thm26.X.Thm26.rows);
   Alcotest.(check bool) "thm26 renders" true
     (String.length (X.Thm26.render thm26) > 50);
   let cps = X.Cps.run ~ns:[ 16; 32; 64 ] ~fuel () in

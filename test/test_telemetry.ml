@@ -225,8 +225,8 @@ let test_secd_telemetry () =
   Alcotest.(check int) "secd steps" r.Secd.steps (Tel.steps tl);
   Alcotest.(check int) "secd peak" r.Secd.peak_words (Tel.peak_space tl)
 
-(* The denotational evaluator counts allocations through the shared
-   store observer. *)
+(* The denotational evaluator counts allocations through a store
+   allocation hook. *)
 let test_denotational_telemetry () =
   let tl = Tel.create () in
   (match Den.eval ~telemetry:tl (expand "(list 1 2 3)") with

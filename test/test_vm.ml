@@ -9,7 +9,8 @@
    - Every corpus entry answers as its checks say, and the fixnum fast
      path changes no answer.
    - The VM's own primitive table keeps operand order and sign
-     conventions.
+     conventions, and its multi-limb bignum paths answer as the
+     stepper's.
    - The tier runs only the vm-fast engine, and rejects configurations
      whose accounting it compiles out. *)
 
@@ -221,6 +222,28 @@ let test_prim_operands () =
     "(list (modulo 7 2) (modulo -7 2) (modulo 7 -2) (modulo -7 -2))"
     "(1 1 -1 -1)"
 
+(* The multi-limb paths: fact(1000) multiplies and prints a 2 568-digit
+   integer, and 10^400 by 7^150 divides limb by limb under each sign
+   convention. The VM must answer as the stepper does. *)
+let test_bignums_as_stepper () =
+  let fact =
+    match Corpus.find "fact" with
+    | Some e -> Corpus.program e
+    | None -> Alcotest.fail "no corpus entry fact"
+  in
+  let division =
+    E.program_of_string
+      "(lambda (n) (let ((a (expt 10 n)) (b (expt 7 150))) (list (quotient \
+       a b) (remainder (- a) b) (modulo a (- b)))))"
+  in
+  let fact_1000 = stepper_answer fact 1000 in
+  Alcotest.(check int) "fact 1000 digits" 2568 (String.length fact_1000);
+  Alcotest.(check string) "fact 1000" fact_1000 (vm_answer fact 1000);
+  let quotients = stepper_answer division 400 in
+  Alcotest.(check bool) "division answered" true (quotients.[0] = '(');
+  Alcotest.(check string) "division 10^400 by 7^150" quotients
+    (vm_answer division 400)
+
 let test_fast_rejects_accounting () =
   let program = E.program_of_string countdown_src in
   let check_rejects what cfg opts =
@@ -269,6 +292,8 @@ let () =
           Alcotest.test_case "fixnums on and off" `Quick test_fixnums_invisible;
           Alcotest.test_case "division signs, string-append order" `Quick
             test_prim_operands;
+          Alcotest.test_case "bignums as the stepper" `Quick
+            test_bignums_as_stepper;
           Alcotest.test_case "fast tier rejects accounting configs" `Quick
             test_fast_rejects_accounting;
           Alcotest.test_case "rejects the stepper engine" `Quick
