@@ -55,12 +55,6 @@ let read_file path =
    unreadable source is. *)
 let open_output path = try open_out path with Sys_error m -> usage m
 
-let write_file path contents =
-  let oc = open_output path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
 (* JSON pieces shared by [run --json] and [bench --json]. *)
 
 let peaks_json peaks =
@@ -291,9 +285,14 @@ let input_arg =
   in
   Arg.(value & opt (some int) None & info [ "n"; "input" ] ~docv:"N" ~doc)
 
-(* A loaded program: its display name, its expansion, and the input a
-   corpus entry is first checked at. *)
-type source = { name : string; program : Ast.expr; checked_n : int option }
+(* A loaded program: its display name, its text and expansion, and the
+   input a corpus entry is first checked at. *)
+type source = {
+  name : string;
+  text : string;
+  program : Ast.expr;
+  checked_n : int option;
+}
 
 let load_source corpus file expr =
   match corpus with
@@ -304,7 +303,7 @@ let load_source corpus file expr =
           let checked_n =
             match e.Corpus.checks with (n, _) :: _ -> Some n | [] -> None
           in
-          { name; program = Corpus.program e; checked_n })
+          { name; text = e.Corpus.source; program = Corpus.program e; checked_n })
   | None -> (
       let name, text =
         match (file, expr) with
@@ -318,7 +317,7 @@ let load_source corpus file expr =
           usage (Format.asprintf "%a" Reader.pp_error e)
       | exception Expand.Expand_error e ->
           usage (Format.asprintf "%a" Expand.pp_error e)
-      | program -> { name; program; checked_n = None })
+      | program -> { name; text; program; checked_n = None })
 
 let source_arg = Term.(const load_source $ corpus_arg $ file_pos_arg $ expr_arg)
 
@@ -503,9 +502,9 @@ let bench_cmd =
     let config = M.Config.make ~variant ~perm ~stack_policy () in
     let ms =
       Pool.with_pool ?jobs (fun pool ->
-          R.sweep ?pool
-            ~opts:(M.Run_opts.make ~fuel ~measure ())
-            ~collect_telemetry:true ~config ~program:src.program ~ns ())
+          R.sweep ?pool ~collect_telemetry:true
+            (R.point ~config ~models:measure ~fuel src.text)
+            ns)
     in
     if json then
       print_endline
@@ -581,27 +580,12 @@ let report_cmd =
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let report which jobs =
-    let table =
-      Pool.with_pool ?jobs (fun pool ->
-          match which with
-          | "fig2" -> Ok (X.Fig2.render (X.Fig2.run ()))
-          | "thm25" -> Ok (X.Thm25.render (X.Thm25.run ?pool ()))
-          | "thm24" -> Ok (X.Thm24.render (X.Thm24.run ?pool ()))
-          | "thm26" -> Ok (X.Thm26.render (X.Thm26.run ?pool ()))
-          | "sec4" -> Ok (X.Sec4.render (X.Sec4.run ?pool ()))
-          | "cor20" -> Ok (X.Cor20.render (X.Cor20.run ?pool ()))
-          | "cps" -> Ok (X.Cps.render (X.Cps.run ?pool ()))
-          | "ablation" -> Ok (X.Ablation.render (X.Ablation.run ?pool ()))
-          | "sanity" -> Ok (X.Sanity.render (X.Sanity.run ?pool ()))
-          | "loghier" -> Ok (X.LogHier.render (X.LogHier.run ?pool ()))
-          | "all" -> Ok (X.render_all ?pool ())
-          | other -> Error other)
+    let names =
+      if which = "all" then X.names
+      else if List.mem which X.names then [ which ]
+      else usage (Printf.sprintf "unknown experiment %S" which)
     in
-    match table with
-    | Ok s -> print_string s
-    | Error other ->
-        Format.eprintf "schemesim: unknown experiment %S@." other;
-        exit 2
+    print_string (Pool.with_pool ?jobs (fun pool -> X.report ?pool names))
   in
   let doc = "Print the paper-reproduction tables (see DESIGN.md)." in
   Cmd.v (Cmd.info "report" ~exits ~doc)
@@ -629,7 +613,7 @@ let spaceprof_cmd =
     let doc =
       "Write collapsed-stack lines (site;site;... words) to $(docv) — the \
        input format of flamegraph.pl and speedscope. Lines sum exactly to \
-       the flat peak."
+       the flat peak. Not with $(b,--diff)."
     in
     Arg.(
       value & opt (some string) None & info [ "flamegraph" ] ~docv:"FILE" ~doc)
@@ -660,6 +644,14 @@ let spaceprof_cmd =
           usage
             "spaceprof needs --input N (the program runs under §12's \
              procedure-of-one-argument convention)"
+    in
+    (* Opened before the run, as [run] opens its outputs, so an
+       unwritable path is a usage error that costs no run. *)
+    let flamegraph =
+      match (flamegraph, diff) with
+      | Some _, Some _ -> usage "--flamegraph exports one census, not a --diff"
+      | Some path, None -> Some (path, open_output path)
+      | None, _ -> None
     in
     (* One profiled run: census attached through Run_opts, raw per-model
        peaks recovered from the measurement's [peaks] list (no |P| term
@@ -804,11 +796,12 @@ let spaceprof_cmd =
         check_sums "log" log_c;
         (match flamegraph with
         | None -> ()
-        | Some path -> (
+        | Some (path, oc) -> (
             match flat with
             | Some c ->
-                write_file path
+                output_string oc
                   (String.concat "\n" (Prov.flamegraph_lines c) ^ "\n");
+                close_out oc;
                 Format.eprintf "; flamegraph (%d stacks) -> %s@."
                   (List.length c.Prov.stacks) path
             | None ->

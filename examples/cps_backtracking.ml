@@ -17,7 +17,6 @@
 
 module Machine = Tailspace_core.Machine
 module Runner = Tailspace_harness.Runner
-module Expand = Tailspace_expander.Expand
 
 (* subset-sum, CPS all the way down: (solve items target sk fk) calls
    sk with the chosen subset or fk with no arguments. *)
@@ -44,27 +43,29 @@ let solver =
 |}
 
 let () =
-  let program = Expand.program_of_string solver in
-  let show variant n =
-    let m =
-      Runner.run_once ~config:(Machine.Config.make ~variant ()) ~program ~n ()
-    in
-    match m.Runner.status with
-    | Runner.Answer a ->
-        Printf.printf "  %-5s n=%-2d (%7d steps) -> %-10s S=%d words\n"
-          (Machine.variant_name variant) n m.Runner.steps a m.Runner.space
-    | Runner.Stuck msg -> Printf.printf "  stuck: %s\n" msg
-    | Runner.Aborted r ->
-        Printf.printf "  aborted: %s\n"
-          (Tailspace_resilience.Resilience.abort_reason_message r)
+  let show variant =
+    List.iter
+      (fun (m : Runner.measurement) ->
+        match m.Runner.status with
+        | Runner.Answer a ->
+            Printf.printf "  %-5s n=%-2d (%7d steps) -> %-10s S=%d words\n"
+              (Machine.variant_name variant) m.Runner.n m.Runner.steps a
+              m.Runner.space
+        | Runner.Stuck msg -> Printf.printf "  stuck: %s\n" msg
+        | Runner.Aborted r ->
+            Printf.printf "  aborted: %s\n"
+              (Tailspace_resilience.Resilience.abort_reason_message r))
+      (Runner.sweep
+         (Runner.point ~config:(Machine.Config.make ~variant ()) solver)
+         [ 6; 8; 10; 12 ])
   in
   print_endline "exhaustive CPS subset-sum search over {1..n}, impossible target:";
   print_endline "";
   print_endline "properly tail recursive (I_tail) — space follows search DEPTH:";
-  List.iter (show Machine.Tail) [ 6; 8; 10; 12 ];
+  show Machine.Tail;
   print_newline ();
   print_endline "improperly tail recursive (I_gc) — space follows TOTAL CALLS:";
-  List.iter (show Machine.Gc) [ 6; 8; 10; 12 ];
+  show Machine.Gc;
   print_newline ();
   print_endline "each +2 in n quadruples the search tree; I_gc's space tracks";
   print_endline "it (nothing ever returns, so no frame is ever popped) while";

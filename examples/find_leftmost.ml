@@ -10,23 +10,23 @@
 module Machine = Tailspace_core.Machine
 module Runner = Tailspace_harness.Runner
 module Families = Tailspace_corpus.Families
-module Expand = Tailspace_expander.Expand
 
-let traversal_overhead variant spine_traverse spine_build n =
-  let measure program =
-    let m =
-      Runner.run_once
-        ~config:(Machine.Config.make ~variant ())
-        ~program:(Expand.program_of_string program)
-        ~n ()
-    in
-    match m.Runner.status with
-    | Runner.Answer _ -> m.Runner.space
-    | Runner.Stuck msg -> failwith ("stuck: " ^ msg)
-    | Runner.Aborted r ->
-        failwith (Tailspace_resilience.Resilience.abort_reason_message r)
+let ns = [ 50; 100; 200 ]
+
+let traversal_overhead variant spine_traverse spine_build =
+  let measure source =
+    List.map
+      (fun (m : Runner.measurement) ->
+        match m.Runner.status with
+        | Runner.Answer _ -> m.Runner.space
+        | Runner.Stuck msg -> failwith ("stuck: " ^ msg)
+        | Runner.Aborted r ->
+            failwith (Tailspace_resilience.Resilience.abort_reason_message r))
+      (Runner.sweep
+         (Runner.point ~config:(Machine.Config.make ~variant ()) source)
+         ns)
   in
-  measure spine_traverse - measure spine_build
+  List.map2 ( - ) (measure spine_traverse) (measure spine_build)
 
 let () =
   print_endline "traversal overhead of find-leftmost, net of the tree data";
@@ -36,9 +36,8 @@ let () =
     (fun (label, variant, traverse, build) ->
       Printf.printf "%-22s" label;
       List.iter
-        (fun n ->
-          Printf.printf " %10d" (traversal_overhead variant traverse build n))
-        [ 50; 100; 200 ];
+        (Printf.printf " %10d")
+        (traversal_overhead variant traverse build);
       print_newline ())
     [
       ( "right spine, I_tail",

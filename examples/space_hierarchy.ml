@@ -14,7 +14,6 @@ module Machine = Tailspace_core.Machine
 module Runner = Tailspace_harness.Runner
 module Families = Tailspace_corpus.Families
 module Table = Tailspace_harness.Table
-module Expand = Tailspace_expander.Expand
 
 let ns = [ 16; 32; 64 ]
 
@@ -22,13 +21,13 @@ let () =
   List.iter
     (fun (name, source) ->
       Printf.printf "separating program %s:\n%s\n" name (String.trim source);
-      let program = Expand.program_of_string source in
       let rows =
         List.map
           (fun variant ->
             let ms =
-              Runner.sweep ~config:(Machine.Config.make ~variant ()) ~program
-                ~ns ()
+              Runner.sweep
+                (Runner.point ~config:(Machine.Config.make ~variant ()) source)
+                ns
             in
             Machine.variant_name variant
             :: List.map

@@ -281,7 +281,7 @@ let demote (r : record) w =
 
 (* Trace [frames], the frames above [w] bottom first, then the
    registers. *)
-let trace_above tr w frames ~control_locs ~env =
+let trace_above tr w frames ~value ~env =
   let r = tr.r in
   List.iteri
     (fun i k ->
@@ -294,7 +294,7 @@ let trace_above tr w frames ~control_locs ~env =
   tr.code <- reg;
   tr.at <- max_int;
   trace_env tr env;
-  List.iter (visit tr) control_locs
+  Option.iter (trace_value tr) value
 
 (* The unmarked candidates; a demoted cell may have been removed since
    (Store.sweep ignores it). *)
@@ -314,7 +314,7 @@ let sweep (r : record) store =
       store !dead
   end
 
-let collect ?world ?history:h ~control_locs ~env ~cont store =
+let collect ?world ?history:h ?value ~env ~cont store =
   let r = Domain.DLS.get records in
   let owner = match h with Some h -> h | None -> history () in
   let first = Store.first_run_loc store in
@@ -345,7 +345,7 @@ let collect ?world ?history:h ~control_locs ~env ~cont store =
     let tr = { r; store; floor; world_base; met; code = 0; at = 0 } in
     trace_above tr w
       (frames_down at_stable stable w above)
-      ~control_locs ~env;
+      ~value ~env;
     (match world with
     | Some w when not tr.met ->
         (* The world base is unreachable: start again as a full
@@ -356,7 +356,7 @@ let collect ?world ?history:h ~control_locs ~env ~cont store =
           { tr with floor = 0; world_base = None }
           0
           (frames_down cont depth 0 [])
-          ~control_locs ~env
+          ~value ~env
     | Some _ | None -> ());
     r.top <- cont
   in
@@ -376,11 +376,10 @@ let collect ?world ?history:h ~control_locs ~env ~cont store =
 (* One-level occurrence check for the I_stack return rule. A cell names
    a location younger than itself only once written, so a candidate can
    occur only in the control value, in a cell at or above the first
-   candidate,
-   or in a written cell; the caller's environment and continuation were
-   built before the candidates and are not scanned. Environment bases
-   (built before the run) are not scanned either. *)
-let occurs_in_retained ~candidates ~control_locs ~retained =
+   candidate, or in a written cell; the caller's environment and
+   continuation were built before the candidates and are not scanned.
+   Environment bases (built before the run) are not scanned either. *)
+let occurs_in_retained ~candidates ~value ~retained =
   let hit : (Types.loc, unit) Hashtbl.t = Hashtbl.create 8 in
   let check l = if Hashtbl.mem candidates l then Hashtbl.replace hit l () in
   let check_env env = Env.iter_overlay (fun _ l -> check l) env in
@@ -421,7 +420,7 @@ let occurs_in_retained ~candidates ~control_locs ~retained =
   in
   let first = Hashtbl.fold (fun l () m -> min l m) candidates max_int in
   if first < max_int then begin
-    List.iter check control_locs;
+    check_value value;
     Store.fold_from first (fun _ v () -> check_value v) retained ();
     Store.fold_written
       (fun l v () -> if l < first then check_value v)

@@ -55,13 +55,16 @@ val history : unit -> history
 val collect :
   ?world:world ->
   ?history:history ->
-  control_locs:Types.loc list ->
+  ?value:Types.value ->
   env:Types.Env.t ->
   cont:Types.cont ->
   Store.t ->
   Store.t * int
-(** Remove every location unreachable from the configuration; returns
-    the collected store and the number of locations reclaimed.
+(** Remove every location unreachable from the configuration — its
+    control [value] (absent when the control is an expression), [env]
+    and [cont] — and return the collected store and the number of
+    locations reclaimed. The value is traced as a frame is, each
+    environment base once.
 
     With [world], when the store has an old generation whose write
     barrier is clear (see {!Store}) and the world is not lost, the
@@ -88,14 +91,13 @@ val collect :
 
 val occurs_in_retained :
   candidates:(Types.loc, unit) Hashtbl.t ->
-  control_locs:Types.loc list ->
+  value:Types.value ->
   retained:Store.t ->
   (Types.loc, unit) Hashtbl.t
 (** Support for the [I_stack] return rule's side condition: which of
     [candidates] occur (syntactically, one level deep per store cell)
-    within the value whose locations are [control_locs], or any
-    retained store cell. [retained] must already exclude the cells
-    being deleted. The environment and continuation of the retained
+    within the control [value], or any retained store cell. [retained]
+    must already exclude the cells being deleted. The environment and continuation of the retained
     configuration are not scanned: the rule's frame environment and the
     continuation below the frame were built before the call allocated
     the candidates, so they cannot name one. Nor is every cell: an

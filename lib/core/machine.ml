@@ -426,8 +426,7 @@ let delete_frame t config v dels frame_env next =
   in
   let hits dels =
     let retained = Store.remove_all store dels in
-    Gc.occurs_in_retained ~candidates:(table_of dels)
-      ~control_locs:(value_locs v) ~retained
+    Gc.occurs_in_retained ~candidates:(table_of dels) ~value:v ~retained
   in
   match t.stack_policy with
   | Algol ->
@@ -583,13 +582,11 @@ let flat_space config =
   | `Expr _ -> base
   | `Value v -> base + value_space v
 
-let control_locs config =
-  match config.control with `Expr _ -> [] | `Value v -> value_locs v
-
 let collect ~world ~history config =
+  let value = match config.control with `Expr _ -> None | `Value v -> Some v in
   let store, reclaimed =
-    Gc.collect ~world ~history ~control_locs:(control_locs config)
-      ~env:config.env ~cont:config.cont config.store
+    Gc.collect ~world ~history ?value ~env:config.env ~cont:config.cont
+      config.store
   in
   ({ config with store }, reclaimed)
 
@@ -1024,26 +1021,38 @@ let run_measured
       let reason = Resilience.Out_of_fuel { limit = fuel } in
       (Aborted { reason; steps; peak_space = !peak }, steps)
     else
+      (* The Algol return rule's check reads every retained cell, dead
+         ones too, so on a configuration that may hold garbage it can
+         fail where Definition 21's schedule, which collects before
+         every step, would pop the frame: collect, and apply the rule
+         again. *)
       match step t config with
-      | Next c ->
-          garbage_free := !garbage_free && drops_nothing config c;
-          loop c (steps + 1)
-      | Final (v, store) ->
-          (* The final configuration (v, sigma) is collected but never
-             measured: it can set no peak. The configuration before it
-             holds the same v and sigma plus an environment and the Halt
-             word, and was measured exactly whenever it could raise a
-             peak; this collection's roots are a subset of its roots, so
-             the final figure is at least one word smaller under Flat
-             and no larger under Linked and Log. The collection stays
-             for the answer's store, and counts in [gc_runs]. *)
-          let store, reclaimed =
-            Gc.collect ~control_locs:(value_locs v) ~env:Env.empty ~cont:Halt
-              store
-          in
-          record_gc Telemetry.Gc_final store reclaimed;
-          (Done { value = v; store; answer = Answer.to_string store v }, steps + 1)
-      | Stuck_state m -> (Stuck m, steps)
+      | Stuck_state _
+        when (not !garbage_free)
+             && match config.cont with Return_stack _ -> true | _ -> false ->
+          let config = collect_as Telemetry.Gc_forced config in
+          advance config (step t config) steps
+      | next -> advance config next steps
+  and advance config next steps =
+    match next with
+    | Next c ->
+        garbage_free := !garbage_free && drops_nothing config c;
+        loop c (steps + 1)
+    | Final (v, store) ->
+        (* The final configuration (v, sigma) is collected but never
+           measured: it can set no peak. The configuration before it
+           holds the same v and sigma plus an environment and the Halt
+           word, and was measured exactly whenever it could raise a
+           peak; this collection's roots are a subset of its roots, so
+           the final figure is at least one word smaller under Flat and
+           no larger under Linked and Log. The collection stays for the
+           answer's store, and counts in [gc_runs]. *)
+        let store, reclaimed =
+          Gc.collect ~value:v ~env:Env.empty ~cont:Halt store
+        in
+        record_gc Telemetry.Gc_final store reclaimed;
+        (Done { value = v; store; answer = Answer.to_string store v }, steps + 1)
+    | Stuck_state m -> (Stuck m, steps)
   in
   let initial_store =
     let gstore = Store.start_run t.gstore in

@@ -6,16 +6,56 @@ module Families = Tailspace_corpus.Families
 module Expand = Tailspace_expander.Expand
 module Pool = Tailspace_parallel.Pool
 
-let expand = Expand.program_of_string
 let pct = Tail_calls.percent
+let ( let+ ) = Runner.( let+ )
+let ( and+ ) = Runner.( and+ )
 
-(* Parallel discipline, shared by every experiment below: programs are
-   expanded in the driver, the flattened leaf measurements fan out over
-   the pool (each on a fresh machine, see Runner), and the results are
-   regrouped in submission order — so tables are byte-identical whatever
-   the job count. Tasks never touch the pool themselves. *)
+(* Every measuring experiment below is a grid (see Runner): the points
+   it measures, and its result as a function of their measurements. The
+   report measures the union of the grids it prints, each distinct point
+   once, so a table reads the same figures alone or in [report all]. *)
 
 let variant_column variants = List.map Machine.variant_name variants
+
+(* A point on one variant, every other knob at its default. *)
+let on ?models ?fuel variant source n =
+  Runner.point ~config:(Machine.Config.make ~variant ()) ?models ?fuel source n
+
+(* The figure of one point under [model]: its consumption if it answered
+   ([Runner.answered]). *)
+let figure ?(model = Space_model.Flat) p =
+  let+ m = Runner.one p in
+  Runner.answered m model
+
+(* A table cell: a figure, or "-" for a point that got stuck or ran out
+   of fuel. *)
+let cell = function Some s -> string_of_int s | None -> "-"
+
+(* ------------------------------------------------------------------ *)
+(* Verdicts.                                                            *)
+
+type ruling = Holds | Fails | Unresolved
+
+(* The one verdict renderer. A verdict that fails only for want of a
+   figure or an exponent reads "unresolved", never the negative finding
+   [no]. *)
+let word ~yes ~no = function
+  | Holds -> yes
+  | Fails -> no
+  | Unresolved -> "unresolved"
+
+(* [Unresolved] when either side is missing, else [holds] decides. *)
+let rule x y holds =
+  if Option.is_none x || Option.is_none y then Unresolved
+  else if holds then Holds
+  else Fails
+
+(* A conjunction: it fails on any resolved failure, and holds only when
+   every part holds. *)
+let every rulings =
+  if List.mem Fails rulings then Fails
+  else if List.for_all (( = ) Holds) rulings then Holds
+  else Unresolved
 
 (* Every verdict below is one comparison of two growth exponents
    ([Growth.separates]): S_x separates from S_y when its increments over
@@ -25,16 +65,55 @@ type verdict = {
   claim : string;
   x : float option;
   y : float option;
-  holds : bool;
+  ruling : ruling;
 }
 
-let separation claim x y = { claim; x; y; holds = Growth.separates x y }
-
+let separation claim x y = { claim; x; y; ruling = rule x y (Growth.separates x y) }
 let versus v = Printf.sprintf "%s vs %s" (Growth.show v.x) (Growth.show v.y)
 
-(* A table cell: the figure of a point that answered ([Runner.answered]),
-   or "-" for a point that got stuck or ran out of fuel. *)
-let figure = function Some s -> string_of_int s | None -> "-"
+(* ------------------------------------------------------------------ *)
+(* Series.                                                              *)
+
+type series = {
+  label : string list;
+  figures : (int * int option) list;
+  exponent : float option;
+}
+
+let series_of label figures =
+  let answered =
+    List.filter_map (fun (n, f) -> Option.map (fun f -> (n, f)) f) figures
+  in
+  {
+    label;
+    figures;
+    exponent = Growth.exponent_over (List.map fst figures) answered;
+  }
+
+(* A series over [ns], reading [at n]'s figure at each N. *)
+let series label ns at =
+  let+ figures =
+    Runner.all
+      (List.map
+         (fun n ->
+           let+ f = at n in
+           (n, f))
+         ns)
+  in
+  series_of label figures
+
+(* One row per series: its label cells, a figure or "-" per N, and its
+   exponent, under the label columns' [header]. *)
+let series_table ~header series =
+  let ns = match series with s :: _ -> List.map fst s.figures | [] -> [] in
+  Table.render
+    ~header:(header @ List.map string_of_int ns @ [ "p" ])
+    (List.map
+       (fun s ->
+         s.label
+         @ List.map (fun (_, f) -> cell f) s.figures
+         @ [ Growth.show s.exponent ])
+       series)
 
 (* ------------------------------------------------------------------ *)
 
@@ -76,63 +155,29 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Thm25 = struct
-  type cell = {
-    variant : Machine.variant;
-    spaces : (int * int) list;
-    exponent : float option;
-  }
-
-  type sweep = { separator : string; ns : int list; cells : cell list }
-
   let default_ns = [ 20; 40; 80; 160; 320 ]
 
-  let run ?pool ?(ns = default_ns) ?fuel () =
-    let programs =
-      List.map (fun (name, source) -> (name, expand source)) Families.separators
-    in
-    let leaves =
-      List.concat_map
-        (fun (name, program) ->
-          List.concat_map
-            (fun variant -> List.map (fun n -> (name, program, variant, n)) ns)
-            Machine.all_variants)
-        programs
-    in
-    let measured =
-      Pool.map ?pool
-        (fun (_, program, variant, n) ->
-          Runner.run_once
-            ~opts:(Machine.Run_opts.make ?fuel ())
-            ~config:(Machine.Config.make ~variant ())
-            ~program ~n ())
-        leaves
-    in
-    let tagged = List.combine leaves measured in
-    List.map
-      (fun (name, _) ->
-        let cells =
-          List.map
-            (fun variant ->
-              let ms =
-                List.filter_map
-                  (fun ((name', _, v, _), m) ->
-                    if String.equal name' name && v = variant then Some m
-                    else None)
-                  tagged
-              in
-              let spaces = Runner.spaces ms in
-              { variant; spaces; exponent = Growth.exponent_over ns spaces })
-            Machine.all_variants
-        in
-        { separator = name; ns; cells })
-      programs
+  let grid ?(ns = default_ns) ?fuel () =
+    Runner.all
+      (List.map
+         (fun (name, source) ->
+           let+ rows =
+             Runner.all
+               (List.map
+                  (fun variant ->
+                    series
+                      [ Machine.variant_name variant ]
+                      ns
+                      (fun n -> figure (on ?fuel variant source n)))
+                  Machine.all_variants)
+           in
+           (name, rows))
+         Families.separators)
 
   let claims sweeps =
     let exponent name v =
-      let s = List.find (fun s -> s.separator = name) sweeps in
-      match List.find_opt (fun c -> c.variant = v) s.cells with
-      | Some c -> c.exponent
-      | None -> None
+      let label = [ Machine.variant_name v ] in
+      (List.find (fun s -> s.label = label) (List.assoc name sweeps)).exponent
     in
     let separates name x y =
       separation
@@ -148,7 +193,7 @@ module Thm25 = struct
         claim = "gc/tail: S_tail bounded";
         x = tail;
         y = Some 0.;
-        holds = Growth.bounded tail;
+        ruling = rule tail (Some 0.) (Growth.bounded tail);
       };
       separates "tail/evlis" Machine.Tail Machine.Evlis;
       separates "tail/evlis" Machine.Free Machine.Evlis;
@@ -165,20 +210,9 @@ module Thm25 = struct
          "E2 / Theorem 25 + Figure 6: separating programs, S_X(P, N) by \
           variant");
     List.iter
-      (fun sweep ->
-        Buffer.add_string buf (Printf.sprintf "\nseparator %s:\n" sweep.separator);
-        let header = "variant" :: List.map string_of_int sweep.ns @ [ "p" ] in
-        let rows =
-          List.map
-            (fun c ->
-              Machine.variant_name c.variant
-              :: List.map
-                   (fun n -> figure (List.assoc_opt n c.spaces))
-                   sweep.ns
-              @ [ Growth.show c.exponent ])
-            sweep.cells
-        in
-        Buffer.add_string buf (Table.render ~header rows))
+      (fun (name, rows) ->
+        Buffer.add_string buf (Printf.sprintf "\nseparator %s:\n" name);
+        Buffer.add_string buf (series_table ~header:[ "variant" ] rows))
       sweeps;
     Buffer.add_string buf
       "\np: growth exponent of S over the top doubling. S_x separates from \
@@ -189,7 +223,7 @@ module Thm25 = struct
       (fun v ->
         Buffer.add_string buf
           (Printf.sprintf "  [%s] %s  (%s)\n"
-             (if v.holds then "ok" else "FAIL")
+             (word ~yes:"ok" ~no:"FAIL" v.ruling)
              v.claim (versus v)))
       (claims sweeps);
     Buffer.contents buf
@@ -197,68 +231,60 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* The corpus entries E3 and E6 run, each at its first checked input. *)
+let checked_entries =
+  List.filter_map
+    (fun (e : Corpus.entry) ->
+      match e.checks with
+      | (n, _) :: _ when not e.slow -> Some (e, n)
+      | _ -> None)
+    Corpus.all
+
 module Thm24 = struct
   type row = {
     name : string;
     n : int;
     s : (Machine.variant * int) list;
-    chain_ok : bool;
+    chain : ruling;
   }
 
-  (* [s] holds the figures of the variants that answered; every variant
-     appears in some inequality, so a point that did not answer fails
-     the chain. *)
-  let chain_holds s =
+  (* [s] holds the figures of the variants that answered: a missing
+     figure leaves its inequalities unresolved. *)
+  let chain s =
     let le x y =
       match (List.assoc_opt x s, List.assoc_opt y s) with
-      | Some a, Some b -> a <= b
-      | _ -> false
+      | Some a, Some b -> if a <= b then Holds else Fails
+      | _ -> Unresolved
     in
-    le Machine.Tail Machine.Gc
-    && le Machine.Gc Machine.Stack
-    && le Machine.Sfs Machine.Evlis
-    && le Machine.Evlis Machine.Tail
-    && le Machine.Sfs Machine.Free
-    && le Machine.Free Machine.Tail
+    every
+      [
+        le Machine.Tail Machine.Gc;
+        le Machine.Gc Machine.Stack;
+        le Machine.Sfs Machine.Evlis;
+        le Machine.Evlis Machine.Tail;
+        le Machine.Sfs Machine.Free;
+        le Machine.Free Machine.Tail;
+      ]
 
-  let run ?pool ?(include_slow = false) () =
-    let entries =
-      Corpus.all
-      |> List.filter (fun (e : Corpus.entry) -> include_slow || not e.slow)
-      |> List.filter_map (fun (e : Corpus.entry) ->
-             match e.checks with
-             | [] -> None
-             | (n, _) :: _ -> Some (e.name, n, Corpus.program e))
+  (* The figures of the variants whose point [at v] answered. *)
+  let answered ?model at =
+    let+ figures =
+      Runner.all
+        (List.map
+           (fun v ->
+             let+ f = figure ?model (at v) in
+             Option.map (fun f -> (v, f)) f)
+           Machine.all_variants)
     in
-    let leaves =
-      List.concat_map
-        (fun (name, n, program) ->
-          List.map (fun v -> (name, n, program, v)) Machine.all_variants)
-        entries
-    in
-    let measured =
-      Pool.map ?pool
-        (fun (_, n, program, variant) ->
-          Runner.run_once
-            ~config:(Machine.Config.make ~variant ())
-            ~program ~n ())
-        leaves
-    in
-    let tagged = List.combine leaves measured in
-    List.map
-      (fun (name, n, _) ->
-        let s =
-          List.filter_map
-            (fun ((name', _, _, v), m) ->
-              if String.equal name' name then
-                Option.map
-                  (fun s -> (v, s))
-                  (Runner.answered m Space_model.Flat)
-              else None)
-            tagged
-        in
-        { name; n; s; chain_ok = chain_holds s })
-      entries
+    List.filter_map Fun.id figures
+
+  let grid () =
+    Runner.all
+      (List.map
+         (fun ((e : Corpus.entry), n) ->
+           let+ s = answered (fun v -> on v e.source n) in
+           { name = e.name; n; s; chain = chain s })
+         checked_entries)
 
   let render rows =
     Table.section
@@ -270,160 +296,85 @@ module Thm24 = struct
            (fun r ->
              r.name :: string_of_int r.n
              :: List.map
-                  (fun v -> figure (List.assoc_opt v r.s))
+                  (fun v -> cell (List.assoc_opt v r.s))
                   Machine.all_variants
-             @ [ (if r.chain_ok then "ok" else "VIOLATED") ])
+             @ [ word ~yes:"ok" ~no:"VIOLATED" r.chain ])
            rows)
 end
 
 (* ------------------------------------------------------------------ *)
 
 module Thm26 = struct
-  type row = {
-    n : int;
-    u_tail : int option;
-    s_tail : int option;
-    s_sfs : int option;
-  }
-
-  type result = {
-    rows : row list;
-    u_tail_exponent : float option;
-    s_sfs_exponent : float option;
-  }
+  type result = { u_tail : series; s_tail : series; s_sfs : series }
 
   let default_ns = [ 10; 20; 40; 80 ]
 
-  let run ?pool ?(ns = default_ns) ?fuel () =
-    let tasks = List.map (fun n -> (n, expand (Families.pk_program n))) ns in
-    let measured =
-      Pool.map ?pool
-        (fun (n, program) ->
-          let tail_m =
-            Runner.run_once
-              ~opts:
-                (Machine.Run_opts.make ?fuel
-                   ~measure:[ Space_model.Flat; Space_model.Linked ] ())
-              ~config:(Machine.Config.make ~variant:Machine.Tail ())
-              ~program ~n ()
-          in
-          let sfs_m =
-            Runner.run_once
-              ~opts:(Machine.Run_opts.make ?fuel ())
-              ~config:(Machine.Config.make ~variant:Machine.Sfs ())
-              ~program ~n ()
-          in
-          (n, tail_m, sfs_m))
-        tasks
+  let grid ?(ns = default_ns) ?fuel () =
+    let tail n =
+      on ~models:[ Space_model.Flat; Space_model.Linked ] ?fuel Machine.Tail
+        (Families.pk_program n) n
     in
-    let rows =
-      List.map
-        (fun (n, tail_m, sfs_m) ->
-          {
-            n;
-            u_tail = Runner.answered tail_m Space_model.Linked;
-            s_tail = Runner.answered tail_m Space_model.Flat;
-            s_sfs = Runner.answered sfs_m Space_model.Flat;
-          })
-        measured
+    let+ u_tail =
+      series [ "U_tail(P_N,N)" ] ns (fun n ->
+          figure ~model:Space_model.Linked (tail n))
+    and+ s_tail = series [ "S_tail(P_N,N)" ] ns (fun n -> figure (tail n))
+    and+ s_sfs =
+      series [ "S_sfs(P_N,N)" ] ns (fun n ->
+          figure (on ?fuel Machine.Sfs (Families.pk_program n) n))
     in
-    let exponent figure =
-      Growth.exponent_over ns
-        (List.filter_map
-           (fun r -> Option.map (fun s -> (r.n, s)) (figure r))
-           rows)
-    in
-    {
-      rows;
-      u_tail_exponent = exponent (fun r -> r.u_tail);
-      s_sfs_exponent = exponent (fun r -> r.s_sfs);
-    }
+    { u_tail; s_tail; s_sfs }
 
-  let render result =
+  let render r =
+    let columns = [ r.u_tail; r.s_tail; r.s_sfs ] in
+    let sfs = r.s_sfs.exponent and u_tail = r.u_tail.exponent in
     Table.section
       "E4 / Theorem 26 + Figure 8: flat vs linked environments on P_N"
     ^ Table.render
-        ~header:[ "N"; "U_tail(P_N,N)"; "S_tail(P_N,N)"; "S_sfs(P_N,N)" ]
+        ~header:("N" :: List.concat_map (fun s -> s.label) columns)
         (List.map
-           (fun r ->
-             [
-               string_of_int r.n;
-               figure r.u_tail;
-               figure r.s_tail;
-               figure r.s_sfs;
-             ])
-           result.rows)
+           (fun (n, _) ->
+             string_of_int n
+             :: List.map (fun s -> cell (List.assoc n s.figures)) columns)
+           r.u_tail.figures)
     ^ Printf.sprintf
         "S_sfs %s from U_tail  (p = %s vs %s; paper: O(N^2) vs O(N log N))\n"
-        (if Growth.separates result.s_sfs_exponent result.u_tail_exponent
-         then "separates"
-         else "does NOT separate")
-        (Growth.show result.s_sfs_exponent)
-        (Growth.show result.u_tail_exponent)
+        (word ~yes:"separates" ~no:"does NOT separate"
+           (rule sfs u_tail (Growth.separates sfs u_tail)))
+        (Growth.show sfs) (Growth.show u_tail)
 end
 
 (* ------------------------------------------------------------------ *)
 
 module Sec4 = struct
-  type row = {
-    spine : string;
-    variant : Machine.variant;
-    deltas : (int * int) list;
-    exponent : float option;
-  }
-
   let default_ns = [ 24; 48; 96; 192 ]
 
-  let run ?pool ?(ns = default_ns) () =
-    let programs =
-      [
-        ( "right",
-          expand Families.find_leftmost_right_traverse,
-          expand Families.find_leftmost_right_build );
-        ( "left",
-          expand Families.find_leftmost_left_traverse,
-          expand Families.find_leftmost_left_build );
-      ]
-    in
-    List.concat_map
-      (fun (spine, traverse, build) ->
-        List.map
-          (fun variant ->
-            let config = Machine.Config.make ~variant () in
-            let tm = Runner.sweep ?pool ~config ~program:traverse ~ns () in
-            let bm = Runner.sweep ?pool ~config ~program:build ~ns () in
-            let deltas =
-              List.filter_map
-                (fun n ->
-                  match
-                    ( List.assoc_opt n (Runner.spaces tm),
-                      List.assoc_opt n (Runner.spaces bm) )
-                  with
-                  | Some t, Some b -> Some (n, t - b)
-                  | _ -> None)
-                ns
-            in
-            let exponent = Growth.exponent_over ns deltas in
-            { spine; variant; deltas; exponent })
-          [ Machine.Tail; Machine.Gc; Machine.Stack ])
-      programs
+  let grid ?(ns = default_ns) () =
+    Runner.all
+      (List.concat_map
+         (fun (spine, traverse, build) ->
+           List.map
+             (fun variant ->
+               series
+                 [ spine; Machine.variant_name variant ]
+                 ns
+                 (fun n ->
+                   let+ t = figure (on variant traverse n)
+                   and+ b = figure (on variant build n) in
+                   match (t, b) with Some t, Some b -> Some (t - b) | _ -> None))
+             [ Machine.Tail; Machine.Gc; Machine.Stack ])
+         [
+           ( "right",
+             Families.find_leftmost_right_traverse,
+             Families.find_leftmost_right_build );
+           ( "left",
+             Families.find_leftmost_left_traverse,
+             Families.find_leftmost_left_build );
+         ])
 
   let render rows =
     Table.section
       "E5 / §4: find-leftmost traversal overhead (S_traverse - S_build)"
-    ^ Table.render
-        ~header:
-          ("spine" :: "variant"
-          :: List.map string_of_int
-               (match rows with r :: _ -> List.map fst r.deltas | [] -> [])
-          @ [ "p" ])
-        (List.map
-           (fun r ->
-             r.spine
-             :: Machine.variant_name r.variant
-             :: List.map (fun (_, d) -> string_of_int d) r.deltas
-             @ [ Growth.show r.exponent ])
-           rows)
+    ^ series_table ~header:[ "spine"; "variant" ] rows
     ^ "paper: right spine is O(1) under I_tail but grows under I_gc/I_stack;\n\
        left spine grows under every variant.\n"
 end
@@ -438,52 +389,34 @@ module Cor20 = struct
     agree : bool;
   }
 
-  let run ?pool ?(include_slow = false) () =
-    let entries =
-      Corpus.all
-      |> List.filter (fun (e : Corpus.entry) -> include_slow || not e.slow)
-      |> List.filter_map (fun (e : Corpus.entry) ->
-             match e.checks with
-             | [] -> None
-             | (n, _) :: _ -> Some (e.name, n, Corpus.program e))
-    in
-    let leaves =
-      List.concat_map
-        (fun (name, n, program) ->
-          List.map (fun v -> (name, n, program, v)) Machine.all_variants)
-        entries
-    in
-    let measured =
-      Pool.map ?pool
-        (fun (_, n, program, variant) ->
-          let m =
-            Runner.run_once
-              ~config:(Machine.Config.make ~variant ())
-              ~program ~n ()
-          in
-          match m.Runner.status with
-          | Runner.Answer a -> a
-          | Runner.Stuck s -> "stuck: " ^ s
-          | Runner.Aborted r -> Runner.Resilience.abort_reason_name r)
-        leaves
-    in
-    let tagged = List.combine leaves measured in
-    List.map
-      (fun (name, n, _) ->
-        let answers =
-          List.filter_map
-            (fun ((name', _, _, v), text) ->
-              if String.equal name' name then Some (v, text) else None)
-            tagged
-        in
-        let agree =
-          match answers with
-          | (_, first) :: rest ->
-              List.for_all (fun (_, a) -> String.equal a first) rest
-          | [] -> true
-        in
-        { name; n; answers; agree })
-      entries
+  let grid () =
+    Runner.all
+      (List.map
+         (fun ((e : Corpus.entry), n) ->
+           let+ ms =
+             Runner.all
+               (List.map
+                  (fun v -> Runner.one (on v e.source n))
+                  Machine.all_variants)
+           in
+           let answers =
+             List.map2
+               (fun v (m : Runner.measurement) ->
+                 ( v,
+                   match m.status with
+                   | Runner.Answer a -> a
+                   | Runner.Stuck s -> "stuck: " ^ s
+                   | Runner.Aborted r -> Runner.Resilience.abort_reason_name r ))
+               Machine.all_variants ms
+           in
+           let agree =
+             match answers with
+             | (_, first) :: rest ->
+                 List.for_all (fun (_, a) -> String.equal a first) rest
+             | [] -> true
+           in
+           { name = e.name; n; answers; agree })
+         checked_entries)
 
   let render rows =
     Table.section
@@ -510,102 +443,61 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Cps = struct
-  type result = {
-    ns : int list;
-    tail : (int * int) list;
-    gc : (int * int) list;
-    tail_exponent : float option;
-    gc_exponent : float option;
-  }
-
   let default_ns = [ 32; 64; 128; 256 ]
 
-  let run ?pool ?(ns = default_ns) ?fuel () =
-    let program = expand Families.cps_loop in
-    let opts = Machine.Run_opts.make ?fuel () in
-    let tail =
-      Runner.spaces
-        (Runner.sweep ?pool ~opts
-           ~config:(Machine.Config.make ~variant:Machine.Tail ())
-           ~program ~ns ())
-    in
-    let gc =
-      Runner.spaces
-        (Runner.sweep ?pool ~opts
-           ~config:(Machine.Config.make ~variant:Machine.Gc ())
-           ~program ~ns ())
-    in
-    {
-      ns;
-      tail;
-      gc;
-      tail_exponent = Growth.exponent_over ns tail;
-      gc_exponent = Growth.exponent_over ns gc;
-    }
+  let grid ?(ns = default_ns) ?fuel () =
+    Runner.all
+      (List.map
+         (fun variant ->
+           series
+             [ Machine.variant_name variant ]
+             ns
+             (fun n -> figure (on ?fuel variant Families.cps_loop n)))
+         [ Machine.Tail; Machine.Gc ])
 
-  let render r =
-    let cell spaces n = figure (List.assoc_opt n spaces) in
+  let render rows =
     Table.section "E7 / §1: pure CPS needs bounded space only if properly tail recursive"
-    ^ Table.render
-        ~header:("variant" :: List.map string_of_int r.ns @ [ "p" ])
-        [
-          ("tail" :: List.map (cell r.tail) r.ns) @ [ Growth.show r.tail_exponent ];
-          ("gc" :: List.map (cell r.gc) r.ns) @ [ Growth.show r.gc_exponent ];
-        ]
+    ^ series_table ~header:[ "variant" ] rows
 end
 
 (* ------------------------------------------------------------------ *)
 
 module Ablation = struct
-  type sweep = {
-    label : string;
-    spaces : (int * int) list;
-    exponent : float option;
-  }
-
   type result = {
-    ns : int list;
-    return_env_rows : sweep list;
+    return_env_rows : series list;
     return_env_verdicts : verdict list;
-    evlis_rows : sweep list;
+    evlis_rows : series list;
     evlis_verdicts : verdict list;
   }
 
   let default_ns = [ 20; 40; 80; 160; 320 ]
 
-  let run ?pool ?(ns = default_ns) () =
+  let grid ?(ns = default_ns) () =
     let sweep ?return_env ?evlis_drop_at_creation ~variant label source =
-      let program = expand source in
-      let ms =
-        Runner.sweep ?pool
-          ~config:
-            (Machine.Config.make ?return_env ?evlis_drop_at_creation
-               ~variant ())
-          ~program ~ns ()
+      let config =
+        Machine.Config.make ?return_env ?evlis_drop_at_creation ~variant ()
       in
-      let spaces = Runner.spaces ms in
-      { label; spaces; exponent = Growth.exponent_over ns spaces }
+      series [ label ] ns (fun n -> figure (Runner.point ~config source n))
     in
-    let gc_f =
+    let+ gc_f =
       sweep ~variant:Machine.Gc "gc, closure-env frames (faithful)"
         Families.separator_stack_gc
-    and stack_f =
+    and+ stack_f =
       sweep ~variant:Machine.Stack "stack, closure-env frames (faithful)"
         Families.separator_stack_gc
-    and gc_l =
+    and+ gc_l =
       sweep ~return_env:Machine.Register_env ~variant:Machine.Gc
         "gc, register-env frames (literal)" Families.separator_stack_gc
-    and stack_l =
+    and+ stack_l =
       sweep ~return_env:Machine.Register_env ~variant:Machine.Stack
         "stack, register-env frames (literal)" Families.separator_stack_gc
-    in
-    let tail_e =
+    and+ tail_e =
       sweep ~variant:Machine.Tail "tail (unaffected)"
         Families.separator_tail_evlis
-    and evlis_f =
+    and+ evlis_f =
       sweep ~variant:Machine.Evlis "evlis, drop at creation (faithful)"
         Families.separator_tail_evlis
-    and evlis_l =
+    and+ evlis_l =
       sweep ~evlis_drop_at_creation:false ~variant:Machine.Evlis
         "evlis, printed rules only (literal)" Families.separator_tail_evlis
     in
@@ -615,7 +507,6 @@ module Ablation = struct
         x_sweep.exponent y_sweep.exponent
     in
     {
-      ns;
       return_env_rows = [ gc_f; stack_f; gc_l; stack_l ];
       return_env_verdicts =
         [
@@ -632,19 +523,12 @@ module Ablation = struct
 
   let render r =
     let table rows verdicts =
-      Table.render
-        ~header:("S(P,N)" :: List.map string_of_int r.ns @ [ "p" ])
-        (List.map
-           (fun s ->
-             s.label
-             :: List.map (fun n -> figure (List.assoc_opt n s.spaces)) r.ns
-             @ [ Growth.show s.exponent ])
-           rows)
+      series_table ~header:[ "S(P,N)" ] rows
       ^ String.concat ""
           (List.map
              (fun v ->
                Printf.sprintf "  [%s] %s  (%s)\n"
-                 (if v.holds then "yes" else "no")
+                 (word ~yes:"yes" ~no:"no" v.ruling)
                  v.claim (versus v))
              verdicts)
     in
@@ -669,20 +553,11 @@ end
 module Sanity = struct
   module Secd = Tailspace_engines.Secd
 
-  type cell = {
-    program : string;
-    failed : bool;
-    engine_exponent : float option;
-    tail_exponent : float option;
-  }
-
   type row = {
     engine : string;
-    cells : cell list;
-    properly_tail_recursive : bool;
+    cells : (series * series) list;
+    verdict : ruling;
   }
-
-  type result = { ns : int list; rows : row list }
 
   let default_ns = [ 32; 64; 128; 256 ]
 
@@ -700,88 +575,71 @@ module Sanity = struct
       ("find-leftmost (right spine)", Families.find_leftmost_right_traverse);
     ]
 
-  let secd_engine ~proper name =
-    ( name,
-      fun ~program ~n ->
-        let r = Secd.run_program ~proper_tail_calls:proper ~program ~input:(Runner.input_expr n) () in
-        match r.Secd.outcome with
-        | Secd.Done _ -> Some r.Secd.peak_words
-        | Secd.Error _ | Secd.Aborted _ -> None )
+  (* The battery's series on one reference machine. *)
+  let machine variant ns =
+    Runner.all
+      (List.map
+         (fun (name, source) ->
+           series [ name ] ns (fun n -> figure (on variant source n)))
+         battery)
 
-  let machine_engine variant name =
-    ( name,
-      fun ~program ~n ->
-        let m =
-          Runner.run_once
-            ~config:(Machine.Config.make ~variant ())
-            ~program ~n ()
-        in
-        match m.Runner.status with
-        | Runner.Answer _ -> Some m.Runner.space
-        | _ -> None )
+  (* The SECD machines' series, from one fan-out over both machines:
+     they are not reference machines, so their runs are no grid points.
+     [secd ?pool ns proper] is one machine's series. *)
+  let secd ?pool ns =
+    let programs =
+      List.map (fun (name, source) -> (name, Expand.program_of_string source)) battery
+    in
+    let runs =
+      List.concat_map
+        (fun proper ->
+          List.concat_map
+            (fun (name, _) -> List.map (fun n -> (proper, name, n)) ns)
+            battery)
+        [ true; false ]
+    in
+    let peaks =
+      Pool.map ?pool
+        (fun (proper, name, n) ->
+          let r =
+            Secd.run_program ~proper_tail_calls:proper
+              ~program:(List.assoc name programs) ~input:(Runner.input_expr n)
+              ()
+          in
+          match r.Secd.outcome with
+          | Secd.Done _ -> Some r.Secd.peak_words
+          | Secd.Error _ | Secd.Aborted _ -> None)
+        runs
+    in
+    let peak = List.combine runs peaks in
+    fun proper ->
+      List.map
+        (fun (name, _) ->
+          series_of [ name ]
+            (List.map (fun n -> (n, List.assoc (proper, name, n) peak)) ns))
+        battery
 
-  let engines =
+  (* Definition 5 on one program: the implementation does not separate
+     from S_tail, decided only when both exponents are resolved. *)
+  let passes (e, t) =
+    rule e.exponent t.exponent (not (Growth.separates e.exponent t.exponent))
+
+  let grid ?pool ?(ns = default_ns) () =
+    let+ tail = machine Machine.Tail ns and+ control = machine Machine.Gc ns in
+    let row engine series =
+      let cells = List.combine series tail in
+      { engine; cells; verdict = every (List.map passes cells) }
+    in
+    let secd = secd ?pool ns in
     [
-      secd_engine ~proper:true "secd (tail-recursive)";
-      secd_engine ~proper:false "secd (classic)";
-      machine_engine Machine.Gc "reference I_gc (control)";
+      row "secd (tail-recursive)" (secd true);
+      row "secd (classic)" (secd false);
+      row "reference I_gc (control)" control;
     ]
 
-  (* Definition 5 on one program: both exponents resolved (so both
-     sweeps answered), and the implementation does not separate from
-     S_tail. *)
-  let passes c =
-    c.engine_exponent <> None
-    && c.tail_exponent <> None
-    && not (Growth.separates c.engine_exponent c.tail_exponent)
+  let failed s = List.exists (fun (_, f) -> f = None) s.figures
 
-  let run ?pool ?(ns = default_ns) () =
-    let programs =
-      List.map (fun (name, src) -> (name, expand src)) battery
-    in
-    let tail_spaces =
-      List.map
-        (fun (name, program) ->
-          ( name,
-            Runner.spaces
-              (Runner.sweep ?pool
-                 ~config:(Machine.Config.make ~variant:Machine.Tail ())
-                 ~program ~ns ()) ))
-        programs
-    in
-    let rows =
-      List.map
-        (fun (engine, run_engine) ->
-          let cells =
-            List.map
-              (fun (name, program) ->
-                let tails = List.assoc name tail_spaces in
-                let engine_points =
-                  List.combine ns
-                    (Pool.map ?pool (fun n -> run_engine ~program ~n) ns)
-                  |> List.filter_map (fun (n, e) ->
-                         Option.map (fun e -> (n, e)) e)
-                in
-                {
-                  program = name;
-                  failed =
-                    List.length engine_points < List.length ns
-                    || List.length tails < List.length ns;
-                  engine_exponent = Growth.exponent_over ns engine_points;
-                  tail_exponent = Growth.exponent_over ns tails;
-                })
-              programs
-          in
-          {
-            engine;
-            cells;
-            properly_tail_recursive = List.for_all passes cells;
-          })
-        engines
-    in
-    { ns; rows }
-
-  let render r =
+  let render rows =
     Table.section
       "E9 / \xc2\xa714 sanity check: which implementations are properly tail recursive?"
     ^ Table.render
@@ -793,18 +651,17 @@ module Sanity = struct
            (fun row ->
              row.engine
              :: List.map
-                  (fun c ->
-                    if c.failed then "failed"
+                  (fun (e, t) ->
+                    if failed e || failed t then "failed"
                     else
-                      Printf.sprintf "%s vs %s"
-                        (Growth.show c.engine_exponent)
-                        (Growth.show c.tail_exponent))
+                      Printf.sprintf "%s vs %s" (Growth.show e.exponent)
+                        (Growth.show t.exponent))
                   row.cells
              @ [
-                 (if row.properly_tail_recursive then "properly tail recursive"
-                  else "SPACE LEAK");
+                 word ~yes:"properly tail recursive" ~no:"SPACE LEAK"
+                   row.verdict;
                ])
-           r.rows)
+           rows)
     ^ "cells: growth exponent p of the implementation's live space vs S_tail's.\n"
     ^ "An implementation is flagged when it separates from S_tail (p >= p_tail\n"
     ^ "+ 0.5) on some program (Definition 5), or a run fails. The tail-recursive\n"
@@ -824,12 +681,9 @@ module LogHier = struct
      polynomial gap. The flat separations are E2's. *)
 
   type result = {
-    ns : int list;
     pairs : verdict list;
-    chain_rows : (string * bool) list;
-        (** Theorem 24's pointwise chain re-checked on Log consumption *)
-    pk_ns : int list;
-    thm26 : verdict;  (** S_sfs against Log_tail on P_N *)
+    chain_rows : (string * ruling) list;
+    thm26 : verdict;
   }
 
   (* Every point measures Linked and Log, whose walk runs on every step:
@@ -837,7 +691,9 @@ module LogHier = struct
   let default_ns = [ 20; 40; 80; 160 ]
 
   (* Each separator family with the pair of variants its strict
-     inclusion compares (Theorem 25's four adjacent separations). *)
+     inclusion compares (Theorem 25's four adjacent separations). Only
+     those two variants are measured: the per-step linked walk the heavy
+     models force makes a full six-variant sweep needlessly slow. *)
   let separations =
     [
       ("stack/gc", Machine.Stack, Machine.Gc);
@@ -848,118 +704,52 @@ module LogHier = struct
 
   let all_models = [ Space_model.Flat; Space_model.Linked; Space_model.Log ]
 
-  let run ?pool ?(ns = default_ns) ?fuel () =
-    let opts = Machine.Run_opts.make ?fuel ~measure:all_models () in
-    (* Only the two variants each inclusion compares are measured: the
-       per-step linked walk the heavy models force makes a full
-       six-variant sweep needlessly slow here. *)
-    let leaves =
-      List.concat_map
-        (fun (sep, x, y) ->
-          let program = expand (List.assoc sep Families.separators) in
-          List.concat_map
-            (fun variant -> List.map (fun n -> (sep, program, variant, n)) ns)
-            [ x; y ])
-        separations
+  let grid ?(ns = default_ns) ?fuel () =
+    let on = on ~models:all_models ?fuel in
+    let log_series ns at =
+      series [] ns (fun n -> figure ~model:Space_model.Log (at n))
     in
-    let measured =
-      Pool.map ?pool
-        (fun (_, program, variant, n) ->
-          Runner.run_once ~opts
-            ~config:(Machine.Config.make ~variant ())
-            ~program ~n ())
-        leaves
-    in
-    let tagged = List.combine leaves measured in
-    let spaces_of model sep variant =
-      Runner.spaces_for model
-        (List.filter_map
-           (fun ((sep', _, v, _), m) ->
-             if String.equal sep' sep && v = variant then Some m else None)
-           tagged)
-    in
-    let pairs =
-      List.map
-        (fun (sep, x, y) ->
-          let exponent v =
-            Growth.exponent_over ns (spaces_of Space_model.Log sep v)
-          in
-          separation sep (exponent x) (exponent y))
-        separations
-    in
+    let+ pairs =
+      Runner.all
+        (List.map
+           (fun (sep, x, y) ->
+             let source = List.assoc sep Families.separators in
+             let+ sx = log_series ns (on x source)
+             and+ sy = log_series ns (on y source) in
+             separation sep sx.exponent sy.exponent)
+           separations)
     (* Theorem 24's chain, re-checked pointwise on Log consumption. It
        is not implied by the flat chain: the pointer-size factor is a
        function of each variant's own store, so two variants' log
        figures are scaled by different factors. *)
-    let chain_entries =
-      List.filter_map
-        (fun name ->
-          match Corpus.find name with
-          | Some e -> (
-              match e.Corpus.checks with
-              | (n, _) :: _ -> Some (e.Corpus.name, n, Corpus.program e)
-              | [] -> None)
-          | None -> None)
-        [ "countdown"; "fib-iter"; "even-odd" ]
-    in
-    let chain_leaves =
-      List.concat_map
-        (fun (name, n, program) ->
-          List.map (fun v -> (name, n, program, v)) Machine.all_variants)
-        chain_entries
-    in
-    let chain_measured =
-      Pool.map ?pool
-        (fun (_, n, program, variant) ->
-          Runner.run_once ~opts
-            ~config:(Machine.Config.make ~variant ())
-            ~program ~n ())
-        chain_leaves
-    in
-    let chain_tagged = List.combine chain_leaves chain_measured in
-    let chain_rows =
-      List.map
-        (fun (name, _, _) ->
-          let s =
-            List.filter_map
-              (fun ((name', _, _, v), m) ->
-                if String.equal name' name then
-                  Option.map
-                    (fun l -> (v, l))
-                    (Runner.answered m Space_model.Log)
-                else None)
-              chain_tagged
-          in
-          (name, Thm24.chain_holds s))
-        chain_entries
-    in
+    and+ chain_rows =
+      Runner.all
+        (List.filter_map
+           (fun name ->
+             match Corpus.find name with
+             | Some { Corpus.source; checks = (n, _) :: _; _ } ->
+                 Some
+                   (let+ s =
+                      Thm24.answered ~model:Space_model.Log (fun v ->
+                          on v source n)
+                    in
+                    (name, Thm24.chain s))
+             | _ -> None)
+           [ "countdown"; "fib-iter"; "even-odd" ])
     (* Theorem 26 on P_N: the paper separates flat S_sfs from linked
        U_tail (E4); under the log model the tail side is re-priced to
        Log_tail (bit-units: an exponent does not depend on the unit). *)
-    let pk_ns = Thm26.default_ns in
-    let pk =
-      Pool.map ?pool
-        (fun (n, program) ->
-          let tail_m =
-            Runner.run_once ~opts
-              ~config:(Machine.Config.make ~variant:Machine.Tail ())
-              ~program ~n ()
-          in
-          let sfs_m =
-            Runner.run_once ~opts
-              ~config:(Machine.Config.make ~variant:Machine.Sfs ())
-              ~program ~n ()
-          in
-          (tail_m, sfs_m))
-        (List.map (fun n -> (n, expand (Families.pk_program n))) pk_ns)
+    and+ thm26 =
+      let pk_ns = Thm26.default_ns in
+      let+ sfs =
+        series [] pk_ns (fun n ->
+            figure (on Machine.Sfs (Families.pk_program n) n))
+      and+ tail =
+        log_series pk_ns (fun n -> on Machine.Tail (Families.pk_program n) n)
+      in
+      separation "thm26 sfs(flat)/tail" sfs.exponent tail.exponent
     in
-    let thm26 =
-      separation "thm26 sfs(flat)/tail"
-        (Growth.exponent_over pk_ns (Runner.spaces (List.map snd pk)))
-        (Growth.exponent_over pk_ns
-           (Runner.spaces_for Space_model.Log (List.map fst pk)))
-    in
-    { ns; pairs; chain_rows; pk_ns; thm26 }
+    { pairs; chain_rows; thm26 }
 
   let render r =
     Table.section
@@ -972,14 +762,14 @@ module LogHier = struct
                v.claim;
                Growth.show v.x;
                Growth.show v.y;
-               (if v.holds then "survives" else "COLLAPSES");
+               word ~yes:"survives" ~no:"COLLAPSES" v.ruling;
              ])
            (r.pairs @ [ r.thm26 ]))
     ^ Printf.sprintf "Theorem 24 chain on Log consumption: %s\n"
         (String.concat ", "
            (List.map
-              (fun (name, ok) ->
-                Printf.sprintf "%s %s" name (if ok then "ok" else "VIOLATED"))
+              (fun (name, chain) ->
+                Printf.sprintf "%s %s" name (word ~yes:"ok" ~no:"VIOLATED" chain))
               r.chain_rows))
     ^ "p: growth exponent of Log_x and Log_y (thm26: flat S_sfs and Log_tail)\n\
        over the top doubling; a separation survives when p_x >= p_y + 0.5.\n\
@@ -989,17 +779,25 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-let render_all ?pool () =
-  String.concat ""
-    [
-      Fig2.render (Fig2.run ());
-      Thm25.render (Thm25.run ?pool ());
-      Thm24.render (Thm24.run ?pool ());
-      Thm26.render (Thm26.run ?pool ());
-      Sec4.render (Sec4.run ?pool ());
-      Cor20.render (Cor20.run ?pool ());
-      Cps.render (Cps.run ?pool ());
-      Ablation.render (Ablation.run ?pool ());
-      Sanity.render (Sanity.run ?pool ());
-      LogHier.render (LogHier.run ?pool ());
-    ]
+(* Every table as a grid of its printed text. *)
+let tables ?pool () =
+  [
+    ("fig2", { Runner.points = []; read = (fun _ -> Fig2.render (Fig2.run ())) });
+    ("thm25", Runner.map Thm25.render (Thm25.grid ()));
+    ("thm24", Runner.map Thm24.render (Thm24.grid ()));
+    ("thm26", Runner.map Thm26.render (Thm26.grid ()));
+    ("sec4", Runner.map Sec4.render (Sec4.grid ()));
+    ("cor20", Runner.map Cor20.render (Cor20.grid ()));
+    ("cps", Runner.map Cps.render (Cps.grid ()));
+    ("ablation", Runner.map Ablation.render (Ablation.grid ()));
+    ("sanity", Runner.map Sanity.render (Sanity.grid ?pool ()));
+    ("loghier", Runner.map LogHier.render (LogHier.grid ()));
+  ]
+
+let names = List.map fst (tables ())
+
+let report ?pool names =
+  let tables = tables ?pool () in
+  Runner.run ?pool
+    (Runner.map (String.concat "")
+       (Runner.all (List.map (fun name -> List.assoc name tables) names)))

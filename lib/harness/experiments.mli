@@ -1,29 +1,50 @@
 (** The paper's evaluation, experiment by experiment.
 
-    Each experiment exposes a [run] returning structured data — the test
-    suite asserts the paper's claims on it — and a [render] producing the
-    table that [schemesim report] prints. The experiment ids match
-    DESIGN.md's per-experiment index. *)
+    Each measuring experiment is a {!Runner.grid}: a list of points
+    (program source, machine configuration, models, fuel, N) and its
+    result as a function of their measurements; [Runner.run] measures it
+    alone, and {!report} measures the union of the tables it prints,
+    each distinct point once (E6 reads E3's runs, E8's faithful series
+    E2's, E7 E9's cps-loop runs). Every point runs on a fresh machine
+    and the grid expands each source once in the calling domain, so a
+    table is byte-identical alone or in [report all], with or without a
+    pool. Each result has a [render] producing the table that
+    [schemesim report] prints; the test suite asserts the paper's claims
+    on the results. The experiment ids match DESIGN.md's per-experiment
+    index. *)
 
 module Machine = Tailspace_core.Machine
 module Tail_calls = Tailspace_analysis.Tail_calls
 module Pool = Tailspace_parallel.Pool
 
-(** Every measuring experiment takes an optional [pool]; its leaf
-    measurements (one per sweep point, each on a fresh machine) then fan
-    out over the worker domains and are re-joined in submission order,
-    so the structured results — and hence the rendered tables — are
-    byte-identical with and without a pool. Program expansion always
-    happens in the calling domain. *)
+(** How a verdict reads: [Unresolved] when it fails only for want of a
+    figure (a point that did not answer) or an exponent
+    ({!Growth.exponent_over}); the report prints ["unresolved"] then,
+    never the negative finding. *)
+type ruling = Holds | Fails | Unresolved
 
 type verdict = {
   claim : string;
   x : float option;  (** growth exponent of the series claimed to grow faster *)
   y : float option;  (** growth exponent of the series it is compared with *)
-  holds : bool;  (** [Growth.separates x y]; for a bound, [Growth.bounded x] *)
+  ruling : ruling;
+      (** [Growth.separates x y] (for a bound, [Growth.bounded x]),
+          [Unresolved] when [x] or [y] is *)
 }
-(** One separation verdict of E2, E8 or E10, with the two exponents it
-    was decided on. *)
+(** One separation verdict of E2, E4, E8 or E10, with the two exponents
+    it was decided on. *)
+
+(** One row of a series table: E2, E4, E5, E7, E8 and E9 read their
+    figures as series. *)
+type series = {
+  label : string list;  (** the row's label cells *)
+  figures : (int * int option) list;
+      (** [(N, figure)] per N of the grid, [None] for a point that did
+          not answer ({!Runner.answered}) *)
+  exponent : float option;
+      (** {!Growth.exponent_over} the grid: [None] when unresolved, or
+          when some point did not answer *)
+}
 
 (** {1 E1 — Figure 2: static frequency of tail calls} *)
 module Fig2 : sig
@@ -39,34 +60,19 @@ end
 
 (** {1 E2 — Theorem 25 / Figure 6: the proper-inclusion separations} *)
 module Thm25 : sig
-  type cell = {
-    variant : Machine.variant;
-    spaces : (int * int) list;  (** (N, S) for successful runs *)
-    exponent : float option;
-        (** {!Growth.exponent_over} the grid: [None] when unresolved,
-            or when some point did not answer *)
-  }
+  val grid :
+    ?ns:int list -> ?fuel:int -> unit -> (string * series list) list Runner.grid
+  (** Per separating program, its name and one series per variant, at
+      N = 20 to 320 by default. When [fuel] is given every point runs
+      under it; a point that runs out prints as ["-"] and leaves its
+      series' exponent unresolved. *)
 
-  type sweep = { separator : string; ns : int list; cells : cell list }
-
-  val run :
-    ?pool:Pool.t ->
-    ?ns:int list ->
-    ?fuel:int ->
-    unit ->
-    sweep list
-  (** One sweep per separating program, all six variants each, at N =
-      20 to 320 by default. When [fuel] is given every point runs under
-      it; a point that runs out drops out of [spaces], prints as ["-"]
-      and leaves its cell's exponent unresolved, so no claim on that
-      cell holds. *)
-
-  val claims : sweep list -> verdict list
+  val claims : (string * series list) list -> verdict list
   (** Theorem 25's nine claims: eight separations ("stack/gc: S_stack
       separates from S_gc", ...) and "gc/tail: S_tail bounded", whose
       [y] is 0. *)
 
-  val render : sweep list -> string
+  val render : (string * series list) list -> string
 end
 
 (** {1 E3 — Theorem 24: pointwise inequalities} *)
@@ -75,44 +81,27 @@ module Thm24 : sig
     name : string;
     n : int;
     s : (Machine.variant * int) list;  (** S_X per variant that answered *)
-    chain_ok : bool;
+    chain : ruling;
         (** S_tail <= S_gc <= S_stack, S_sfs <= S_evlis <= S_tail,
-            S_sfs <= S_free <= S_tail; false when some variant did not
-            answer *)
+            S_sfs <= S_free <= S_tail; [Unresolved] when no inequality
+            fails but some variant did not answer *)
   }
 
-  val run :
-    ?pool:Pool.t -> ?include_slow:bool -> unit -> row list
+  val grid : unit -> row list Runner.grid
+  (** Every non-slow corpus entry at its first checked input. *)
 
   val render : row list -> string
 end
 
 (** {1 E4 — Theorem 26 / §13: flat versus linked environments} *)
 module Thm26 : sig
-  type row = {
-    n : int;
-    u_tail : int option;  (** U_tail(P_N, N): linked model on I_tail *)
-    s_tail : int option;  (** S_tail(P_N, N): flat model on I_tail *)
-    s_sfs : int option;
-        (** S_sfs(P_N, N); each figure [None] when its run did not
-            answer ({!Runner.answered}) *)
-  }
-
   type result = {
-    rows : row list;
-    u_tail_exponent : float option;
-        (** {!Growth.exponent_over} the grid: [None] when unresolved, or
-            when some point did not answer, so a starved sweep degrades
-            the table instead of raising *)
-    s_sfs_exponent : float option;
+    u_tail : series;  (** U_tail(P_N, N): linked model on I_tail *)
+    s_tail : series;  (** S_tail(P_N, N): flat model on I_tail *)
+    s_sfs : series;  (** S_sfs(P_N, N) *)
   }
 
-  val run :
-    ?pool:Pool.t ->
-    ?ns:int list ->
-    ?fuel:int ->
-    unit ->
-    result
+  val grid : ?ns:int list -> ?fuel:int -> unit -> result Runner.grid
   (** At N = 10, 20, 40, 80 by default. *)
 
   val render : result -> string
@@ -121,19 +110,12 @@ end
 
 (** {1 E5 — §4: find-leftmost} *)
 module Sec4 : sig
-  type row = {
-    spine : string;  (** "right" or "left" *)
-    variant : Machine.variant;
-    deltas : (int * int) list;
-        (** (N, S_traverse - S_build): traversal overhead net of the
-            tree data *)
-    exponent : float option;
-        (** {!Growth.exponent_over} the grid: [None] when some point of
-            either sweep did not answer *)
-  }
+  val grid : ?ns:int list -> unit -> series list Runner.grid
+  (** Per spine ("right", "left") and variant (tail, gc, stack), the
+      series of S_traverse - S_build: traversal overhead net of the tree
+      data, labelled [[spine; variant]]. *)
 
-  val run : ?pool:Pool.t -> ?ns:int list -> unit -> row list
-  val render : row list -> string
+  val render : series list -> string
 end
 
 (** {1 E6 — Corollary 20: all machines compute the same answers} *)
@@ -145,56 +127,35 @@ module Cor20 : sig
     agree : bool;
   }
 
-  val run :
-    ?pool:Pool.t -> ?include_slow:bool -> unit -> row list
+  val grid : unit -> row list Runner.grid
+  (** E3's points. *)
 
   val render : row list -> string
 end
 
 (** {1 E7 — §1/§4: continuation-passing style runs in bounded space} *)
 module Cps : sig
-  type result = {
-    ns : int list;
-    tail : (int * int) list;
-    gc : (int * int) list;
-    tail_exponent : float option;
-        (** {!Growth.exponent_over} the grid: [None] when unresolved, or
-            when some point did not answer *)
-    gc_exponent : float option;
-  }
+  val grid : ?ns:int list -> ?fuel:int -> unit -> series list Runner.grid
+  (** The tail and gc series of the CPS loop. *)
 
-  val run :
-    ?pool:Pool.t ->
-    ?ns:int list ->
-    ?fuel:int ->
-    unit ->
-    result
-
-  val render : result -> string
+  val render : series list -> string
 end
 
 (** {1 E8 — ablations of the disambiguation choices (DESIGN.md)} *)
 module Ablation : sig
-  type sweep = {
-    label : string;
-    spaces : (int * int) list;  (** (N, S) *)
-    exponent : float option;  (** {!Growth.exponent_over} the grid *)
-  }
-
   type result = {
-    ns : int list;
-    return_env_rows : sweep list;
+    return_env_rows : series list;
         (** separator 1 under I_gc/I_stack, faithful vs literal frames *)
     return_env_verdicts : verdict list;
         (** S_stack against S_gc: faithful frames, then literal *)
-    evlis_rows : sweep list;
+    evlis_rows : series list;
         (** separator 3 under I_tail/I_evlis, with and without the
             drop-at-creation rule *)
     evlis_verdicts : verdict list;
         (** S_tail against S_evlis: faithful evlis, then literal *)
   }
 
-  val run : ?pool:Pool.t -> ?ns:int list -> unit -> result
+  val grid : ?ns:int list -> unit -> result Runner.grid
   (** At N = 20 to 320 by default. *)
 
   val render : result -> string
@@ -211,28 +172,21 @@ module Sanity : sig
       control: an implementation passes iff no program of a battery
       separates its live space from [S_tail] ({!Growth.separates}). *)
 
-  type cell = {
-    program : string;
-    failed : bool;  (** some run of either sweep did not answer *)
-    engine_exponent : float option;
-        (** growth exponent of the implementation's live space, [None]
-            when some run did not answer ({!Growth.exponent_over}) *)
-    tail_exponent : float option;  (** likewise, of [S_tail] *)
-  }
-
   type row = {
     engine : string;
-    cells : cell list;
-    properly_tail_recursive : bool;
-        (** every cell passes: both exponents resolved (so no run
-            failed), and the implementation does not separate from
-            [S_tail] *)
+    cells : (series * series) list;
+        (** per battery program, the implementation's series and
+            [S_tail]'s *)
+    verdict : ruling;
+        (** [Holds] when no cell separates and every exponent is
+            resolved, [Fails] when some cell separates *)
   }
 
-  type result = { ns : int list; rows : row list }
+  val grid : ?pool:Pool.t -> ?ns:int list -> unit -> row list Runner.grid
+  (** The [S_tail] and [I_gc] series are grid points; the SECD runs fan
+      out over [pool] when the grid is read. *)
 
-  val run : ?pool:Pool.t -> ?ns:int list -> unit -> result
-  val render : result -> string
+  val render : row list -> string
 end
 
 (** {1 E10 — the space hierarchy under the logarithmic model} *)
@@ -244,34 +198,32 @@ module LogHier : sig
       factor that grows with the live store. *)
 
   type result = {
-    ns : int list;
     pairs : verdict list;
         (** Theorem 25's four adjacent separations, each claimed by its
             separator family's name (["x/y"]) and decided on [Log_x]
-            against [Log_y]; [holds] reads "survives" *)
-    chain_rows : (string * bool) list;
+            against [Log_y]; [Holds] reads "survives" *)
+    chain_rows : (string * ruling) list;
         (** Theorem 24's pointwise chain re-checked on Log consumption
             per corpus program — not implied by the flat chain, since
             each variant's figures are scaled by its own store's
-            pointer size; a point that did not answer fails its row *)
-    pk_ns : int list;  (** {!Thm26}'s default N *)
+            pointer size *)
     thm26 : verdict;
-        (** Theorem 26's own separation on [P_N]: flat [S_sfs] against
-            [Log_tail] *)
+        (** Theorem 26's own separation on [P_N], at {!Thm26}'s default
+            N: flat [S_sfs] against [Log_tail] *)
   }
 
-  val run :
-    ?pool:Pool.t ->
-    ?ns:int list ->
-    ?fuel:int ->
-    unit ->
-    result
+  val grid : ?ns:int list -> ?fuel:int -> unit -> result Runner.grid
   (** At N = 20 to 160 by default: every point measures Linked and Log,
       whose walk runs on every step. *)
 
   val render : result -> string
 end
 
-val render_all : ?pool:Pool.t -> unit -> string
-(** Every experiment's table, in order — the paper-reproduction report
-    that [schemesim report all] prints. *)
+val names : string list
+(** The tables in report order: fig2, thm25, thm24, thm26, sec4, cor20,
+    cps, ablation, sanity, loghier. *)
+
+val report : ?pool:Pool.t -> string list -> string
+(** The named tables, in the order given, measured as one grid — what
+    [schemesim report] prints ([report all] names them all). Raises
+    [Not_found] for a name not in {!names}. *)

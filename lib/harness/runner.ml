@@ -5,6 +5,7 @@ module Bignum = Tailspace_bignum.Bignum
 module Telemetry = Tailspace_telemetry.Telemetry
 module Resilience = Tailspace_resilience.Resilience
 module Pool = Tailspace_parallel.Pool
+module Expand = Tailspace_expander.Expand
 
 type status =
   | Answer of string
@@ -81,25 +82,80 @@ let run_once ?(opts = Machine.Run_opts.default)
        else None);
   }
 
-let sweep ?pool ?opts ?collect_telemetry ?(config = Machine.Config.default)
-    ~program ~ns () =
-  (* Each point runs on a fresh machine so results depend only on the
-     point itself — not on sweep order, job count, or RNG state carried
-     over from earlier inputs. This is what makes parallel sweeps
-     byte-identical to serial ones. *)
-  Pool.map ?pool
-    (fun n -> run_once ?opts ?collect_telemetry ~config ~program ~n ())
-    ns
+type point = {
+  source : string;
+  config : Machine.Config.t;
+  models : Space_model.t list;
+  fuel : int;
+  n : int;
+}
+
+let point ?(config = Machine.Config.default) ?(models = [])
+    ?(fuel = Machine.Run_opts.default.fuel) source n =
+  { source; config; models = Space_model.normalize models; fuel; n }
+
+let measure ?pool ?(collect_telemetry = false) points =
+  (* Points are keyed on their source text: two expansions of one source
+     differ in gensym names, so an AST key would miss repeats. Each
+     source is expanded once, here in the calling domain, and each
+     distinct point runs once on a fresh machine, so a figure depends
+     only on its point — not on the order, the job count, or the other
+     points of the grid. *)
+  let programs = Hashtbl.create 16 and seen = Hashtbl.create 256 in
+  let program source =
+    match Hashtbl.find_opt programs source with
+    | Some program -> program
+    | None ->
+        let program = Expand.program_of_string source in
+        Hashtbl.add programs source program;
+        program
+  in
+  let distinct =
+    List.filter_map
+      (fun p ->
+        if Hashtbl.mem seen p then None
+        else begin
+          Hashtbl.add seen p ();
+          Some (p, program p.source)
+        end)
+      points
+  in
+  let measured =
+    Pool.map ?pool
+      (fun (p, program) ->
+        run_once
+          ~opts:(Machine.Run_opts.make ~fuel:p.fuel ~measure:p.models ())
+          ~collect_telemetry ~config:p.config ~program ~n:p.n ())
+      distinct
+  in
+  let table = Hashtbl.create (List.length distinct) in
+  List.iter2 (fun (p, _) m -> Hashtbl.add table p m) distinct measured;
+  Hashtbl.find table
+
+type 'a grid = { points : point list; read : (point -> measurement) -> 'a }
+
+let one p = { points = [ p ]; read = (fun lookup -> lookup p) }
+let map f g = { g with read = (fun lookup -> f (g.read lookup)) }
+
+let all gs =
+  {
+    points = List.concat_map (fun g -> g.points) gs;
+    read = (fun lookup -> List.map (fun g -> g.read lookup) gs);
+  }
+
+let ( let+ ) g f = map f g
+
+let ( and+ ) a b =
+  { points = a.points @ b.points; read = (fun lookup -> (a.read lookup, b.read lookup)) }
+
+let run ?pool g = g.read (measure ?pool g.points)
+
+let sweep ?pool ?collect_telemetry at ns =
+  let points = List.map at ns in
+  List.map (measure ?pool ?collect_telemetry points) points
 
 let answered m model =
   match m.status with Answer _ -> consumption m model | _ -> None
-
-let spaces_for model ms =
-  List.filter_map
-    (fun m -> Option.map (fun c -> (m.n, c)) (answered m model))
-    ms
-
-let spaces ms = spaces_for Space_model.Flat ms
 
 let all_answered ms =
   List.for_all (fun m -> match m.status with Answer _ -> true | _ -> false) ms

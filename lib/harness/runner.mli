@@ -69,31 +69,74 @@ val run_once :
     instance in [opts], which must not be shared across parallel points
     — and stores its summary in the measurement. *)
 
+(** {1 Grids}
+
+    Every table of the report is a list of points plus a function of
+    their measurements. A grid is both, so tables combine into one grid
+    whose distinct points are measured once. *)
+
+type point = {
+  source : string;
+      (** program text, §12's procedure of one argument; the lookup key
+          (two expansions of one source differ in gensym names) *)
+  config : Machine.Config.t;
+  models : Space_model.t list;  (** normalized ({!Space_model.normalize}) *)
+  fuel : int;
+  n : int;
+}
+
+val point :
+  ?config:Machine.Config.t ->
+  ?models:Space_model.t list ->
+  ?fuel:int ->
+  string ->
+  int ->
+  point
+(** [point source n], on {!Machine.Config.default}, measuring [Flat]
+    alone, under {!Machine.Run_opts.default}'s fuel unless given. *)
+
+val measure :
+  ?pool:Pool.t ->
+  ?collect_telemetry:bool ->
+  point list ->
+  point ->
+  measurement
+(** [measure points] expands each distinct source once in the calling
+    domain, runs each distinct point once ({!run_once} on a fresh
+    machine) over the [pool], and returns the lookup of a point's
+    measurement; it raises [Not_found] for a point not in [points]. A
+    figure depends only on its point, so the lookup is the same whatever
+    the job count and whatever other points share the grid. This is how
+    every machine point of the report reaches the pool. *)
+
+type 'a grid = {
+  points : point list;  (** may repeat a point: {!measure} runs it once *)
+  read : (point -> measurement) -> 'a;
+      (** the result, from the lookup of every point in [points] *)
+}
+
+val one : point -> measurement grid
+val map : ('a -> 'b) -> 'a grid -> 'b grid
+val all : 'a grid list -> 'a list grid
+val ( let+ ) : 'a grid -> ('a -> 'b) -> 'b grid
+val ( and+ ) : 'a grid -> 'b grid -> ('a * 'b) grid
+
+val run : ?pool:Pool.t -> 'a grid -> 'a
+(** [g.read (measure g.points)]. *)
+
 val sweep :
   ?pool:Pool.t ->
-  ?opts:Machine.Run_opts.t ->
   ?collect_telemetry:bool ->
-  ?config:Machine.Config.t ->
-  program:Tailspace_ast.Ast.expr ->
-  ns:int list ->
-  unit ->
+  (int -> point) ->
+  int list ->
   measurement list
-(** Every input runs on a fresh machine instance, so each point is
-    exactly {!run_once} of that input: results are independent of sweep
-    order, of the [pool]'s job count, and of machine state (notably the
-    RNG) left behind by earlier inputs. With a [pool], points are
-    measured concurrently and returned in input order — the table is
-    byte-identical to the serial one. *)
+(** The one-series case: [sweep at ns] measures [at n] for each input
+    of [ns], in order; for instance [sweep (point ~config source) ns].
+    [collect_telemetry] as in {!run_once}. *)
 
 val answered : measurement -> Space_model.t -> int option
 (** {!consumption} of a point that answered; [None] when the point got
     stuck or ran out of fuel, since its partial peak is no [S_X(P, N)].
     The only figure a table or a verdict reads from a point. *)
-
-val spaces_for : Space_model.t -> measurement list -> (int * int) list
-(** [(n, c)] for each point with [answered m model = Some c]. *)
-
-val spaces : measurement list -> (int * int) list
-(** [spaces_for Flat]. *)
 
 val all_answered : measurement list -> bool

@@ -63,8 +63,10 @@ type gc_reason =
   | Gc_linked  (** pre-observation collection for the linked model *)
   | Gc_final  (** the final configuration's collection *)
   | Gc_forced
-      (** the reference schedule, [Run_opts.collect_every_step], ran this
-          collection *)
+      (** a collection no observation asked for: the reference schedule,
+          [Run_opts.collect_every_step], runs one before every step, and
+          an [I_stack] return under the Algol policy runs one before it
+          re-checks a dangling pointer *)
 
 type event =
   | Step of { step : int; space : int; cont_depth : int; store_cells : int }

@@ -26,7 +26,7 @@ let test_collect_unreachable () =
   let s, live = Store.alloc s T.Nil in
   let s, dead = Store.alloc s (T.Sym "garbage") in
   let env = Env.add "x" live Env.empty in
-  let s', n = Gc.collect ~control_locs:[] ~env ~cont:T.Halt s in
+  let s', n = Gc.collect ~env ~cont:T.Halt s in
   check_int "one reclaimed" 1 n;
   Alcotest.(check bool) "live kept" true (Store.mem s' live);
   Alcotest.(check bool) "dead gone" false (Store.mem s' dead)
@@ -39,7 +39,7 @@ let test_collect_transitive () =
   let s, pair_cell = Store.alloc s (T.Pair (a, d)) in
   let s = Store.set s d (T.Vector [| inner |]) in
   let env = Env.add "p" pair_cell Env.empty in
-  let s', n = Gc.collect ~control_locs:[] ~env ~cont:T.Halt s in
+  let s', n = Gc.collect ~env ~cont:T.Halt s in
   check_int "nothing reclaimed" 0 n;
   Alcotest.(check bool) "inner reachable via vector in cdr" true (Store.mem s' inner)
 
@@ -51,7 +51,7 @@ let test_collect_through_closure_env () =
   let closure = T.Closure (tag, lam unit_body, env) in
   let s, home = Store.alloc s closure in
   let roots_env = Env.add "f" home Env.empty in
-  let s', n = Gc.collect ~control_locs:[] ~env:roots_env ~cont:T.Halt s in
+  let s', n = Gc.collect ~env:roots_env ~cont:T.Halt s in
   check_int "none reclaimed" 0 n;
   Alcotest.(check bool) "captured kept" true (Store.mem s' captured)
 
@@ -61,7 +61,7 @@ let test_collect_through_cont () =
   let s, loose = Store.alloc s (T.Sym "loose") in
   let frame_env = Env.add "y" in_frame Env.empty in
   let k = T.select ~e1:unit_body ~e2:unit_body ~env:frame_env ~next:T.Halt () in
-  let s', n = Gc.collect ~control_locs:[] ~env:Env.empty ~cont:k s in
+  let s', n = Gc.collect ~env:Env.empty ~cont:k s in
   check_int "loose reclaimed" 1 n;
   Alcotest.(check bool) "frame binding kept" true (Store.mem s' in_frame);
   Alcotest.(check bool) "loose gone" false (Store.mem s' loose)
@@ -74,7 +74,7 @@ let test_collect_through_escape () =
   let escape = T.Escape (tag, k) in
   let s, home = Store.alloc s escape in
   let s', n =
-    Gc.collect ~control_locs:[ home ] ~env:Env.empty ~cont:T.Halt s
+    Gc.collect ~value:(T.Vector [| home |]) ~env:Env.empty ~cont:T.Halt s
   in
   check_int "none reclaimed" 0 n;
   Alcotest.(check bool) "held via captured continuation" true (Store.mem s' held)
@@ -85,7 +85,7 @@ let test_return_stack_pins_deletions () =
   let s = Store.empty in
   let s, pinned = Store.alloc s (T.Sym "garbage-but-pinned") in
   let k = T.return_stack ~dels:[ pinned ] ~env:Env.empty ~next:T.Halt () in
-  let s', n = Gc.collect ~control_locs:[] ~env:Env.empty ~cont:k s in
+  let s', n = Gc.collect ~env:Env.empty ~cont:k s in
   check_int "nothing reclaimed" 0 n;
   Alcotest.(check bool) "pinned" true (Store.mem s' pinned)
 
@@ -97,7 +97,7 @@ let test_rebased_env_roots () =
   let base = Env.rebase (Env.add_list [ ("a", a); ("b", b) ] Env.empty) in
   let e1 = Env.add "x" a base in
   let k = T.select ~e1:unit_body ~e2:unit_body ~env:e1 ~next:T.Halt () in
-  let s', n = Gc.collect ~control_locs:[] ~env:base ~cont:k s in
+  let s', n = Gc.collect ~env:base ~cont:k s in
   check_int "none reclaimed" 0 n;
   Alcotest.(check bool) "b survives via shared base" true (Store.mem s' b)
 
@@ -154,7 +154,7 @@ let test_initial_world_fully_live () =
   List.iter
     (fun variant ->
       let env, store = M.initial (M.create_with (M.Config.make ~variant ())) in
-      let _, freed = Gc.collect ~control_locs:[] ~env ~cont:T.Halt store in
+      let _, freed = Gc.collect ~env ~cont:T.Halt store in
       check_int (M.variant_name variant ^ ": freed") 0 freed)
     M.all_variants
 
@@ -174,12 +174,12 @@ let test_recollect_keeps_everything () =
   let store, _garbage = Store.alloc store (T.Sym "garbage") in
   let store, extra = Store.alloc store (T.Sym "extra") in
   let rooted = Env.add "extra" extra env in
-  let s1, n1 = Gc.collect ~control_locs:[] ~env:rooted ~cont:T.Halt store in
+  let s1, n1 = Gc.collect ~env:rooted ~cont:T.Halt store in
   check_int "garbage reclaimed" 1 n1;
-  let s2, n2 = Gc.collect ~control_locs:[] ~env:rooted ~cont:T.Halt s1 in
+  let s2, n2 = Gc.collect ~env:rooted ~cont:T.Halt s1 in
   check_int "nothing left to reclaim" 0 n2;
   Alcotest.(check (list int)) "every cell kept" (cells s1) (cells s2);
-  let s3, n3 = Gc.collect ~control_locs:[] ~env ~cont:T.Halt s2 in
+  let s3, n3 = Gc.collect ~env ~cont:T.Halt s2 in
   check_int "unrooted cell reclaimed" 1 n3;
   Alcotest.(check bool) "extra gone" false (Store.mem s3 extra)
 
@@ -188,10 +188,10 @@ let test_marks_cleared_after_raise () =
      tracer may reject it after marking [a]. Either way the next
      collection must start from a clean table. *)
   let s, a = Store.alloc Store.empty (T.Sym "a") in
-  (match Gc.collect ~control_locs:[ a; -1 ] ~env:Env.empty ~cont:T.Halt s with
+  (match Gc.collect ~value:(T.Vector [| a; -1 |]) ~env:Env.empty ~cont:T.Halt s with
   | _ -> ()
   | exception Invalid_argument _ -> ());
-  let s', n = Gc.collect ~control_locs:[] ~env:Env.empty ~cont:T.Halt s in
+  let s', n = Gc.collect ~env:Env.empty ~cont:T.Halt s in
   check_int "a reclaimed" 1 n;
   check_int "store empty" 0 (Store.cardinal s')
 
@@ -206,7 +206,7 @@ let test_table_grows () =
              let kept = List.filter live locs in
              let s, vec = Store.alloc s (T.Vector (Array.of_list kept)) in
              let s', freed =
-               Gc.collect ~control_locs:[ vec ] ~env:Env.empty ~cont:T.Halt s
+               Gc.collect ~value:(T.Vector [| vec |]) ~env:Env.empty ~cont:T.Halt s
              in
              check_int "freed" (n - List.length kept) freed;
              Alcotest.(check (list int)) "kept" (kept @ [ vec ]) (cells s'))
@@ -226,7 +226,7 @@ let test_return_stack_dangling_dels () =
   let s, _loose = Store.alloc s (T.Sym "loose") in
   let s = Store.remove_all s [ gone ] in
   let collect dels =
-    Gc.collect ~control_locs:[] ~env:Env.empty
+    Gc.collect ~env:Env.empty
       ~cont:(T.return_stack ~dels ~env:Env.empty ~next:T.Halt ())
       s
   in
@@ -294,15 +294,15 @@ let test_occurs_check () =
   let retained = Store.remove_all s [ target ] in
   (* target occurs in the retained pair cell *)
   let hits =
-    Gc.occurs_in_retained ~candidates:(table_of [ target ]) ~control_locs:[]
-      ~retained
+    Gc.occurs_in_retained ~candidates:(table_of [ target ])
+      ~value:(T.Vector [||]) ~retained
   in
   check_int "found via store" 1 (Hashtbl.length hits);
   (* but not when the referencing cell is also deleted *)
   let retained2 = Store.remove_all s [ target; referencing ] in
   let hits2 =
-    Gc.occurs_in_retained ~candidates:(table_of [ target ]) ~control_locs:[]
-      ~retained:retained2
+    Gc.occurs_in_retained ~candidates:(table_of [ target ])
+      ~value:(T.Vector [||]) ~retained:retained2
   in
   check_int "no occurrence" 0 (Hashtbl.length hits2)
 
@@ -317,13 +317,13 @@ let test_occurs_via_env_and_value () =
   let closure = T.Closure (tag, lam unit_body, env) in
   let hits =
     Gc.occurs_in_retained ~candidates:(table_of [ target ])
-      ~control_locs:(T.value_locs closure)
-      ~retained:(Store.remove_all s [ target ])
+      ~value:closure ~retained:(Store.remove_all s [ target ])
   in
   check_int "found via a closure's env" 1 (Hashtbl.length hits);
   let hits2 =
     Gc.occurs_in_retained ~candidates:(table_of [ target ])
-      ~control_locs:[ target ] ~retained:(Store.remove_all s [ target ])
+      ~value:(T.Vector [| target |])
+      ~retained:(Store.remove_all s [ target ])
   in
   check_int "found via control value" 1 (Hashtbl.length hits2)
 
@@ -498,8 +498,8 @@ let young_ops sc =
   done
 
 let some_roots sc =
-  let control_locs = List.init (draw sc 3) (fun _ -> some_loc sc) in
-  (control_locs, some_env sc, some_cont sc 3)
+  let value = T.Vector (Array.init (draw sc 3) (fun _ -> some_loc sc)) in
+  (value, some_env sc, some_cont sc 3)
 
 let sorted_keys h = List.sort compare (List.of_seq (Hashtbl.to_seq_keys h))
 
@@ -515,13 +515,13 @@ let generation_run ~old_gen seed =
   let world = Gc.world world_env in
   let round () =
     young_ops sc;
-    let control_locs, env, cont = some_roots sc in
+    let value, env, cont = some_roots sc in
     let dels = List.filter (fun _ -> draw sc 2 = 0) sc.young in
     let hits =
-      Gc.occurs_in_retained ~candidates:(table_of dels) ~control_locs
+      Gc.occurs_in_retained ~candidates:(table_of dels) ~value
         ~retained:(Store.remove_all sc.st dels)
     in
-    let st, freed = Gc.collect ~world ~control_locs ~env ~cont sc.st in
+    let st, freed = Gc.collect ~world ~value ~env ~cont sc.st in
     sc.st <- st;
     (sorted_keys hits, cells st, Store.space st, Store.cardinal st, freed)
   in
@@ -566,7 +566,7 @@ let rec copy_top (k : T.cont) m =
 (* What a whole-store collection frees, by definition: reachability from
    the roots with a table of its own, bases traced whole (shadowed
    bindings included, as the collector traces them). *)
-let whole_store_dead ~control_locs ~env ~cont store =
+let whole_store_dead ~control ~env ~cont store =
   let seen = Hashtbl.create 64 in
   let rec visit l =
     if not (Hashtbl.mem seen l) then
@@ -609,7 +609,7 @@ let whole_store_dead ~control_locs ~env ~cont store =
         environment env;
         frames next
   in
-  List.iter visit control_locs;
+  value control;
   environment env;
   frames cont;
   List.filter (fun l -> not (Hashtbl.mem seen l)) (cells store)
@@ -635,9 +635,9 @@ let history_run seed =
   let history = ref (Gc.history ()) in
   let cont = ref T.Halt and saved = ref [] in
   let ok = ref true in
-  let check ?world ~control_locs ~env ~cont ~history st =
-    let dead = whole_store_dead ~control_locs ~env ~cont st in
-    let st', freed = Gc.collect ?world ~history ~control_locs ~env ~cont st in
+  let check ?world ~control ~env ~cont ~history st =
+    let dead = whole_store_dead ~control ~env ~cont st in
+    let st', freed = Gc.collect ?world ~history ~value:control ~env ~cont st in
     if
       freed <> List.length dead
       || cells st' <> List.filter (fun l -> not (List.mem l dead)) (cells st)
@@ -650,7 +650,7 @@ let history_run seed =
     let st, locs = Store.alloc_many Store.empty (List.init n (fun _ -> T.Nil)) in
     let st, root = Store.alloc st (T.Vector (Array.of_list locs)) in
     ignore
-      (check ~control_locs:[ root ] ~env:Env.empty ~cont:T.Halt
+      (check ~control:(T.Vector [| root |]) ~env:Env.empty ~cont:T.Halt
          ~history:(Gc.history ()) st)
   in
   let present xs = List.filter (Store.mem sc.st) xs in
@@ -689,9 +689,8 @@ let history_run seed =
     | 0 -> history := Gc.history ()
     | 1 -> foreign ()
     | _ -> ());
-    let control_locs = List.init (draw sc 3) (fun _ -> some_loc sc) in
     sc.st <-
-      check ~world ~control_locs ~env:(some_env sc) ~cont:!cont
+      check ~world ~control:(some_value sc) ~env:(some_env sc) ~cont:!cont
         ~history:!history sc.st
   done;
   !ok
@@ -716,7 +715,7 @@ let test_world_met_below_watermark () =
   let bottom = T.return_gc ~env:world_env ~next:T.Halt () in
   let s, young = Store.alloc s (T.Sym "young") in
   let collect cont s =
-    Gc.collect ~world ~history ~control_locs:[ young ] ~env:Env.empty ~cont s
+    Gc.collect ~world ~history ~value:(T.Vector [| young |]) ~env:Env.empty ~cont s
   in
   let s, freed1 = collect bottom s in
   check_int "young-only: the stray old cell stays" 0 freed1;
@@ -725,13 +724,13 @@ let test_world_met_below_watermark () =
   check_int "still young-only" 0 freed2;
   let _, freed3 = collect top s in
   check_int "and again" 0 freed3;
-  let _, full = Gc.collect ~control_locs:[ young ] ~env:Env.empty ~cont:top s in
+  let _, full = Gc.collect ~value:(T.Vector [| young |]) ~env:Env.empty ~cont:top s in
   check_int "a full collection frees it" 1 full
 
 (* The I_stack side condition scanned literally: the value, the frame's
    environment, the whole continuation below it and every retained
    cell. *)
-let whole_scan ~candidates ~control_locs ~env ~cont ~retained =
+let whole_scan ~candidates ~value ~env ~cont ~retained =
   let hit = Hashtbl.create 8 in
   let check l = if Hashtbl.mem candidates l then Hashtbl.replace hit l () in
   let check_env env = Env.iter_overlay (fun _ l -> check l) env in
@@ -766,7 +765,7 @@ let whole_scan ~candidates ~control_locs ~env ~cont ~retained =
         check_env env;
         check_cont next
   in
-  List.iter check control_locs;
+  check_value value;
   check_env env;
   check_cont cont;
   Store.iter (fun _ v -> check_value v) retained;
@@ -788,13 +787,12 @@ let occurs_run seed =
   let params = List.init (1 + draw sc 3) (fun _ -> alloc sc (some_value sc)) in
   sc.young <- sc.young @ params;
   young_ops sc;
-  let control_locs = T.value_locs (some_value sc) in
+  let value = some_value sc in
   let dels = List.filter (fun _ -> draw sc 3 > 0) params in
   let candidates = table_of dels in
   let retained = Store.remove_all sc.st dels in
-  ( sorted_keys
-      (Gc.occurs_in_retained ~candidates ~control_locs ~retained),
-    sorted_keys (whole_scan ~candidates ~control_locs ~env ~cont ~retained) )
+  ( sorted_keys (Gc.occurs_in_retained ~candidates ~value ~retained),
+    sorted_keys (whole_scan ~candidates ~value ~env ~cont ~retained) )
 
 let prop_occurs_exact =
   QCheck.Test.make ~count:2000
@@ -814,7 +812,7 @@ let test_define_global_world_lost () =
   let s = Store.start_run s in
   let s, young = Store.alloc s (T.Sym "young") in
   let s', freed =
-    Gc.collect ~world:(Gc.world world_env) ~control_locs:[ young ] ~env:base
+    Gc.collect ~world:(Gc.world world_env) ~value:(T.Vector [| young |]) ~env:base
       ~cont:T.Halt s
   in
   check_int "stray freed" 1 freed;

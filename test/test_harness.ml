@@ -6,7 +6,7 @@ module T = Tailspace_harness.Table
 module R = Tailspace_harness.Runner
 module X = Tailspace_harness.Experiments
 module M = Tailspace_core.Machine
-module E = Tailspace_expander.Expand
+module SM = Tailspace_core.Space_model
 
 let synth f ns = List.map (fun n -> (n, f n)) ns
 let ns = [ 8; 16; 32; 64; 128; 256 ]
@@ -94,24 +94,47 @@ let test_table_render () =
   Alcotest.(check string) "numbers right-aligned" "alpha  12" (List.nth lines 2);
   Alcotest.(check string) "short name padded" "b       3" (List.nth lines 3)
 
+let square = "(define (f n) (* n n)) f"
+
 let test_runner_sweep () =
-  let program = E.program_of_string "(define (f n) (* n n)) f" in
-  let ms = R.sweep ~config:(M.Config.make ~variant:M.Tail ()) ~program ~ns:[ 2; 3; 4 ] () in
+  let ms = R.sweep (R.point square) [ 2; 3; 4 ] in
   Alcotest.(check int) "three runs" 3 (List.length ms);
   Alcotest.(check bool) "all answered" true (R.all_answered ms);
   let answers =
     List.map (fun m -> match m.R.status with R.Answer a -> a | _ -> "?") ms
   in
   Alcotest.(check (list string)) "squares" [ "4"; "9"; "16" ] answers;
-  Alcotest.(check int) "spaces extracted" 3 (List.length (R.spaces ms))
+  Alcotest.(check int) "figures read" 3
+    (List.length (List.filter_map (fun m -> R.answered m SM.Flat) ms))
 
 let test_runner_stuck_excluded () =
-  let program = E.program_of_string "(define (f n) (car n)) f" in
-  let ms = R.sweep ~config:(M.Config.make ~variant:M.Tail ()) ~program ~ns:[ 1; 2 ] () in
+  let ms = R.sweep (R.point "(define (f n) (car n)) f") [ 1; 2 ] in
   Alcotest.(check bool) "not all answered" false (R.all_answered ms);
-  Alcotest.(check int) "spaces empty" 0 (List.length (R.spaces ms))
+  Alcotest.(check int) "no figure read" 0
+    (List.length (List.filter_map (fun m -> R.answered m SM.Flat) ms))
+
+(* The lookup is keyed on source text: a repeated point, or one built
+   from an equal copy of its source, reads the same measurement. *)
+let test_runner_grid_dedup () =
+  let a = R.point square 3 and b = R.point (square ^ "") 3 in
+  let lookup = R.measure [ a; a; b; R.point square 4 ] in
+  Alcotest.(check bool) "answered" true ((lookup a).R.status = R.Answer "9");
+  Alcotest.(check bool) "one measurement for equal points" true
+    (lookup a == lookup b);
+  Alcotest.check_raises "a point outside the grid" Not_found (fun () ->
+      ignore (lookup (R.point square 5)))
 
 (* --- experiment drivers at reduced scale --- *)
+
+let ruling =
+  Alcotest.testable
+    (fun ppf r -> Format.pp_print_string ppf (X.(match r with Holds -> "holds" | Fails -> "fails" | Unresolved -> "unresolved")))
+    ( = )
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
 
 let test_fig2_runs () =
   let rows = X.Fig2.run () in
@@ -122,149 +145,165 @@ let test_fig2_runs () =
   Alcotest.(check bool) "renders" true (String.length (X.Fig2.render rows) > 100)
 
 let test_thm25_reduced () =
-  let sweeps = X.Thm25.run ~ns:[ 10; 20; 40 ] () in
+  let sweeps = R.run (X.Thm25.grid ~ns:[ 10; 20; 40 ] ()) in
   Alcotest.(check int) "four separators" 4 (List.length sweeps);
   List.iter
-    (fun s ->
+    (fun (name, rows) ->
       List.iter
-        (fun (c : X.Thm25.cell) ->
+        (fun (s : X.series) ->
           Alcotest.(check bool)
-            (s.X.Thm25.separator ^ " " ^ M.variant_name c.X.Thm25.variant
-           ^ " all ran")
+            (name ^ " " ^ String.concat " " s.X.label ^ " all ran")
             true
-            (List.length c.X.Thm25.spaces = 3))
-        s.X.Thm25.cells)
+            (List.for_all (fun (_, f) -> f <> None) s.X.figures
+            && List.length s.X.figures = 3))
+        rows)
     sweeps;
   Alcotest.(check bool) "renders" true (String.length (X.Thm25.render sweeps) > 200)
 
 let test_thm25_claims_full () =
   (* the paper's separations at full default sizes *)
-  let sweeps = X.Thm25.run () in
+  let sweeps = R.run (X.Thm25.grid ()) in
   List.iter
-    (fun (v : X.verdict) -> Alcotest.(check bool) v.X.claim true v.X.holds)
+    (fun (v : X.verdict) -> Alcotest.check ruling v.X.claim X.Holds v.X.ruling)
     (X.Thm25.claims sweeps)
 
 let test_thm24_chain () =
-  let rows = X.Thm24.run () in
+  let rows = R.run (X.Thm24.grid ()) in
   Alcotest.(check bool) "nonempty" true (List.length rows > 10);
   List.iter
     (fun (r : X.Thm24.row) ->
-      Alcotest.(check bool) (r.X.Thm24.name ^ " chain") true r.X.Thm24.chain_ok)
+      Alcotest.check ruling (r.X.Thm24.name ^ " chain") X.Holds r.X.Thm24.chain)
     rows
 
+let figure_at (s : X.series) n = Option.get (List.assoc n s.X.figures)
+
 let test_thm26_shape () =
-  let result = X.Thm26.run ~ns:[ 6; 9; 14; 20 ] () in
+  let result = R.run (X.Thm26.grid ~ns:[ 6; 9; 14; 20 ] ()) in
   (* flat sfs must overtake linked tail as N grows *)
-  let last = List.nth result.X.Thm26.rows 3 in
-  let first = List.hd result.X.Thm26.rows in
-  let ratio (r : X.Thm26.row) =
-    float_of_int (Option.get r.X.Thm26.s_sfs)
-    /. float_of_int (Option.get r.X.Thm26.u_tail)
+  let ratio n =
+    float_of_int (figure_at result.X.Thm26.s_sfs n)
+    /. float_of_int (figure_at result.X.Thm26.u_tail n)
   in
-  Alcotest.(check bool) "S_sfs/U_tail grows" true (ratio last > ratio first);
+  Alcotest.(check bool) "S_sfs/U_tail grows" true (ratio 20 > ratio 6);
   Alcotest.(check bool) "renders" true (String.length (X.Thm26.render result) > 100)
 
 let test_cor20_agreement () =
-  let rows = X.Cor20.run () in
+  let rows = R.run (X.Cor20.grid ()) in
   List.iter
     (fun (r : X.Cor20.row) ->
       Alcotest.(check bool) (r.X.Cor20.name ^ " agrees") true r.X.Cor20.agree)
     rows
 
 let test_cps_shapes () =
-  let r = X.Cps.run ~ns:[ 16; 32; 64; 128 ] () in
-  Alcotest.(check bool) "tail bounded" true (G.bounded r.X.Cps.tail_exponent);
-  Alcotest.(check bool) "gc separates from tail" true
-    (G.separates r.X.Cps.gc_exponent r.X.Cps.tail_exponent)
+  match R.run (X.Cps.grid ~ns:[ 16; 32; 64; 128 ] ()) with
+  | [ tail; gc ] ->
+      Alcotest.(check bool) "tail bounded" true (G.bounded tail.X.exponent);
+      Alcotest.(check bool) "gc separates from tail" true
+        (G.separates gc.X.exponent tail.X.exponent)
+  | _ -> Alcotest.fail "E7: expected the tail and gc series"
 
 let test_ablation_choices_matter () =
   (* E8: the faithful readings separate; the literal readings do not *)
-  let r = X.Ablation.run () in
+  let r = R.run (X.Ablation.grid ()) in
   let check expected (v : X.verdict) =
-    Alcotest.(check bool) (v.X.claim ^ ": resolved") true
-      (v.X.x <> None && v.X.y <> None);
-    Alcotest.(check bool) v.X.claim expected (G.separates v.X.x v.X.y)
+    Alcotest.check ruling v.X.claim expected v.X.ruling
   in
   List.iter
     (fun verdicts ->
       match verdicts with
       | [ faithful; literal ] ->
-          check true faithful;
-          check false literal
+          check X.Holds faithful;
+          check X.Fails literal
       | _ -> Alcotest.fail "E8: expected a faithful and a literal verdict")
     [ r.X.Ablation.return_env_verdicts; r.X.Ablation.evlis_verdicts ]
 
 let test_sanity_verdicts () =
   (* E9 at its default N: only the tail-recursive SECD machine stays
      within a constant factor of S_tail *)
-  let r = X.Sanity.run () in
+  let rows = R.run (X.Sanity.grid ()) in
   let verdict engine =
     match
-      List.find_opt
-        (fun (row : X.Sanity.row) -> row.X.Sanity.engine = engine)
-        r.X.Sanity.rows
+      List.find_opt (fun (row : X.Sanity.row) -> row.X.Sanity.engine = engine) rows
     with
-    | Some row -> row.X.Sanity.properly_tail_recursive
+    | Some row -> row.X.Sanity.verdict
     | None -> Alcotest.failf "no E9 row %S" engine
   in
-  Alcotest.(check bool) "tail-recursive SECD is properly tail recursive" true
+  Alcotest.check ruling "tail-recursive SECD is properly tail recursive" X.Holds
     (verdict "secd (tail-recursive)");
-  Alcotest.(check bool) "classic SECD leaks" false (verdict "secd (classic)");
-  Alcotest.(check bool) "I_gc leaks" false (verdict "reference I_gc (control)")
+  Alcotest.check ruling "classic SECD leaks" X.Fails (verdict "secd (classic)");
+  Alcotest.check ruling "I_gc leaks" X.Fails (verdict "reference I_gc (control)")
 
 let test_loghier_verdicts () =
   (* E10 at its default N (20 to 160): every separation survives the
      log model, gc/tail included (Log_gc grows by one frame's bits per
      iteration over a constant of about 4 400 bits). *)
-  let r = X.LogHier.run () in
+  let r = R.run (X.LogHier.grid ()) in
   Alcotest.(check (list string)) "the four separations"
     [ "stack/gc"; "gc/tail"; "tail/evlis"; "evlis/sfs" ]
     (List.map (fun (v : X.verdict) -> v.X.claim) r.X.LogHier.pairs);
   List.iter
     (fun (v : X.verdict) ->
-      Alcotest.(check bool) (v.X.claim ^ " survives under Log") true
-        (G.separates v.X.x v.X.y))
+      Alcotest.check ruling (v.X.claim ^ " survives under Log") X.Holds v.X.ruling)
     (r.X.LogHier.pairs @ [ r.X.LogHier.thm26 ]);
-  Alcotest.(check (list (pair string bool)))
+  Alcotest.(check (list (pair string ruling)))
     "Theorem 24 chain on Log"
-    [ ("countdown", true); ("fib-iter", true); ("even-odd", true) ]
+    [ ("countdown", X.Holds); ("fib-iter", X.Holds); ("even-odd", X.Holds) ]
     r.X.LogHier.chain_rows
 
 (* A point that did not answer leaves its series without an exponent,
-   so no verdict or chain row can pass on it. At fuel 8000 stack/gc
+   so no verdict or chain row can pass on it, and the report says
+   "unresolved" rather than a negative finding. At fuel 8000 stack/gc
    loses every N = 320 point and tail/evlis its N = 160 and 320 points,
    and only gc/tail answers everywhere. *)
 let test_thm25_failed_points () =
-  let sweeps = X.Thm25.run ~fuel:8000 () in
+  let sweeps = R.run (X.Thm25.grid ~fuel:8000 ()) in
+  let claims = X.Thm25.claims sweeps in
   Alcotest.(check (list string))
     "claims that hold"
     [ "gc/tail: S_gc separates from S_tail"; "gc/tail: S_tail bounded" ]
     (List.filter_map
-       (fun (v : X.verdict) -> if v.X.holds then Some v.X.claim else None)
-       (X.Thm25.claims sweeps))
-
-(* At fuel 5 no point answers: every E10 row and chain entry fails,
-   rather than reading a missing Log figure as 0. *)
-let test_loghier_failed_points () =
-  let r = X.LogHier.run ~fuel:5 () in
+       (fun (v : X.verdict) -> if v.X.ruling = X.Holds then Some v.X.claim else None)
+       claims);
+  let table = X.Thm25.render sweeps in
   List.iter
     (fun (v : X.verdict) ->
-      Alcotest.(check bool) (v.X.claim ^ " fails") false v.X.holds)
+      if v.X.ruling <> X.Holds then
+        Alcotest.(check bool)
+          (v.X.claim ^ " reads unresolved")
+          true
+          (contains table (Printf.sprintf "  [unresolved] %s  (" v.X.claim)))
+    claims;
+  Alcotest.(check bool) "no FAIL printed" false (contains table "[FAIL]")
+
+(* At fuel 5 no point answers: every E10 row and chain entry is
+   unresolved, rather than reading a missing Log figure as 0 or printing
+   a collapse. *)
+let test_loghier_failed_points () =
+  let r = R.run (X.LogHier.grid ~fuel:5 ()) in
+  List.iter
+    (fun (v : X.verdict) ->
+      Alcotest.check ruling (v.X.claim ^ " unresolved") X.Unresolved v.X.ruling)
     (r.X.LogHier.pairs @ [ r.X.LogHier.thm26 ]);
-  Alcotest.(check (list (pair string bool)))
+  Alcotest.(check (list (pair string ruling)))
     "Theorem 24 chain on Log"
-    [ ("countdown", false); ("fib-iter", false); ("even-odd", false) ]
-    r.X.LogHier.chain_rows
+    [ ("countdown", X.Unresolved); ("fib-iter", X.Unresolved); ("even-odd", X.Unresolved) ]
+    r.X.LogHier.chain_rows;
+  let table = X.LogHier.render r in
+  Alcotest.(check bool) "no collapse printed" false (contains table "COLLAPSES");
+  Alcotest.(check bool) "no violation printed" false (contains table "VIOLATED");
+  Alcotest.(check bool) "chain entries unresolved" true
+    (contains table
+       "countdown unresolved, fib-iter unresolved, even-odd unresolved")
 
 let test_sec4_shapes () =
-  let rows = X.Sec4.run ~ns:[ 16; 32; 64 ] () in
+  let rows = R.run (X.Sec4.grid ~ns:[ 16; 32; 64 ] ()) in
   let find spine variant =
     List.find
-      (fun (r : X.Sec4.row) -> r.X.Sec4.spine = spine && r.X.Sec4.variant = variant)
+      (fun (s : X.series) -> s.X.label = [ spine; M.variant_name variant ])
       rows
   in
-  let spread (r : X.Sec4.row) =
-    let ds = List.map snd r.X.Sec4.deltas in
+  let spread (s : X.series) =
+    let ds = List.map (fun (_, d) -> Option.get d) s.X.figures in
     List.fold_left Stdlib.max min_int ds - List.fold_left Stdlib.min max_int ds
   in
   (* right spine: traversal overhead flat under I_tail, growing under I_gc *)
@@ -293,6 +332,8 @@ let () =
           Alcotest.test_case "table" `Quick test_table_render;
           Alcotest.test_case "sweep" `Quick test_runner_sweep;
           Alcotest.test_case "stuck excluded" `Quick test_runner_stuck_excluded;
+          Alcotest.test_case "grid runs each point once" `Quick
+            test_runner_grid_dedup;
         ] );
       ( "experiments",
         [

@@ -222,7 +222,35 @@ let test_stack_policies () =
   check ~variant:M.Stack ~stack_policy:M.Algol "algol ok on non-escaping"
     "((lambda (x) (* 2 x)) 3)" "6";
   check_stuck ~variant:M.Stack ~stack_policy:M.Algol
-    "algol rejects escaping define" "(define (g x) (* 2 x)) g" "dangling"
+    "algol rejects escaping define" "(define (g x) (* 2 x)) g" "dangling";
+  (* A dead cell names [x] when [f] returns: the check must not read
+     garbage, so the lazy schedule answers as Definition 21's does
+     (which collects before every step), under both policies. *)
+  let dead_vector = "(define (f x) (begin (vector (lambda () x)) 0)) (f 5)" in
+  List.iter
+    (fun stack_policy ->
+      let run collect_every_step =
+        let t = M.create_with (M.Config.make ~variant:M.Stack ~stack_policy ()) in
+        let r =
+          M.exec_string ~opts:(M.Run_opts.make ~collect_every_step ()) t
+            dead_vector
+        in
+        Printf.sprintf "%s steps=%d flat=%d"
+          (match r.M.outcome with
+          | M.Done { answer; _ } -> answer
+          | M.Stuck m -> "stuck: " ^ m
+          | M.Aborted _ -> "aborted")
+          r.M.steps (M.peak_space r)
+      in
+      let policy =
+        match stack_policy with M.Algol -> "algol" | M.Safe_deletion -> "safe"
+      in
+      Alcotest.(check string)
+        (policy ^ ": dead cell, lazy = every step")
+        (run true) (run false);
+      Alcotest.(check string) (policy ^ ": dead cell answers") "0"
+        (answer ~variant:M.Stack ~stack_policy dead_vector))
+    [ M.Algol; M.Safe_deletion ]
 
 let test_variant_answers_each () =
   List.iter

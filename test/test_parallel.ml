@@ -8,7 +8,6 @@ module Tel = Tailspace_telemetry.Telemetry
 module Pool = Tailspace_parallel.Pool
 module R = Tailspace_harness.Runner
 module X = Tailspace_harness.Experiments
-module Expand = Tailspace_expander.Expand
 module Json = Tel.Json
 
 let with_test_pool ~jobs f =
@@ -83,9 +82,7 @@ let test_pool_poisoned_batch_discards () =
 (* ------------------------------------------------------------------ *)
 (* sweeps: parallel = serial *)
 
-let countdown =
-  Expand.program_of_string
-    "(define (count n) (if (zero? n) 'ok (count (- n 1)))) count"
+let countdown = "(define (count n) (if (zero? n) 'ok (count (- n 1)))) count"
 
 (* Free and Sfs read their free-variable sets from each machine's own
    annotation table, filled on demand, so the domains that fill them
@@ -94,58 +91,70 @@ let test_sweep_parallel_equals_serial () =
   let ns = [ 10; 20; 40; 80 ] in
   List.iter
     (fun variant ->
-      let config = M.Config.make ~variant () in
-      let serial = R.sweep ~config ~program:countdown ~ns () in
+      let at = R.point ~config:(M.Config.make ~variant ()) countdown in
+      let serial = R.sweep at ns in
       with_test_pool ~jobs:4 @@ fun pool ->
-      let parallel = R.sweep ~pool ~config ~program:countdown ~ns () in
+      let parallel = R.sweep ~pool at ns in
       Alcotest.(check bool)
         (M.variant_name variant ^ ": identical measurement lists")
         true (serial = parallel))
     [ M.Tail; M.Free; M.Sfs ]
 
 (* ------------------------------------------------------------------ *)
-(* experiment tables byte-identical across job counts *)
+(* experiment tables byte-identical across job counts, and alone or in
+   the union grid of the report *)
 
 let test_tables_jobs_invariant () =
   let ns = [ 8; 16; 24 ] in
-  let thm25_serial = X.Thm25.render (X.Thm25.run ~ns ()) in
-  let thm26_serial = X.Thm26.render (X.Thm26.run ~ns ()) in
+  let thm25 ?pool () = X.Thm25.render (R.run ?pool (X.Thm25.grid ~ns ())) in
+  let thm26 ?pool () = X.Thm26.render (R.run ?pool (X.Thm26.grid ~ns ())) in
+  let thm25_serial = thm25 () and thm26_serial = thm26 () in
+  let tables = [ "thm24"; "cor20"; "cps"; "sanity" ] in
+  let alone = List.map (fun name -> X.report [ name ]) tables in
   with_test_pool ~jobs:4 @@ fun pool ->
-  Alcotest.(check string) "thm25 table" thm25_serial
-    (X.Thm25.render (X.Thm25.run ~pool ~ns ()));
-  Alcotest.(check string) "thm26 table" thm26_serial
-    (X.Thm26.render (X.Thm26.run ~pool ~ns ()))
+  Alcotest.(check string) "thm25 table" thm25_serial (thm25 ~pool ());
+  Alcotest.(check string) "thm26 table" thm26_serial (thm26 ~pool ());
+  Alcotest.(check string) "tables sharing points, alone and together"
+    (String.concat "" alone)
+    (X.report ~pool tables)
 
 (* ------------------------------------------------------------------ *)
 (* starved sweeps degrade the table instead of raising *)
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 let test_starved_fits_degrade () =
   (* fuel too small for any point to answer: every exponent is
-     unresolved and the tables still render *)
+     unresolved, every verdict reads so, and the tables still render *)
   let fuel = 5 in
-  let thm26 = X.Thm26.run ~ns:[ 8; 12; 18 ] ~fuel () in
-  Alcotest.(check bool) "thm26 u_tail exponent unresolved" true
-    (thm26.X.Thm26.u_tail_exponent = None);
-  Alcotest.(check bool) "thm26 s_sfs exponent unresolved" true
-    (thm26.X.Thm26.s_sfs_exponent = None);
-  Alcotest.(check bool) "thm26 rows hold no figure of an unanswered run" true
+  let thm26 = R.run (X.Thm26.grid ~ns:[ 8; 12; 18 ] ~fuel ()) in
+  let series = X.Thm26.[ thm26.u_tail; thm26.s_tail; thm26.s_sfs ] in
+  Alcotest.(check bool) "thm26 exponents unresolved" true
+    (List.for_all (fun (s : X.series) -> s.X.exponent = None) series);
+  Alcotest.(check bool) "thm26 holds no figure of an unanswered run" true
     (List.for_all
-       (fun (r : X.Thm26.row) ->
-         r.X.Thm26.u_tail = None && r.X.Thm26.s_tail = None
-         && r.X.Thm26.s_sfs = None)
-       thm26.X.Thm26.rows);
-  Alcotest.(check bool) "thm26 renders" true
-    (String.length (X.Thm26.render thm26) > 50);
-  let cps = X.Cps.run ~ns:[ 16; 32; 64 ] ~fuel () in
+       (fun (s : X.series) -> List.for_all (fun (_, f) -> f = None) s.X.figures)
+       series);
+  let table = X.Thm26.render thm26 in
+  Alcotest.(check bool) "thm26 reads unresolved" true
+    (contains table "S_sfs unresolved from U_tail  (p = - vs -;");
+  let cps = R.run (X.Cps.grid ~ns:[ 16; 32; 64 ] ~fuel ()) in
   Alcotest.(check bool) "cps exponents unresolved" true
-    (cps.X.Cps.tail_exponent = None && cps.X.Cps.gc_exponent = None);
+    (List.for_all (fun (s : X.series) -> s.X.exponent = None) cps);
   Alcotest.(check bool) "cps renders" true
     (String.length (X.Cps.render cps) > 50);
-  (* Thm25 under the same starvation: cells lose their exponents but
-     the sweep still renders *)
-  let sweeps = X.Thm25.run ~ns:[ 8; 12; 18 ] ~fuel () in
-  Alcotest.(check bool) "thm25 renders under starvation" true
-    (String.length (X.Thm25.render sweeps) > 50)
+  (* Thm25 under the same starvation: series lose their exponents, every
+     claim reads unresolved, and the sweep still renders *)
+  let sweeps = R.run (X.Thm25.grid ~ns:[ 8; 12; 18 ] ~fuel ()) in
+  let table = X.Thm25.render sweeps in
+  List.iter
+    (fun (v : X.verdict) ->
+      Alcotest.(check bool) (v.X.claim ^ " reads unresolved") true
+        (contains table (Printf.sprintf "  [unresolved] %s  (" v.X.claim)))
+    (X.Thm25.claims sweeps)
 
 (* ------------------------------------------------------------------ *)
 (* profile downsampler invariant (QCheck) *)
